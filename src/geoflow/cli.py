@@ -75,6 +75,22 @@ def _vector(text: str) -> tuple[float, ...]:
     return parts
 
 
+#: flags taking a comma-separated vector; argparse reads a value such as
+#: "-0.3,0.5" as an option, since it is not a plain negative number
+_VECTOR_FLAGS = ("--direction1", "--direction2")
+
+
+def _attach_vector_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--direction1 VALUE`` as ``--direction1=VALUE``."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _VECTOR_FLAGS:
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def _resolve(args, cfg, section: str, key: str, default, cast):
     """Flag > config (command section, then [run]) > default."""
     flag = getattr(args, key, None)
@@ -119,7 +135,7 @@ def cmd_chain(args, cfg) -> int:
     if t_end is None:
         t_end = 12.0 / spect.lambdas[0]
     start = time.perf_counter()
-    res = universal_asymmetry_experiment(spec, t_plus, t_end, tol=tol)
+    res = universal_asymmetry_experiment(spec, t_plus, t_end)
     wall = time.perf_counter() - start
 
     bundle = ResultBundle(
@@ -387,7 +403,8 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_vector_values(
+            sys.argv[1:] if argv is None else list(argv)))
         cfg = _load_config(args.config) if args.config else None
         return args.func(args, cfg)
     except ConfigError as exc:

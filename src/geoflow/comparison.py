@@ -27,6 +27,7 @@ __all__ = [
     "CURVE1_FASTER",
     "CURVE2_FASTER",
     "INCONCLUSIVE",
+    "STOP_GRAD_NORM",
     "EquidistantPair",
     "AsymmetryReport",
     "equidistant_seed",
@@ -47,6 +48,10 @@ DELTA_TOL = 1e-9
 #: speeds below this fraction of the run maximum are treated as converged
 #: noise and excluded from coincidence detection
 SPEED_FLOOR = 1e-8
+
+#: Fisher |grad f| at which a relaxation counts as converged; each curve
+#: of a comparison ends there
+STOP_GRAD_NORM = 1e-6
 
 _GRID = 512
 
@@ -180,8 +185,16 @@ def _speed(g: MetricField, traj: Trajectory, t: float) -> float:
 
 def compare(g: MetricField, f: ScalarPotential, lam: float,
             pair: EquidistantPair, t_end: float, tol: float = 1e-10,
-            n_samples: int = _GRID) -> AsymmetryReport:
-    """Integrate both relaxations and issue the asymmetry verdict.
+            n_samples: int = _GRID, flow=None) -> AsymmetryReport:
+    """Run both relaxations and issue the asymmetry verdict.
+
+    ``flow(x0) -> trajectory`` supplies each curve from its seed.  The
+    default integrates ``integrate_flow(g, f, x0, t_end, tol=tol,
+    stop_grad_norm=STOP_GRAD_NORM)``.  A closed-form relaxation such as
+    :class:`geoflow.gaussian_chain.ChainTrajectory` may stand in for it;
+    ``t_end`` and ``tol`` then go unused, the flow sets its own horizon.
+    A trajectory needs ``span`` plus ``position``, ``velocity`` and
+    ``acceleration`` at a scalar t.
 
     Speed-coincidence times are the bracketed sign changes of
     |curve1'| - |curve2'| on the dense output (plus t=0 when the seeds
@@ -193,10 +206,11 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
     equilibrium, not coincidences, and are skipped.
     """
     pair.validate(f)
-    traj1, traj2 = parallel_map(
-        lambda x0: integrate_flow(g, f, x0, t_end, tol=tol,
-                                  stop_grad_norm=1e-6),
-        [pair.x1_0, pair.x2_0])
+    if flow is None:
+        def flow(x0):
+            return integrate_flow(g, f, x0, t_end, tol=tol,
+                                  stop_grad_norm=STOP_GRAD_NORM)
+    traj1, traj2 = parallel_map(flow, [pair.x1_0, pair.x2_0])
 
     t_hi = min(traj1.span[1], traj2.span[1])
     ts = np.linspace(0.0, t_hi, n_samples)

@@ -20,12 +20,21 @@ the generic comparison and straightening tooling to certify that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .comparison import INCONCLUSIVE, AsymmetryReport, EquidistantPair, compare
-from .errors import SingularCurvatureError
-from .manifold import Chart, MetricField, ScalarPotential, integrate_flow
+from .comparison import (
+    _GRID,
+    INCONCLUSIVE,
+    STOP_GRAD_NORM,
+    AsymmetryReport,
+    EquidistantPair,
+    compare,
+)
+from .errors import NonConvergenceError, SingularCurvatureError
+from .manifold import Chart, MetricField, ScalarPotential
 from .parallel import parallel_map
 
 __all__ = [
@@ -37,6 +46,7 @@ __all__ = [
     "spectrum",
     "analytic_variance",
     "ode_rhs",
+    "ChainTrajectory",
     "potential_F",
     "fisher_block",
     "cubic_closed_form",
@@ -142,6 +152,57 @@ def ode_rhs(spect: ModeSpectrum, state) -> np.ndarray:
     return -2.0 * spect.lambdas * (_avec(state) - spect.a_star)
 
 
+class ChainTrajectory:
+    """Closed-form relaxation a(t) = a* + (x0 - a*) e^{-2 lambda t}.
+
+    The exact solution of :func:`ode_rhs` from any positive start ``x0``,
+    i.e. the Fisher gradient flow of F, with position, velocity and
+    acceleration read off the formula.  The span ends at the first time
+    the Fisher |grad F| (the speed, which falls monotonically) reaches
+    the comparison's STOP_GRAD_NORM, found by brentq and capped at
+    ``t_end``; ``converged`` is True when the cap does not bind.  ``ts``,
+    ``xs`` and ``vs`` hold the two ends of the span, and
+    ``exited_domain`` is always False: the variances stay positive.
+    """
+
+    def __init__(self, spect: ModeSpectrum, x0, t_end: float):
+        self._rate = 2.0 * spect.lambdas
+        self._a_star = spect.a_star
+        self._d0 = _avec(x0) - spect.a_star
+
+        def excess(t):
+            return self._speed(t) - STOP_GRAD_NORM
+
+        self.converged = excess(t_end) <= 0.0
+        if excess(0.0) <= 0.0:
+            t_stop = 0.0
+        elif not self.converged:
+            t_stop = float(t_end)
+        else:
+            t_stop = brentq(excess, 0.0, t_end, xtol=1e-12)
+        self.ts = np.array([0.0, t_stop])
+        self.xs = np.array([self.position(t) for t in self.ts])
+        self.vs = np.array([self.velocity(t) for t in self.ts])
+        self.exited_domain = False
+
+    @property
+    def span(self) -> tuple[float, float]:
+        return 0.0, float(self.ts[-1])
+
+    def _speed(self, t: float) -> float:
+        a = self.position(t)
+        return float(np.sqrt(np.sum(self.velocity(t) ** 2 / (2.0 * a ** 2))))
+
+    def position(self, t: float) -> np.ndarray:
+        return self._a_star + self._d0 * np.exp(-self._rate * t)
+
+    def velocity(self, t: float) -> np.ndarray:
+        return -self._rate * self._d0 * np.exp(-self._rate * t)
+
+    def acceleration(self, t: float) -> np.ndarray:
+        return self._rate ** 2 * self._d0 * np.exp(-self._rate * t)
+
+
 def potential_F(spect: ModeSpectrum, state) -> float:
     """F = sum_k lambda_k (a*/a - ln(a*/a) - 1); zero only at equilibrium."""
     r = spect.a_star / _avec(state)
@@ -182,33 +243,43 @@ def scalar_curvature_mode(spect: ModeSpectrum, k: int, a: float) -> float:
     return float(a * (a - 5.0 * astar) / (a - astar) ** 2)
 
 
+#: bound on |u - ln u - target| / target in equidistant_temperatures; the
+#: F-levels of the two starts then differ by at most
+#: EQUIDISTANT_RTOL * target * sum_k lambda_k
+EQUIDISTANT_RTOL = 1e-14
+
+
 def equidistant_temperatures(t_plus: float) -> float:
     """The cold ratio T_minus < 1 that is F-equidistant with T_plus > 1.
 
-    Solves u - ln u = 1/T_plus - ln(1/T_plus) for u > 1 (bisection on
-    (1, e^2 T_plus] to 1e-12, then Newton polish) and returns 1/u.
-    Equidistance is mode-uniform because F depends on the start only
-    through the common ratio a*/a = 1/T_tilde.
+    Solves u - ln u = 1/T_plus + ln T_plus for u = 1/T_minus > 1.
+    Substituting u = (1 + v)/T_plus turns it into v / ln(1 + v) = T_plus,
+    which brentq solves to a few ulp of v on the bracket
+    [2 (T_plus - 1), 2 T_plus ln(2 T_plus)].  Unlike u - ln u, whose
+    two sides agree to O((T_plus - 1)^2) near T_plus = 1, this form keeps
+    T_minus accurate there.  Equidistance is mode-uniform because F
+    depends on the start only through the common ratio a*/a = 1/T_tilde.
+
+    Raises
+    ------
+    ValueError
+        Unless 1 < t_plus < inf.
+    NonConvergenceError
+        If u misses u - ln u = target by more than EQUIDISTANT_RTOL
+        relative to the target.
     """
-    if not t_plus > 1.0:
-        raise ValueError(f"t_plus must exceed 1, got {t_plus}")
+    if not 1.0 < t_plus < np.inf:
+        raise ValueError(f"t_plus must exceed 1 and be finite, got {t_plus}")
+    v = brentq(lambda v: v / np.log1p(v) - t_plus, 2.0 * (t_plus - 1.0),
+               2.0 * t_plus * np.log(2.0 * t_plus), xtol=1e-300,
+               disp=False)
+    u = (1.0 + v) / t_plus
     target = 1.0 / t_plus + np.log(t_plus)
-
-    def h(u):
-        return u - np.log(u) - target
-
-    lo, hi = 1.0, np.exp(2.0) * t_plus
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if h(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    u = 0.5 * (lo + hi)
-    for _ in range(3):
-        u -= h(u) / (1.0 - 1.0 / u)
+    residual = abs(u - np.log(u) - target)
+    if not residual <= EQUIDISTANT_RTOL * target:
+        raise NonConvergenceError(
+            f"equidistant temperature for t_plus={t_plus}: residual "
+            f"{residual:.3e} exceeds {EQUIDISTANT_RTOL} x {target:.6g}")
     return float(1.0 / u)
 
 
@@ -244,9 +315,12 @@ def chain_manifold(spect: ModeSpectrum) -> tuple[MetricField, ScalarPotential]:
 def mode_manifold(spect: ModeSpectrum,
                   k: int) -> tuple[MetricField, ScalarPotential]:
     """Single-mode restriction of the chain manifold (1-D variance chart)."""
-    sub = ModeSpectrum(lambdas=spect.lambdas[k:k + 1],
-                       a_star=spect.a_star[k:k + 1])
-    return chain_manifold(sub)
+    return chain_manifold(_mode_spectrum(spect, k))
+
+
+def _mode_spectrum(spect: ModeSpectrum, k: int) -> ModeSpectrum:
+    return ModeSpectrum(lambdas=spect.lambdas[k:k + 1],
+                        a_star=spect.a_star[k:k + 1])
 
 
 def mode_plane_manifold(spect: ModeSpectrum,
@@ -306,12 +380,14 @@ class ExperimentResult:
 
 
 def universal_asymmetry_experiment(spec: ChainSpec, t_plus: float,
-                                   t_end: float, tol: float = 1e-10,
+                                   t_end: float,
                                    per_mode: bool = True) -> ExperimentResult:
     """Warming/cooling race from F-equidistant temperature quenches.
 
     Curve 1 is the cold (warming) start a- = T_minus a*, curve 2 the hot
-    (cooling) start a+ = T_plus a*.  Runs the generic comparison for the
+    (cooling) start a+ = T_plus a*.  Both relax along closed-form
+    :class:`ChainTrajectory` curves, so nothing is integrated and there
+    is no tolerance to set; the generic comparison races them for the
     full chain and (optionally) each mode.  ``t_plus = 1`` degenerates to
     the chain paired with itself, delta_F identically zero.
     """
@@ -319,51 +395,43 @@ def universal_asymmetry_experiment(spec: ChainSpec, t_plus: float,
         raise ValueError(f"t_plus must be >= 1, got {t_plus}")
     spect = spectrum(spec)
     t_minus = 1.0 if t_plus == 1.0 else equidistant_temperatures(t_plus)
-
     a_minus = t_minus * spect.a_star
     a_plus = t_plus * spect.a_star
-    g, f = chain_manifold(spect)
+    subs = ([_mode_spectrum(spect, k) for k in range(spect.n_modes)]
+            if per_mode else [])
 
     if t_plus == 1.0:
-        pair = EquidistantPair(a_minus, a_plus, 0.0)
-        full = _degenerate_report(g, f, a_plus, t_end, tol)
-        modes = []
-        if per_mode:
-            for k in range(spect.n_modes):
-                gk, fk = mode_manifold(spect, k)
-                modes.append(_degenerate_report(gk, fk, a_plus[k:k + 1],
-                                                t_end, tol))
-        return ExperimentResult(spec=spec, spect=spect, t_plus=t_plus,
-                                t_minus=t_minus, pair=pair, full=full,
-                                modes=modes)
+        full = _degenerate_report(spect, a_plus, t_end)
+        modes = [_degenerate_report(sub, a_plus[k:k + 1], t_end)
+                 for k, sub in enumerate(subs)]
+    else:
+        def race(sp, x_minus, x_plus):
+            g, f = chain_manifold(sp)
+            # the temperature solve pins the two levels together to within
+            # EQUIDISTANT_RTOL; quote their midpoint so seed validation
+            # sees both gaps half-sized
+            level = 0.5 * (f(x_plus) + f(x_minus))
+            return compare(g, f, 0.0, EquidistantPair(x_minus, x_plus, level),
+                           t_end, flow=partial(ChainTrajectory, sp,
+                                               t_end=t_end))
 
-    # the temperature solve pins the two levels to ~1e-15 relative; quote
-    # their midpoint so seed validation sees both gaps half-sized
-    level = 0.5 * (potential_F(spect, a_plus) + potential_F(spect, a_minus))
-    pair = EquidistantPair(a_minus, a_plus, level)
-    full = compare(g, f, 0.0, pair, t_end, tol=tol)
-
-    modes: list[AsymmetryReport] = []
-    if per_mode:
-        def run_mode(k):
-            gk, fk = mode_manifold(spect, k)
-            lk = 0.5 * (fk(a_plus[k:k + 1]) + fk(a_minus[k:k + 1]))
-            pk = EquidistantPair(a_minus[k:k + 1], a_plus[k:k + 1], lk)
-            return compare(gk, fk, 0.0, pk, t_end, tol=tol)
-
-        modes = list(parallel_map(run_mode, range(spect.n_modes)))
+        full = race(spect, a_minus, a_plus)
+        modes = parallel_map(
+            lambda k: race(subs[k], a_minus[k:k + 1], a_plus[k:k + 1]),
+            range(len(subs)))
 
     return ExperimentResult(spec=spec, spect=spect, t_plus=t_plus,
-                            t_minus=t_minus, pair=pair, full=full,
-                            modes=modes)
+                            t_minus=t_minus,
+                            pair=EquidistantPair(a_minus, a_plus, full.level),
+                            full=full, modes=modes)
 
 
-def _degenerate_report(g: MetricField, f: ScalarPotential, x0: np.ndarray,
-                       t_end: float, tol: float) -> AsymmetryReport:
+def _degenerate_report(spect: ModeSpectrum, x0: np.ndarray,
+                       t_end: float) -> AsymmetryReport:
     """Self-paired comparison: one trajectory serves as both curves."""
-    traj = integrate_flow(g, f, x0, t_end, tol=tol, stop_grad_norm=1e-6)
-    ts = np.linspace(0.0, traj.span[1], 512)
-    fv = np.array([f(traj.position(t)) for t in ts])
+    traj = ChainTrajectory(spect, x0, t_end)
+    ts = np.linspace(0.0, traj.span[1], _GRID)
+    fv = np.array([potential_F(spect, traj.position(t)) for t in ts])
     return AsymmetryReport(
         ts=ts, delta_f=np.zeros_like(ts), f1=fv, f2=fv,
         coincidence_times=[], cubic_gaps=[], verdict=INCONCLUSIVE,

@@ -42,6 +42,7 @@ from .gaussian_chain import (
     ChainSpec,
     ModeState,
     analytic_variance,
+    chain_manifold,
     cubic_closed_form,
     ode_rhs,
     potential_F,
@@ -467,7 +468,7 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
     worst = 0.0
     for n_beads in (2, 5):
         sp = spectrum(ChainSpec(n_beads))
-        g, f = _chain_pair(sp)
+        g, f = chain_manifold(sp)
         t_end = 5.0 / sp.lambdas[0]
         for t_tilde in (0.25, 0.5, 2.0, 4.0):
             spec_t = ChainSpec(n_beads, t_tilde=t_tilde)
@@ -484,7 +485,7 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
 
     # the mode ODE is exactly the Fisher gradient flow
     sp = spectrum(ChainSpec(6))
-    g, f = _chain_pair(sp)
+    g, f = chain_manifold(sp)
     worst = 0.0
     for _ in range(1000):
         a = sp.a_star * rng.uniform(0.2, 4.0, size=sp.n_modes)
@@ -530,7 +531,8 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
                            worst < 1e-4 and smallest > 0.1, worst, 1e-4,
                            "closed-form s = numeric s; s not identically 0"))
 
-    # the warming/cooling asymmetry holds across the whole grid
+    # the warming/cooling asymmetry holds across the whole grid, and the
+    # integrated route reproduces each closed-form race
     def sweep_cell(args):
         n_beads, t_plus = args
         sp_cell = spectrum(ChainSpec(n_beads))
@@ -538,8 +540,13 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
         res = universal_asymmetry_experiment(ChainSpec(n_beads), t_plus,
                                              t_end, per_mode=False)
         d = res.full.delta_f
+        ref = compare(*chain_manifold(sp_cell), 0.0, res.pair, t_end)
+        agree = (ref.verdict == res.full.verdict
+                 and len(ref.coincidence_times)
+                 == len(res.full.coincidence_times))
         return (res.full.verdict == CURVE1_FASTER,
-                float(d.min()), float(d[len(d) // 2]))
+                float(d.min()), float(d[len(d) // 2]),
+                agree, _route_gap(res.full, ref))
 
     grid = [(n + 1, t_plus) for n in (1, 2, 5, 10, 32)
             for t_plus in (1.1, 1.5, 2.0, 4.0, 8.0)]
@@ -551,6 +558,12 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
                            all_faster and worst_min >= -1e-9 and mid_positive,
                            worst_min, -1e-9,
                            "warming faster on the full (N, T+) grid"))
+    worst = max(c[4] for c in cells)
+    out.append(CheckResult("gaussian-chain", "route-agreement",
+                           all(c[3] for c in cells) and worst < 1e-8,
+                           worst, 1e-8,
+                           "integrated race = closed-form race: verdict, "
+                           "coincidence count, variances"))
 
     # both trajectories stay on their own side of equilibrium.  Strict
     # inequality is checked per mode out to 10/lambda_k; past that the gap
@@ -579,9 +592,21 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
     return out
 
 
-def _chain_pair(sp):
-    from .gaussian_chain import chain_manifold
-    return chain_manifold(sp)
+def _route_gap(closed, integrated) -> float:
+    """Worst relative variance gap between two reports' curves.
+
+    Sampled over the shorter of the two spans, curve 1 against curve 1
+    and curve 2 against curve 2.
+    """
+    t_hi = min(closed.ts[-1], integrated.ts[-1])
+    worst = 0.0
+    for t in np.linspace(0.0, t_hi, len(closed.ts)):
+        for exact, approx in ((closed.traj1, integrated.traj1),
+                              (closed.traj2, integrated.traj2)):
+            a = exact.position(t)
+            worst = max(worst, float(np.max(np.abs(approx.position(t) - a)
+                                            / a)))
+    return worst
 
 
 def _mode_pair(sp):

@@ -206,14 +206,25 @@ def test_warming_beats_cooling_across_the_grid():
     def cell(args):
         n_modes, t_plus = args
         sp = spectrum(ChainSpec(n_modes + 1))
+        t_end = 12.0 / sp.lambdas[0]
         res = universal_asymmetry_experiment(ChainSpec(n_modes + 1), t_plus,
-                                             12.0 / sp.lambdas[0],
-                                             per_mode=False)
+                                             t_end, per_mode=False)
         d = res.full.delta_f
         gaps = res.full.cubic_gaps
+        # the integrated route must reproduce the closed-form race
+        ref = compare(*chain_manifold(sp), 0.0, res.pair, t_end)
+        t_hi = min(res.full.ts[-1], ref.ts[-1])
+        route_err = max(
+            float(np.max(np.abs(integrated.position(t) - exact.position(t))
+                         / exact.position(t)))
+            for t in np.linspace(0.0, t_hi, len(d))
+            for exact, integrated in ((res.full.traj1, ref.traj1),
+                                      (res.full.traj2, ref.traj2)))
+        routes_agree = (ref.verdict == res.full.verdict
+                        and len(ref.cubic_gaps) == len(gaps))
         return (res.full.verdict == CURVE1_FASTER, float(d.min()),
                 float(d[len(d) // 2]), min(gaps) if gaps else np.inf,
-                len(gaps))
+                len(gaps), routes_agree, route_err)
 
     cells = parallel_map(cell, [(n, r) for n in SWEEP_MODES
                                 for r in SWEEP_RATIOS])
@@ -227,6 +238,9 @@ def test_warming_beats_cooling_across_the_grid():
           and gaps_positive and has_coincidences and elapsed < 300.0)
     _report(f"universal-asymmetry-sweep ({len(cells)} cells, {elapsed:.1f}s)",
             worst_min, -1e-9, passed=ok, sense=">")
+    route_err = max(c[6] for c in cells)
+    _report("integrated-vs-closed-form-routes", route_err, 1e-8,
+            passed=all(c[5] for c in cells) and route_err < 1e-8)
 
 
 def test_distance_squared_relaxation_is_symmetric():

@@ -10,6 +10,7 @@ import pytest
 
 from geoflow import cli
 from geoflow.bundle import ResultBundle
+from geoflow.comparison import _GRID
 
 
 def run(argv, capsys):
@@ -62,6 +63,7 @@ def test_chain_degenerate_pair_inconclusive(tmp_path, capsys):
     assert code == 3
     assert stdout.strip() == "inconclusive"
     _, rows = read_csv(tmp_path / "deg" / "trajectory.csv")
+    assert len(rows) == _GRID
     assert all(float(r[3]) == 0.0 for r in rows)
 
 
@@ -131,6 +133,23 @@ def test_compare_symmetric_bowl_inconclusive(tmp_path, capsys):
     assert stdout.strip() == "Inconclusive"
     bundle = ResultBundle.read(tmp_path / "sym")
     assert any("zero-gap" in v for v in bundle.verdicts)
+
+
+def test_compare_accepts_negative_vectors(tmp_path, capsys):
+    # "-0.3,0.5" is no plain negative number, so argparse would read it
+    # as an option; the "--flag=value" form must keep working alongside
+    runs = {"spaced": ["--direction1", "-0.3,0.5", "--direction2", "0.5,-0.3"],
+            "joined": ["--direction1=-0.3,0.5", "--direction2=0.5,-0.3"]}
+    for name, dirs in runs.items():
+        code, stdout, _ = run(["compare", "--model", "euclidean-quadratic",
+                               *dirs, "--t-end", "1",
+                               "--out", str(tmp_path / name)], capsys)
+        assert code == 3 and stdout.strip() == "Inconclusive"
+        config = ResultBundle.read(tmp_path / name).config
+        assert config["direction1"] == [-0.3, 0.5]
+        assert config["direction2"] == [0.5, -0.3]
+    assert filecmp.cmp(tmp_path / "spaced" / "report.csv",
+                       tmp_path / "joined" / "report.csv", shallow=False)
 
 
 def test_compare_unreachable_level_is_numerical_failure(tmp_path, capsys):

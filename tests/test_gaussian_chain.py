@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 
 from geoflow import gaussian_chain as gc
 from geoflow import straightening as st
-from geoflow.comparison import CURVE1_FASTER, INCONCLUSIVE
-from geoflow.errors import SingularCurvatureError
-from geoflow.manifold import integrate_flow
+from geoflow.comparison import CURVE1_FASTER, INCONCLUSIVE, STOP_GRAD_NORM
+from geoflow.errors import NonConvergenceError, SingularCurvatureError
+from geoflow.manifold import grad_norm_sq, integrate_flow
 
 # frozen oracles.  Rates for a two-bead chain come from the 2x2 path
 # Laplacian (eigenvalues 0 and 2); three beads give 1 and 3.
@@ -125,6 +127,36 @@ def test_ode_matches_integrated_flow():
             want = [gc.analytic_variance(gc.ChainSpec(4, t_tilde=t_tilde), sp, k, t)
                     for k in range(sp.lambdas.size)]
             assert_allclose(traj.position(t), want, rtol=1e-8, atol=1e-10)
+
+
+def test_closed_form_trajectory_solves_the_mode_ode():
+    sp = gc.spectrum(gc.ChainSpec(4))
+    x0 = np.array([0.3, 2.0, 5.0]) * sp.a_star
+    traj = gc.ChainTrajectory(sp, x0, 100.0)
+    assert_allclose(traj.position(0.0), x0, rtol=1e-15)
+    for t in [0.0, 0.4, 3.0]:
+        v = traj.velocity(t)
+        assert_allclose(v, gc.ode_rhs(sp, traj.position(t)),
+                        rtol=1e-12, atol=1e-14)
+        assert_allclose(traj.acceleration(t), -2.0 * sp.lambdas * v,
+                        rtol=1e-15)
+
+
+def test_closed_form_trajectory_span_ends_at_the_stop_threshold():
+    sp = gc.spectrum(gc.ChainSpec(4))
+    g, f = gc.chain_manifold(sp)
+    traj = gc.ChainTrajectory(sp, 2.0 * sp.a_star, 1e3)
+    t_stop = traj.span[1]
+    assert traj.converged and not traj.exited_domain
+    assert traj.xs.shape == traj.vs.shape == (2, 3)
+    speed = np.sqrt(grad_norm_sq(g, f, traj.position(t_stop)))
+    assert speed == pytest.approx(STOP_GRAD_NORM, rel=1e-9)
+
+    capped = gc.ChainTrajectory(sp, 2.0 * sp.a_star, 0.5 * t_stop)
+    assert not capped.converged
+    assert capped.span == (0.0, 0.5 * t_stop)
+    still = gc.ChainTrajectory(sp, sp.a_star, 1e3)
+    assert still.converged and still.span == (0.0, 0.0)
 
 
 # ----------------------------------------------------- potential and metric
@@ -264,6 +296,29 @@ def test_equidistant_rejects_non_hot():
             gc.equidistant_temperatures(bad)
 
 
+@pytest.mark.parametrize("t_plus", [1.0 + 1e-6, 1.1, 8.0, 1e3])
+def test_equidistant_residual_within_bound(t_plus):
+    u = 1.0 / gc.equidistant_temperatures(t_plus)
+    target = 1.0 / t_plus + np.log(t_plus)
+    assert abs(u - np.log(u) - target) <= gc.EQUIDISTANT_RTOL * target
+
+
+def test_equidistant_accurate_just_above_one():
+    # T+ = 1 + d pairs with T- = 1 - d + (4/3) d^2 + O(d^3).  The two sides
+    # of u - ln u = target agree to O(d^2) there, so a small residual alone
+    # does not pin T-
+    t_plus = 1.0 + 1e-6
+    d = t_plus - 1.0
+    assert_allclose(1.0 - gc.equidistant_temperatures(t_plus),
+                    d - 4.0 / 3.0 * d ** 2, rtol=1e-8)
+
+
+def test_equidistant_raises_when_the_residual_misses(monkeypatch):
+    monkeypatch.setattr(gc, "brentq", lambda fn, lo, hi, **kw: hi)
+    with pytest.raises(NonConvergenceError):
+        gc.equidistant_temperatures(2.0)
+
+
 @pytest.mark.parametrize("n_beads", [2, 5, 17, 65])
 def test_equidistant_levels_match_on_chain(n_beads):
     # the same T solves every mode, so whole-chain F values coincide
@@ -323,3 +378,33 @@ def test_experiment_without_modes():
                                             per_mode=False)
     assert res.modes == []
     assert res.warming_faster
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(n_beads=hst.integers(2, 64), t_plus=hst.floats(1.05, 20.0))
+def test_warming_wins_for_every_chain_and_mode(n_beads, t_plus):
+    spec = gc.ChainSpec(n_beads)
+    sp = gc.spectrum(spec)
+    res = gc.universal_asymmetry_experiment(spec, t_plus,
+                                            12.0 / sp.lambdas[0])
+    assert res.warming_faster
+    for rep in res.modes:
+        # known defect: compare calls a cubic gap below an absolute 1e-10
+        # zero, so the slowest modes of long chains near T+ = 1 (gaps
+        # ~1e-11 at N = 64, T+ = 1.05) read Inconclusive despite their
+        # positive gaps
+        gaps = np.array(rep.cubic_gaps)
+        assert rep.verdict == CURVE1_FASTER or (
+            any(n.startswith("zero-gap") for n in rep.notes)
+            and gaps.size and (gaps > 0.0).all() and (gaps < 1e-10).all())
+    for rep in [res.full, *res.modes]:
+        assert abs(rep.delta_f[0]) <= 1e-9
+        assert rep.delta_f.min() >= -1e-9
+
+    full = res.full
+    for traj, t_tilde in ((full.traj1, res.t_minus), (full.traj2, t_plus)):
+        spec_t = gc.ChainSpec(n_beads, t_tilde=t_tilde)
+        for t in full.ts:
+            want = [gc.analytic_variance(spec_t, sp, k, t)
+                    for k in range(sp.n_modes)]
+            assert_allclose(traj.position(t), want, rtol=1e-12)
