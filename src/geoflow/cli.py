@@ -148,16 +148,12 @@ def cmd_chain(args, cfg) -> int:
     header = ["t", "F_plus", "F_minus", "delta_F"]
     for k in range(spect.n_modes):
         header += [f"a{k + 1}_plus", f"a{k + 1}_minus"]
-    rows = []
-    for i, t in enumerate(full.ts):
-        row = [float(t), float(full.f2[i]), float(full.f1[i]),
-               float(full.delta_f[i])]
-        a_plus = full.traj2.position(t)
-        a_minus = full.traj1.position(t)
-        for k in range(spect.n_modes):
-            row += [float(a_plus[k]), float(a_minus[k])]
-        rows.append(row)
-    bundle.add_table("trajectory", header, rows)
+    # per mode k the columns a{k}_plus, a{k}_minus, side by side
+    variances = np.stack([full.traj2.position(full.ts),
+                          full.traj1.position(full.ts)], axis=-1)
+    rows = np.column_stack([full.ts, full.f2, full.f1, full.delta_f,
+                            variances.reshape(len(full.ts), -1)])
+    bundle.add_table("trajectory", header, rows.tolist())
     bundle.add_table("coincidences", ["t_star", "cubic_gap"],
                      [[float(t), float(gap)] for t, gap
                       in zip(full.coincidence_times, full.cubic_gaps)])

@@ -177,10 +177,12 @@ def equidistant_seed(g: MetricField, f: ScalarPotential, c: float,
     return pair
 
 
-def _speed(g: MetricField, traj: Trajectory, t: float) -> float:
+def _speed(g: MetricField, traj: Trajectory, t):
+    """Riemannian speed |xd|_g at a scalar t or over a 1-D array of t."""
     x = traj.position(t)
     v = traj.velocity(t)
-    return float(np.sqrt(max(v @ g(x) @ v, 0.0)))
+    return np.sqrt(np.maximum(
+        np.einsum("...i,...ij,...j->...", v, g(x), v), 0.0))
 
 
 def compare(g: MetricField, f: ScalarPotential, lam: float,
@@ -194,7 +196,13 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
     :class:`geoflow.gaussian_chain.ChainTrajectory` may stand in for it;
     ``t_end`` and ``tol`` then go unused, the flow sets its own horizon.
     A trajectory needs ``span`` plus ``position``, ``velocity`` and
-    ``acceleration`` at a scalar t.
+    ``acceleration`` at a scalar t and over a 1-D array of t.
+
+    Each curve is sampled on the ``n_samples`` grid in one call each to
+    ``position`` and ``velocity``; ``f`` and ``g`` then evaluate the
+    position stack in one call each, so their closures must broadcast
+    (:class:`~geoflow.errors.ClosureShapeError` otherwise).  The root
+    search and the cubics query one t at a time.
 
     Speed-coincidence times are the bracketed sign changes of
     |curve1'| - |curve2'| on the dense output (plus t=0 when the seeds
@@ -214,12 +222,12 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
 
     t_hi = min(traj1.span[1], traj2.span[1])
     ts = np.linspace(0.0, t_hi, n_samples)
-    f1 = np.array([f(traj1.position(t)) for t in ts])
-    f2 = np.array([f(traj2.position(t)) for t in ts])
+    f1 = f(traj1.position(ts))
+    f2 = f(traj2.position(ts))
     delta = f2 - f1
 
-    s1 = np.array([_speed(g, traj1, t) for t in ts])
-    s2 = np.array([_speed(g, traj2, t) for t in ts])
+    s1 = _speed(g, traj1, ts)
+    s2 = _speed(g, traj2, ts)
     diff = s1 - s2
     floor = SPEED_FLOOR * max(s1.max(), s2.max())
     live = np.maximum(s1, s2) > floor

@@ -91,7 +91,11 @@ class HessianModel:
 
 
 def metric_field(model: HessianModel) -> MetricField:
-    """The Hessian metric of the model as a MetricField over its chart."""
+    """The Hessian metric of the model as a MetricField over its chart.
+
+    It evaluates a point stack only when the model's ``hessian`` closure
+    broadcasts over leading axes, as :func:`exponential_model`'s does.
+    """
     return MetricField(model.chart, model.hessian, name=model.name)
 
 
@@ -244,7 +248,7 @@ def exponential_model() -> HessianModel:
         lambda th: float(np.exp(th[0])),
         Chart(1),
         eta=lambda th: np.exp(th),
-        hessian=lambda th: np.array([[np.exp(th[0])]]),
+        hessian=lambda th: np.exp(th)[..., None],
         name="exponential",
     )
 

@@ -22,6 +22,7 @@ __all__ = [
     "NonConvexError",
     "SingularCurvatureError",
     "MissingMinimumError",
+    "ClosureShapeError",
     "StepSizeWarning",
 ]
 
@@ -80,6 +81,15 @@ class SingularCurvatureError(GeoflowError, ValueError):
 
 class MissingMinimumError(GeoflowError, ValueError):
     """Operation needs the potential's designated minimum, which is unset."""
+
+
+class ClosureShapeError(GeoflowError, ValueError):
+    """Metric or potential closure returned the wrong shape for its input.
+
+    ``matrix`` and ``value`` closures must broadcast over the leading axes
+    of a point stack; one that ignores them fails here instead of
+    returning values for the wrong points.
+    """
 
 
 class StepSizeWarning(UserWarning):

@@ -1,6 +1,7 @@
 """Named example manifolds shared by the verification battery and the CLI.
 
-Each builder returns a ``(MetricField, ScalarPotential)`` pair.  The
+Each builder returns a ``(MetricField, ScalarPotential)`` pair whose
+metric and potential closures broadcast over point stacks.  The
 ``COMPARE_MODELS`` registry adds default seeding data so the command-line
 ``compare`` front end can run a named model without further setup.
 """
@@ -12,8 +13,14 @@ from typing import Callable
 
 import numpy as np
 
-from .dually_flat import canonical_divergence, exponential_model, metric_field
-from .gaussian_chain import ChainSpec, ModeSpectrum, mode_manifold, spectrum
+from .dually_flat import exponential_model, metric_field
+from .gaussian_chain import (
+    ChainSpec,
+    ModeSpectrum,
+    chain_manifold,
+    mode_manifold,
+    spectrum,
+)
 from .manifold import Chart, MetricField, ScalarPotential
 
 __all__ = [
@@ -30,11 +37,12 @@ __all__ = [
 
 def euclidean_quadratic(dim: int = 2) -> tuple[MetricField, ScalarPotential]:
     """Flat metric with the isotropic quadratic bowl f = |x|^2 / 2."""
+    eye = np.eye(dim)
     g = MetricField(Chart(dim, name="euclidean"),
-                    lambda x: np.eye(dim),
+                    lambda x: np.zeros(x.shape[:-1] + eye.shape) + eye,
                     partials=lambda x: np.zeros((dim, dim, dim)),
                     name="euclidean")
-    f = ScalarPotential(lambda x: 0.5 * float(np.dot(x, x)),
+    f = ScalarPotential(lambda x: 0.5 * (x * x).sum(axis=-1),
                         gradient=lambda x: np.asarray(x, dtype=float),
                         minimum_q=np.zeros(dim),
                         name="quadratic")
@@ -50,33 +58,7 @@ def gaussian_mode(rate: float = 2.0,
 
 def two_mode_chain() -> tuple[MetricField, ScalarPotential]:
     """Two independent modes with distinct rates 1 and 3 (three beads)."""
-    spect = spectrum(ChainSpec(3))
-    def partials(x):
-        d = np.zeros((2, 2, 2))
-        d[0, 0, 0] = -1.0 / x[0] ** 3
-        d[1, 1, 1] = -1.0 / x[1] ** 3
-        return d
-
-    g = MetricField(
-        Chart(2, domain_check=lambda x: bool(np.all(np.asarray(x) > 0.0)),
-              name="two-mode"),
-        lambda x: np.diag(1.0 / (2.0 * np.asarray(x) ** 2)),
-        partials=partials,
-        name="two-mode-fisher",
-    )
-    lam, astar = spect.lambdas, spect.a_star
-
-    def value(x):
-        r = astar / np.asarray(x)
-        return float(np.sum(lam * (r - np.log(r) - 1.0)))
-
-    def grad(x):
-        x = np.asarray(x, dtype=float)
-        return lam * (x - astar) / x ** 2
-
-    f = ScalarPotential(value, gradient=grad, minimum_q=astar.copy(),
-                        name="two-mode-potential")
-    return g, f
+    return chain_manifold(spectrum(ChainSpec(3)))
 
 
 def sphere_height() -> tuple[MetricField, ScalarPotential]:
@@ -89,7 +71,10 @@ def sphere_height() -> tuple[MetricField, ScalarPotential]:
                   name="sphere-polar")
 
     def matrix(x):
-        return np.diag([1.0, np.sin(x[0]) ** 2])
+        m = np.zeros(x.shape[:-1] + (2, 2))
+        m[..., 0, 0] = 1.0
+        m[..., 1, 1] = np.sin(x[..., 0]) ** 2
+        return m
 
     def partials(x):
         d = np.zeros((2, 2, 2))
@@ -97,7 +82,7 @@ def sphere_height() -> tuple[MetricField, ScalarPotential]:
         return d
 
     g = MetricField(chart, matrix, partials=partials, name="sphere")
-    f = ScalarPotential(lambda x: 1.0 + np.cos(x[0]),
+    f = ScalarPotential(lambda x: 1.0 + np.cos(x[..., 0]),
                         gradient=lambda x: np.array([-np.sin(x[0]), 0.0]),
                         name="height")
     return g, f
@@ -114,7 +99,8 @@ def hessian_exp() -> tuple[MetricField, ScalarPotential]:
     q = np.zeros(1)
 
     def value(x):
-        return canonical_divergence(model, x, q)
+        # D(x, 0) = phi(x) + psi(0) - x eta(0), with psi(0) = -1, eta(0) = 1
+        return np.exp(x[..., 0]) - 1.0 - x[..., 0]
 
     def grad(x):
         return np.exp(np.asarray(x, dtype=float)) - 1.0
@@ -134,8 +120,8 @@ def distance_squared_potential(g: MetricField,
     q = np.asarray(q, dtype=float)
 
     def value(x):
-        d = np.asarray(x, dtype=float) - q
-        return 0.5 * float(np.dot(d, d))
+        d = x - q
+        return 0.5 * (d * d).sum(axis=-1)
 
     return ScalarPotential(value,
                            gradient=lambda x: np.asarray(x, dtype=float) - q,

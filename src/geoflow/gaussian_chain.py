@@ -34,7 +34,7 @@ from .comparison import (
     compare,
 )
 from .errors import NonConvergenceError, SingularCurvatureError
-from .manifold import Chart, MetricField, ScalarPotential
+from .manifold import Chart, MetricField, ScalarPotential, span_times
 from .parallel import parallel_map
 
 __all__ = [
@@ -157,12 +157,19 @@ class ChainTrajectory:
 
     The exact solution of :func:`ode_rhs` from any positive start ``x0``,
     i.e. the Fisher gradient flow of F, with position, velocity and
-    acceleration read off the formula.  The span ends at the first time
-    the Fisher |grad F| (the speed, which falls monotonically) reaches
-    the comparison's STOP_GRAD_NORM, found by brentq and capped at
-    ``t_end``; ``converged`` is True when the cap does not bind.  ``ts``,
-    ``xs`` and ``vs`` hold the two ends of the span, and
-    ``exited_domain`` is always False: the variances stay positive.
+    acceleration read off the formula.  Like
+    :class:`~geoflow.manifold.Trajectory`, each takes a scalar t, giving
+    shape ``(n_modes,)``, or a 1-D array of n times, giving
+    ``(n, n_modes)``; the rates broadcast against t through
+    ``np.multiply.outer``.  A time outside ``span`` raises
+    :class:`~geoflow.errors.OutOfSpanError`.
+
+    The span ends at the first time the Fisher |grad F| (the speed, which
+    falls monotonically) reaches the comparison's STOP_GRAD_NORM, found by
+    brentq and capped at ``t_end``; ``converged`` is True when the cap
+    does not bind.  ``ts``, ``xs`` and ``vs`` hold the two ends of the
+    span, and ``exited_domain`` is always False: the variances stay
+    positive.
     """
 
     def __init__(self, spect: ModeSpectrum, x0, t_end: float):
@@ -173,6 +180,8 @@ class ChainTrajectory:
         def excess(t):
             return self._speed(t) - STOP_GRAD_NORM
 
+        # the stop time is searched for on [0, t_end]
+        self.ts = np.array([0.0, float(t_end)])
         self.converged = excess(t_end) <= 0.0
         if excess(0.0) <= 0.0:
             t_stop = 0.0
@@ -181,8 +190,8 @@ class ChainTrajectory:
         else:
             t_stop = brentq(excess, 0.0, t_end, xtol=1e-12)
         self.ts = np.array([0.0, t_stop])
-        self.xs = np.array([self.position(t) for t in self.ts])
-        self.vs = np.array([self.velocity(t) for t in self.ts])
+        self.xs = self.position(self.ts)
+        self.vs = self.velocity(self.ts)
         self.exited_domain = False
 
     @property
@@ -193,20 +202,29 @@ class ChainTrajectory:
         a = self.position(t)
         return float(np.sqrt(np.sum(self.velocity(t) ** 2 / (2.0 * a ** 2))))
 
-    def position(self, t: float) -> np.ndarray:
-        return self._a_star + self._d0 * np.exp(-self._rate * t)
+    def _decay(self, t) -> np.ndarray:
+        return np.exp(-np.multiply.outer(span_times(t, self.span),
+                                         self._rate))
 
-    def velocity(self, t: float) -> np.ndarray:
-        return -self._rate * self._d0 * np.exp(-self._rate * t)
+    def position(self, t) -> np.ndarray:
+        return self._a_star + self._d0 * self._decay(t)
 
-    def acceleration(self, t: float) -> np.ndarray:
-        return self._rate ** 2 * self._d0 * np.exp(-self._rate * t)
+    def velocity(self, t) -> np.ndarray:
+        return -self._rate * self._d0 * self._decay(t)
+
+    def acceleration(self, t) -> np.ndarray:
+        return self._rate ** 2 * self._d0 * self._decay(t)
 
 
-def potential_F(spect: ModeSpectrum, state) -> float:
-    """F = sum_k lambda_k (a*/a - ln(a*/a) - 1); zero only at equilibrium."""
+def potential_F(spect: ModeSpectrum, state) -> float | np.ndarray:
+    """F = sum_k lambda_k (a*/a - ln(a*/a) - 1); zero only at equilibrium.
+
+    One state gives a float; a stack of states ``(n, n_modes)`` gives
+    their n values.
+    """
     r = spect.a_star / _avec(state)
-    return float(np.sum(spect.lambdas * (r - np.log(r) - 1.0)))
+    value = np.sum(spect.lambdas * (r - np.log(r) - 1.0), axis=-1)
+    return float(value) if value.ndim == 0 else value
 
 
 def fisher_block(state, k: int) -> float:
@@ -292,9 +310,10 @@ def chain_manifold(spect: ModeSpectrum) -> tuple[MetricField, ScalarPotential]:
     """Variance chart with the diagonal Fisher metric and potential F."""
     n = spect.n_modes
     chart = _chain_chart(n)
+    eye = np.eye(n)
 
     def matrix(a):
-        return np.diag(1.0 / (2.0 * a ** 2))
+        return (1.0 / (2.0 * a ** 2))[..., None] * eye
 
     def partials(a):
         d = np.zeros((n, n, n))
@@ -337,8 +356,11 @@ def mode_plane_manifold(spect: ModeSpectrum,
     chart = Chart(2, domain_check=lambda x: x[1] > 0.0, name="mode-plane")
 
     def matrix(x):
-        a = x[1]
-        return np.diag([2.0 / a, 1.0 / (2.0 * a ** 2)])
+        a = x[..., 1]
+        m = np.zeros(x.shape[:-1] + (2, 2))
+        m[..., 0, 0] = 2.0 / a
+        m[..., 1, 1] = 1.0 / (2.0 * a ** 2)
+        return m
 
     def partials(x):
         a = x[1]
@@ -350,7 +372,7 @@ def mode_plane_manifold(spect: ModeSpectrum,
     g = MetricField(chart, matrix, partials=partials, name="fisher-mode-plane")
 
     def value(x):
-        r = astar / x[1]
+        r = astar / x[..., 1]
         return lam * (r - np.log(r) - 1.0)
 
     def grad(x):
@@ -431,7 +453,7 @@ def _degenerate_report(spect: ModeSpectrum, x0: np.ndarray,
     """Self-paired comparison: one trajectory serves as both curves."""
     traj = ChainTrajectory(spect, x0, t_end)
     ts = np.linspace(0.0, traj.span[1], _GRID)
-    fv = np.array([potential_F(spect, traj.position(t)) for t in ts])
+    fv = potential_F(spect, traj.position(ts))
     return AsymmetryReport(
         ts=ts, delta_f=np.zeros_like(ts), f1=fv, f2=fv,
         coincidence_times=[], cubic_gaps=[], verdict=INCONCLUSIVE,

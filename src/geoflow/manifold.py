@@ -2,9 +2,10 @@
 
 The geometric substrate: everything else in the package is built from the
 types and operations here.  Charts are single global coordinate patches;
-there is no atlas machinery.  Metrics and potentials evaluate pointwise and
-may carry analytic derivative closures; absent those, derivatives fall back
-to the 4th-order central differences in :mod:`geoflow.numdiff`.
+there is no atlas machinery.  Metrics and potentials evaluate one point or
+a stack of points in one call, and may carry analytic derivative closures,
+which are pointwise; absent those, derivatives fall back to the 4th-order
+central differences in :mod:`geoflow.numdiff`.
 
 Index conventions used throughout:
 
@@ -15,15 +16,15 @@ Index conventions used throughout:
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import RK45
+from scipy.integrate import RK45, OdeSolution
 
 from . import numdiff
 from .errors import (
+    ClosureShapeError,
     CriticalPointError,
     NonConvergenceError,
     OutOfSpanError,
@@ -37,6 +38,7 @@ __all__ = [
     "ScalarPotential",
     "AffineConnection",
     "Trajectory",
+    "span_times",
     "metric_inverse",
     "gradient",
     "grad_norm_sq",
@@ -93,7 +95,9 @@ class MetricField:
     ----------
     chart : Chart
     matrix : callable
-        ``matrix(x) -> (dim, dim)`` array of components g_ij.
+        ``matrix(x) -> (..., dim, dim)`` array of components g_ij.  It
+        broadcasts over leading axes: a point ``(dim,)`` gives one
+        ``(dim, dim)`` matrix, a stack ``(n, dim)`` gives ``(n, dim, dim)``.
     partials : callable, optional
         Analytic closure ``partials(x) -> (dim, dim, dim)`` with
         ``D[l, i, j] = d_l g_ij``.  When omitted, partials come from finite
@@ -101,7 +105,10 @@ class MetricField:
     name : str
 
     Positive-definiteness is checked lazily via :meth:`check_positive_definite`
-    on fixture points, not on every evaluation.
+    on fixture points, not on every evaluation.  Calling the field passes a
+    point or a stack to ``matrix`` in one call and raises
+    :class:`~geoflow.errors.ClosureShapeError` when the result does not
+    have the shape above.
     """
 
     def __init__(self, chart: Chart, matrix: Callable[[np.ndarray], np.ndarray],
@@ -113,7 +120,11 @@ class MetricField:
         self.name = name
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self._matrix(np.asarray(x, dtype=float)), dtype=float)
+        x = np.asarray(x, dtype=float)
+        m = np.asarray(self._matrix(x), dtype=float)
+        dim = self.chart.dim
+        _check_shape(m, x.shape[:-1] + (dim, dim), self.name or "metric")
+        return m
 
     @property
     def has_analytic_partials(self) -> bool:
@@ -148,7 +159,11 @@ class ScalarPotential:
     Parameters
     ----------
     value : callable
-        ``value(x) -> float``.
+        ``value(x)``: a scalar for a point ``(dim,)``, shape ``(n,)`` for a
+        stack ``(n, dim)``; it broadcasts over leading axes.  Calling the
+        potential passes the point or stack in one call, returns a float
+        for a point, and raises :class:`~geoflow.errors.ClosureShapeError`
+        on any other shape.
     gradient : callable, optional
         Analytic partials ``gradient(x) -> (dim,)`` covector.  Finite
         differences otherwise.
@@ -170,8 +185,11 @@ class ScalarPotential:
         self.min_value = float(min_value)
         self.name = name
 
-    def __call__(self, x: np.ndarray) -> float:
-        return float(self._value(np.asarray(x, dtype=float)))
+    def __call__(self, x: np.ndarray) -> float | np.ndarray:
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(self._value(x), dtype=float)
+        _check_shape(v, x.shape[:-1], self.name or "potential")
+        return float(v) if v.ndim == 0 else v
 
     @property
     def has_analytic_gradient(self) -> bool:
@@ -183,6 +201,13 @@ class ScalarPotential:
         if self._gradient is not None:
             return np.asarray(self._gradient(x), dtype=float)
         return numdiff.gradient_fd(self.__call__, x, scale=numdiff.STEP_EXACT)
+
+
+def _check_shape(out: np.ndarray, want: tuple, name: str) -> None:
+    if out.shape != want:
+        raise ClosureShapeError(
+            f"{name} closure returned shape {out.shape}, expected {want}; "
+            "closures must broadcast over leading axes")
 
 
 @dataclass(frozen=True)
@@ -265,12 +290,45 @@ def levi_civita_connection(g: MetricField) -> AffineConnection:
     )
 
 
+def span_times(t, span: tuple[float, float]) -> float | np.ndarray:
+    """t (a scalar or a 1-D array) as floats clipped into ``span``.
+
+    Roundoff-level overshoot at either end is tolerated and clipped away.
+
+    Raises
+    ------
+    OutOfSpanError
+        If any element lies outside the span by more than that.
+    """
+    t0, t1 = span
+    slack = 1e-12 * max(1.0, abs(t0), abs(t1))
+    if isinstance(t, (float, int)) or getattr(t, "ndim", None) == 0:
+        # plain float arithmetic: root searches query one t at a time
+        t = float(t)
+        if not t0 - slack <= t <= t1 + slack:
+            raise OutOfSpanError(f"t={t} outside trajectory span [{t0}, {t1}]")
+        return min(max(t, t0), t1)
+    t = np.asarray(t, dtype=float)
+    inside = (t >= t0 - slack) & (t <= t1 + slack)
+    if not inside.all():
+        raise OutOfSpanError(
+            f"t={t[~inside]} outside trajectory span [{t0}, {t1}]")
+    return np.clip(t, t0, t1)
+
+
 class Trajectory:
     """Integrated curve with dense output.
 
     Samples are the accepted integrator steps; between them, position (and
     velocity, for second-order states) comes from the integrator's own
-    per-step interpolants, so dense queries carry the integration tolerance.
+    per-step interpolants, joined in a :class:`scipy.integrate.OdeSolution`,
+    so dense queries carry the integration tolerance.
+
+    ``position``, ``velocity`` and ``acceleration`` take a scalar t, giving
+    shape ``(dim,)``, or a 1-D array of n times, giving ``(n, dim)``.  A
+    time outside ``span`` raises :class:`~geoflow.errors.OutOfSpanError`.
+    A flow's velocity applies its field to one position at a time, and
+    the acceleration differentiates the velocity at one t at a time.
 
     Attributes
     ----------
@@ -282,14 +340,13 @@ class Trajectory:
         True when a stop condition (gradient-norm threshold) fired.
     """
 
-    def __init__(self, ts, xs, vs, segments, dim: int,
+    def __init__(self, ts, xs, vs, dense: OdeSolution | None, dim: int,
                  velocity_field: Callable[[np.ndarray], np.ndarray] | None = None,
                  exited_domain: bool = False, converged: bool = False):
         self.ts = np.asarray(ts, dtype=float)
         self.xs = np.asarray(xs, dtype=float)
         self.vs = np.asarray(vs, dtype=float)
-        self._segments = segments          # list of (t_hi, dense_output)
-        self._seg_ends = [s[0] for s in segments]
+        self._dense = dense                # None when no step was accepted
         self._dim = dim
         self._velocity_field = velocity_field
         self.exited_domain = exited_domain
@@ -299,29 +356,33 @@ class Trajectory:
     def span(self) -> tuple[float, float]:
         return float(self.ts[0]), float(self.ts[-1])
 
-    def _state(self, t: float) -> np.ndarray:
-        t0, t1 = self.span
-        # tolerate roundoff-level overshoot at the ends
-        slack = 1e-12 * max(1.0, abs(t0), abs(t1))
-        if t < t0 - slack or t > t1 + slack:
-            raise OutOfSpanError(f"t={t} outside trajectory span [{t0}, {t1}]")
-        t = min(max(t, t0), t1)
-        if not self._segments:
-            return np.concatenate([self.xs[0], self.vs[0]])[: self.xs.shape[1] * 2]
-        idx = bisect.bisect_left(self._seg_ends, t)
-        idx = min(idx, len(self._segments) - 1)
-        return self._segments[idx][1](t)
+    def _state(self, t) -> np.ndarray:
+        t = span_times(t, self.span)
+        if self._dense is None:
+            y0 = np.concatenate([self.xs[0], self.vs[0]])
+            return np.broadcast_to(y0, np.shape(t) + y0.shape).copy()
+        return self._dense(t).T
 
-    def position(self, t: float) -> np.ndarray:
-        return self._state(t)[: self._dim]
+    def position(self, t) -> np.ndarray:
+        return self._state(t)[..., : self._dim]
 
-    def velocity(self, t: float) -> np.ndarray:
-        if self._velocity_field is not None:
-            return np.asarray(self._velocity_field(self.position(t)), dtype=float)
-        return self._state(t)[self._dim:]
+    def velocity(self, t) -> np.ndarray:
+        if self._velocity_field is None:
+            return self._state(t)[..., self._dim:]
+        x = self.position(t)
+        if x.ndim == 1:
+            return np.asarray(self._velocity_field(x), dtype=float)
+        return np.array([self._velocity_field(xi) for xi in x]).reshape(x.shape)
 
-    def acceleration(self, t: float) -> np.ndarray:
-        """d(velocity)/dt from the dense output (5-point stencil)."""
+    def acceleration(self, t) -> np.ndarray:
+        """d(velocity)/dt from the dense output (5-point stencil).
+
+        Needs a span of positive width.
+        """
+        t = span_times(t, self.span)
+        if np.ndim(t):
+            return np.array([self.acceleration(ti) for ti in t]).reshape(
+                t.shape + (self._dim,))
         return np.asarray(
             numdiff.curve_derivative(self.velocity, t, self.span, order=1,
                                      step=CURVE_STEP),
@@ -331,13 +392,16 @@ class Trajectory:
 
 def _integrate(rhs, y0, t_end, tol, *, in_domain, stop=None, grad_monitor=None,
                max_step=np.inf):
-    """Drive scipy's RK45 step by step; collect dense output and flags."""
+    """Drive scipy's RK45 step by step; collect dense output and flags.
+
+    The dense output is ``None`` when no step was accepted.
+    """
     y0 = np.asarray(y0, dtype=float)
     solver = RK45(rhs, 0.0, y0, t_bound=float(t_end), rtol=tol, atol=tol,
                   max_step=max_step)
     ts = [0.0]
     ys = [y0.copy()]
-    segments: list[tuple[float, object]] = []
+    steps = []
     exited = False
     converged = False
     window: list[float] = []
@@ -349,7 +413,7 @@ def _integrate(rhs, y0, t_end, tol, *, in_domain, stop=None, grad_monitor=None,
         if not in_domain(solver.y):
             exited = True
             break
-        segments.append((solver.t, solver.dense_output()))
+        steps.append(solver.dense_output())
         ts.append(solver.t)
         ys.append(solver.y.copy())
         if stop is not None and stop(solver.y):
@@ -366,7 +430,8 @@ def _integrate(rhs, y0, t_end, tol, *, in_domain, stop=None, grad_monitor=None,
                         f"window of {_MONITOR_WINDOW} steps")
                 prev_window_min = wmin
                 window = []
-    return np.array(ts), np.array(ys), segments, exited, converged
+    dense = OdeSolution(ts, steps) if steps else None
+    return np.array(ts), np.array(ys), dense, exited, converged
 
 
 def integrate_geodesic(conn: AffineConnection, x0, v0, t_end: float,
@@ -390,9 +455,9 @@ def integrate_geodesic(conn: AffineConnection, x0, v0, t_end: float,
     def in_domain(y):
         return chart is None or chart.contains(y[:n])
 
-    ts, ys, segments, exited, _ = _integrate(rhs, np.concatenate([x0, v0]),
-                                             t_end, tol, in_domain=in_domain)
-    return Trajectory(ts, ys[:, :n], ys[:, n:], segments, n,
+    ts, ys, dense, exited, _ = _integrate(rhs, np.concatenate([x0, v0]),
+                                          t_end, tol, in_domain=in_domain)
+    return Trajectory(ts, ys[:, :n], ys[:, n:], dense, n,
                       exited_domain=exited)
 
 
@@ -426,12 +491,12 @@ def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,
     if stop_grad_norm is not None:
         stop = lambda x: monitor(x) < stop_grad_norm  # noqa: E731
 
-    ts, ys, segments, exited, converged = _integrate(
+    ts, ys, dense, exited, converged = _integrate(
         lambda _t, x: field(x), x0, t_end, tol,
         in_domain=lambda x: chart is None or chart.contains(x),
         stop=stop, grad_monitor=monitor)
     vs = np.array([field(x) for x in ys])
-    return Trajectory(ts, ys, vs, segments, x0.size, velocity_field=field,
+    return Trajectory(ts, ys, vs, dense, x0.size, velocity_field=field,
                       exited_domain=exited, converged=converged)
 
 

@@ -44,6 +44,7 @@ from .gaussian_chain import (
     analytic_variance,
     chain_manifold,
     cubic_closed_form,
+    mode_manifold,
     ode_rhs,
     potential_F,
     scalar_curvature_mode,
@@ -212,7 +213,7 @@ def _suite_manifold(rng) -> list[CheckResult]:
                            "sphere geodesic"))
 
     # finite-difference coefficients converge to the analytic ones
-    g_num = MetricField(g.chart, lambda x: np.diag([1.0, np.sin(x[0]) ** 2]))
+    g_num = MetricField(g.chart, g)     # the same metric, partials by FD
     x = np.array([np.pi / 4, 0.3])
     ref = christoffel_levi_civita(g, x)
     e1 = np.abs(christoffel_levi_civita(g_num, x, step=1e-2) - ref).max()
@@ -499,7 +500,7 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
 
     # closed-form cubic against the trajectory route
     sp1 = spectrum(ChainSpec(2))
-    g1, f1 = _mode_pair(sp1)
+    g1, f1 = mode_manifold(sp1, 0)
     worst = 0.0
     for t_tilde in (2.0, 0.5):
         traj = integrate_flow(g1, f1, [t_tilde * sp1.a_star[0]], 3.0,
@@ -598,20 +599,14 @@ def _route_gap(closed, integrated) -> float:
     Sampled over the shorter of the two spans, curve 1 against curve 1
     and curve 2 against curve 2.
     """
-    t_hi = min(closed.ts[-1], integrated.ts[-1])
+    ts = np.linspace(0.0, min(closed.ts[-1], integrated.ts[-1]),
+                     len(closed.ts))
     worst = 0.0
-    for t in np.linspace(0.0, t_hi, len(closed.ts)):
-        for exact, approx in ((closed.traj1, integrated.traj1),
-                              (closed.traj2, integrated.traj2)):
-            a = exact.position(t)
-            worst = max(worst, float(np.max(np.abs(approx.position(t) - a)
-                                            / a)))
+    for exact, approx in ((closed.traj1, integrated.traj1),
+                          (closed.traj2, integrated.traj2)):
+        a = exact.position(ts)
+        worst = max(worst, float(np.max(np.abs(approx.position(ts) - a) / a)))
     return worst
-
-
-def _mode_pair(sp):
-    from .gaussian_chain import mode_manifold
-    return mode_manifold(sp, 0)
 
 
 # ------------------------------------------------------------------ driver

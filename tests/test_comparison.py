@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from geoflow import comparison as cp
 from geoflow import manifold as mf
 from geoflow.errors import (
+    ClosureShapeError,
     DomainExitError,
     LevelUnreachableError,
     MissingMinimumError,
@@ -20,13 +21,19 @@ MODE_LEVEL = 2.0 * np.log(2.0) - 1.0
 T_COLD = 0.5693362741
 
 
+# compare evaluates metrics and potentials on point stacks, so the models
+# below broadcast over leading axes
+
+
 def euclidean(dim):
-    return mf.MetricField(mf.Chart(dim), lambda x: np.eye(dim),
+    eye = np.eye(dim)
+    return mf.MetricField(mf.Chart(dim),
+                          lambda x: np.zeros(x.shape[:-1] + eye.shape) + eye,
                           partials=lambda x: np.zeros((dim, dim, dim)))
 
 
 def quadratic(dim):
-    return mf.ScalarPotential(lambda x: 0.5 * float(x @ x),
+    return mf.ScalarPotential(lambda x: 0.5 * (x * x).sum(axis=-1),
                               gradient=lambda x: np.asarray(x, dtype=float),
                               minimum_q=np.zeros(dim))
 
@@ -35,14 +42,14 @@ def mode_metric():
     chart = mf.Chart(1, domain_check=lambda x: x[0] > 0.0)
     return mf.MetricField(
         chart,
-        lambda x: np.array([[1.0 / (2.0 * x[0] ** 2)]]),
+        lambda x: (1.0 / (2.0 * x ** 2))[..., None],
         partials=lambda x: np.array([[[-1.0 / x[0] ** 3]]]),
     )
 
 
 def mode_potential(rate=2.0, astar=1.0):
     def value(x):
-        r = astar / x[0]
+        r = astar / x[..., 0]
         return rate * (r - np.log(r) - 1.0)
 
     def grad(x):
@@ -180,6 +187,21 @@ def test_compare_coincidence_characterization():
              - f(report.traj1.position(t_star + k * h)) for k in (-1, 0, 1)]
         dd = (d[0] - 2.0 * d[1] + d[2]) / h ** 2
         assert np.sign(dd) == -np.sign(gap)
+
+
+def test_compare_rejects_a_pointwise_only_model():
+    # the same bowl as test_compare_symmetric_is_inconclusive, with closures
+    # that ignore the leading axis of a point stack
+    g = mf.MetricField(mf.Chart(2), lambda x: np.eye(2))
+    f = mf.ScalarPotential(lambda x: 0.5 * (x[0] ** 2 + x[1] ** 2),
+                           gradient=lambda x: np.asarray(x, dtype=float),
+                           minimum_q=np.zeros(2))
+    pair = cp.equidistant_seed(g, f, 0.5, [1.0, 0.0], [0.0, 1.0])
+    with pytest.raises(ClosureShapeError):
+        cp.compare(g, f, 0.0, pair, 8.0)
+    f_ok = quadratic(2)
+    with pytest.raises(ClosureShapeError):
+        cp.compare(g, f_ok, 0.0, pair, 8.0)
 
 
 def test_compare_verdict_stable_under_tol():

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
+from geoflow import fixtures
+from geoflow import gaussian_chain as gc
 from geoflow import manifold as mf
+from geoflow.dually_flat import canonical_divergence, exponential_model
 from geoflow.errors import (
+    ClosureShapeError,
     NonConvergenceError,
     OutOfSpanError,
     SingularMatrixError,
@@ -252,3 +256,108 @@ def test_flow_nonconvergence_detected():
                            gradient=lambda x: -np.asarray(x, dtype=float))
     with pytest.raises(NonConvergenceError):
         mf.integrate_flow(g, f, [1.0], 60.0)
+
+
+# ---------------------------------------------------------------- point stacks
+
+
+def _stack_models():
+    """(g, f, in-domain points) for every model compare can reach."""
+    rng = np.random.default_rng(3)
+    sp = gc.spectrum(gc.ChainSpec(6))
+    chain_pts = sp.a_star * np.exp(rng.uniform(np.log(0.25), np.log(4.0),
+                                               (9, sp.n_modes)))
+    plane_pts = np.column_stack([rng.uniform(-1.0, 1.0, 9),
+                                 rng.uniform(0.2, 4.0, 9)])
+    models = [
+        ("euclidean-quadratic", *fixtures.euclidean_quadratic(3),
+         rng.uniform(-2.0, 2.0, (9, 3))),
+        ("gaussian-mode", *fixtures.gaussian_mode(), rng.uniform(0.2, 5.0, (9, 1))),
+        ("two-mode", *fixtures.two_mode_chain(), rng.uniform(0.3, 4.0, (9, 2))),
+        ("sphere", *fixtures.sphere_height(),
+         np.column_stack([rng.uniform(0.3, 2.8, 9), rng.uniform(0.0, 6.0, 9)])),
+        ("hessian-exp", *fixtures.hessian_exp(), rng.uniform(-1.5, 1.5, (9, 1))),
+        ("distance-squared", fixtures.euclidean_quadratic(2)[0],
+         fixtures.distance_squared_potential(fixtures.euclidean_quadratic(2)[0],
+                                             np.array([0.5, -1.0])),
+         rng.uniform(-2.0, 2.0, (9, 2))),
+        ("chain", *gc.chain_manifold(sp), chain_pts),
+        ("mode-plane", *gc.mode_plane_manifold(sp, 2), plane_pts),
+    ]
+    for name, entry in fixtures.COMPARE_MODELS.items():
+        g, f = entry.build()
+        dim = g.chart.dim
+        pts = (rng.uniform(0.2, 3.0, (9, dim)) if name == "gaussian-mode"
+               else rng.uniform(-1.5, 1.5, (9, dim)))
+        models.append((f"compare:{name}", g, f, pts))
+    return [pytest.param(g, f, pts, id=name) for name, g, f, pts in models]
+
+
+@pytest.mark.parametrize("g,f,pts", _stack_models())
+def test_metric_and_potential_evaluate_point_stacks(g, f, pts):
+    assert all(g.chart.contains(x) for x in pts)
+    dim = g.chart.dim
+    gs, fs = g(pts), f(pts)
+    assert gs.shape == (len(pts), dim, dim) and fs.shape == (len(pts),)
+    assert_array_equal(gs, np.stack([g(x) for x in pts]))
+    assert_array_equal(fs, [f(x) for x in pts])
+    assert all(isinstance(f(x), float) for x in pts)
+
+
+def test_hessian_exp_potential_is_the_divergence():
+    _, f = fixtures.hessian_exp()
+    model = exponential_model()
+    for th in np.linspace(-1.5, 1.5, 7):
+        assert_allclose(f(np.array([th])),
+                        canonical_divergence(model, [th], np.zeros(1)),
+                        rtol=1e-15, atol=1e-17)
+
+
+def test_non_broadcasting_closure_raises_typed_error():
+    pts = np.ones((4, 2))
+    g = mf.MetricField(mf.Chart(2), lambda x: np.eye(2))
+    f = mf.ScalarPotential(lambda x: x[0])
+    assert g(pts[0]).shape == (2, 2) and f(pts[0]) == 1.0
+    with pytest.raises(ClosureShapeError):
+        g(pts)
+    with pytest.raises(ClosureShapeError):
+        f(pts)
+
+
+# --------------------------------------------------------- array-t queries
+
+
+def _trajectories():
+    sphere = mf.levi_civita_connection(sphere_metric())
+    g_flow = sphere_metric()
+    f_flow = mf.ScalarPotential(lambda x: 1.0 + np.cos(x[0]),
+                                gradient=lambda x: np.array([-np.sin(x[0]), 0.0]))
+    sp = gc.spectrum(gc.ChainSpec(4))
+    return {
+        "geodesic": mf.integrate_geodesic(sphere, [1.1, 0.2], [0.3, 0.8], 1.0),
+        "flow": mf.integrate_flow(g_flow, f_flow, [2.0, 0.5], 1.0),
+        "zero-step-flow": mf.integrate_flow(g_flow, f_flow, [2.0, 0.5], 0.0),
+        "zero-step-geodesic": mf.integrate_geodesic(sphere, [1.1, 0.2],
+                                                    [0.3, 0.8], 0.0),
+        "chain": gc.ChainTrajectory(sp, np.array([0.3, 2.0, 5.0]) * sp.a_star,
+                                    100.0),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_trajectories()))
+def test_array_queries_match_scalar_queries(kind):
+    traj = _trajectories()[kind]
+    t0, t1 = traj.span
+    ts = np.concatenate([[t0], np.linspace(t0, t1, 9), [t1]])
+    queries = [traj.position, traj.velocity]
+    if t1 > t0:     # a zero-step trajectory has no acceleration
+        queries.append(traj.acceleration)
+    for query in queries:
+        stacked = np.stack([query(t) for t in ts])
+        got = query(ts)
+        assert got.shape == stacked.shape == (ts.size, traj.xs.shape[1])
+        assert_allclose(got, stacked, rtol=1e-14, atol=0.0)
+    for bad in ([t0, t1 + 1e-3], [t0 - 1e-3, t1]):
+        for query in queries:
+            with pytest.raises(OutOfSpanError):
+                query(np.array(bad))
