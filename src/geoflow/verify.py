@@ -1,9 +1,14 @@
-"""Self-contained invariant battery behind the ``verify`` subcommand.
+"""The invariant battery: one source of truth for every shipped guarantee.
 
-Each suite re-checks the mathematical contracts of one module on the
-shared fixtures, independently of the unit tests, so an installed copy
-can certify itself from the command line.  Checks report the worst
-measured discrepancy next to the tolerance they were held to.
+Each suite checks the mathematical contracts of one module and reports
+the worst measured discrepancy next to the tolerance it was held to.
+``geoflow verify`` runs the battery so an installed copy can certify
+itself from the command line, and ``tests/test_acceptance.py`` asserts
+that every check passes; no invariant is computed anywhere else.
+
+Each suite draws from its own generator, seeded by ``[seed, index]``
+with the suite's index in :data:`SUITE_NAMES`, so a suite run alone
+samples exactly what it samples inside the full battery.
 
 ``flip_nonmetricity_sign=True`` negates the closed-form non-metricity
 route before comparison.  That is a negative control: the definition
@@ -16,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from . import numdiff
 from .comparison import CURVE1_FASTER, compare, equidistant_seed
@@ -32,6 +38,7 @@ from .dually_flat import (
 )
 from .errors import CriticalPointError
 from .fixtures import (
+    distance_squared_potential,
     euclidean_quadratic,
     gaussian_mode,
     hessian_exp,
@@ -44,9 +51,10 @@ from .gaussian_chain import (
     analytic_variance,
     chain_manifold,
     cubic_closed_form,
+    equidistant_temperatures,
     mode_manifold,
+    mode_plane_manifold,
     ode_rhs,
-    potential_F,
     scalar_curvature_mode,
     spectrum,
     universal_asymmetry_experiment,
@@ -59,14 +67,15 @@ from .manifold import (
     integrate_flow,
     integrate_geodesic,
     levi_civita_connection,
-    metric_inverse,
 )
-from .parallel import parallel_map
 from .straightening import (
+    Submanifold,
+    nonmetricity,
     nonmetricity_closed_form,
     nonmetricity_cubic,
     nonmetricity_tensor,
     pregeodesic_residual,
+    projection_orthogonality,
     scalar_curvature,
     straightening_connection,
 )
@@ -97,12 +106,17 @@ class CheckResult:
 
 
 def _fixture_points(rng, name, n):
-    """Random in-domain sample points for each named fixture."""
+    """``n`` random in-domain sample points for each named fixture."""
     if name == "euclidean-quadratic":
         pts = rng.uniform(-2.0, 2.0, size=(n, 2))
-        return pts[np.linalg.norm(pts, axis=1) > 0.05]
+        while (near := np.linalg.norm(pts, axis=1) <= 0.05).any():
+            pts[near] = rng.uniform(-2.0, 2.0, size=(near.sum(), 2))
+        return pts
     if name == "gaussian-mode":
-        return rng.uniform(1.2, 5.0, size=(n, 1))
+        # both sides of the equilibrium a* = 1
+        hot = rng.uniform(1.2, 5.0, size=n)
+        cold = rng.uniform(0.25, 0.8, size=n)
+        return np.where(rng.random(n) < 0.5, hot, cold)[:, None]
     if name == "two-mode":
         return rng.uniform(0.3, 4.0, size=(n, 2))
     if name == "sphere":
@@ -233,6 +247,7 @@ def _suite_straightening(rng, flip_sign=False) -> list[CheckResult]:
     fixtures = [("euclidean-quadratic", *euclidean_quadratic()),
                 ("gaussian-mode", *gaussian_mode()),
                 ("two-mode", *two_mode_chain()),
+                ("sphere", *sphere_height()),
                 ("hessian-exp", *hessian_exp())]
 
     # gradient lines are pregeodesics of the straightened connection
@@ -252,19 +267,21 @@ def _suite_straightening(rng, flip_sign=False) -> list[CheckResult]:
     # definition-based non-metricity against the closed form
     worst = 0.0
     sign = -1.0 if flip_sign else 1.0
-    for name, g, f in [fixtures[1], fixtures[2]]:
-        conn = straightening_connection(g, f, 0.0)
-        for x in _fixture_points(rng, name, 20):
-            if np.linalg.norm(f.gradient_covector(x)) < 1e-6:
-                continue
-            c_def = nonmetricity_tensor(conn, g, x)
-            w, xv, yv = rng.standard_normal((3, g.chart.dim))
-            lhs = float(np.einsum("kij,k,i,j->", c_def, w, xv, yv))
-            rhs = sign * nonmetricity_closed_form(g, f, 0.0, x, w, xv, yv)
-            worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
+    for name, g, f in fixtures[:4]:
+        for lam in (0.0, 1.0):
+            conn = straightening_connection(g, f, lam)
+            for x in _fixture_points(rng, name, 25):
+                if np.linalg.norm(f.gradient_covector(x)) < 1e-6:
+                    continue
+                c_def = nonmetricity_tensor(conn, g, x)
+                w, xv, yv = rng.standard_normal((3, g.chart.dim))
+                lhs = float(np.einsum("kij,k,i,j->", c_def, w, xv, yv))
+                rhs = sign * nonmetricity_closed_form(g, f, lam, x, w, xv, yv)
+                worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     out.append(CheckResult("straightening", "closed-form-nonmetricity",
                            worst < 1e-8, worst, 1e-8,
-                           "definition route = product closed form"
+                           "definition route = product closed form, "
+                           "lam in {0, 1}"
                            + (" [sign flipped: negative control]"
                               if flip_sign else "")))
 
@@ -273,7 +290,6 @@ def _suite_straightening(rng, flip_sign=False) -> list[CheckResult]:
     conn = straightening_connection(g, f, 0.0)
     x = np.array([3.0, 1.0])
     e1, e2 = np.eye(2)
-    from .straightening import nonmetricity
     witness = abs(nonmetricity(conn, g, x, e2, e2, e1)
                   - nonmetricity(conn, g, x, e1, e2, e2))
     out.append(CheckResult("straightening", "asymmetric-nonmetricity",
@@ -297,10 +313,11 @@ def _suite_straightening(rng, flip_sign=False) -> list[CheckResult]:
     # second-derivative identity along descent curves
     worst = 0.0
     for g, f, x0 in [(*gaussian_mode(), np.array([2.0])),
-                     (*euclidean_quadratic(), np.array([1.3, -0.7]))]:
+                     (*euclidean_quadratic(), np.array([1.3, -0.7])),
+                     (*two_mode_chain(), np.array([3.0, 1.0]))]:
+        traj = integrate_flow(g, f, x0, 1.0, tol=1e-10)
         for lam in (0.0, 1.0):
-            traj = integrate_flow(g, f, x0, 1.0, tol=1e-10)
-            for t in _segment_midpoints(traj, 8):
+            for t in _segment_midpoints(traj, 10):
                 fdot = numdiff.curve_derivative(
                     lambda s: f(traj.position(s)), t, traj.span)
                 fddot = numdiff.curve_derivative(
@@ -311,6 +328,29 @@ def _suite_straightening(rng, flip_sign=False) -> list[CheckResult]:
     out.append(CheckResult("straightening", "identity-chain",
                            worst < 1e-5, worst, 1e-5,
                            "f'' + cubic + 2 lam f' = 0 on flows"))
+
+    # the gradient meets a submanifold orthogonally at the constrained
+    # minimizer of f, and visibly not half a radian away from it
+    g, _ = euclidean_quadratic()
+    f = distance_squared_potential(g, np.array([2.0, 0.0]))
+    circle = Submanifold(lambda u: np.array([np.cos(u[0]), np.sin(u[0])]),
+                         dim_param=1)
+    foot = minimize_scalar(lambda u: f(circle.embed(np.array([u]))),
+                           bounds=(-1.0, 1.0), method="bounded",
+                           options={"xatol": 1e-12}).x
+    g2, f2 = two_mode_chain()
+    slice_sub = Submanifold(lambda u: np.array([3.0, u[0]]), dim_param=1)
+    at_foot = max(projection_orthogonality(g, f, circle, [foot]),
+                  projection_orthogonality(g2, f2, slice_sub, [2.0 / 3.0]))
+    off_foot = min(projection_orthogonality(g, f, circle, [foot + 0.5]),
+                   projection_orthogonality(g2, f2, slice_sub, [1.5]))
+    out.append(CheckResult("straightening", "projection-orthogonality",
+                           at_foot < 1e-6, at_foot, 1e-6,
+                           "|cos| between grad f and the tangent at the "
+                           "foot point: circle, two-mode slice"))
+    out.append(CheckResult("straightening", "projection-off-foot",
+                           off_foot > 0.1, off_foot, 0.1,
+                           "the same |cos| away from the foot point"))
     return out
 
 
@@ -365,6 +405,19 @@ def _suite_gradient_flow(rng) -> list[CheckResult]:
     out.append(CheckResult("gradient-flow", "reparametrization-neutrality",
                            rep_half.verdict == rep.verdict, 0.0, 0.0,
                            f"verdict stable under tol halving: {rep.verdict}"))
+
+    # on the isotropic bowl every equidistant pair relaxes identically
+    g, _ = euclidean_quadratic()
+    f = distance_squared_potential(g, np.zeros(2))
+    level = 0.5
+    worst = 0.0
+    for d1, d2 in rng.standard_normal((20, 2, 2)):
+        sym = compare(g, f, 0.0, equidistant_seed(g, f, level, d1, d2), 12.0)
+        worst = max(worst, float(np.abs(sym.delta_f).max()))
+    out.append(CheckResult("gradient-flow", "distance-squared-symmetry",
+                           worst < 1e-7 * level, worst, 1e-7 * level,
+                           "max |delta_f| on the flat bowl, 20 random "
+                           "direction pairs"))
     return out
 
 
@@ -373,7 +426,7 @@ def _suite_gradient_flow(rng) -> list[CheckResult]:
 
 def _models() -> list[tuple[str, HessianModel, np.ndarray, float]]:
     # name, model, reference point, sampling half-width
-    return [("quadratic", quadratic_model(2), np.zeros(2), 1.5),
+    return [("quadratic", quadratic_model(2), np.zeros(2), 2.0),
             ("exponential", exponential_model(), np.zeros(1), 1.5),
             ("gaussian-natural", gaussian_natural_model(),
              np.array([0.0, -0.5]), 0.3)]
@@ -434,24 +487,15 @@ def _suite_dually_flat(rng) -> list[CheckResult]:
                            float(min_off), 0.0,
                            "D > 0 off the diagonal, D = 0 on it"))
 
-    def residual_cell(args):
-        model, center, width, seed = args
-        local = np.random.default_rng(seed)
-        worst = 0.0
+    worst = 0.0
+    for name, model, center, width in models:
         for _ in range(100):
-            q = center + local.uniform(-width, width, size=center.size)
-            x = center + local.uniform(-width, width, size=center.size)
-            if np.linalg.norm(x - q) < 1e-3:
-                continue
+            q, x = center + rng.uniform(-width, width, size=(2, center.size))
+            while np.linalg.norm(x - q) < 1e-3:
+                x = center + rng.uniform(-width, width, size=center.size)
             for pipeline in ("analytic", "fd"):
                 worst = max(worst, fujiwara_amari_residual(
                     model, q, x, pipeline=pipeline))
-        return worst
-
-    seeds = rng.integers(0, 2 ** 31, size=len(models))
-    cells = [(m, c, w, int(s))
-             for (_, m, c, w), s in zip(models, seeds)]
-    worst = max(parallel_map(residual_cell, cells))
     out.append(CheckResult("fujiwara-amari", "fujiwara-amari",
                            worst < 1e-6, worst, 1e-6,
                            "divergence gradient flows are autoparallel, "
@@ -505,7 +549,7 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
     for t_tilde in (2.0, 0.5):
         traj = integrate_flow(g1, f1, [t_tilde * sp1.a_star[0]], 3.0,
                               tol=1e-11)
-        for t in rng.uniform(0.0, 2.0, size=8):
+        for t in rng.uniform(0.0, 2.0, size=10):
             a_t = traj.position(t)
             closed = cubic_closed_form(sp1, ModeState(a_t), 0)
             traj_route = nonmetricity_cubic(g1, f1, 0.0, traj, t)
@@ -516,7 +560,6 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
 
     # closed-form curvature against the numeric pipeline; nonzero values
     # certify the model is not dually flat
-    from .gaussian_chain import mode_plane_manifold
     g2, f2 = mode_plane_manifold(sp1, 0)
     conn = straightening_connection(g2, f2, 0.0)
     worst = 0.0
@@ -531,38 +574,43 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
     out.append(CheckResult("gaussian-chain", "curvature-cross-validation",
                            worst < 1e-4 and smallest > 0.1, worst, 1e-4,
                            "closed-form s = numeric s; s not identically 0"))
+    point = abs(scalar_curvature_mode(sp1, 0, 2.0 * sp1.a_star[0]) + 6.0)
+    out.append(CheckResult("gaussian-chain", "curvature-point-value",
+                           point < 1e-12, point, 1e-12,
+                           "closed-form s(2 a*) = -6"))
 
     # the warming/cooling asymmetry holds across the whole grid, and the
     # integrated route reproduces each closed-form race
-    def sweep_cell(args):
-        n_beads, t_plus = args
+    def sweep_cell(n_beads, t_plus):
         sp_cell = spectrum(ChainSpec(n_beads))
         t_end = 12.0 / sp_cell.lambdas[0]
         res = universal_asymmetry_experiment(ChainSpec(n_beads), t_plus,
                                              t_end, per_mode=False)
         d = res.full.delta_f
+        gaps = res.full.cubic_gaps
         ref = compare(*chain_manifold(sp_cell), 0.0, res.pair, t_end)
         agree = (ref.verdict == res.full.verdict
                  and len(ref.coincidence_times)
                  == len(res.full.coincidence_times))
-        return (res.full.verdict == CURVE1_FASTER,
-                float(d.min()), float(d[len(d) // 2]),
-                agree, _route_gap(res.full, ref))
+        return (res.full.verdict == CURVE1_FASTER, float(d.min()),
+                float(d[len(d) // 2]) > 0.0, min(gaps, default=np.inf) > 0.0,
+                len(gaps) > 0, agree, _route_gap(res.full, ref))
 
-    grid = [(n + 1, t_plus) for n in (1, 2, 5, 10, 32)
-            for t_plus in (1.1, 1.5, 2.0, 4.0, 8.0)]
-    cells = parallel_map(sweep_cell, grid)
-    all_faster = all(c[0] for c in cells)
-    worst_min = min(c[1] for c in cells)
-    mid_positive = all(c[2] > 0.0 for c in cells)
+    cells = [sweep_cell(n + 1, t_plus) for n in (1, 2, 5, 10, 32)
+             for t_plus in (1.1, 1.5, 2.0, 4.0, 8.0)]
+    faster, d_min, mid_positive, gaps_positive, coincide, agree, route_gap = (
+        zip(*cells))
+    worst_min = min(d_min)
     out.append(CheckResult("gaussian-chain", "universality-sweep",
-                           all_faster and worst_min >= -1e-9 and mid_positive,
+                           all(faster) and worst_min >= -1e-9
+                           and all(mid_positive) and all(gaps_positive)
+                           and any(coincide),
                            worst_min, -1e-9,
-                           "warming faster on the full (N, T+) grid"))
-    worst = max(c[4] for c in cells)
+                           "warming faster on the full (N, T+) grid; every "
+                           "cubic gap positive; some cell has coincidences"))
+    worst = max(route_gap)
     out.append(CheckResult("gaussian-chain", "route-agreement",
-                           all(c[3] for c in cells) and worst < 1e-8,
-                           worst, 1e-8,
+                           all(agree) and worst < 1e-8, worst, 1e-8,
                            "integrated race = closed-form race: verdict, "
                            "coincidence count, variances"))
 
@@ -571,7 +619,6 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
     # a*(T-1)e^{-2 lambda t} drops under one ulp of a*, so only the
     # non-strict ordering is representable.
     sp = spectrum(ChainSpec(4))
-    from .gaussian_chain import equidistant_temperatures
     t_plus = 2.0
     t_minus = equidistant_temperatures(t_plus)
     spec_hot = ChainSpec(4, t_tilde=t_plus)
@@ -614,23 +661,26 @@ def _route_gap(closed, integrated) -> float:
 
 def run_suites(seed: int = 0, suites=None,
                flip_nonmetricity_sign: bool = False) -> list[CheckResult]:
-    """Run the named suites (all by default) and return their check results."""
+    """Run the named suites (all by default) and return their check results.
+
+    Suite ``SUITE_NAMES[i]`` draws from ``default_rng([seed, i])``, so its
+    results do not depend on which other suites run.
+    """
     chosen = tuple(suites) if suites else SUITE_NAMES
     unknown = [s for s in chosen if s not in SUITE_NAMES]
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}; "
                          f"expected a subset of {', '.join(SUITE_NAMES)}")
-    rng = np.random.default_rng(seed)
+    runners = {
+        "manifold-core": _suite_manifold,
+        "straightening": lambda rng: _suite_straightening(
+            rng, flip_sign=flip_nonmetricity_sign),
+        "gradient-flow": _suite_gradient_flow,
+        "fujiwara-amari": _suite_dually_flat,
+        "gaussian-chain": _suite_gaussian_chain,
+    }
     results: list[CheckResult] = []
-    if "manifold-core" in chosen:
-        results.extend(_suite_manifold(rng))
-    if "straightening" in chosen:
-        results.extend(_suite_straightening(
-            rng, flip_sign=flip_nonmetricity_sign))
-    if "gradient-flow" in chosen:
-        results.extend(_suite_gradient_flow(rng))
-    if "fujiwara-amari" in chosen:
-        results.extend(_suite_dually_flat(rng))
-    if "gaussian-chain" in chosen:
-        results.extend(_suite_gaussian_chain(rng))
+    for index, name in enumerate(SUITE_NAMES):
+        if name in chosen:
+            results.extend(runners[name](np.random.default_rng([seed, index])))
     return results

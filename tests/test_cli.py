@@ -47,11 +47,17 @@ def test_chain_small_run(tmp_path, capsys):
     assert all("Curve1Faster" in v for v in bundle.verdicts[1:])
 
 
-def test_chain_deterministic(tmp_path, capsys):
+@pytest.mark.parametrize("n_beads,t_plus", [(4, 1.5), (11, 2)])
+def test_chain_deterministic(tmp_path, capsys, n_beads, t_plus):
     for name in ("one", "two"):
-        code, _, _ = run(["chain", "--n-beads", "4", "--t-plus", "1.5",
-                          "--out", str(tmp_path / name)], capsys)
+        code, stdout, _ = run(["chain", "--n-beads", str(n_beads),
+                               "--t-plus", str(t_plus),
+                               "--out", str(tmp_path / name)], capsys)
         assert code == 0
+        assert stdout.strip() == "warming-faster"
+    header, rows = read_csv(tmp_path / "one" / "trajectory.csv")
+    assert len(rows) > 100
+    assert min(float(r[header.index("delta_F")]) for r in rows) >= -1e-9
     for table in ("trajectory", "coincidences", "modes"):
         assert filecmp.cmp(tmp_path / "one" / f"{table}.csv",
                            tmp_path / "two" / f"{table}.csv", shallow=False)
