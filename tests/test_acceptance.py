@@ -1,9 +1,11 @@
 """Acceptance: every check of the invariant battery passes.
 
 The invariants live in :mod:`geoflow.verify` alone.  The battery runs
-once per session at seed 0 and each suite is one test, so
-``pytest tests/test_acceptance.py -v`` gives one line per suite and a
-failure lists each failing check with its measured value and tolerance.
+once per session at seed 0.  Each suite is one test, so
+``pytest tests/test_acceptance.py -v`` gives one line per suite, and each
+guarantee of the paper keeps a test of its own that names the checks
+certifying it.  A failure lists each failing check with its measured
+value and tolerance.
 """
 
 import pytest
@@ -16,15 +18,64 @@ def battery():
     return run_suites(seed=0)
 
 
-@pytest.mark.parametrize("suite", SUITE_NAMES)
-def test_suite_passes(battery, suite):
-    rows = [r for r in battery if r.suite == suite]
-    assert rows, f"suite {suite} ran no checks"
+def _assert_passed(rows):
     failed = [f"{r.suite}/{r.name}: measured {r.measured:.6e}, "
               f"tolerance {r.tolerance:.1e}" for r in rows if not r.passed]
     assert not failed, "\n".join(failed)
 
 
+def _assert_checks(battery, *names):
+    by_name = {f"{r.suite}/{r.name}": r for r in battery}
+    missing = [n for n in names if n not in by_name]
+    assert not missing, f"checks not in the battery: {missing}"
+    _assert_passed([by_name[n] for n in names])
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_suite_passes(battery, suite):
+    rows = [r for r in battery if r.suite == suite]
+    assert rows, f"suite {suite} ran no checks"
+    _assert_passed(rows)
+
+
 def test_suite_alone_matches_full_run(battery):
     alone = run_suites(0, ["fujiwara-amari"])
     assert alone == [r for r in battery if r.suite == "fujiwara-amari"]
+
+
+def test_gradient_curves_are_pregeodesics(battery):
+    _assert_checks(battery, "straightening/pregeodesic")
+
+
+def test_nonmetricity_matches_product_closed_form(battery):
+    _assert_checks(battery, "straightening/closed-form-nonmetricity",
+                   "straightening/asymmetric-nonmetricity")
+
+
+def test_potential_second_derivative_identity(battery):
+    _assert_checks(battery, "straightening/identity-chain")
+
+
+def test_geodesic_projection_is_orthogonal(battery):
+    _assert_checks(battery, "straightening/projection-orthogonality",
+                   "straightening/projection-off-foot")
+
+
+def test_mode_relaxation_closed_forms(battery):
+    _assert_checks(battery, "gaussian-chain/ode-closed-form",
+                   "gaussian-chain/cubic-cross-validation",
+                   "gaussian-chain/curvature-cross-validation",
+                   "gaussian-chain/curvature-point-value")
+
+
+def test_warming_beats_cooling_across_the_grid(battery):
+    _assert_checks(battery, "gaussian-chain/universality-sweep",
+                   "gaussian-chain/route-agreement")
+
+
+def test_distance_squared_relaxation_is_symmetric(battery):
+    _assert_checks(battery, "gradient-flow/distance-squared-symmetry")
+
+
+def test_divergence_gradient_is_affinely_self_parallel(battery):
+    _assert_checks(battery, "fujiwara-amari/fujiwara-amari")
