@@ -8,14 +8,29 @@ certifying it.  A failure lists each failing check with its measured
 value and tolerance.
 """
 
+import time
+
 import pytest
 
 from geoflow.verify import SUITE_NAMES, run_suites
 
+# Wall-time bound on the whole battery at seed 0, in seconds.  It once
+# bounded the 25-cell universality sweep alone, which the battery
+# contains; it stays a test bound, not a check, because checks.csv must
+# not depend on the machine.
+BATTERY_SECONDS = 300.0
+
 
 @pytest.fixture(scope="session")
-def battery():
-    return run_suites(seed=0)
+def timed_battery():
+    t0 = time.perf_counter()
+    rows = run_suites(seed=0)
+    return rows, time.perf_counter() - t0
+
+
+@pytest.fixture(scope="session")
+def battery(timed_battery):
+    return timed_battery[0]
 
 
 def _assert_passed(rows):
@@ -68,9 +83,12 @@ def test_mode_relaxation_closed_forms(battery):
                    "gaussian-chain/curvature-point-value")
 
 
-def test_warming_beats_cooling_across_the_grid(battery):
+def test_warming_beats_cooling_across_the_grid(timed_battery):
+    battery, elapsed = timed_battery
     _assert_checks(battery, "gaussian-chain/universality-sweep",
                    "gaussian-chain/route-agreement")
+    assert elapsed < BATTERY_SECONDS, (
+        f"battery took {elapsed:.1f} s, bound {BATTERY_SECONDS:.0f} s")
 
 
 def test_distance_squared_relaxation_is_symmetric(battery):
