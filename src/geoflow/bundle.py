@@ -5,14 +5,15 @@ on-disk layout is uniform: ``<name>.csv`` per table (comma-separated,
 header row, ``%.12e`` floats, LF line endings) and ``metadata.json``
 carrying the version, the echoed config, verdicts, and wall time.
 
-Floats are quantized to the emitted precision when a table is added, so
-write → read round-trips reproduce the in-memory bundle exactly and a
-second write is byte-identical.
+Each row is formatted once, when its table is built; float cells then
+take the value of their text, so write → read round-trips reproduce the
+in-memory bundle exactly and a second write is byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -40,6 +41,24 @@ def _encode(cell) -> str:
     return str(cell)
 
 
+def _csv_line(cells: list[str]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(cells)
+    return buf.getvalue()
+
+
+def _format_row(row: list) -> tuple[str, list]:
+    """The row's CSV line, and the row with floats read back from it."""
+    if set(map(type, row)) == {float}:
+        # all-float rows, the bulk of every table, take no Python call per
+        # cell, and their text never needs quoting
+        text = list(map(_FLOAT_FMT.__mod__, row))
+        return ",".join(text), list(map(float, text))
+    text = [_encode(c) for c in row]
+    return _csv_line(text), [float(t) if isinstance(c, float) else c
+                             for c, t in zip(row, text)]
+
+
 def _decode(text: str):
     if text == "true":
         return True
@@ -63,17 +82,30 @@ def _cells_equal(a, b) -> bool:
 
 @dataclass
 class Table:
-    """One CSV table: a header row and typed cells (float, int, bool, str)."""
+    """One CSV table: a header row and typed cells (float, int, bool, str).
+
+    Construction takes any iterable of rows and formats each row once:
+    ``lines`` holds the CSV line written for it, and each float cell of
+    ``rows`` is replaced by the value of its text.  ``lines`` is not
+    refreshed if ``rows`` is edited later.
+    """
 
     header: list[str]
     rows: list[list]
+    lines: list[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         width = len(self.header)
+        self.lines = []
+        rows = []
         for row in self.rows:
             if len(row) != width:
                 raise ValueError(
                     f"row width {len(row)} != header width {width}")
+            line, values = _format_row(row)
+            self.lines.append(line)
+            rows.append(values)
+        self.rows = rows
 
 
 @dataclass
@@ -89,12 +121,13 @@ class ResultBundle:
     wall_time_s: float | None = None
 
     def add_table(self, name: str, header: list[str], rows) -> None:
-        """Attach a table, quantizing floats to the emitted precision."""
+        """Attach a table, quantizing floats to the emitted precision.
+
+        ``rows`` may be any iterable of rows, a generator included.
+        """
         if not name.replace("_", "").replace("-", "").isalnum():
             raise ValueError(f"table name {name!r} is not filename-safe")
-        clean = [[quantize(c) if isinstance(c, float) else c for c in row]
-                 for row in rows]
-        self.tables[name] = Table(header=list(header), rows=clean)
+        self.tables[name] = Table(header=list(header), rows=rows)
 
     def write(self, out_dir) -> Path:
         """Write all tables and the metadata sidecar; returns the directory."""
@@ -102,10 +135,8 @@ class ResultBundle:
         out.mkdir(parents=True, exist_ok=True)
         for name, table in self.tables.items():
             with open(out / f"{name}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(table.header)
-                for row in table.rows:
-                    writer.writerow([_encode(c) for c in row])
+                fh.write(_csv_line(table.header) + "\n")
+                fh.writelines(line + "\n" for line in table.lines)
         meta = {
             "command": self.command,
             "config": self.config,

@@ -8,7 +8,7 @@ Four subcommands share one artifact layout (see :mod:`geoflow.bundle`):
 * ``curvature``  -- closed-form vs numeric scalar curvature over a grid
 
 Exit codes: 0 success or verdict-positive, 1 config error, 2 numerical
-failure, 3 inconclusive verdict.  ``GEOFLOW_THREADS`` caps parallelism.
+failure, 3 inconclusive verdict.
 """
 
 from __future__ import annotations
@@ -153,7 +153,8 @@ def cmd_chain(args, cfg) -> int:
                           full.traj1.position(full.ts)], axis=-1)
     rows = np.column_stack([full.ts, full.f2, full.f1, full.delta_f,
                             variances.reshape(len(full.ts), -1)])
-    bundle.add_table("trajectory", header, rows.tolist())
+    # one row list at a time: the table keeps its own quantized copy
+    bundle.add_table("trajectory", header, (row.tolist() for row in rows))
     bundle.add_table("coincidences", ["t_star", "cubic_gap"],
                      [[float(t), float(gap)] for t, gap
                       in zip(full.coincidence_times, full.cubic_gaps)])

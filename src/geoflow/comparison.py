@@ -11,16 +11,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+# not called here (the root search is bracketed_roots); bench/tracer.py
+# wraps this binding, so it stays importable
+from scipy.optimize import brentq  # noqa: F401
 
 from .errors import (
     DomainExitError,
     LevelUnreachableError,
     MissingMinimumError,
+    NonConvergenceError,
     NonEquidistantError,
 )
 from .manifold import MetricField, ScalarPotential, Trajectory, integrate_flow
-from .parallel import parallel_map
 from .straightening import nonmetricity_cubic
 
 __all__ = [
@@ -54,6 +56,12 @@ SPEED_FLOOR = 1e-8
 STOP_GRAD_NORM = 1e-6
 
 _GRID = 512
+
+#: a bracketed root is located once its bracket is narrower than
+#: ROOT_XTOL + 4 eps |t|, scipy brentq's rule at xtol=1e-12
+ROOT_XTOL = 1e-12
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
+_ROOT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -185,6 +193,46 @@ def _speed(g: MetricField, traj: Trajectory, t):
         np.einsum("...i,...ij,...j->...", v, g(x), v), 0.0))
 
 
+def bracketed_roots(fn, lo, hi, f_lo, f_hi) -> np.ndarray:
+    """One root of ``fn`` in each bracket [lo[j], hi[j]], all at once.
+
+    ``f_lo`` and ``f_hi`` are fn at the bracket ends and must differ in
+    sign.  Illinois regula falsi: the false-position point replaces the
+    end whose value has its sign; when it lands on the same side as the
+    previous point, the value kept at the other end is halved, so both
+    ends close in.  Each round evaluates
+    ``fn`` once, on the array of the unfinished brackets' points.  A
+    bracket is done when fn vanishes there or the bracket is narrower
+    than ROOT_XTOL + 4 eps |t|.
+
+    Raises
+    ------
+    NonConvergenceError
+        If a bracket is still open after 100 rounds.
+    """
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    fa, fb = np.array(f_lo, dtype=float), np.array(f_hi, dtype=float)
+    todo = np.arange(a.size)
+    for _ in range(_ROOT_MAXITER):
+        width = np.abs(b[todo] - a[todo])
+        todo = todo[width >= ROOT_XTOL + _ROOT_RTOL * np.abs(b[todo])]
+        if todo.size == 0:
+            return b
+        ai, bi, fai, fbi = a[todo], b[todo], fa[todo], fb[todo]
+        c = bi - fbi * (bi - ai) / (fbi - fai)
+        fc = np.asarray(fn(c), dtype=float)
+        flip = np.sign(fc) != np.sign(fbi)
+        # a sign change between b and c: b becomes the far end
+        a[todo] = np.where(flip, bi, ai)
+        fa[todo] = np.where(flip, fbi, 0.5 * fai)
+        b[todo], fb[todo] = c, fc
+        hit = fc == 0.0
+        a[todo[hit]] = c[hit]
+    raise NonConvergenceError(
+        f"{todo.size} root bracket(s) still open after "
+        f"{_ROOT_MAXITER} rounds")
+
+
 def compare(g: MetricField, f: ScalarPotential, lam: float,
             pair: EquidistantPair, t_end: float, tol: float = 1e-10,
             n_samples: int = _GRID, flow=None) -> AsymmetryReport:
@@ -202,11 +250,14 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
     ``position`` and ``velocity``; ``f`` and ``g`` then evaluate the
     position stack in one call each, so their closures must broadcast
     (:class:`~geoflow.errors.ClosureShapeError` otherwise).  The root
-    search and the cubics query one t at a time.
+    search refines every bracket at once (:func:`bracketed_roots`), one
+    array query per round, and the cubics are one
+    :func:`nonmetricity_cubic` call per curve over all roots.
 
     Speed-coincidence times are the bracketed sign changes of
     |curve1'| - |curve2'| on the dense output (plus t=0 when the seeds
-    already move at equal speed), located to 1e-9 in t.  The verdict is
+    already move at equal speed), each located to 1e-12 in t and merged
+    when closer than 1e-9.  The verdict is
     CURVE1_FASTER only when every cubic gap is positive and the sampled
     delta_f never dips below -1e-9; symmetrically for CURVE2_FASTER;
     anything else is INCONCLUSIVE.  Sign changes where both speeds have
@@ -218,7 +269,7 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
         def flow(x0):
             return integrate_flow(g, f, x0, t_end, tol=tol,
                                   stop_grad_norm=STOP_GRAD_NORM)
-    traj1, traj2 = parallel_map(flow, [pair.x1_0, pair.x2_0])
+    traj1, traj2 = flow(pair.x1_0), flow(pair.x2_0)
 
     t_hi = min(traj1.span[1], traj2.span[1])
     ts = np.linspace(0.0, t_hi, n_samples)
@@ -233,26 +284,24 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
     live = np.maximum(s1, s2) > floor
 
     notes: list[str] = []
-    roots: list[float] = []
-    if abs(diff[0]) <= floor:
-        roots.append(0.0)
-    for i in range(len(ts) - 1):
-        if not (live[i] and live[i + 1]):
-            continue
-        a, b = diff[i], diff[i + 1]
-        if a == 0.0 and ts[i] > 0.0:
-            roots.append(float(ts[i]))
-        elif a * b < 0.0:
-            r = brentq(lambda t: _speed(g, traj1, t) - _speed(g, traj2, t),
-                       ts[i], ts[i + 1], xtol=1e-12)
-            roots.append(float(r))
+    both_live = live[:-1] & live[1:]
+    on_grid = both_live & (diff[:-1] == 0.0) & (ts[:-1] > 0.0)
+    i = np.flatnonzero(both_live & (diff[:-1] * diff[1:] < 0.0))
+    refined = bracketed_roots(
+        lambda t: _speed(g, traj1, t) - _speed(g, traj2, t),
+        ts[i], ts[i + 1], diff[i], diff[i + 1])
+    roots = np.sort(np.concatenate([[0.0] if abs(diff[0]) <= floor else [],
+                                    ts[:-1][on_grid], refined]))
     dedup: list[float] = []
-    for r in roots:
+    for r in roots.tolist():
         if not dedup or r - dedup[-1] > 1e-9:
             dedup.append(r)
 
-    gaps = [nonmetricity_cubic(g, f, lam, traj2, r)
-            - nonmetricity_cubic(g, f, lam, traj1, r) for r in dedup]
+    gaps: list[float] = []
+    if dedup:
+        at = np.array(dedup)
+        gaps = (nonmetricity_cubic(g, f, lam, traj2, at)
+                - nonmetricity_cubic(g, f, lam, traj1, at)).tolist()
 
     if gaps:
         if max(abs(gp) for gp in gaps) < 1e-10:

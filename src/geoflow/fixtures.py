@@ -81,9 +81,13 @@ def sphere_height() -> tuple[MetricField, ScalarPotential]:
         d[0, 1, 1] = 2.0 * np.sin(x[0]) * np.cos(x[0])
         return d
 
+    def grad(x):
+        d = np.zeros(x.shape)
+        d[..., 0] = -np.sin(x[..., 0])
+        return d
+
     g = MetricField(chart, matrix, partials=partials, name="sphere")
-    f = ScalarPotential(lambda x: 1.0 + np.cos(x[..., 0]),
-                        gradient=lambda x: np.array([-np.sin(x[0]), 0.0]),
+    f = ScalarPotential(lambda x: 1.0 + np.cos(x[..., 0]), gradient=grad,
                         name="height")
     return g, f
 

@@ -35,7 +35,6 @@ from .comparison import (
 )
 from .errors import NonConvergenceError, SingularCurvatureError
 from .manifold import Chart, MetricField, ScalarPotential, span_times
-from .parallel import parallel_map
 
 __all__ = [
     "ChainSpec",
@@ -376,7 +375,9 @@ def mode_plane_manifold(spect: ModeSpectrum,
         return lam * (r - np.log(r) - 1.0)
 
     def grad(x):
-        return np.array([0.0, lam * (x[1] - astar) / x[1] ** 2])
+        d = np.zeros(x.shape)
+        d[..., 1] = lam * (x[..., 1] - astar) / x[..., 1] ** 2
+        return d
 
     f = ScalarPotential(value, gradient=grad,
                         minimum_q=np.array([0.0, astar]),
@@ -438,9 +439,8 @@ def universal_asymmetry_experiment(spec: ChainSpec, t_plus: float,
                                                t_end=t_end))
 
         full = race(spect, a_minus, a_plus)
-        modes = parallel_map(
-            lambda k: race(subs[k], a_minus[k:k + 1], a_plus[k:k + 1]),
-            range(len(subs)))
+        modes = [race(sub, a_minus[k:k + 1], a_plus[k:k + 1])
+                 for k, sub in enumerate(subs)]
 
     return ExperimentResult(spec=spec, spect=spect, t_plus=t_plus,
                             t_minus=t_minus,

@@ -2,10 +2,12 @@
 
 The geometric substrate: everything else in the package is built from the
 types and operations here.  Charts are single global coordinate patches;
-there is no atlas machinery.  Metrics and potentials evaluate one point or
-a stack of points in one call, and may carry analytic derivative closures,
-which are pointwise; absent those, derivatives fall back to the 4th-order
-central differences in :mod:`geoflow.numdiff`.
+there is no atlas machinery.  Metrics, potentials and their gradients
+evaluate one point or a stack of points in one call, and so do
+:func:`metric_inverse`, :func:`gradient` and the Levi-Civita coefficients.
+Metric partials are pointwise closures; absent analytic derivatives,
+derivatives fall back to the 4th-order central differences in
+:mod:`geoflow.numdiff`.
 
 Index conventions used throughout:
 
@@ -165,8 +167,9 @@ class ScalarPotential:
         for a point, and raises :class:`~geoflow.errors.ClosureShapeError`
         on any other shape.
     gradient : callable, optional
-        Analytic partials ``gradient(x) -> (dim,)`` covector.  Finite
-        differences otherwise.
+        Analytic partials ``gradient(x)``: the ``(dim,)`` covector for a
+        point, ``(n, dim)`` for a stack; it broadcasts like ``value``.
+        Finite differences of ``value`` otherwise.
     minimum_q : array-like, optional
         The designated minimum.  ``None`` for potentials whose infimum lies
         outside the chart; operations that need q raise in that case.
@@ -196,11 +199,18 @@ class ScalarPotential:
         return self._gradient is not None
 
     def gradient_covector(self, x: np.ndarray) -> np.ndarray:
-        """Partial derivatives (d_i f) at x."""
+        """Partial derivatives (d_i f) at a point or a stack, shaped like x.
+
+        Raises :class:`~geoflow.errors.ClosureShapeError` when the
+        gradient closure returns any other shape.
+        """
         x = np.asarray(x, dtype=float)
-        if self._gradient is not None:
-            return np.asarray(self._gradient(x), dtype=float)
-        return numdiff.gradient_fd(self.__call__, x, scale=numdiff.STEP_EXACT)
+        if self._gradient is None:
+            return numdiff.gradient_fd(self.__call__, x,
+                                       scale=numdiff.STEP_EXACT)
+        df = np.asarray(self._gradient(x), dtype=float)
+        _check_shape(df, x.shape, f"{self.name or 'potential'} gradient")
+        return df
 
 
 def _check_shape(out: np.ndarray, want: tuple, name: str) -> None:
@@ -214,7 +224,8 @@ def _check_shape(out: np.ndarray, want: tuple, name: str) -> None:
 class AffineConnection:
     """Coefficient field Gamma^k_ij over a chart.
 
-    ``coeffs(x)`` returns the (dim, dim, dim) array ``G[k, i, j]``.  The
+    ``coeffs(x)`` returns the (dim, dim, dim) array ``G[k, i, j]`` for a
+    point and ``(n, dim, dim, dim)`` for a stack of n points.  The
     optional ``metric`` back-reference supplies the g used for curvature
     contraction and norm computations; ``coeff_step`` is the relative step
     used when the coefficients themselves are differentiated (curvature).
@@ -231,24 +242,35 @@ class AffineConnection:
 
 
 def metric_inverse(g: MetricField, x: np.ndarray) -> np.ndarray:
-    """Inverse metric components g^{ij} at x.
+    """Inverse metric components g^{ij} at a point or a stack of points.
+
+    The condition number is s_max / s_min from one singular-value call,
+    the definition ``np.linalg.cond`` uses, checked without dividing.
 
     Raises
     ------
     SingularMatrixError
-        If the condition number exceeds 1e12.
+        If the condition number at any point exceeds 1e12.
     """
     m = g(x)
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    s = np.linalg.svd(m, compute_uv=False)
+    # false for nan and for s_min = 0, i.e. an infinite condition number
+    ok = (s[..., 0] <= COND_LIMIT * s[..., -1]) & (s[..., -1] > 0.0)
+    if not ok.all():
+        i = np.unravel_index(np.argmin(ok), ok.shape)
+        cond = s[i][0] / s[i][-1] if s[i][-1] > 0.0 else np.inf
         raise SingularMatrixError(
-            f"metric at {np.asarray(x)} has condition number {cond:.3e}")
+            f"metric at {np.asarray(x)[i]} has condition number {cond:.3e}")
     return np.linalg.inv(m)
 
 
 def gradient(g: MetricField, f: ScalarPotential, x: np.ndarray) -> np.ndarray:
-    """Riemannian gradient g^{ij} d_j f, the unique vector with g(grad f, .) = df."""
-    return metric_inverse(g, x) @ f.gradient_covector(x)
+    """Riemannian gradient g^{ij} d_j f, the unique vector with g(grad f, .) = df.
+
+    A stack of points gives the stack of gradients.
+    """
+    df = f.gradient_covector(x)
+    return (metric_inverse(g, x) @ df[..., None])[..., 0]
 
 
 def grad_norm_sq(g: MetricField, f: ScalarPotential, x: np.ndarray) -> float:
@@ -264,18 +286,23 @@ def christoffel_levi_civita(g: MetricField, x: np.ndarray,
     ``step`` forces a fixed finite-difference step for the metric partials
     (a warning fires if it is small enough for roundoff to dominate);
     otherwise analytic partials are used when the metric has them, with the
-    standard step policy as fallback.
+    standard step policy as fallback.  A stack of points ``(n, dim)``
+    gives ``(n, dim, dim, dim)``: the inverse metric comes from one call,
+    the partials point by point.
     """
     x = np.asarray(x, dtype=float)
     ginv = metric_inverse(g, x)
-    if step is not None:
-        jac = numdiff.jacobian_fd(g.__call__, x, step=step)
-        dg = np.einsum("ijl->lij", jac)
-    else:
-        dg = g.partials(x)
-    term = (np.einsum("ijl->ijl", dg) + np.einsum("jil->ijl", dg)
-            - np.einsum("lij->ijl", dg))
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, term)
+
+    def partials(p):
+        if step is None:
+            return g.partials(p)
+        return np.einsum("ijl->lij", numdiff.jacobian_fd(g.__call__, p,
+                                                         step=step))
+
+    dg = partials(x) if x.ndim == 1 else np.stack([partials(p) for p in x])
+    term = (dg + np.einsum("...jil->...ijl", dg)
+            - np.einsum("...lij->...ijl", dg))
+    return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, term)
 
 
 def levi_civita_connection(g: MetricField) -> AffineConnection:
@@ -327,8 +354,9 @@ class Trajectory:
     ``position``, ``velocity`` and ``acceleration`` take a scalar t, giving
     shape ``(dim,)``, or a 1-D array of n times, giving ``(n, dim)``.  A
     time outside ``span`` raises :class:`~geoflow.errors.OutOfSpanError`.
-    A flow's velocity applies its field to one position at a time, and
-    the acceleration differentiates the velocity at one t at a time.
+    A flow's velocity applies its field to the whole position stack in
+    one call, and the acceleration differentiates the velocity at every
+    t with one velocity call over all stencil times.
 
     Attributes
     ----------
@@ -369,10 +397,7 @@ class Trajectory:
     def velocity(self, t) -> np.ndarray:
         if self._velocity_field is None:
             return self._state(t)[..., self._dim:]
-        x = self.position(t)
-        if x.ndim == 1:
-            return np.asarray(self._velocity_field(x), dtype=float)
-        return np.array([self._velocity_field(xi) for xi in x]).reshape(x.shape)
+        return np.asarray(self._velocity_field(self.position(t)), dtype=float)
 
     def acceleration(self, t) -> np.ndarray:
         """d(velocity)/dt from the dense output (5-point stencil).
@@ -380,21 +405,20 @@ class Trajectory:
         Needs a span of positive width.
         """
         t = span_times(t, self.span)
-        if np.ndim(t):
-            return np.array([self.acceleration(ti) for ti in t]).reshape(
-                t.shape + (self._dim,))
-        return np.asarray(
-            numdiff.curve_derivative(self.velocity, t, self.span, order=1,
-                                     step=CURVE_STEP),
-            dtype=float,
-        ).reshape(-1)
+        acc = numdiff.curve_derivative(self.velocity, t, self.span, order=1,
+                                       step=CURVE_STEP)
+        return np.reshape(acc, np.shape(t) + (self._dim,))
 
 
-def _integrate(rhs, y0, t_end, tol, *, in_domain, stop=None, grad_monitor=None,
-               max_step=np.inf):
+def _integrate(rhs, y0, t_end, tol, *, in_domain, grad_monitor=None,
+               stop_below=None, max_step=np.inf):
     """Drive scipy's RK45 step by step; collect dense output and flags.
 
-    The dense output is ``None`` when no step was accepted.
+    ``grad_monitor(y, dy)`` gets each accepted state with the RHS there
+    (RK45's first-same-as-last stage, so it costs no evaluation) and
+    returns the gradient norm; integration stops, flagged converged, once
+    it falls below ``stop_below``.  The dense output is ``None`` when no
+    step was accepted.
     """
     y0 = np.asarray(y0, dtype=float)
     solver = RK45(rhs, 0.0, y0, t_bound=float(t_end), rtol=tol, atol=tol,
@@ -416,20 +440,22 @@ def _integrate(rhs, y0, t_end, tol, *, in_domain, stop=None, grad_monitor=None,
         steps.append(solver.dense_output())
         ts.append(solver.t)
         ys.append(solver.y.copy())
-        if stop is not None and stop(solver.y):
+        if grad_monitor is None:
+            continue
+        norm = grad_monitor(solver.y, solver.f)
+        if stop_below is not None and norm < stop_below:
             converged = True
             break
-        if grad_monitor is not None:
-            window.append(grad_monitor(solver.y))
-            if len(window) == _MONITOR_WINDOW:
-                wmin = min(window)
-                floor = 1e-13 * (1.0 + float(np.linalg.norm(solver.y)))
-                if wmin >= prev_window_min and wmin > floor:
-                    raise NonConvergenceError(
-                        "gradient norm failed to decrease over a full "
-                        f"window of {_MONITOR_WINDOW} steps")
-                prev_window_min = wmin
-                window = []
+        window.append(norm)
+        if len(window) == _MONITOR_WINDOW:
+            wmin = min(window)
+            floor = 1e-13 * (1.0 + float(np.linalg.norm(solver.y)))
+            if wmin >= prev_window_min and wmin > floor:
+                raise NonConvergenceError(
+                    "gradient norm failed to decrease over a full "
+                    f"window of {_MONITOR_WINDOW} steps")
+            prev_window_min = wmin
+            window = []
     dense = OdeSolution(ts, steps) if steps else None
     return np.array(ts), np.array(ys), dense, exited, converged
 
@@ -484,30 +510,28 @@ def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,
     def field(x):
         return -gradient(g, f, x)
 
-    def monitor(x):
-        return np.sqrt(max(grad_norm_sq(g, f, x), 0.0))
-
-    stop = None
-    if stop_grad_norm is not None:
-        stop = lambda x: monitor(x) < stop_grad_norm  # noqa: E731
+    def monitor(x, xdot):
+        # |grad f|^2 = df(grad f) = -df(xdot), with xdot = field(x) at hand
+        return np.sqrt(max(-float(f.gradient_covector(x) @ xdot), 0.0))
 
     ts, ys, dense, exited, converged = _integrate(
         lambda _t, x: field(x), x0, t_end, tol,
         in_domain=lambda x: chart is None or chart.contains(x),
-        stop=stop, grad_monitor=monitor)
-    vs = np.array([field(x) for x in ys])
+        grad_monitor=monitor, stop_below=stop_grad_norm)
+    vs = field(ys)
     return Trajectory(ts, ys, vs, dense, x0.size, velocity_field=field,
                       exited_domain=exited, converged=converged)
 
 
 def covariant_acceleration(conn: AffineConnection, traj: Trajectory,
-                           t: float) -> np.ndarray:
+                           t) -> np.ndarray:
     """nabla_{xd} xd at time t: xdd^k + Gamma^k_ij xd^i xd^j.
 
     The coordinate acceleration comes from differentiating the trajectory's
-    dense velocity output; the connection term is evaluated at x(t).
+    dense velocity output; the connection term is evaluated at x(t).  A
+    1-D array of t gives one row per time.
     """
     x = traj.position(t)
     v = traj.velocity(t)
     acc = traj.acceleration(t)
-    return acc + np.einsum("kij,i,j->k", conn(x), v, v)
+    return acc + np.einsum("...kij,...i,...j->...k", conn(x), v, v)

@@ -61,19 +61,23 @@ def _partial(fn: Callable, x: np.ndarray, j: int, h: float):
     shifted = []
     for o in _O4:
         xo = np.array(x, dtype=float)
-        xo[j] += o * h
+        xo[..., j] += o * h
         shifted.append(np.asarray(fn(xo), dtype=float))
     return sum(w * s for w, s in zip(_W4, shifted)) / h
 
 
 def gradient_fd(fn: Callable[[np.ndarray], float], x: np.ndarray,
                 scale: float = STEP_EXACT) -> np.ndarray:
-    """Gradient (as a covector of partials) of a scalar function."""
+    """Gradient (as a covector of partials) of a scalar function.
+
+    A stack of points ``(n, dim)`` gives ``(n, dim)``; ``fn`` must then
+    broadcast over the stack, and each point gets its own steps.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.size)
-    for j in range(x.size):
-        h = scale * max(1.0, abs(x[j]))
-        out[j] = _partial(fn, x, j, h)
+    out = np.empty(x.shape)
+    for j in range(x.shape[-1]):
+        h = scale * np.maximum(1.0, np.abs(x[..., j]))
+        out[..., j] = _partial(fn, x, j, h)
     return out
 
 
@@ -95,7 +99,7 @@ def jacobian_fd(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return np.stack(cols, axis=-1)
 
 
-def curve_derivative(fn: Callable[[float], np.ndarray], t: float,
+def curve_derivative(fn: Callable[[np.ndarray], np.ndarray], t,
                      span: tuple[float, float], order: int = 1,
                      step: float = 1e-4):
     """Differentiate a function of time known on a closed span.
@@ -104,18 +108,28 @@ def curve_derivative(fn: Callable[[float], np.ndarray], t: float,
     ``t``.  The stencil is kept inside ``span`` by sliding its center, so the
     result stays 4th-order accurate even at the span's ends.  ``order`` is 1
     or 2.
+
+    ``t`` is a scalar or a 1-D array of n times; ``fn`` is called once,
+    on the 1-D array of all stencil times, and returns one value (a scalar
+    or a vector) per time.  A scalar t gives a float for scalar values and
+    a vector otherwise; an array gives one row per t.
     """
     t0, t1 = span
-    h = step * max(1.0, abs(t))
     width = t1 - t0
     if width <= 0.0:
         raise ValueError("degenerate span")
-    if 4.0 * h > width:
-        h = width / 4.0
-    center = min(max(t, t0 + 2.0 * h), t1 - 2.0 * h)
-    ts = center + h * np.arange(-2.0, 3.0)
-    vals = np.stack([np.atleast_1d(np.asarray(fn(s), dtype=float)) for s in ts])
-    # polyfit in powers of (s - t) so the derivative at t reads off the coefficients
-    coeffs = np.polynomial.polynomial.polyfit(ts - t, vals, 4)
-    out = coeffs[1] if order == 1 else 2.0 * coeffs[2]
-    return out if out.size > 1 else float(out[0])
+    t = np.asarray(t, dtype=float)
+    h = np.minimum(step * np.maximum(1.0, np.abs(t)), width / 4.0)
+    center = np.minimum(np.maximum(t, t0 + 2.0 * h), t1 - 2.0 * h)
+    ts = center[..., None] + h[..., None] * np.arange(-2.0, 3.0)
+    raw = np.asarray(fn(ts.reshape(-1)), dtype=float)
+    vals = raw.reshape(ts.shape + (-1,))
+    # the quartic in u = (s - t) / h: derivatives at t read off the
+    # coefficients, and the scaled Vandermonde system is well conditioned
+    u = (ts - t[..., None]) / h[..., None]
+    coeffs = np.linalg.solve(u[..., None] ** np.arange(5.0), vals)
+    out = (coeffs[..., 1, :] / h[..., None] if order == 1
+           else 2.0 * coeffs[..., 2, :] / h[..., None] ** 2)
+    if t.ndim == 0:
+        return out if out.size > 1 else float(out[0])
+    return out.reshape(t.shape + raw.shape[1:])

@@ -1,4 +1,8 @@
-"""Thread-pool helper honoring the GEOFLOW_THREADS cap."""
+"""Thread-pool helper honoring the GEOFLOW_THREADS cap.
+
+Nothing in the package calls it any more: two threads were slower than
+one on every workload.  It stays importable for ``bench/tracer.py``.
+"""
 
 from __future__ import annotations
 

@@ -84,13 +84,20 @@ def _grad_and_norm(g: MetricField, f: ScalarPotential, x: np.ndarray):
     return v, nsq, gm
 
 
-def _grad_self_derivative(g: MetricField, f: ScalarPotential,
-                          x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """nabla^g_{grad f} grad f at x, given v = grad f(x)."""
+def _straightening_parts(g: MetricField, f: ScalarPotential, lam: float,
+                         x: np.ndarray):
+    """v = grad f, |v|^2, g, the Jacobian of grad f, Gamma^g and Z at x.
+
+    Each is evaluated once; the Jacobian (a finite-difference stencil of
+    the gradient field) is the dominant cost.
+    """
+    v, nsq, gm = _grad_and_norm(g, f, x)
     jac = numdiff.jacobian_fd(lambda y: gradient(g, f, y), x,
                               scale=_field_step(g, f))
-    gamma = christoffel_levi_civita(g, x)
-    return jac @ v + np.einsum("kij,i,j->k", gamma, v, v)
+    lc = christoffel_levi_civita(g, x)
+    # |grad f|^2 Z = nabla^g_{grad f} grad f - lam grad f
+    z = (jac @ v + np.einsum("kij,i,j->k", lc, v, v) - lam * v) / nsq
+    return v, nsq, gm, jac, lc, z
 
 
 def z_field(g: MetricField, f: ScalarPotential, lam: float,
@@ -102,17 +109,15 @@ def z_field(g: MetricField, f: ScalarPotential, lam: float,
     CriticalPointError
         Where |grad f| <= 1e-10; Z is genuinely undefined there.
     """
-    x = np.asarray(x, dtype=float)
-    v, nsq, _ = _grad_and_norm(g, f, x)
-    return (_grad_self_derivative(g, f, x, v) - lam * v) / nsq
+    return _straightening_parts(g, f, lam, np.asarray(x, dtype=float))[-1]
 
 
 def straightening_coeffs(g: MetricField, f: ScalarPotential, lam: float,
                          x: np.ndarray) -> np.ndarray:
     """Coefficients Gamma~^k_ij = Gamma^{g,k}_ij - g_ij Z^k at x."""
-    x = np.asarray(x, dtype=float)
-    z = z_field(g, f, lam, x)
-    return christoffel_levi_civita(g, x) - np.einsum("ij,k->kij", g(x), z)
+    _, _, gm, _, lc, z = _straightening_parts(g, f, lam,
+                                              np.asarray(x, dtype=float))
+    return lc - np.einsum("ij,k->kij", gm, z)
 
 
 @dataclass(frozen=True)
@@ -130,8 +135,13 @@ def straightening_connection(g: MetricField, f: ScalarPotential,
     With lam=0 every gradient curve of f is a geodesic; for other constants
     it is a pregeodesic with tangential acceleration lam grad f.
     """
+    def coeffs(x):
+        if x.ndim == 1:
+            return straightening_coeffs(g, f, lam, x)
+        return np.stack([straightening_coeffs(g, f, lam, p) for p in x])
+
     return StraighteningConnection(
-        coeffs=lambda x: straightening_coeffs(g, f, lam, x),
+        coeffs=coeffs,
         symmetric=True,
         chart=g.chart,
         metric=g,
@@ -145,10 +155,8 @@ def pregeodesic_residual(g: MetricField, f: ScalarPotential, lam: float,
                          x: np.ndarray) -> float:
     """Relative defect |nabla~_{grad f} grad f - lam grad f|_g / |grad f|_g."""
     x = np.asarray(x, dtype=float)
-    v, nsq, gm = _grad_and_norm(g, f, x)
-    jac = numdiff.jacobian_fd(lambda y: gradient(g, f, y), x,
-                              scale=_field_step(g, f))
-    gamma = straightening_coeffs(g, f, lam, x)
+    v, nsq, gm, jac, lc, z = _straightening_parts(g, f, lam, x)
+    gamma = lc - np.einsum("ij,k->kij", gm, z)
     acc = jac @ v + np.einsum("kij,i,j->k", gamma, v, v)
     defect = acc - lam * v
     return float(np.sqrt(max(defect @ gm @ defect, 0.0) / nsq))
@@ -195,20 +203,22 @@ def nonmetricity_closed_form(g: MetricField, f: ScalarPotential, lam: float,
 
 
 def nonmetricity_cubic(g: MetricField, f: ScalarPotential, lam: float,
-                       traj: Trajectory, t: float) -> float:
+                       traj: Trajectory, t) -> float | np.ndarray:
     """C(xd, xd, xd) along a descent trajectory, from curve data only.
 
     For the descent tangent xd = -grad f this equals
     2 [lam |xd|^2_g + g(xd, nabla^g_xd xd)], and the identity
     f'' + C + 2 lam f' = 0 holds along the curve.  No Z evaluation is
     needed, so the expression stays finite through the equilibrium.
+    A scalar t gives a float, a 1-D array of t one value per time.
     """
     x = traj.position(t)
     v = traj.velocity(t)
-    gm = g(x)
-    lc = levi_civita_connection(g)
-    acc = covariant_acceleration(lc, traj, t)
-    return float(2.0 * (lam * (v @ gm @ v) + v @ gm @ acc))
+    gv = np.einsum("...ij,...j->...i", g(x), v)
+    acc = covariant_acceleration(levi_civita_connection(g), traj, t)
+    c = 2.0 * (lam * np.einsum("...i,...i->...", gv, v)
+               + np.einsum("...i,...i->...", gv, acc))
+    return float(c) if c.ndim == 0 else c
 
 
 def scalar_curvature(conn: AffineConnection, x: np.ndarray) -> float:

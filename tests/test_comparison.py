@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 
 from geoflow import comparison as cp
+from geoflow import fixtures
+from geoflow import gaussian_chain as gc
 from geoflow import manifold as mf
 from geoflow.errors import (
     ClosureShapeError,
     DomainExitError,
     LevelUnreachableError,
     MissingMinimumError,
+    NonConvergenceError,
     NonEquidistantError,
 )
 
@@ -53,7 +57,7 @@ def mode_potential(rate=2.0, astar=1.0):
         return rate * (r - np.log(r) - 1.0)
 
     def grad(x):
-        return np.array([rate * (x[0] - astar) / x[0] ** 2])
+        return rate * (x - astar) / x ** 2
 
     return mf.ScalarPotential(value, gradient=grad, minimum_q=np.array([astar]))
 
@@ -210,6 +214,111 @@ def test_compare_verdict_stable_under_tol():
     a = cp.compare(g, f, 0.0, swapped, 8.0, tol=1e-10)
     b = cp.compare(g, f, 0.0, swapped, 8.0, tol=5e-11)
     assert a.verdict == b.verdict == cp.CURVE1_FASTER
+
+
+# ------------------------------------------------------------ root search
+
+
+def _speed_brackets(g, report):
+    """A report's speed difference and its sign-change brackets."""
+    def fn(t):
+        return cp._speed(g, report.traj1, t) - cp._speed(g, report.traj2, t)
+
+    ts = report.ts
+    diff = fn(ts)
+    i = np.flatnonzero(diff[:-1] * diff[1:] < 0.0)
+    return fn, ts[i], ts[i + 1], diff[i], diff[i + 1]
+
+
+def _flat_bowl():
+    """The first certificate of the benchmark's flat-bowl round ([1, 0])."""
+    g, _ = fixtures.euclidean_quadratic()
+    f = fixtures.distance_squared_potential(g, np.zeros(2))
+    d1, d2 = np.random.default_rng([1, 0]).standard_normal((2, 2))
+    return g, f, cp.equidistant_seed(g, f, 0.5, d1, d2)
+
+
+def _smooth_reports():
+    g, f, pair = mode_pair()
+    yield "gaussian-mode", g, cp.compare(g, f, 0.0, pair, 8.0)
+    sp = gc.spectrum(gc.ChainSpec(6))
+    g, f = gc.chain_manifold(sp)
+    t_minus = gc.equidistant_temperatures(3.0)
+    lo, hi = t_minus * sp.a_star, 3.0 * sp.a_star
+    level = 0.5 * (f(lo) + f(hi))
+    yield "chain", g, cp.compare(
+        g, f, 0.0, cp.EquidistantPair(lo, hi, level), 50.0,
+        flow=lambda x0: gc.ChainTrajectory(sp, x0, 50.0))
+
+
+def test_bracketed_roots_match_brentq():
+    # a smooth function with many roots, then the brackets of real compares
+    def wave(t):
+        return np.sin(3.0 * t) * np.exp(-0.3 * t) + 0.2 * np.cos(7.0 * t)
+
+    ts = np.linspace(0.0, 10.0, 97)
+    w = wave(ts)
+    i = np.flatnonzero(w[:-1] * w[1:] < 0.0)
+    cases = [("wave", wave, ts[i], ts[i + 1], w[i], w[i + 1])]
+    cases += [(name, *_speed_brackets(g, rep))
+              for name, g, rep in _smooth_reports()]
+    for name, fn, lo, hi, f_lo, f_hi in cases:
+        assert lo.size, name
+        got = cp.bracketed_roots(fn, lo, hi, f_lo, f_hi)
+        want = [brentq(fn, a, b, xtol=cp.ROOT_XTOL) for a, b in zip(lo, hi)]
+        assert_allclose(got, want, rtol=0.0, atol=1e-12, err_msg=name)
+
+
+def test_bracketed_roots_on_roundoff_brackets():
+    # on the flat bowl the speed difference is roundoff: brentq and the
+    # batched search stop at different roundoff sign changes of one
+    # bracket, and both roots are zeros of fn to within a few ulp
+    g, f, pair = _flat_bowl()
+    rep = cp.compare(g, f, 0.0, pair, 12.0)
+    fn, lo, hi, f_lo, f_hi = _speed_brackets(g, rep)
+    assert lo.size > 200
+    got = cp.bracketed_roots(fn, lo, hi, f_lo, f_hi)
+    assert np.all((lo < got) & (got < hi))
+    speed = cp._speed(g, rep.traj1, got)
+    assert np.all(np.abs(fn(got)) <= 4.0 * np.finfo(float).eps * speed)
+
+
+def test_bracketed_roots_raise_when_unfinished(monkeypatch):
+    monkeypatch.setattr(cp, "_ROOT_MAXITER", 2)
+    with pytest.raises(NonConvergenceError):
+        cp.bracketed_roots(np.sin, [3.0], [3.3], [np.sin(3.0)], [np.sin(3.3)])
+
+
+def test_compare_metric_inverse_calls_are_bounded(monkeypatch):
+    # deterministic work counters on the flat bowl: one inverse-metric call
+    # per RK45 evaluation plus one for the sample velocities, and a compare
+    # on finished curves that stays within a few calls per root
+    calls = []
+    solvers = []
+    inverse = mf.metric_inverse
+
+    def counted(*args):
+        calls.append(1)
+        return inverse(*args)
+
+    class Recorded(mf.RK45):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers.append(self)
+
+    monkeypatch.setattr(mf, "metric_inverse", counted)
+    monkeypatch.setattr(mf, "RK45", Recorded)
+    g, f, pair = _flat_bowl()
+    trajs = {}
+    for x0 in (pair.x1_0, pair.x2_0):
+        calls.clear()
+        trajs[id(x0)] = mf.integrate_flow(g, f, x0, 12.0,
+                                          stop_grad_norm=cp.STOP_GRAD_NORM)
+        assert len(calls) <= solvers[-1].nfev + 1
+    calls.clear()
+    rep = cp.compare(g, f, 0.0, pair, 12.0, flow=lambda x0: trajs[id(x0)])
+    assert len(rep.coincidence_times) > 200
+    assert len(calls) <= 2 * len(rep.coincidence_times) + 16
 
 
 # ---------------------------------------------------------------- symmetry

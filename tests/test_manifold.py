@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from geoflow import fixtures
 from geoflow import gaussian_chain as gc
 from geoflow import manifold as mf
+from geoflow import straightening as st
 from geoflow.dually_flat import canonical_divergence, exponential_model
 from geoflow.errors import (
     ClosureShapeError,
@@ -45,11 +46,18 @@ def sphere_chart():
                     name="sphere-polar")
 
 
+# integrate_flow evaluates the field on point stacks, so the models below
+# broadcast over leading axes
+
+
 def sphere_metric(analytic=True):
     chart = sphere_chart()
 
     def matrix(x):
-        return np.diag([1.0, np.sin(x[0]) ** 2])
+        m = np.zeros(x.shape[:-1] + (2, 2))
+        m[..., 0, 0] = 1.0
+        m[..., 1, 1] = np.sin(x[..., 0]) ** 2
+        return m
 
     def partials(x):
         d = np.zeros((2, 2, 2))
@@ -59,14 +67,26 @@ def sphere_metric(analytic=True):
     return mf.MetricField(chart, matrix, partials=partials if analytic else None)
 
 
+def sphere_height():
+    """1 + cos(theta) on the sphere chart."""
+    def grad(x):
+        d = np.zeros(x.shape)
+        d[..., 0] = -np.sin(x[..., 0])
+        return d
+
+    return mf.ScalarPotential(lambda x: 1.0 + np.cos(x[..., 0]), gradient=grad)
+
+
 def euclidean(dim):
-    return mf.MetricField(mf.Chart(dim), lambda x: np.eye(dim),
+    eye = np.eye(dim)
+    return mf.MetricField(mf.Chart(dim),
+                          lambda x: np.zeros(x.shape[:-1] + eye.shape) + eye,
                           partials=lambda x: np.zeros((dim, dim, dim)))
 
 
 def quadratic_potential(dim):
     return mf.ScalarPotential(
-        lambda x: 0.5 * float(x @ x),
+        lambda x: 0.5 * (x * x).sum(axis=-1),
         gradient=lambda x: np.asarray(x, dtype=float),
         minimum_q=np.zeros(dim),
     )
@@ -85,6 +105,24 @@ def test_metric_inverse_rejects_near_singular():
     g = mf.MetricField(mf.Chart(2), lambda x: np.diag([1.0, 1e-13]))
     with pytest.raises(SingularMatrixError):
         mf.metric_inverse(g, np.zeros(2))
+
+
+def test_metric_inverse_rejects_a_singular_point_in_a_stack():
+    def matrix(x):
+        m = np.zeros(x.shape[:-1] + (2, 2))
+        m[..., 0, 0] = 1.0
+        m[..., 1, 1] = x[..., 0]
+        return m
+
+    g = mf.MetricField(mf.Chart(2), matrix)
+    good = np.array([[1.0, 0.0], [0.5, 3.0], [2.0, -1.0]])
+    assert_allclose(mf.metric_inverse(g, good),
+                    np.linalg.inv(g(good)), rtol=1e-15)
+    for bad in (1e-13, 0.0):
+        pts = good.copy()
+        pts[1, 0] = bad
+        with pytest.raises(SingularMatrixError):
+            mf.metric_inverse(g, pts)
 
 
 def test_positive_definite_check():
@@ -230,8 +268,7 @@ def test_flow_euclidean_exponential_decay():
 def test_flow_energy_identity():
     # d/dt f(x(t)) = -|grad f|_g^2 along the flow
     g = sphere_metric()
-    f = mf.ScalarPotential(lambda x: 1.0 + np.cos(x[0]),
-                           gradient=lambda x: np.array([-np.sin(x[0]), 0.0]))
+    f = sphere_height()
     traj = mf.integrate_flow(g, f, [2.0, 0.5], 1.0)
     from geoflow import numdiff
     for t in (0.25, 0.5, 0.75):
@@ -313,6 +350,21 @@ def test_hessian_exp_potential_is_the_divergence():
                         rtol=1e-15, atol=1e-17)
 
 
+def test_non_broadcasting_gradient_raises_typed_error():
+    # written for one point: on a stack, x[0] and x[1] are rows, not columns
+    pts = np.ones((4, 2))
+    g = euclidean(2)
+    f = mf.ScalarPotential(lambda x: 0.5 * (x * x).sum(axis=-1),
+                           gradient=lambda x: np.array([x[0], x[1]]))
+    assert_array_equal(f.gradient_covector(pts[0]), [1.0, 1.0])
+    with pytest.raises(ClosureShapeError):
+        f.gradient_covector(pts)
+    with pytest.raises(ClosureShapeError):
+        mf.gradient(g, f, pts)
+    with pytest.raises(ClosureShapeError):
+        mf.integrate_flow(g, f, pts[0], 1.0)
+
+
 def test_non_broadcasting_closure_raises_typed_error():
     pts = np.ones((4, 2))
     g = mf.MetricField(mf.Chart(2), lambda x: np.eye(2))
@@ -328,25 +380,28 @@ def test_non_broadcasting_closure_raises_typed_error():
 
 
 def _trajectories():
-    sphere = mf.levi_civita_connection(sphere_metric())
-    g_flow = sphere_metric()
-    f_flow = mf.ScalarPotential(lambda x: 1.0 + np.cos(x[0]),
-                                gradient=lambda x: np.array([-np.sin(x[0]), 0.0]))
+    """kind -> (trajectory, g, f) with the model the trajectory lives on."""
+    g_sphere, f_sphere = sphere_metric(), sphere_height()
+    sphere = mf.levi_civita_connection(g_sphere)
     sp = gc.spectrum(gc.ChainSpec(4))
     return {
-        "geodesic": mf.integrate_geodesic(sphere, [1.1, 0.2], [0.3, 0.8], 1.0),
-        "flow": mf.integrate_flow(g_flow, f_flow, [2.0, 0.5], 1.0),
-        "zero-step-flow": mf.integrate_flow(g_flow, f_flow, [2.0, 0.5], 0.0),
-        "zero-step-geodesic": mf.integrate_geodesic(sphere, [1.1, 0.2],
-                                                    [0.3, 0.8], 0.0),
-        "chain": gc.ChainTrajectory(sp, np.array([0.3, 2.0, 5.0]) * sp.a_star,
-                                    100.0),
+        "geodesic": (mf.integrate_geodesic(sphere, [1.1, 0.2], [0.3, 0.8], 1.0),
+                     g_sphere, f_sphere),
+        "flow": (mf.integrate_flow(g_sphere, f_sphere, [2.0, 0.5], 1.0),
+                 g_sphere, f_sphere),
+        "zero-step-flow": (mf.integrate_flow(g_sphere, f_sphere, [2.0, 0.5],
+                                             0.0), g_sphere, f_sphere),
+        "zero-step-geodesic": (mf.integrate_geodesic(sphere, [1.1, 0.2],
+                                                     [0.3, 0.8], 0.0),
+                               g_sphere, f_sphere),
+        "chain": (gc.ChainTrajectory(sp, np.array([0.3, 2.0, 5.0]) * sp.a_star,
+                                     100.0), *gc.chain_manifold(sp)),
     }
 
 
 @pytest.mark.parametrize("kind", list(_trajectories()))
 def test_array_queries_match_scalar_queries(kind):
-    traj = _trajectories()[kind]
+    traj, g, f = _trajectories()[kind]
     t0, t1 = traj.span
     ts = np.concatenate([[t0], np.linspace(t0, t1, 9), [t1]])
     queries = [traj.position, traj.velocity]
@@ -357,6 +412,18 @@ def test_array_queries_match_scalar_queries(kind):
         got = query(ts)
         assert got.shape == stacked.shape == (ts.size, traj.xs.shape[1])
         assert_allclose(got, stacked, rtol=1e-14, atol=0.0)
+    # the evaluators along the curve: a point stack, and an array of t
+    xs = traj.position(ts)
+    for at in (lambda x: mf.metric_inverse(g, x),
+               lambda x: mf.gradient(g, f, x)):
+        assert_allclose(at(xs), np.stack([at(x) for x in xs]),
+                        rtol=1e-14, atol=0.0)
+    if t1 > t0:
+        for lam in (0.0, 1.0):
+            got = st.nonmetricity_cubic(g, f, lam, traj, ts)
+            assert got.shape == ts.shape
+            assert_allclose(got, [st.nonmetricity_cubic(g, f, lam, traj, t)
+                                  for t in ts], rtol=1e-14, atol=0.0)
     for bad in ([t0, t1 + 1e-3], [t0 - 1e-3, t1]):
         for query in queries:
             with pytest.raises(OutOfSpanError):

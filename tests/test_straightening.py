@@ -20,13 +20,19 @@ MODE_CUBIC_AT_START = -8.0
 WITNESS_VALUE = 1.0 / 30.0
 
 
+# flows and the cubic evaluate these models on point stacks, so they
+# broadcast over leading axes
+
+
 def euclidean(dim):
-    return mf.MetricField(mf.Chart(dim), lambda x: np.eye(dim),
+    eye = np.eye(dim)
+    return mf.MetricField(mf.Chart(dim),
+                          lambda x: np.zeros(x.shape[:-1] + eye.shape) + eye,
                           partials=lambda x: np.zeros((dim, dim, dim)))
 
 
 def quadratic(dim):
-    return mf.ScalarPotential(lambda x: 0.5 * float(x @ x),
+    return mf.ScalarPotential(lambda x: 0.5 * (x * x).sum(axis=-1),
                               gradient=lambda x: np.asarray(x, dtype=float),
                               minimum_q=np.zeros(dim))
 
@@ -35,18 +41,18 @@ def mode_metric():
     chart = mf.Chart(1, domain_check=lambda x: x[0] > 0.0)
     return mf.MetricField(
         chart,
-        lambda x: np.array([[1.0 / (2.0 * x[0] ** 2)]]),
+        lambda x: (1.0 / (2.0 * x ** 2))[..., None],
         partials=lambda x: np.array([[[-1.0 / x[0] ** 3]]]),
     )
 
 
 def mode_potential(rate=MODE_RATE, astar=1.0):
     def value(x):
-        r = astar / x[0]
+        r = astar / x[..., 0]
         return rate * (r - np.log(r) - 1.0)
 
     def grad(x):
-        return np.array([rate * (x[0] - astar) / x[0] ** 2])
+        return rate * (x - astar) / x ** 2
 
     return mf.ScalarPotential(value, gradient=grad, minimum_q=np.array([astar]))
 
