@@ -18,13 +18,11 @@ from geoflow import (
     gradient,
     integrate_flow,
     levi_civita_connection,
-    nonmetricity,
-    nonmetricity_closed_form,
     pregeodesic_residual,
     straightening_connection,
     z_field,
 )
-from geoflow.straightening import nonmetricity_tensor
+from geoflow.straightening import nonmetricity_closed_tensor, nonmetricity_tensor
 from geoflow.fixtures import two_mode_chain
 
 g, f = two_mode_chain()
@@ -57,18 +55,19 @@ x = np.array([3.0, 1.0])
 print("\nZ field at (3, 1):", z_field(g, f, 0.0, x))
 
 # non-metricity: the definition (covariant derivative of g) against the
-# closed form g(W,X) zeta(Y) + g(W,Y) zeta(X)
+# closed form g(W,X) zeta(Y) + g(W,Y) zeta(X), both as tensors C[k, i, j]
+# contracted with the same random directions
+c = nonmetricity_tensor(straight, g, x)
 w, xv, yv = rng.standard_normal((3, 2))
-c_def = float(np.einsum("kij,k,i,j->",
-                        nonmetricity_tensor(straight, g, x), w, xv, yv))
-c_closed = nonmetricity_closed_form(g, f, 0.0, x, w, xv, yv)
+c_def = np.einsum("kij,k,i,j->", c, w, xv, yv)
+c_closed = np.einsum("kij,k,i,j->", nonmetricity_closed_tensor(g, f, 0.0, x),
+                     w, xv, yv)
 print("\nnon-metricity, definition route: ", c_def)
 print("non-metricity, closed form:      ", c_closed)
 
 # unlike the totally symmetric cubic tensors of information geometry,
 # this tensor cares which slot the direction sits in
-e1, e2 = np.eye(2)
-print("\nC(e2, e2, e1) =", nonmetricity(straight, g, x, e2, e2, e1))
-print("C(e1, e2, e2) =", nonmetricity(straight, g, x, e1, e2, e2))
+print("\nC(e2, e2, e1) =", c[1, 1, 0])
+print("C(e1, e2, e2) =", c[0, 1, 1])
 print("argument order matters: the straightened connection is not")
 print("a dually flat / statistical structure in disguise")

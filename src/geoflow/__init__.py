@@ -70,8 +70,6 @@ from .manifold import (
 from .straightening import (
     EPS_GRAD,
     Submanifold,
-    nonmetricity,
-    nonmetricity_closed_form,
     nonmetricity_cubic,
     pregeodesic_residual,
     projection_orthogonality,
@@ -123,8 +121,6 @@ __all__ = [
     "metric_inverse",
     "mode_manifold",
     "mode_plane_manifold",
-    "nonmetricity",
-    "nonmetricity_closed_form",
     "nonmetricity_cubic",
     "potential_F",
     "pregeodesic_residual",

@@ -108,20 +108,15 @@ def _resolve(args, cfg, section: str, key: str, default, cast):
     return default
 
 
-def _common(args, cfg, section: str):
-    out = _resolve(args, cfg, section, "out", "geoflow-out", str)
-    seed = _resolve(args, cfg, section, "seed", 0, int)
-    tol = _resolve(args, cfg, section, "tol", 1e-10, float)
-    if not tol > 0.0:
-        raise ConfigError("tol must be positive")
-    return out, seed, tol
+def _out(args, cfg, section: str) -> str:
+    return _resolve(args, cfg, section, "out", "geoflow-out", str)
 
 
 # ----------------------------------------------------------------- chain
 
 
 def cmd_chain(args, cfg) -> int:
-    out, seed, tol = _common(args, cfg, "chain")
+    out = _out(args, cfg, "chain")
     n_beads = _resolve(args, cfg, "chain", "n_beads", 11, int)
     t_plus = _resolve(args, cfg, "chain", "t_plus", 2.0, float)
     t_end = _resolve(args, cfg, "chain", "t_end", None, float)
@@ -141,9 +136,8 @@ def cmd_chain(args, cfg) -> int:
     bundle = ResultBundle(
         command="chain",
         config={"n_beads": n_beads, "t_plus": t_plus, "t_end": t_end,
-                "tol": tol, "derived": {"t_minus": res.t_minus,
-                                        "rates": list(spect.lambdas)}},
-        seed=seed)
+                "derived": {"t_minus": res.t_minus,
+                            "rates": list(spect.lambdas)}})
     full = res.full
     header = ["t", "F_plus", "F_minus", "delta_F"]
     for k in range(spect.n_modes):
@@ -182,7 +176,10 @@ def cmd_chain(args, cfg) -> int:
 
 
 def cmd_compare(args, cfg) -> int:
-    out, seed, tol = _common(args, cfg, "compare")
+    out = _out(args, cfg, "compare")
+    tol = _resolve(args, cfg, "compare", "tol", 1e-10, float)
+    if not tol > 0.0:
+        raise ConfigError("tol must be positive")
     model_name = _resolve(args, cfg, "compare", "model", "gaussian-mode", str)
     if model_name not in COMPARE_MODELS:
         raise ConfigError(f"unknown model {model_name!r}; registered: "
@@ -215,8 +212,7 @@ def cmd_compare(args, cfg) -> int:
         command="compare",
         config={"model": model_name, "direction1": list(dir1),
                 "direction2": list(dir2), "level": level, "lam": lam,
-                "t_end": t_end, "tol": tol},
-        seed=seed)
+                "t_end": t_end, "tol": tol})
     bundle.add_table("report", ["t", "f1", "f2", "delta_f"],
                      [[float(t), float(rep.f1[i]), float(rep.f2[i]),
                        float(rep.delta_f[i])]
@@ -237,7 +233,8 @@ def cmd_compare(args, cfg) -> int:
 
 
 def cmd_verify(args, cfg) -> int:
-    out, seed, _ = _common(args, cfg, "verify")
+    out = _out(args, cfg, "verify")
+    seed = _resolve(args, cfg, "verify", "seed", 0, int)
     suite = _resolve(args, cfg, "verify", "suite", None, str)
     flip = _resolve(args, cfg, "verify", "negative_control", False,
                     lambda s: str(s).lower() in ("1", "true", "yes"))
@@ -259,8 +256,8 @@ def cmd_verify(args, cfg) -> int:
     bundle.add_table(
         "checks",
         ["suite", "check", "passed", "measured", "tolerance", "detail"],
-        [[r.suite, r.name, bool(r.passed), float(r.measured),
-          float(r.tolerance), r.detail] for r in results])
+        [[r.suite, r.name, r.passed, r.measured, r.tolerance, r.detail]
+         for r in results])
     all_passed = all(r.passed for r in results)
     verdict = "all-checks-passed" if all_passed else "checks-failed"
     bundle.verdicts = [verdict]
@@ -278,7 +275,7 @@ def cmd_verify(args, cfg) -> int:
 
 
 def cmd_curvature(args, cfg) -> int:
-    out, seed, _ = _common(args, cfg, "curvature")
+    out = _out(args, cfg, "curvature")
     model_name = _resolve(args, cfg, "curvature", "model", "gaussian-mode",
                           str)
     if model_name != "gaussian-mode":
@@ -315,8 +312,7 @@ def cmd_curvature(args, cfg) -> int:
     bundle = ResultBundle(
         command="curvature",
         config={"model": model_name, "grid_start": grid_start,
-                "grid_stop": grid_stop, "grid_points": grid_points},
-        seed=seed)
+                "grid_stop": grid_stop, "grid_points": grid_points})
     bundle.add_table(
         "curvature",
         ["a_ratio", "s_closed_form", "s_numeric", "rel_error", "status"],
@@ -339,10 +335,6 @@ def _build_parser() -> _Parser:
     def add_common(p):
         p.add_argument("--config", help="INI config file")
         p.add_argument("--out", help="output directory (default geoflow-out)")
-        p.add_argument("--seed", type=int,
-                       help="seed for randomized checks (default 0)")
-        p.add_argument("--tol", type=float,
-                       help="integrator tolerance (default 1e-10)")
 
     p_chain = sub.add_parser("chain",
                              help="race warming against cooling for a chain")
@@ -371,10 +363,14 @@ def _build_parser() -> _Parser:
                        help="connection parameter (default 0)")
     p_cmp.add_argument("--t-end", dest="t_end", type=float,
                        help="time horizon (default 10)")
+    p_cmp.add_argument("--tol", type=float,
+                       help="integrator tolerance (default 1e-10)")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_ver = sub.add_parser("verify", help="run the invariant battery")
     add_common(p_ver)
+    p_ver.add_argument("--seed", type=int,
+                       help="seed for randomized checks (default 0)")
     p_ver.add_argument("--suite", choices=verify_mod.SUITE_NAMES,
                        help="run only this suite")
     p_ver.add_argument("--negative-control", dest="negative_control",

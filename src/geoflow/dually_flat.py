@@ -64,7 +64,7 @@ class HessianModel:
         theta = np.asarray(theta, dtype=float)
         if self._eta is not None:
             return np.asarray(self._eta(theta), dtype=float)
-        return numdiff.gradient_fd(self.phi, theta, scale=numdiff.STEP_EXACT)
+        return numdiff.jacobian_fd(self.phi, theta, scale=numdiff.STEP_EXACT)
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -75,7 +75,7 @@ class HessianModel:
             h = 0.5 * (h + h.T)
         else:
             h = numdiff.jacobian_fd(
-                lambda y: numdiff.gradient_fd(self.phi, y,
+                lambda y: numdiff.jacobian_fd(self.phi, y,
                                               scale=numdiff.STEP_EXACT),
                 theta, scale=numdiff.STEP_NESTED)
             h = 0.5 * (h + h.T)
@@ -216,7 +216,7 @@ def fujiwara_amari_residual(model: HessianModel, q, x,
             return canonical_divergence(model, q, y)
 
         def v_field(y):
-            grad = numdiff.gradient_fd(d_q, y, scale=inner)
+            grad = numdiff.jacobian_fd(d_q, y, scale=inner)
             return np.linalg.solve(model.hessian(y), grad)
     else:
         raise ValueError(f"unknown pipeline {pipeline!r}")

@@ -40,7 +40,7 @@ def euclidean_quadratic(dim: int = 2) -> tuple[MetricField, ScalarPotential]:
     eye = np.eye(dim)
     g = MetricField(Chart(dim, name="euclidean"),
                     lambda x: np.zeros(x.shape[:-1] + eye.shape) + eye,
-                    partials=lambda x: np.zeros((dim, dim, dim)),
+                    partials=lambda x: np.zeros(x.shape[:-1] + (dim,) * 3),
                     name="euclidean")
     f = ScalarPotential(lambda x: 0.5 * (x * x).sum(axis=-1),
                         gradient=lambda x: np.asarray(x, dtype=float),
@@ -77,8 +77,8 @@ def sphere_height() -> tuple[MetricField, ScalarPotential]:
         return m
 
     def partials(x):
-        d = np.zeros((2, 2, 2))
-        d[0, 1, 1] = 2.0 * np.sin(x[0]) * np.cos(x[0])
+        d = np.zeros(x.shape[:-1] + (2, 2, 2))
+        d[..., 0, 1, 1] = 2.0 * np.sin(x[..., 0]) * np.cos(x[..., 0])
         return d
 
     def grad(x):

@@ -47,7 +47,6 @@ __all__ = [
     "ode_rhs",
     "ChainTrajectory",
     "potential_F",
-    "fisher_block",
     "cubic_closed_form",
     "scalar_curvature_mode",
     "equidistant_temperatures",
@@ -226,12 +225,6 @@ def potential_F(spect: ModeSpectrum, state) -> float | np.ndarray:
     return float(value) if value.ndim == 0 else value
 
 
-def fisher_block(state, k: int) -> float:
-    """Variance-block Fisher metric component 1/(2 a_k^2)."""
-    a = _avec(state)
-    return float(1.0 / (2.0 * a[k] ** 2))
-
-
 def cubic_closed_form(spect: ModeSpectrum, state, k: int) -> float:
     """F-acceleration of mode k: 2 lambda_k (a*/a)(adot/a)^2, adot on-flow.
 
@@ -315,9 +308,9 @@ def chain_manifold(spect: ModeSpectrum) -> tuple[MetricField, ScalarPotential]:
         return (1.0 / (2.0 * a ** 2))[..., None] * eye
 
     def partials(a):
-        d = np.zeros((n, n, n))
+        d = np.zeros(a.shape[:-1] + (n, n, n))
         idx = np.arange(n)
-        d[idx, idx, idx] = -1.0 / a ** 3
+        d[..., idx, idx, idx] = -1.0 / a ** 3
         return d
 
     g = MetricField(chart, matrix, partials=partials, name="fisher-variance")
@@ -362,10 +355,10 @@ def mode_plane_manifold(spect: ModeSpectrum,
         return m
 
     def partials(x):
-        a = x[1]
-        d = np.zeros((2, 2, 2))
-        d[1, 0, 0] = -2.0 / a ** 2
-        d[1, 1, 1] = -1.0 / a ** 3
+        a = x[..., 1]
+        d = np.zeros(x.shape[:-1] + (2, 2, 2))
+        d[..., 1, 0, 0] = -2.0 / a ** 2
+        d[..., 1, 1, 1] = -1.0 / a ** 3
         return d
 
     g = MetricField(chart, matrix, partials=partials, name="fisher-mode-plane")

@@ -2,12 +2,12 @@
 
 The geometric substrate: everything else in the package is built from the
 types and operations here.  Charts are single global coordinate patches;
-there is no atlas machinery.  Metrics, potentials and their gradients
-evaluate one point or a stack of points in one call, and so do
-:func:`metric_inverse`, :func:`gradient` and the Levi-Civita coefficients.
-Metric partials are pointwise closures; absent analytic derivatives,
-derivatives fall back to the 4th-order central differences in
-:mod:`geoflow.numdiff`.
+there is no atlas machinery.  Metrics, their partials, potentials and
+their gradients evaluate one point or a stack of points in one call, and
+so do :func:`metric_inverse`, :func:`gradient` and the Levi-Civita
+coefficients.  Absent analytic derivatives, derivatives fall back to the
+4th-order central differences of :func:`geoflow.numdiff.jacobian_fd`,
+which differentiate a whole stack in one call.
 
 Index conventions used throughout:
 
@@ -101,16 +101,17 @@ class MetricField:
         broadcasts over leading axes: a point ``(dim,)`` gives one
         ``(dim, dim)`` matrix, a stack ``(n, dim)`` gives ``(n, dim, dim)``.
     partials : callable, optional
-        Analytic closure ``partials(x) -> (dim, dim, dim)`` with
-        ``D[l, i, j] = d_l g_ij``.  When omitted, partials come from finite
-        differences of ``matrix``.
+        Analytic closure ``partials(x) -> (..., dim, dim, dim)`` with
+        ``D[..., l, i, j] = d_l g_ij``.  It broadcasts like ``matrix``: a
+        point gives ``(dim, dim, dim)``, a stack ``(n, dim, dim, dim)``.
+        When omitted, partials come from finite differences of ``matrix``.
     name : str
 
     Positive-definiteness is checked lazily via :meth:`check_positive_definite`
-    on fixture points, not on every evaluation.  Calling the field passes a
-    point or a stack to ``matrix`` in one call and raises
-    :class:`~geoflow.errors.ClosureShapeError` when the result does not
-    have the shape above.
+    on fixture points, not on every evaluation.  Calling the field, or
+    :meth:`partials`, passes a point or a stack to its closure in one call
+    and raises :class:`~geoflow.errors.ClosureShapeError` when the result
+    does not have the shape above.
     """
 
     def __init__(self, chart: Chart, matrix: Callable[[np.ndarray], np.ndarray],
@@ -133,12 +134,14 @@ class MetricField:
         return self._partials is not None
 
     def partials(self, x: np.ndarray) -> np.ndarray:
-        """Partial derivatives ``D[l, i, j] = d_l g_ij`` at x."""
+        """Partial derivatives ``D[..., l, i, j] = d_l g_ij`` at a point or a stack."""
         x = np.asarray(x, dtype=float)
-        if self._partials is not None:
-            return np.asarray(self._partials(x), dtype=float)
-        jac = numdiff.jacobian_fd(self.__call__, x, scale=numdiff.STEP_EXACT)
-        return np.einsum("ijl->lij", jac)
+        if self._partials is None:
+            return _fd_partials(self, x)
+        d = np.asarray(self._partials(x), dtype=float)
+        _check_shape(d, x.shape[:-1] + (self.chart.dim,) * 3,
+                     f"{self.name or 'metric'} partials")
+        return d
 
     def check_positive_definite(self, points: Sequence[np.ndarray]) -> None:
         """Raise if the metric is non-symmetric or not positive definite anywhere."""
@@ -206,11 +209,16 @@ class ScalarPotential:
         """
         x = np.asarray(x, dtype=float)
         if self._gradient is None:
-            return numdiff.gradient_fd(self.__call__, x,
-                                       scale=numdiff.STEP_EXACT)
+            return numdiff.jacobian_fd(self, x)
         df = np.asarray(self._gradient(x), dtype=float)
         _check_shape(df, x.shape, f"{self.name or 'potential'} gradient")
         return df
+
+
+def _fd_partials(g: MetricField, x: np.ndarray,
+                 step: float | None = None) -> np.ndarray:
+    """``D[..., l, i, j] = d_l g_ij`` by finite differences of g's matrix."""
+    return np.einsum("...ijl->...lij", numdiff.jacobian_fd(g, x, step=step))
 
 
 def _check_shape(out: np.ndarray, want: tuple, name: str) -> None:
@@ -232,7 +240,6 @@ class AffineConnection:
     """
 
     coeffs: Callable[[np.ndarray], np.ndarray]
-    symmetric: bool = True
     chart: Chart | None = None
     metric: MetricField | None = None
     coeff_step: float = numdiff.STEP_COEFFS
@@ -287,19 +294,17 @@ def christoffel_levi_civita(g: MetricField, x: np.ndarray,
     (a warning fires if it is small enough for roundoff to dominate);
     otherwise analytic partials are used when the metric has them, with the
     standard step policy as fallback.  A stack of points ``(n, dim)``
-    gives ``(n, dim, dim, dim)``: the inverse metric comes from one call,
-    the partials point by point.
+    gives ``(n, dim, dim, dim)``: the inverse metric and the partials each
+    come from one call.
     """
     x = np.asarray(x, dtype=float)
     ginv = metric_inverse(g, x)
+    dg = g.partials(x) if step is None else _fd_partials(g, x, step)
+    return _levi_civita(ginv, dg)
 
-    def partials(p):
-        if step is None:
-            return g.partials(p)
-        return np.einsum("ijl->lij", numdiff.jacobian_fd(g.__call__, p,
-                                                         step=step))
 
-    dg = partials(x) if x.ndim == 1 else np.stack([partials(p) for p in x])
+def _levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """Gamma^k_ij from g^{kl} and the partials ``D[..., l, i, j]``."""
     term = (dg + np.einsum("...jil->...ijl", dg)
             - np.einsum("...lij->...ijl", dg))
     return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, term)
@@ -310,7 +315,6 @@ def levi_civita_connection(g: MetricField) -> AffineConnection:
     step = numdiff.STEP_NESTED if not g.has_analytic_partials else numdiff.STEP_COEFFS
     return AffineConnection(
         coeffs=lambda x: christoffel_levi_civita(g, x),
-        symmetric=True,
         chart=g.chart,
         metric=g,
         coeff_step=max(step, numdiff.STEP_COEFFS),

@@ -13,6 +13,10 @@ how the function being differentiated was produced:
   the curvature pipeline, which stack two levels of differentiation.
 
 Steps are scaled per component by max(1, |x_j|).
+
+A single routine, :func:`jacobian_fd`, differentiates scalar- or
+array-valued functions at a point or a stack of points;
+:func:`curve_derivative` differentiates functions of time along a curve.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ __all__ = [
     "STEP_EXACT",
     "STEP_NESTED",
     "STEP_COEFFS",
-    "gradient_fd",
     "jacobian_fd",
     "curve_derivative",
     "check_step",
@@ -45,9 +48,9 @@ _W4 = np.array([-1.0, 8.0, -8.0, 1.0]) / 12.0
 _O4 = np.array([2.0, 1.0, -1.0, -2.0])
 
 
-def check_step(h: float, x_component: float) -> None:
+def check_step(h: float, x: np.ndarray) -> None:
     """Warn when a user-chosen step is small enough for roundoff to dominate."""
-    if h < 1e3 * EPS * abs(x_component):
+    if h < 1e3 * EPS * np.max(np.abs(x)):
         warnings.warn(
             f"finite-difference step {h:.3e} is below 1e3*eps*|x|; "
             "roundoff will dominate the derivative",
@@ -56,47 +59,41 @@ def check_step(h: float, x_component: float) -> None:
         )
 
 
-def _partial(fn: Callable, x: np.ndarray, j: int, h: float):
-    """4th-order central difference of fn along coordinate j."""
+def _difference(fn: Callable, x: np.ndarray, j: int, h):
+    """4th-order central difference of fn along coordinate j, times h."""
     shifted = []
     for o in _O4:
         xo = np.array(x, dtype=float)
         xo[..., j] += o * h
         shifted.append(np.asarray(fn(xo), dtype=float))
-    return sum(w * s for w, s in zip(_W4, shifted)) / h
-
-
-def gradient_fd(fn: Callable[[np.ndarray], float], x: np.ndarray,
-                scale: float = STEP_EXACT) -> np.ndarray:
-    """Gradient (as a covector of partials) of a scalar function.
-
-    A stack of points ``(n, dim)`` gives ``(n, dim)``; ``fn`` must then
-    broadcast over the stack, and each point gets its own steps.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape)
-    for j in range(x.shape[-1]):
-        h = scale * np.maximum(1.0, np.abs(x[..., j]))
-        out[..., j] = _partial(fn, x, j, h)
-    return out
+    return sum(w * s for w, s in zip(_W4, shifted))
 
 
 def jacobian_fd(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                 scale: float = STEP_EXACT, step: float | None = None) -> np.ndarray:
-    """Array of partials of an array-valued function.
+    """Array of partials of a scalar- or array-valued function.
 
     Returns J with J[..., j] = d fn / d x_j, i.e. the derivative index is the
-    trailing axis.  ``step`` overrides the per-component scaled step with a
-    fixed absolute one (used by callers that own their own step policy).
+    trailing axis; for a scalar function that is the gradient covector.  A
+    stack of points ``(n, dim)`` gives one leading axis of n; ``fn`` must
+    then broadcast over the stack, and each point gets its own steps.
+    ``step`` overrides the per-component scaled step with a fixed absolute
+    one (used by callers that own their own step policy).
     """
     x = np.asarray(x, dtype=float)
-    cols = []
-    for j in range(x.size):
-        h = step if step is not None else scale * max(1.0, abs(x[j]))
-        if step is not None:
-            check_step(h, x[j])
-        cols.append(_partial(fn, x, j, h))
-    return np.stack(cols, axis=-1)
+    if step is None:
+        h = scale * np.maximum(1.0, np.abs(x))
+    else:
+        check_step(step, x)
+        h = np.full(x.shape, float(step))
+    # the steps of one coordinate at a time: scalars for a point
+    jac = np.stack([_difference(fn, x, j, hj) for j, hj
+                    in enumerate(h.transpose(-1, *range(h.ndim - 1)))],
+                   axis=-1)
+    # h holds one step per point and coordinate; broadcast it over the
+    # value axes that sit between the two
+    return jac / h.reshape(h.shape[:-1] + (1,) * (jac.ndim - h.ndim)
+                           + h.shape[-1:])
 
 
 def curve_derivative(fn: Callable[[np.ndarray], np.ndarray], t,

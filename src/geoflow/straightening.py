@@ -33,7 +33,7 @@ from .manifold import (
     MetricField,
     ScalarPotential,
     Trajectory,
-    christoffel_levi_civita,
+    _levi_civita,
     covariant_acceleration,
     gradient,
     levi_civita_connection,
@@ -49,9 +49,7 @@ __all__ = [
     "straightening_connection",
     "pregeodesic_residual",
     "nonmetricity_tensor",
-    "nonmetricity",
     "nonmetricity_closed_tensor",
-    "nonmetricity_closed_form",
     "nonmetricity_cubic",
     "scalar_curvature",
     "projection_orthogonality",
@@ -74,35 +72,48 @@ def _field_step(g: MetricField, f: ScalarPotential) -> float:
 
 
 def _grad_and_norm(g: MetricField, f: ScalarPotential, x: np.ndarray):
+    """grad f, |grad f|^2, g and g^{-1} at a point or a stack.
+
+    Raises :class:`~geoflow.errors.CriticalPointError` naming the first
+    point of the stack that lies on the critical set.
+    """
     gm = g(x)
-    v = metric_inverse(g, x) @ f.gradient_covector(x)
-    nsq = float(v @ gm @ v)
-    if nsq <= EPS_GRAD ** 2:
+    ginv = metric_inverse(g, x)
+    v = (ginv @ f.gradient_covector(x)[..., None])[..., 0]
+    nsq = (v[..., None, :] @ gm @ v[..., None])[..., 0, 0]
+    critical = nsq <= EPS_GRAD ** 2
+    if critical.any():
+        i = np.unravel_index(np.argmax(critical), critical.shape)
         raise CriticalPointError(
-            f"|grad f| = {np.sqrt(max(nsq, 0.0)):.3e} at {x}: "
+            f"|grad f| = {np.sqrt(max(nsq[i], 0.0)):.3e} at {x[i]}: "
             "straightening undefined on the critical set")
-    return v, nsq, gm
+    return v, nsq, gm, ginv
 
 
 def _straightening_parts(g: MetricField, f: ScalarPotential, lam: float,
                          x: np.ndarray):
     """v = grad f, |v|^2, g, the Jacobian of grad f, Gamma^g and Z at x.
 
-    Each is evaluated once; the Jacobian (a finite-difference stencil of
-    the gradient field) is the dominant cost.
+    x is a point or a stack, and each part is evaluated once over it; the
+    Jacobian (a finite-difference stencil of the gradient field) is the
+    dominant cost.
     """
-    v, nsq, gm = _grad_and_norm(g, f, x)
+    v, nsq, gm, ginv = _grad_and_norm(g, f, x)
     jac = numdiff.jacobian_fd(lambda y: gradient(g, f, y), x,
                               scale=_field_step(g, f))
-    lc = christoffel_levi_civita(g, x)
+    lc = _levi_civita(ginv, g.partials(x))
     # |grad f|^2 Z = nabla^g_{grad f} grad f - lam grad f
-    z = (jac @ v + np.einsum("kij,i,j->k", lc, v, v) - lam * v) / nsq
+    z = ((jac @ v[..., None])[..., 0]
+         + np.einsum("...kij,...i,...j->...k", lc, v, v)
+         - lam * v) / nsq[..., None]
     return v, nsq, gm, jac, lc, z
 
 
 def z_field(g: MetricField, f: ScalarPotential, lam: float,
             x: np.ndarray) -> np.ndarray:
     """The vector Z with |grad f|^2 Z = nabla^g_{grad f} grad f - lam grad f.
+
+    A point gives ``(dim,)``, a stack ``(n, dim)``.
 
     Raises
     ------
@@ -114,10 +125,13 @@ def z_field(g: MetricField, f: ScalarPotential, lam: float,
 
 def straightening_coeffs(g: MetricField, f: ScalarPotential, lam: float,
                          x: np.ndarray) -> np.ndarray:
-    """Coefficients Gamma~^k_ij = Gamma^{g,k}_ij - g_ij Z^k at x."""
+    """Coefficients Gamma~^k_ij = Gamma^{g,k}_ij - g_ij Z^k at x.
+
+    A point gives ``(dim, dim, dim)``, a stack ``(n, dim, dim, dim)``.
+    """
     _, _, gm, _, lc, z = _straightening_parts(g, f, lam,
                                               np.asarray(x, dtype=float))
-    return lc - np.einsum("ij,k->kij", gm, z)
+    return lc - np.einsum("...ij,...k->...kij", gm, z)
 
 
 @dataclass(frozen=True)
@@ -135,14 +149,8 @@ def straightening_connection(g: MetricField, f: ScalarPotential,
     With lam=0 every gradient curve of f is a geodesic; for other constants
     it is a pregeodesic with tangential acceleration lam grad f.
     """
-    def coeffs(x):
-        if x.ndim == 1:
-            return straightening_coeffs(g, f, lam, x)
-        return np.stack([straightening_coeffs(g, f, lam, p) for p in x])
-
     return StraighteningConnection(
-        coeffs=coeffs,
-        symmetric=True,
+        coeffs=lambda x: straightening_coeffs(g, f, lam, x),
         chart=g.chart,
         metric=g,
         coeff_step=numdiff.STEP_COEFFS,
@@ -173,15 +181,6 @@ def nonmetricity_tensor(conn: AffineConnection, g: MetricField,
     return dg - lower - np.einsum("kij->kji", lower)
 
 
-def nonmetricity(conn: AffineConnection, g: MetricField, x: np.ndarray,
-                 w: np.ndarray, xv: np.ndarray, yv: np.ndarray) -> float:
-    """(nabla_W g)(X, Y) at x for constant-component W, X, Y."""
-    c = nonmetricity_tensor(conn, g, x)
-    return float(np.einsum("kij,k,i,j", c, np.asarray(w, dtype=float),
-                           np.asarray(xv, dtype=float),
-                           np.asarray(yv, dtype=float)))
-
-
 def nonmetricity_closed_tensor(g: MetricField, f: ScalarPotential, lam: float,
                                x: np.ndarray) -> np.ndarray:
     """Closed form C[k, i, j] = g_ki zeta_j + g_kj zeta_i with zeta = g Z."""
@@ -190,16 +189,6 @@ def nonmetricity_closed_tensor(g: MetricField, f: ScalarPotential, lam: float,
     zeta = gm @ z_field(g, f, lam, x)
     return (np.einsum("ki,j->kij", gm, zeta)
             + np.einsum("kj,i->kij", gm, zeta))
-
-
-def nonmetricity_closed_form(g: MetricField, f: ScalarPotential, lam: float,
-                             x: np.ndarray, w: np.ndarray, xv: np.ndarray,
-                             yv: np.ndarray) -> float:
-    """g(W,X) g(Y,Z) + g(W,Y) g(X,Z) evaluated at x."""
-    c = nonmetricity_closed_tensor(g, f, lam, x)
-    return float(np.einsum("kij,k,i,j", c, np.asarray(w, dtype=float),
-                           np.asarray(xv, dtype=float),
-                           np.asarray(yv, dtype=float)))
 
 
 def nonmetricity_cubic(g: MetricField, f: ScalarPotential, lam: float,
@@ -291,7 +280,7 @@ def projection_orthogonality(g: MetricField, f: ScalarPotential,
     u = np.asarray(p_hat, dtype=float)
     x = np.asarray(submanifold.embed(u), dtype=float)
     basis = submanifold.tangent_basis(u)
-    v, nsq, gm = _grad_and_norm(g, f, x)
+    v, nsq, gm, _ = _grad_and_norm(g, f, x)
     gv = gm @ v
     worst = 0.0
     for j in range(basis.shape[1]):

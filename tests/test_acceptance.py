@@ -50,6 +50,8 @@ def _assert_checks(battery, *names):
 def test_suite_passes(battery, suite):
     rows = [r for r in battery if r.suite == suite]
     assert rows, f"suite {suite} ran no checks"
+    assert all(type(r.passed) is bool and type(r.measured) is float
+               and type(r.tolerance) is float for r in rows)
     _assert_passed(rows)
 
 

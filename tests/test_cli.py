@@ -76,7 +76,6 @@ def test_chain_degenerate_pair_inconclusive(tmp_path, capsys):
 def test_chain_rejects_bad_parameters(tmp_path, capsys):
     for argv in (["chain", "--n-beads", "1"],
                  ["chain", "--t-plus", "0.5"],
-                 ["chain", "--tol", "-1"],
                  ["chain", "--n-beads", "x"]):
         code, _, err = run(argv + ["--out", str(tmp_path / "nope")], capsys)
         assert code == 1
@@ -87,7 +86,6 @@ def test_chain_config_file_and_flag_precedence(tmp_path, capsys):
     ini = tmp_path / "chain.ini"
     ini.write_text("# experiment\n"
                    "[run]\n"
-                   "seed = 9\n"
                    f"out = {tmp_path / 'from_cfg'}\n"
                    "[chain]\n"
                    "n_beads = 4   ; inline comment\n"
@@ -96,7 +94,7 @@ def test_chain_config_file_and_flag_precedence(tmp_path, capsys):
     assert code == 0 and stdout.strip() == "warming-faster"
     meta = ResultBundle.read(tmp_path / "from_cfg")
     assert meta.config["n_beads"] == 4
-    assert meta.seed == 9
+    assert meta.seed is None and "tol" not in meta.config
 
     code, _, _ = run(["chain", "--config", str(ini), "--n-beads", "3",
                       "--out", str(tmp_path / "flagged")], capsys)
@@ -170,7 +168,8 @@ def test_compare_bad_invocations(tmp_path, capsys):
     cases = (["compare", "--model", "nope"],
              ["compare", "--direction1", "1,0"],
              ["compare", "--direction1", "0"],
-             ["compare", "--level", "-1"])
+             ["compare", "--level", "-1"],
+             ["compare", "--tol", "-1"])
     for argv in cases:
         code, _, err = run(argv + ["--out", str(tmp_path / "bad")], capsys)
         assert code == 1
@@ -202,6 +201,22 @@ def test_verify_negative_control_fails(tmp_path, capsys):
     _, rows = read_csv(tmp_path / "neg" / "checks.csv")
     failed = [r[1] for r in rows if r[2] == "false"]
     assert failed == ["closed-form-nonmetricity"]
+
+
+def test_verify_seed_config_and_flag_precedence(tmp_path, capsys):
+    ini = tmp_path / "verify.ini"
+    ini.write_text("[run]\n"
+                   "seed = 9\n"
+                   f"out = {tmp_path / 'from_cfg'}\n")
+    argv = ["verify", "--config", str(ini), "--suite", "manifold-core"]
+    code, stdout, _ = run(argv, capsys)
+    assert code == 0 and stdout.strip() == "all-checks-passed"
+    assert ResultBundle.read(tmp_path / "from_cfg").seed == 9
+
+    code, _, _ = run(argv + ["--seed", "3", "--out", str(tmp_path / "flagged")],
+                     capsys)
+    assert code == 0
+    assert ResultBundle.read(tmp_path / "flagged").seed == 3
 
 
 def test_verify_rejects_unknown_suite(tmp_path, capsys):
@@ -256,6 +271,11 @@ def test_curvature_custom_grid(tmp_path, capsys):
 def test_unknown_command_and_flag(tmp_path, capsys):
     assert run(["frobnicate"], capsys)[0] == 1
     assert run(["chain", "--no-such-flag"], capsys)[0] == 1
+    # --seed and --tol exist only where they are read
+    for argv in (["chain", "--seed", "1"], ["chain", "--tol", "1e-9"],
+                 ["compare", "--seed", "1"], ["curvature", "--tol", "1e-9"],
+                 ["verify", "--tol", "1e-9"]):
+        assert run(argv, capsys)[0] == 1
 
 
 def test_entry_point_subprocess(tmp_path):

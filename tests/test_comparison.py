@@ -18,52 +18,16 @@ from geoflow.errors import (
     NonEquidistantError,
 )
 
-# single mode, rate 2, equilibrium a* = 1.  Starting scale T = a(0)/a*:
-# the level F(T=2) = 2 ln 2 - 1 is shared by the colder start T = 1/u where
-# u - ln u = 1/2 - ln(1/2); frozen by bisection oracle
+# the gaussian-mode fixture: single mode, rate 2, equilibrium a* = 1.
+# Starting scale T = a(0)/a*: the level F(T=2) = 2 ln 2 - 1 is shared by
+# the colder start T = 1/u where u - ln u = 1/2 - ln(1/2); frozen by
+# bisection oracle
 MODE_LEVEL = 2.0 * np.log(2.0) - 1.0
 T_COLD = 0.5693362741
 
 
-# compare evaluates metrics and potentials on point stacks, so the models
-# below broadcast over leading axes
-
-
-def euclidean(dim):
-    eye = np.eye(dim)
-    return mf.MetricField(mf.Chart(dim),
-                          lambda x: np.zeros(x.shape[:-1] + eye.shape) + eye,
-                          partials=lambda x: np.zeros((dim, dim, dim)))
-
-
-def quadratic(dim):
-    return mf.ScalarPotential(lambda x: 0.5 * (x * x).sum(axis=-1),
-                              gradient=lambda x: np.asarray(x, dtype=float),
-                              minimum_q=np.zeros(dim))
-
-
-def mode_metric():
-    chart = mf.Chart(1, domain_check=lambda x: x[0] > 0.0)
-    return mf.MetricField(
-        chart,
-        lambda x: (1.0 / (2.0 * x ** 2))[..., None],
-        partials=lambda x: np.array([[[-1.0 / x[0] ** 3]]]),
-    )
-
-
-def mode_potential(rate=2.0, astar=1.0):
-    def value(x):
-        r = astar / x[..., 0]
-        return rate * (r - np.log(r) - 1.0)
-
-    def grad(x):
-        return rate * (x - astar) / x ** 2
-
-    return mf.ScalarPotential(value, gradient=grad, minimum_q=np.array([astar]))
-
-
 def mode_pair():
-    g, f = mode_metric(), mode_potential()
+    g, f = fixtures.gaussian_mode()
     return g, f, cp.equidistant_seed(g, f, MODE_LEVEL, [1.0], [-1.0])
 
 
@@ -71,7 +35,7 @@ def mode_pair():
 
 
 def test_seed_euclidean_radial():
-    g, f = euclidean(2), quadratic(2)
+    g, f = fixtures.euclidean_quadratic(2)
     pair = cp.equidistant_seed(g, f, 0.5, [1.0, 0.0], [0.0, 1.0])
     assert_allclose(pair.x1_0, [1.0, 0.0], atol=1e-10)
     assert_allclose(pair.x2_0, [0.0, 1.0], atol=1e-10)
@@ -81,23 +45,23 @@ def test_seed_euclidean_radial():
 
 def test_seed_mode_warm_cold():
     # direction +1 walks up in a (hot start), -1 walks down (cold start)
-    g, f = mode_metric(), mode_potential()
+    g, f = fixtures.gaussian_mode()
     pair = cp.equidistant_seed(g, f, MODE_LEVEL, [1.0], [-1.0])
     assert_allclose(pair.x1_0[0], 2.0, rtol=1e-9)
     assert_allclose(pair.x2_0[0], T_COLD, rtol=1e-8)
 
 
 def test_seed_degenerate_level():
-    g, f = euclidean(2), quadratic(2)
+    g, f = fixtures.euclidean_quadratic(2)
     with pytest.raises(ValueError):
         cp.equidistant_seed(g, f, 0.0, [1.0, 0.0], [0.0, 1.0])
 
 
 def test_seed_level_unreachable():
     # bounded potential: level 2 is never crossed
-    g = euclidean(1)
-    f = mf.ScalarPotential(lambda x: 1.0 - np.exp(-float(x @ x)),
-                           gradient=lambda x: 2.0 * x * np.exp(-float(x @ x)),
+    g, _ = fixtures.euclidean_quadratic(1)
+    f = mf.ScalarPotential(lambda x: 1.0 - np.exp(-x[..., 0] ** 2),
+                           gradient=lambda x: 2.0 * x * np.exp(-x ** 2),
                            minimum_q=np.zeros(1))
     with pytest.raises(LevelUnreachableError):
         cp.equidistant_seed(g, f, 2.0, [1.0], [-1.0])
@@ -106,23 +70,22 @@ def test_seed_level_unreachable():
 def test_seed_domain_exit():
     # the chart ends before the level is crossed
     chart = mf.Chart(1, domain_check=lambda x: abs(x[0]) < 0.5)
-    g = mf.MetricField(chart, lambda x: np.eye(1),
-                       partials=lambda x: np.zeros((1, 1, 1)))
-    f = quadratic(1)
+    _, f = fixtures.euclidean_quadratic(1)
+    g = mf.MetricField(chart, lambda x: np.ones(x.shape[:-1] + (1, 1)),
+                       partials=lambda x: np.zeros(x.shape[:-1] + (1, 1, 1)))
     with pytest.raises(DomainExitError):
         cp.equidistant_seed(g, f, 0.5, [1.0], [-1.0])
 
 
 def test_seed_requires_minimum():
-    g = euclidean(1)
-    f = mf.ScalarPotential(lambda x: float(x[0]),
-                           gradient=lambda x: np.ones(1))
+    g, _ = fixtures.euclidean_quadratic(1)
+    f = mf.ScalarPotential(lambda x: x[..., 0], gradient=np.ones_like)
     with pytest.raises(MissingMinimumError):
         cp.equidistant_seed(g, f, 1.0, [1.0], [-1.0])
 
 
 def test_pair_validation():
-    f = quadratic(2)
+    _, f = fixtures.euclidean_quadratic(2)
     bad = cp.EquidistantPair(np.array([1.0, 0.0]), np.array([0.5, 0.0]), 0.5)
     with pytest.raises(NonEquidistantError):
         bad.validate(f)
@@ -132,7 +95,7 @@ def test_pair_validation():
 
 
 def test_compare_symmetric_is_inconclusive():
-    g, f = euclidean(2), quadratic(2)
+    g, f = fixtures.euclidean_quadratic(2)
     pair = cp.equidistant_seed(g, f, 0.5, [1.0, 0.0], [0.0, 1.0])
     report = cp.compare(g, f, 0.0, pair, 8.0)
     assert report.verdict == cp.INCONCLUSIVE
@@ -141,7 +104,7 @@ def test_compare_symmetric_is_inconclusive():
 
 
 def test_compare_identical_seeds():
-    g, f = euclidean(2), quadratic(2)
+    g, f = fixtures.euclidean_quadratic(2)
     pair = cp.EquidistantPair(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 0.5)
     report = cp.compare(g, f, 0.0, pair, 5.0)
     assert np.all(report.delta_f == 0.0)
@@ -203,7 +166,7 @@ def test_compare_rejects_a_pointwise_only_model():
     pair = cp.equidistant_seed(g, f, 0.5, [1.0, 0.0], [0.0, 1.0])
     with pytest.raises(ClosureShapeError):
         cp.compare(g, f, 0.0, pair, 8.0)
-    f_ok = quadratic(2)
+    _, f_ok = fixtures.euclidean_quadratic(2)
     with pytest.raises(ClosureShapeError):
         cp.compare(g, f_ok, 0.0, pair, 8.0)
 
@@ -325,7 +288,7 @@ def test_compare_metric_inverse_calls_are_bounded(monkeypatch):
 
 
 def test_symmetry_check_distance_squared():
-    g, f = euclidean(2), quadratic(2)
+    g, f = fixtures.euclidean_quadratic(2)
     pair = cp.equidistant_seed(g, f, 0.5, [1.0, 0.0], [0.0, 1.0])
     assert cp.metric_symmetry_check(g, f, pair, 8.0)
 
@@ -336,6 +299,6 @@ def test_symmetry_check_mode_fails():
 
 
 def test_symmetry_check_equal_seeds():
-    g, f = euclidean(2), quadratic(2)
+    g, f = fixtures.euclidean_quadratic(2)
     pair = cp.EquidistantPair(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 0.5)
     assert cp.metric_symmetry_check(g, f, pair, 5.0)

@@ -181,11 +181,6 @@ def test_potential_vanishes_at_equilibrium():
     assert gc.potential_F(sp, gc.ModeState(sp.a_star)) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_fisher_block_frozen_values():
-    assert gc.fisher_block(gc.ModeState([1.0, 2.0]), 0) == pytest.approx(0.5)
-    assert gc.fisher_block(gc.ModeState([1.0, 2.0]), 1) == pytest.approx(0.125)
-
-
 def test_rhs_is_minus_fisher_gradient():
     # ode_rhs must equal -g^{-1} dF/da, blockwise, at random states
     rng = np.random.default_rng(7)

@@ -17,8 +17,8 @@ from geoflow.errors import (
     StepSizeWarning,
 )
 
-# frozen by hand: g(a) = 1/(2 a^2) on the half-line has
-#   g^{-1}(2) = 8,  Gamma(a) = -1/a
+# frozen by hand: the Fisher metric g(a) = 1/(2 a^2) of the gaussian-mode
+# fixture has g^{-1}(2) = 8,  Gamma(a) = -1/a
 FISHER_INV_AT_2 = 8.0
 FISHER_GAMMA_AT_2 = -0.5
 
@@ -28,68 +28,21 @@ SPHERE_G_THPHPH = -0.5
 SPHERE_G_PHTHPH = 1.0
 
 
-def halfline_chart():
-    return mf.Chart(1, domain_check=lambda x: x[0] > 0.0, name="halfline")
+# integrate_flow evaluates the field on point stacks, so every model
+# below broadcasts over leading axes
 
 
 def fisher_1d():
-    chart = halfline_chart()
-    return mf.MetricField(
-        chart,
-        lambda x: np.array([[1.0 / (2.0 * x[0] ** 2)]]),
-        partials=lambda x: np.array([[[-1.0 / x[0] ** 3]]]),
-    )
-
-
-def sphere_chart():
-    return mf.Chart(2, domain_check=lambda x: 0.05 < x[0] < np.pi - 0.05,
-                    name="sphere-polar")
-
-
-# integrate_flow evaluates the field on point stacks, so the models below
-# broadcast over leading axes
+    return fixtures.gaussian_mode()[0]
 
 
 def sphere_metric(analytic=True):
-    chart = sphere_chart()
-
-    def matrix(x):
-        m = np.zeros(x.shape[:-1] + (2, 2))
-        m[..., 0, 0] = 1.0
-        m[..., 1, 1] = np.sin(x[..., 0]) ** 2
-        return m
-
-    def partials(x):
-        d = np.zeros((2, 2, 2))
-        d[0, 1, 1] = 2.0 * np.sin(x[0]) * np.cos(x[0])
-        return d
-
-    return mf.MetricField(chart, matrix, partials=partials if analytic else None)
-
-
-def sphere_height():
-    """1 + cos(theta) on the sphere chart."""
-    def grad(x):
-        d = np.zeros(x.shape)
-        d[..., 0] = -np.sin(x[..., 0])
-        return d
-
-    return mf.ScalarPotential(lambda x: 1.0 + np.cos(x[..., 0]), gradient=grad)
+    g = fixtures.sphere_height()[0]
+    return g if analytic else mf.MetricField(g.chart, g)
 
 
 def euclidean(dim):
-    eye = np.eye(dim)
-    return mf.MetricField(mf.Chart(dim),
-                          lambda x: np.zeros(x.shape[:-1] + eye.shape) + eye,
-                          partials=lambda x: np.zeros((dim, dim, dim)))
-
-
-def quadratic_potential(dim):
-    return mf.ScalarPotential(
-        lambda x: 0.5 * (x * x).sum(axis=-1),
-        gradient=lambda x: np.asarray(x, dtype=float),
-        minimum_q=np.zeros(dim),
-    )
+    return fixtures.euclidean_quadratic(dim)[0]
 
 
 # ---------------------------------------------------------------- inverse
@@ -137,15 +90,14 @@ def test_positive_definite_check():
 def test_gradient_raises_index():
     # grad f = g^{ij} d_j f; on the 1-d Fisher chart this is 2 a^2 f'
     g = fisher_1d()
-    f = mf.ScalarPotential(lambda x: x[0], gradient=lambda x: np.array([1.0]))
+    f = mf.ScalarPotential(lambda x: x[..., 0], gradient=np.ones_like)
     assert_allclose(mf.gradient(g, f, np.array([2.0])), [8.0], rtol=1e-14)
     assert_allclose(mf.grad_norm_sq(g, f, np.array([2.0])), 8.0, rtol=1e-14)
 
 
 def test_gradient_fd_fallback_matches_analytic():
-    g = euclidean(3)
-    f_exact = quadratic_potential(3)
-    f_fd = mf.ScalarPotential(lambda x: 0.5 * float(x @ x))
+    g, f_exact = fixtures.euclidean_quadratic(3)
+    f_fd = mf.ScalarPotential(lambda x: 0.5 * (x * x).sum(axis=-1))
     x = np.array([0.3, -1.2, 0.7])
     assert_allclose(mf.gradient(g, f_fd, x), mf.gradient(g, f_exact, x),
                     atol=1e-9)
@@ -228,8 +180,8 @@ def test_geodesic_speed_is_constant():
 
 def test_geodesic_domain_exit():
     chart = mf.Chart(1, domain_check=lambda x: x[0] < 1.0)
-    g = mf.MetricField(chart, lambda x: np.eye(1),
-                       partials=lambda x: np.zeros((1, 1, 1)))
+    g = mf.MetricField(chart, lambda x: np.ones(x.shape[:-1] + (1, 1)),
+                       partials=lambda x: np.zeros(x.shape[:-1] + (1, 1, 1)))
     conn = mf.levi_civita_connection(g)
     traj = mf.integrate_geodesic(conn, [0.0], [1.0], 5.0)
     assert traj.exited_domain
@@ -257,8 +209,7 @@ def test_trajectory_rejects_out_of_span():
 
 
 def test_flow_euclidean_exponential_decay():
-    g = euclidean(2)
-    f = quadratic_potential(2)
+    g, f = fixtures.euclidean_quadratic(2)
     traj = mf.integrate_flow(g, f, [1.0, -2.0], 2.0)
     assert_allclose(traj.position(2.0), np.array([1.0, -2.0]) * np.exp(-2.0),
                     atol=1e-9)
@@ -267,8 +218,7 @@ def test_flow_euclidean_exponential_decay():
 
 def test_flow_energy_identity():
     # d/dt f(x(t)) = -|grad f|_g^2 along the flow
-    g = sphere_metric()
-    f = sphere_height()
+    g, f = fixtures.sphere_height()
     traj = mf.integrate_flow(g, f, [2.0, 0.5], 1.0)
     from geoflow import numdiff
     for t in (0.25, 0.5, 0.75):
@@ -278,8 +228,7 @@ def test_flow_energy_identity():
 
 
 def test_flow_stop_grad_norm():
-    g = euclidean(2)
-    f = quadratic_potential(2)
+    g, f = fixtures.euclidean_quadratic(2)
     traj = mf.integrate_flow(g, f, [1.0, 1.0], 50.0, stop_grad_norm=1e-4)
     assert traj.converged
     assert traj.ts[-1] < 50.0
@@ -289,7 +238,7 @@ def test_flow_stop_grad_norm():
 def test_flow_nonconvergence_detected():
     # concave potential: the flow runs away and the gradient norm grows
     g = euclidean(1)
-    f = mf.ScalarPotential(lambda x: -0.5 * float(x @ x),
+    f = mf.ScalarPotential(lambda x: -0.5 * (x * x).sum(axis=-1),
                            gradient=lambda x: -np.asarray(x, dtype=float))
     with pytest.raises(NonConvergenceError):
         mf.integrate_flow(g, f, [1.0], 60.0)
@@ -306,12 +255,17 @@ def _stack_models():
                                                (9, sp.n_modes)))
     plane_pts = np.column_stack([rng.uniform(-1.0, 1.0, 9),
                                  rng.uniform(0.2, 4.0, 9)])
+    sphere_g, sphere_f = fixtures.sphere_height()
     models = [
         ("euclidean-quadratic", *fixtures.euclidean_quadratic(3),
          rng.uniform(-2.0, 2.0, (9, 3))),
         ("gaussian-mode", *fixtures.gaussian_mode(), rng.uniform(0.2, 5.0, (9, 1))),
         ("two-mode", *fixtures.two_mode_chain(), rng.uniform(0.3, 4.0, (9, 2))),
-        ("sphere", *fixtures.sphere_height(),
+        ("sphere", sphere_g, sphere_f,
+         np.column_stack([rng.uniform(0.3, 2.8, 9), rng.uniform(0.0, 6.0, 9)])),
+        # the same metric with its partials by finite differences
+        ("sphere-fd-partials", mf.MetricField(sphere_g.chart, sphere_g),
+         sphere_f,
          np.column_stack([rng.uniform(0.3, 2.8, 9), rng.uniform(0.0, 6.0, 9)])),
         ("hessian-exp", *fixtures.hessian_exp(), rng.uniform(-1.5, 1.5, (9, 1))),
         ("distance-squared", fixtures.euclidean_quadratic(2)[0],
@@ -334,9 +288,11 @@ def _stack_models():
 def test_metric_and_potential_evaluate_point_stacks(g, f, pts):
     assert all(g.chart.contains(x) for x in pts)
     dim = g.chart.dim
-    gs, fs = g(pts), f(pts)
+    gs, fs, ds = g(pts), f(pts), g.partials(pts)
     assert gs.shape == (len(pts), dim, dim) and fs.shape == (len(pts),)
+    assert ds.shape == (len(pts), dim, dim, dim)
     assert_array_equal(gs, np.stack([g(x) for x in pts]))
+    assert_array_equal(ds, np.stack([g.partials(x) for x in pts]))
     assert_array_equal(fs, [f(x) for x in pts])
     assert all(isinstance(f(x), float) for x in pts)
 
@@ -374,6 +330,14 @@ def test_non_broadcasting_closure_raises_typed_error():
         g(pts)
     with pytest.raises(ClosureShapeError):
         f(pts)
+    # a broadcasting matrix with partials written for one point
+    flat = mf.MetricField(mf.Chart(2), euclidean(2),
+                          partials=lambda x: np.zeros((2, 2, 2)))
+    assert flat.partials(pts[0]).shape == (2, 2, 2)
+    with pytest.raises(ClosureShapeError):
+        flat.partials(pts)
+    with pytest.raises(ClosureShapeError):
+        mf.christoffel_levi_civita(flat, pts)
 
 
 # --------------------------------------------------------- array-t queries
@@ -381,7 +345,7 @@ def test_non_broadcasting_closure_raises_typed_error():
 
 def _trajectories():
     """kind -> (trajectory, g, f) with the model the trajectory lives on."""
-    g_sphere, f_sphere = sphere_metric(), sphere_height()
+    g_sphere, f_sphere = fixtures.sphere_height()
     sphere = mf.levi_civita_connection(g_sphere)
     sp = gc.spectrum(gc.ChainSpec(4))
     return {
@@ -414,8 +378,13 @@ def test_array_queries_match_scalar_queries(kind):
         assert_allclose(got, stacked, rtol=1e-14, atol=0.0)
     # the evaluators along the curve: a point stack, and an array of t
     xs = traj.position(ts)
-    for at in (lambda x: mf.metric_inverse(g, x),
-               lambda x: mf.gradient(g, f, x)):
+    evaluators = [lambda x: mf.metric_inverse(g, x),
+                  lambda x: mf.gradient(g, f, x),
+                  g.partials,
+                  lambda x: mf.christoffel_levi_civita(g, x)]
+    if kind.endswith("flow"):   # off the critical set
+        evaluators.append(lambda x: st.straightening_coeffs(g, f, 1.0, x))
+    for at in evaluators:
         assert_allclose(at(xs), np.stack([at(x) for x in xs]),
                         rtol=1e-14, atol=0.0)
     if t1 > t0:
