@@ -108,6 +108,29 @@ def _resolve(args, cfg, section: str, key: str, default, cast):
     return default
 
 
+def _check_config_keys(cfg, owned: dict[str, set[str]]) -> None:
+    """Raise ConfigError for a config key that no subcommand reads.
+
+    ``owned`` maps each subcommand to the keys it resolves.  A
+    subcommand's section accepts only its own keys; ``[run]``, which
+    every subcommand falls back to, and configparser's ``[DEFAULT]``
+    accept the keys of any of them.
+    """
+    shared = set().union(*owned.values())
+    owned = {**owned, "run": shared, cfg.default_section: shared}
+    defaults = set(cfg.defaults())
+    for sec in [cfg.default_section, *cfg.sections()]:
+        if sec not in owned:
+            raise ConfigError(f"[{sec}]: unknown section; expected one of "
+                              + ", ".join(f"[{s}]" for s in owned))
+        keys = (defaults if sec == cfg.default_section
+                else set(cfg.options(sec)) - defaults)
+        unread = sorted(keys - owned[sec])
+        if unread:
+            raise ConfigError(f"[{sec}] {unread[0]}: unknown key; [{sec}] "
+                              "reads " + ", ".join(sorted(owned[sec])))
+
+
 def _out(args, cfg, section: str) -> str:
     return _resolve(args, cfg, section, "out", "geoflow-out", str)
 
@@ -390,6 +413,10 @@ def _build_parser() -> _Parser:
     p_curv.add_argument("--grid-points", dest="grid_points", type=int,
                         help="grid size (default 25)")
     p_curv.set_defaults(func=cmd_curvature)
+    # a subcommand resolves exactly its own flags from a config file
+    parser.config_keys = {
+        name: {a.dest for a in p._actions} - {"help", "config"}
+        for name, p in sub.choices.items()}
     return parser
 
 
@@ -399,6 +426,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(_attach_vector_values(
             sys.argv[1:] if argv is None else list(argv)))
         cfg = _load_config(args.config) if args.config else None
+        if cfg is not None:
+            _check_config_keys(cfg, parser.config_keys)
         return args.func(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -197,8 +197,11 @@ class ChainTrajectory:
         return 0.0, float(self.ts[-1])
 
     def _speed(self, t: float) -> float:
-        a = self.position(t)
-        return float(np.sqrt(np.sum(self.velocity(t) ** 2 / (2.0 * a ** 2))))
+        # position and velocity at one t in the span, sharing one exp
+        decay = np.exp(-(t * self._rate))
+        a = self._a_star + self._d0 * decay
+        v = -self._rate * self._d0 * decay
+        return float(np.sqrt(np.sum(v ** 2 / (2.0 * a ** 2))))
 
     def _decay(self, t) -> np.ndarray:
         return np.exp(-np.multiply.outer(span_times(t, self.span),

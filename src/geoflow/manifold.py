@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import RK45, OdeSolution
+from scipy.integrate import RK45
 
 from . import numdiff
 from .errors import (
@@ -251,24 +251,34 @@ class AffineConnection:
 def metric_inverse(g: MetricField, x: np.ndarray) -> np.ndarray:
     """Inverse metric components g^{ij} at a point or a stack of points.
 
-    The condition number is s_max / s_min from one singular-value call,
-    the definition ``np.linalg.cond`` uses, checked without dividing.
+    One singular value decomposition g = U diag(s) V^T per point gives
+    both the condition number s_max / s_min, the definition
+    ``np.linalg.cond`` uses, checked without dividing, and the inverse
+    V diag(1/s) U^T.
 
     Raises
     ------
     SingularMatrixError
-        If the condition number at any point exceeds 1e12.
+        If the condition number at any point exceeds 1e12, or a component
+        is not finite.
     """
     m = g(x)
-    s = np.linalg.svd(m, compute_uv=False)
-    # false for nan and for s_min = 0, i.e. an infinite condition number
+    try:
+        u, s, vh = np.linalg.svd(m)
+    except np.linalg.LinAlgError as exc:
+        # LAPACK's SVD fails on nan and inf components
+        finite = np.isfinite(m).all(axis=(-2, -1))
+        i = np.unravel_index(np.argmin(finite), finite.shape)
+        raise SingularMatrixError(
+            f"metric at {np.asarray(x)[i]} has no inverse: {exc}") from exc
+    # false for s_min = 0, i.e. an infinite condition number
     ok = (s[..., 0] <= COND_LIMIT * s[..., -1]) & (s[..., -1] > 0.0)
     if not ok.all():
         i = np.unravel_index(np.argmin(ok), ok.shape)
         cond = s[i][0] / s[i][-1] if s[i][-1] > 0.0 else np.inf
         raise SingularMatrixError(
             f"metric at {np.asarray(x)[i]} has condition number {cond:.3e}")
-    return np.linalg.inv(m)
+    return vh.swapaxes(-1, -2) / s[..., None, :] @ u.swapaxes(-1, -2)
 
 
 def gradient(g: MetricField, f: ScalarPotential, x: np.ndarray) -> np.ndarray:
@@ -351,9 +361,12 @@ class Trajectory:
     """Integrated curve with dense output.
 
     Samples are the accepted integrator steps; between them, position (and
-    velocity, for second-order states) comes from the integrator's own
-    per-step interpolants, joined in a :class:`scipy.integrate.OdeSolution`,
-    so dense queries carry the integration tolerance.
+    velocity, for second-order states) comes from RK45's own quartic
+    interpolant on each step, so dense queries carry the integration
+    tolerance.  The steps' interpolant data are stacked once, and a query
+    at any number of times is one vectorized evaluation: a time on a step
+    boundary takes the earlier step, as in
+    :class:`scipy.integrate.OdeSolution`.
 
     ``position``, ``velocity`` and ``acceleration`` take a scalar t, giving
     shape ``(dim,)``, or a 1-D array of n times, giving ``(n, dim)``.  A
@@ -372,13 +385,15 @@ class Trajectory:
         True when a stop condition (gradient-norm threshold) fired.
     """
 
-    def __init__(self, ts, xs, vs, dense: OdeSolution | None, dim: int,
+    def __init__(self, ts, xs, vs, dense: tuple | None, dim: int,
                  velocity_field: Callable[[np.ndarray], np.ndarray] | None = None,
                  exited_domain: bool = False, converged: bool = False):
         self.ts = np.asarray(ts, dtype=float)
         self.xs = np.asarray(xs, dtype=float)
         self.vs = np.asarray(vs, dtype=float)
-        self._dense = dense                # None when no step was accepted
+        # (t_old, h, y_old, Q) of the steps from :func:`_integrate`, or None
+        # when no step of positive length was taken
+        self._dense = dense
         self._dim = dim
         self._velocity_field = velocity_field
         self.exited_domain = exited_domain
@@ -393,7 +408,14 @@ class Trajectory:
         if self._dense is None:
             y0 = np.concatenate([self.xs[0], self.vs[0]])
             return np.broadcast_to(y0, np.shape(t) + y0.shape).copy()
-        return self._dense(t).T
+        t_old, h, y_old, q = self._dense
+        i = np.clip(np.searchsorted(self.ts, t, side="left") - 1,
+                    0, h.size - 1)
+        x = ((t - t_old[i]) / h[i])[..., None]
+        # the powers x, x^2, x^3, x^4 of the step fraction
+        p = np.cumprod(np.repeat(x, q.shape[-1], axis=-1), axis=-1)
+        y = np.einsum("...ij,...j->...i", q[i], p)
+        return h[i][..., None] * y + y_old[i]
 
     def position(self, t) -> np.ndarray:
         return self._state(t)[..., : self._dim]
@@ -418,11 +440,16 @@ def _integrate(rhs, y0, t_end, tol, *, in_domain, grad_monitor=None,
                stop_below=None, max_step=np.inf):
     """Drive scipy's RK45 step by step; collect dense output and flags.
 
+    The dense output stacks each step's interpolant data,
+    ``(t_old, h, y_old, Q)`` with shapes ``(steps,)``, ``(steps,)``,
+    ``(steps, n)`` and ``(steps, n, 4)``, for :class:`Trajectory`.
+
     ``grad_monitor(y, dy)`` gets each accepted state with the RHS there
     (RK45's first-same-as-last stage, so it costs no evaluation) and
     returns the gradient norm; integration stops, flagged converged, once
     it falls below ``stop_below``.  The dense output is ``None`` when no
-    step was accepted.
+    step of positive length was accepted: RK45's only zero-length step,
+    at ``t_end == 0``, keeps the initial state.
     """
     y0 = np.asarray(y0, dtype=float)
     solver = RK45(rhs, 0.0, y0, t_bound=float(t_end), rtol=tol, atol=tol,
@@ -441,7 +468,8 @@ def _integrate(rhs, y0, t_end, tol, *, in_domain, grad_monitor=None,
         if not in_domain(solver.y):
             exited = True
             break
-        steps.append(solver.dense_output())
+        if solver.t != solver.t_old:    # zero-length only at t_end == 0
+            steps.append(solver.dense_output())
         ts.append(solver.t)
         ys.append(solver.y.copy())
         if grad_monitor is None:
@@ -460,7 +488,12 @@ def _integrate(rhs, y0, t_end, tol, *, in_domain, grad_monitor=None,
                     f"window of {_MONITOR_WINDOW} steps")
             prev_window_min = wmin
             window = []
-    dense = OdeSolution(ts, steps) if steps else None
+    dense = None
+    if steps:
+        dense = (np.array([s.t_old for s in steps]),
+                 np.array([s.h for s in steps]),
+                 np.stack([s.y_old for s in steps]),
+                 np.stack([s.Q for s in steps]))
     return np.array(ts), np.array(ys), dense, exited, converged
 
 

@@ -102,6 +102,24 @@ def test_chain_config_file_and_flag_precedence(tmp_path, capsys):
     assert ResultBundle.read(tmp_path / "flagged").config["n_beads"] == 3
 
 
+def test_config_keys_nothing_reads_are_rejected(tmp_path, capsys):
+    # a misspelt key, a key another subcommand owns, a section no
+    # subcommand has: each exits 1 naming the section and the key
+    cases = {"[chain]\nn_bead = 4\n": "[chain] n_bead",
+             "[chain]\ntol = 1e-8\n": "[chain] tol",
+             "[compare]\nseed = 3\n": "[compare] seed",
+             "[run]\nn_bead = 4\n": "[run] n_bead",
+             "[chains]\nn_beads = 4\n": "[chains]"}
+    ini = tmp_path / "bad.ini"
+    for body, named in cases.items():
+        ini.write_text(body)
+        code, stdout, err = run(["chain", "--config", str(ini),
+                                 "--out", str(tmp_path / "nope")], capsys)
+        assert code == 1 and stdout == ""
+        assert "config error" in err and named in err
+    assert not (tmp_path / "nope").exists()
+
+
 def test_malformed_config_is_line_anchored(tmp_path, capsys):
     ini = tmp_path / "broken.ini"
     ini.write_text("[chain\nn_beads = 4\n")

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.integrate import OdeSolution
+from scipy.integrate._ivp.rk import RkDenseOutput
 
+from geoflow import comparison as cp
 from geoflow import fixtures
 from geoflow import gaussian_chain as gc
 from geoflow import manifold as mf
@@ -76,6 +79,51 @@ def test_metric_inverse_rejects_a_singular_point_in_a_stack():
         pts[1, 0] = bad
         with pytest.raises(SingularMatrixError):
             mf.metric_inverse(g, pts)
+
+
+def _spd_stack(rng, dim, size=40, max_cond=1e8):
+    """Random SPD matrices, log-uniform in condition number, and their
+    condition numbers."""
+    q, _ = np.linalg.qr(rng.standard_normal((size, dim, dim)))
+    log_cond = rng.uniform(0.0, np.log(max_cond), (size, 1))
+    eig = (np.exp(np.linspace(0.0, 1.0, dim) * log_cond)
+           * rng.uniform(0.1, 10.0, (size, 1)))
+    m = (q * eig[:, None, :]) @ np.swapaxes(q, -1, -2)
+    return 0.5 * (m + np.swapaxes(m, -1, -2)), eig[:, -1] / eig[:, 0]
+
+
+def _constant_metric(m):
+    def matrix(x):
+        return np.broadcast_to(m, x.shape[:-1] + m.shape[-2:])
+
+    return mf.MetricField(mf.Chart(m.shape[-1]), matrix)
+
+
+@pytest.mark.parametrize("dim", range(1, 12))
+def test_metric_inverse_matches_lapack_inverse(dim):
+    # each inverse carries a forward error of order cond * eps, so the two
+    # are held together relative to the condition number
+    m, cond = _spd_stack(np.random.default_rng([7, dim]), dim)
+    got = mf.metric_inverse(_constant_metric(m), np.zeros((len(m), dim)))
+    want = np.linalg.inv(m)
+    err = (np.abs(got - want).max(axis=(-2, -1))
+           / np.abs(want).max(axis=(-2, -1)))
+    assert np.all(err <= 1e-14 * cond)
+    small = cond <= 1e2
+    assert np.all(err[small] <= 1e-12)
+
+
+def test_metric_inverse_rejects_ill_conditioned_zero_and_nan():
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+    ill = (q * np.array([1.0, 1e-6, 1e-13])) @ q.T
+    nan = np.eye(3)
+    nan[1, 2] = np.nan
+    for m in (ill, np.zeros((3, 3)), nan):
+        g = _constant_metric(m)
+        with pytest.raises(SingularMatrixError):
+            mf.metric_inverse(g, np.zeros(3))
+        with pytest.raises(SingularMatrixError):
+            mf.metric_inverse(g, np.zeros((4, 3)))
 
 
 def test_positive_definite_check():
@@ -397,3 +445,101 @@ def test_array_queries_match_scalar_queries(kind):
         for query in queries:
             with pytest.raises(OutOfSpanError):
                 query(np.array(bad))
+
+
+# ---------------------------------------------------------- dense output
+
+
+def _recording_rk45(monkeypatch):
+    """Patch RK45 so the per-step interpolants it hands out are kept."""
+    steps = []
+
+    class Recorded(mf.RK45):
+        def dense_output(self):
+            steps.append(super().dense_output())
+            return steps[-1]
+
+    monkeypatch.setattr(mf, "RK45", Recorded)
+    return steps
+
+
+@pytest.mark.parametrize("kind", ["flow", "geodesic"])
+def test_stacked_dense_output_matches_scipy_ode_solution(kind, monkeypatch):
+    # scipy's own OdeSolution over the integrator's own interpolants is the
+    # oracle, queried between steps, at every step time and at both ends;
+    # at 1e-14 both boundary rules pass, so the next test pins that rule
+    steps = _recording_rk45(monkeypatch)
+    g, f = fixtures.sphere_height()
+    if kind == "flow":
+        traj = mf.integrate_flow(g, f, [2.0, 0.5], 1.0)
+    else:
+        traj = mf.integrate_geodesic(mf.levi_civita_connection(g),
+                                     [1.1, 0.2], [0.3, 0.8], 1.0)
+    oracle = OdeSolution(traj.ts, steps)
+    assert len(steps) == len(traj.ts) - 1 > 5
+    t0, t1 = traj.span
+    ts = np.concatenate([np.random.default_rng(5).uniform(t0, t1, 1000),
+                         traj.ts, [t0, t1]])
+    want = oracle(ts).T
+    got = traj._state(ts)
+    assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+    for t in ts[::50]:
+        assert np.abs(traj._state(t) - oracle(t)).max() \
+            <= 1e-14 * max(1.0, np.abs(oracle(t)).max())
+
+
+def test_stacked_dense_output_takes_the_earlier_step_at_a_boundary():
+    # interpolants that jump at every step boundary, with integer data so
+    # that any summation order gives the same bits
+    ts = np.array([0.0, 1.0, 3.0, 4.0])
+    h = np.diff(ts)
+    y_old = np.array([[0.0, 1.0], [10.0, 11.0], [20.0, 21.0]])
+    q = np.arange(24.0).reshape(3, 2, 4) - 12.0
+    traj = mf.Trajectory(ts, y_old[[0, 1, 2, 2]], np.zeros((4, 2)),
+                         (ts[:-1], h, y_old, q), 2)
+    oracle = OdeSolution(ts, [RkDenseOutput(t0, t0 + dt, y, qq)
+                              for t0, dt, y, qq in zip(ts, h, y_old, q)])
+    at = np.concatenate([ts, [0.5, 2.0, 3.5]])
+    assert_array_equal(traj.position(at), oracle(at).T)
+    for t in at:
+        assert_array_equal(traj.position(t), oracle(t))
+
+
+def test_zero_length_and_zero_step_trajectories_keep_the_initial_state():
+    g, f = fixtures.sphere_height()
+    sphere = mf.levi_civita_connection(g)
+    # t_end = 0: RK45 takes one zero-length step
+    flow = mf.integrate_flow(g, f, [2.0, 0.5], 0.0)
+    geo = mf.integrate_geodesic(sphere, [1.1, 0.2], [0.3, 0.8], 0.0)
+    # the first step leaves the chart: no step is accepted
+    chart = mf.Chart(1, domain_check=lambda x: x[0] <= 1.0)
+    line = mf.MetricField(
+        chart, lambda x: np.ones(x.shape[:-1] + (1, 1)),
+        partials=lambda x: np.zeros(x.shape[:-1] + (1, 1, 1)))
+    exited = mf.integrate_geodesic(mf.levi_civita_connection(line), [1.0],
+                                   [1.0], 1.0)
+    assert exited.exited_domain and exited.ts.tolist() == [0.0]
+    for traj in (flow, geo, exited):
+        assert traj.span == (0.0, 0.0)
+        for t in (0.0, np.zeros(3)):
+            x = traj.position(t)
+            assert_array_equal(x, np.broadcast_to(traj.xs[0], x.shape))
+            v = traj.velocity(t)
+            assert_array_equal(v, np.broadcast_to(traj.vs[0], v.shape))
+
+
+def test_compare_makes_no_per_step_dense_output_calls(monkeypatch):
+    calls = []
+    per_step = RkDenseOutput._call_impl
+
+    def counted(self, t):
+        calls.append(1)
+        return per_step(self, t)
+
+    monkeypatch.setattr(RkDenseOutput, "_call_impl", counted)
+    g, f = fixtures.euclidean_quadratic()
+    d1, d2 = np.random.default_rng([1, 0]).standard_normal((2, 2))
+    pair = cp.equidistant_seed(g, f, 0.5, d1, d2)
+    rep = cp.compare(g, f, 0.0, pair, 12.0)
+    assert len(rep.traj1.ts) > 10 and len(rep.coincidence_times) > 0
+    assert calls == []
