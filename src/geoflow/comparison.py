@@ -187,10 +187,7 @@ def equidistant_seed(g: MetricField, f: ScalarPotential, c: float,
 
 def _speed(g: MetricField, traj: Trajectory, t):
     """Riemannian speed |xd|_g at a scalar t or over a 1-D array of t."""
-    x = traj.position(t)
-    v = traj.velocity(t)
-    return np.sqrt(np.maximum(
-        np.einsum("...i,...ij,...j->...", v, g(x), v), 0.0))
+    return g.norm(traj.position(t), traj.velocity(t))
 
 
 def bracketed_roots(fn, lo, hi, f_lo, f_hi) -> np.ndarray:

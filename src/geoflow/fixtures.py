@@ -37,9 +37,8 @@ __all__ = [
 
 def euclidean_quadratic(dim: int = 2) -> tuple[MetricField, ScalarPotential]:
     """Flat metric with the isotropic quadratic bowl f = |x|^2 / 2."""
-    eye = np.eye(dim)
     g = MetricField(Chart(dim, name="euclidean"),
-                    lambda x: np.zeros(x.shape[:-1] + eye.shape) + eye,
+                    diagonal=lambda x: np.ones(x.shape),
                     partials=lambda x: np.zeros(x.shape[:-1] + (dim,) * 3),
                     name="euclidean")
     f = ScalarPotential(lambda x: 0.5 * (x * x).sum(axis=-1),
@@ -70,11 +69,9 @@ def sphere_height() -> tuple[MetricField, ScalarPotential]:
     chart = Chart(2, domain_check=lambda x: 0.05 < x[0] < np.pi - 0.05,
                   name="sphere-polar")
 
-    def matrix(x):
-        m = np.zeros(x.shape[:-1] + (2, 2))
-        m[..., 0, 0] = 1.0
-        m[..., 1, 1] = np.sin(x[..., 0]) ** 2
-        return m
+    def diagonal(x):
+        return np.stack([np.ones(x.shape[:-1]), np.sin(x[..., 0]) ** 2],
+                        axis=-1)
 
     def partials(x):
         d = np.zeros(x.shape[:-1] + (2, 2, 2))
@@ -86,7 +83,8 @@ def sphere_height() -> tuple[MetricField, ScalarPotential]:
         d[..., 0] = -np.sin(x[..., 0])
         return d
 
-    g = MetricField(chart, matrix, partials=partials, name="sphere")
+    g = MetricField(chart, diagonal=diagonal, partials=partials,
+                    name="sphere")
     f = ScalarPotential(lambda x: 1.0 + np.cos(x[..., 0]), gradient=grad,
                         name="height")
     return g, f

@@ -305,10 +305,6 @@ def chain_manifold(spect: ModeSpectrum) -> tuple[MetricField, ScalarPotential]:
     """Variance chart with the diagonal Fisher metric and potential F."""
     n = spect.n_modes
     chart = _chain_chart(n)
-    eye = np.eye(n)
-
-    def matrix(a):
-        return (1.0 / (2.0 * a ** 2))[..., None] * eye
 
     def partials(a):
         d = np.zeros(a.shape[:-1] + (n, n, n))
@@ -316,7 +312,8 @@ def chain_manifold(spect: ModeSpectrum) -> tuple[MetricField, ScalarPotential]:
         d[..., idx, idx, idx] = -1.0 / a ** 3
         return d
 
-    g = MetricField(chart, matrix, partials=partials, name="fisher-variance")
+    g = MetricField(chart, diagonal=lambda a: 1.0 / (2.0 * a ** 2),
+                    partials=partials, name="fisher-variance")
 
     def grad(a):
         return spect.lambdas * (a - spect.a_star) / a ** 2
@@ -350,12 +347,9 @@ def mode_plane_manifold(spect: ModeSpectrum,
     astar = spect.a_star[k]
     chart = Chart(2, domain_check=lambda x: x[1] > 0.0, name="mode-plane")
 
-    def matrix(x):
+    def diagonal(x):
         a = x[..., 1]
-        m = np.zeros(x.shape[:-1] + (2, 2))
-        m[..., 0, 0] = 2.0 / a
-        m[..., 1, 1] = 1.0 / (2.0 * a ** 2)
-        return m
+        return np.stack([2.0 / a, 1.0 / (2.0 * a ** 2)], axis=-1)
 
     def partials(x):
         a = x[..., 1]
@@ -364,7 +358,8 @@ def mode_plane_manifold(spect: ModeSpectrum,
         d[..., 1, 1, 1] = -1.0 / a ** 3
         return d
 
-    g = MetricField(chart, matrix, partials=partials, name="fisher-mode-plane")
+    g = MetricField(chart, diagonal=diagonal, partials=partials,
+                    name="fisher-mode-plane")
 
     def value(x):
         r = astar / x[..., 1]

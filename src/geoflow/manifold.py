@@ -96,7 +96,7 @@ class MetricField:
     Parameters
     ----------
     chart : Chart
-    matrix : callable
+    matrix : callable, optional
         ``matrix(x) -> (..., dim, dim)`` array of components g_ij.  It
         broadcasts over leading axes: a point ``(dim,)`` gives one
         ``(dim, dim)`` matrix, a stack ``(n, dim)`` gives ``(n, dim, dim)``.
@@ -104,30 +104,61 @@ class MetricField:
         Analytic closure ``partials(x) -> (..., dim, dim, dim)`` with
         ``D[..., l, i, j] = d_l g_ij``.  It broadcasts like ``matrix``: a
         point gives ``(dim, dim, dim)``, a stack ``(n, dim, dim, dim)``.
-        When omitted, partials come from finite differences of ``matrix``.
+        When omitted, partials come from finite differences of the matrix.
     name : str
+    diagonal : callable, optional
+        Keyword-only, given in place of ``matrix`` for a metric that is
+        diagonal in the chart: ``diagonal(x) -> (..., dim)`` returns g_ii,
+        broadcasting like ``matrix``.  Calling the field still gives the
+        dense matrix, while :meth:`inner`, :meth:`lower`,
+        :func:`metric_inverse` and :func:`gradient` work on the diagonal
+        alone, in O(dim) per point with no LAPACK call, and the
+        Levi-Civita coefficients skip their O(dim^4) contraction.
 
-    Positive-definiteness is checked lazily via :meth:`check_positive_definite`
-    on fixture points, not on every evaluation.  Calling the field, or
-    :meth:`partials`, passes a point or a stack to its closure in one call
-    and raises :class:`~geoflow.errors.ClosureShapeError` when the result
-    does not have the shape above.
+    Exactly one of ``matrix`` and ``diagonal`` is given (``ValueError``
+    otherwise).  Positive-definiteness is checked lazily via
+    :meth:`check_positive_definite` on fixture points, not on every
+    evaluation.  Calling the field, :meth:`diagonal` or :meth:`partials`
+    passes a point or a stack to its closure in one call and raises
+    :class:`~geoflow.errors.ClosureShapeError` when the result does not
+    have the shape above.
     """
 
-    def __init__(self, chart: Chart, matrix: Callable[[np.ndarray], np.ndarray],
+    def __init__(self, chart: Chart,
+                 matrix: Callable[[np.ndarray], np.ndarray] | None = None,
                  partials: Callable[[np.ndarray], np.ndarray] | None = None,
-                 name: str = ""):
+                 name: str = "", *,
+                 diagonal: Callable[[np.ndarray], np.ndarray] | None = None):
+        if (matrix is None) == (diagonal is None):
+            raise ValueError("give a metric exactly one of matrix= and "
+                             "diagonal=")
         self.chart = chart
         self._matrix = matrix
+        self._diagonal = diagonal
         self._partials = partials
         self.name = name
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        if self._diagonal is not None:
+            return _diag_matrix(self.diagonal(x))
         x = np.asarray(x, dtype=float)
         m = np.asarray(self._matrix(x), dtype=float)
         dim = self.chart.dim
         _check_shape(m, x.shape[:-1] + (dim, dim), self.name or "metric")
         return m
+
+    @property
+    def is_diagonal(self) -> bool:
+        return self._diagonal is not None
+
+    def diagonal(self, x: np.ndarray) -> np.ndarray:
+        """The components g_ii, ``(..., dim)``, of a diagonal metric."""
+        if self._diagonal is None:
+            raise TypeError(f"metric {self.name!r} has no diagonal form")
+        x = np.asarray(x, dtype=float)
+        d = np.asarray(self._diagonal(x), dtype=float)
+        _check_shape(d, x.shape, f"{self.name or 'metric'} diagonal")
+        return d
 
     @property
     def has_analytic_partials(self) -> bool:
@@ -143,19 +174,43 @@ class MetricField:
                      f"{self.name or 'metric'} partials")
         return d
 
-    def check_positive_definite(self, points: Sequence[np.ndarray]) -> None:
-        """Raise if the metric is non-symmetric or not positive definite anywhere."""
-        for x in points:
-            m = self(x)
-            if not np.allclose(m, m.T, atol=1e-12):
-                raise ValueError(f"metric not symmetric at {x}")
-            if np.linalg.eigvalsh(m).min() <= 0.0:
-                raise ValueError(f"metric not positive definite at {x}")
+    def lower(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The covector g_ij v^j of a vector, or of a stack of vectors at x."""
+        if self._diagonal is not None:
+            return self.diagonal(x) * v
+        return np.einsum("...ij,...j->...i", self(x), v)
 
-    def norm(self, x: np.ndarray, v: np.ndarray) -> float:
-        """Riemannian norm of a tangent vector."""
-        v = np.asarray(v, dtype=float)
-        return float(np.sqrt(max(v @ self(x) @ v, 0.0)))
+    def inner(self, x: np.ndarray, u: np.ndarray,
+              v: np.ndarray) -> float | np.ndarray:
+        """g(u, v) = u^i g_ij v^j: a float at a point, ``(n,)`` on a stack."""
+        if self._diagonal is not None:
+            out = np.einsum("...i,...i,...i->...", u, self.diagonal(x), v)
+        else:
+            out = np.einsum("...i,...ij,...j->...", u, self(x), v)
+        return float(out) if out.ndim == 0 else out
+
+    def check_positive_definite(self, points: Sequence[np.ndarray]) -> None:
+        """Raise ``ValueError`` naming the first point at which the metric
+        is non-symmetric or not positive definite.
+
+        The points are evaluated as one stack; a diagonal metric is
+        positive definite where every g_ii > 0.
+        """
+        x = np.asarray(points, dtype=float)
+        if self._diagonal is not None:
+            _raise_at(~(self.diagonal(x) > 0.0).all(axis=-1), x,
+                      "metric not positive definite")
+            return
+        m = self(x)
+        _raise_at(~np.isclose(m, np.swapaxes(m, -1, -2),
+                              atol=1e-12).all(axis=(-2, -1)),
+                  x, "metric not symmetric")
+        _raise_at(~(np.linalg.eigvalsh(m).min(axis=-1) > 0.0), x,
+                  "metric not positive definite")
+
+    def norm(self, x: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+        """Riemannian norm of a tangent vector, or of a stack of them."""
+        return np.sqrt(np.maximum(self.inner(x, v, v), 0.0))
 
 
 class ScalarPotential:
@@ -228,6 +283,13 @@ def _check_shape(out: np.ndarray, want: tuple, name: str) -> None:
             "closures must broadcast over leading axes")
 
 
+def _raise_at(bad: np.ndarray, x: np.ndarray, message: str) -> None:
+    """ValueError naming the first point of x at which ``bad`` holds."""
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"{message} at {x[i]}")
+
+
 @dataclass(frozen=True)
 class AffineConnection:
     """Coefficient field Gamma^k_ij over a chart.
@@ -248,13 +310,59 @@ class AffineConnection:
         return np.asarray(self.coeffs(np.asarray(x, dtype=float)), dtype=float)
 
 
+def _check_condition(s_max, s_min, x: np.ndarray) -> None:
+    """Raise unless s_max <= 1e12 s_min at every point, with s_min > 0.
+
+    s_max and s_min are the largest and smallest singular values of the
+    metric, per point; the rule is checked without dividing, and it fails
+    for a zero or nan s_min, i.e. an infinite or undefined condition number.
+    """
+    ok = (s_max <= COND_LIMIT * s_min) & (s_min > 0.0)
+    if not ok.all():
+        i = np.unravel_index(np.argmin(ok), ok.shape)
+        cond = s_max[i] / s_min[i] if s_min[i] > 0.0 else np.inf
+        raise SingularMatrixError(
+            f"metric at {np.asarray(x)[i]} has condition number {cond:.3e}")
+
+
+def _inverse(g: MetricField, x: np.ndarray) -> np.ndarray:
+    """g^{-1} at x in g's own form: the ``(..., dim)`` reciprocals 1/g_ii
+    of a diagonal metric, else :func:`metric_inverse`'s matrix."""
+    if not g.is_diagonal:
+        return metric_inverse(g, x)
+    d = g.diagonal(x)
+    a = np.abs(d)
+    _check_condition(a.max(axis=-1), a.min(axis=-1), x)
+    return 1.0 / d
+
+
+def _raise_index(g: MetricField, ginv: np.ndarray,
+                 w: np.ndarray) -> np.ndarray:
+    """The vector g^{ij} w_j, from ``ginv`` in :func:`_inverse`'s form."""
+    if g.is_diagonal:
+        return ginv * w
+    return (ginv @ w[..., None])[..., 0]
+
+
+def _diag_matrix(d: np.ndarray) -> np.ndarray:
+    """The ``(..., n, n)`` matrices with diagonals ``d`` ``(..., n)``."""
+    n = d.shape[-1]
+    m = np.zeros(d.shape + (n,))
+    m[..., np.arange(n), np.arange(n)] = d
+    return m
+
+
 def metric_inverse(g: MetricField, x: np.ndarray) -> np.ndarray:
     """Inverse metric components g^{ij} at a point or a stack of points.
 
-    One singular value decomposition g = U diag(s) V^T per point gives
-    both the condition number s_max / s_min, the definition
-    ``np.linalg.cond`` uses, checked without dividing, and the inverse
-    V diag(1/s) U^T.
+    A diagonal metric inverts elementwise, g^{ii} = 1/g_ii, and its
+    condition number is max|g_ii| / min|g_ii|.  Any other metric takes
+    one singular value decomposition g = U diag(s) V^T per point: s
+    gives the condition number s_max / s_min, the definition
+    ``np.linalg.cond`` uses, and the factors give the inverse
+    V diag(1/s) U^T.  On diagonal matrices of up to 24 dimensions the two
+    routes agree to the bit; from 26 on, LAPACK's divide-and-conquer SVD
+    differs from 1/g_ii in the last bits.
 
     Raises
     ------
@@ -262,6 +370,8 @@ def metric_inverse(g: MetricField, x: np.ndarray) -> np.ndarray:
         If the condition number at any point exceeds 1e12, or a component
         is not finite.
     """
+    if g.is_diagonal:
+        return _diag_matrix(_inverse(g, x))
     m = g(x)
     try:
         u, s, vh = np.linalg.svd(m)
@@ -271,29 +381,28 @@ def metric_inverse(g: MetricField, x: np.ndarray) -> np.ndarray:
         i = np.unravel_index(np.argmin(finite), finite.shape)
         raise SingularMatrixError(
             f"metric at {np.asarray(x)[i]} has no inverse: {exc}") from exc
-    # false for s_min = 0, i.e. an infinite condition number
-    ok = (s[..., 0] <= COND_LIMIT * s[..., -1]) & (s[..., -1] > 0.0)
-    if not ok.all():
-        i = np.unravel_index(np.argmin(ok), ok.shape)
-        cond = s[i][0] / s[i][-1] if s[i][-1] > 0.0 else np.inf
-        raise SingularMatrixError(
-            f"metric at {np.asarray(x)[i]} has condition number {cond:.3e}")
+    _check_condition(s[..., 0], s[..., -1], x)
     return vh.swapaxes(-1, -2) / s[..., None, :] @ u.swapaxes(-1, -2)
 
 
 def gradient(g: MetricField, f: ScalarPotential, x: np.ndarray) -> np.ndarray:
     """Riemannian gradient g^{ij} d_j f, the unique vector with g(grad f, .) = df.
 
-    A stack of points gives the stack of gradients.
+    A stack of points gives the stack of gradients.  A diagonal metric
+    divides elementwise, as (1/g_ii) d_i f.
     """
     df = f.gradient_covector(x)
-    return (metric_inverse(g, x) @ df[..., None])[..., 0]
+    return _raise_index(g, _inverse(g, x), df)
 
 
-def grad_norm_sq(g: MetricField, f: ScalarPotential, x: np.ndarray) -> float:
-    """Squared Riemannian norm of grad f, i.e. d_i f g^{ij} d_j f."""
-    df = f.gradient_covector(x)
-    return float(df @ metric_inverse(g, x) @ df)
+def grad_norm_sq(g: MetricField, f: ScalarPotential,
+                 x: np.ndarray) -> float | np.ndarray:
+    """Squared Riemannian norm g(grad f, grad f) = d_i f g^{ij} d_j f.
+
+    A float at a point, ``(n,)`` on a stack of n points.
+    """
+    v = gradient(g, f, x)
+    return g.inner(x, v, v)
 
 
 def christoffel_levi_civita(g: MetricField, x: np.ndarray,
@@ -305,18 +414,24 @@ def christoffel_levi_civita(g: MetricField, x: np.ndarray,
     otherwise analytic partials are used when the metric has them, with the
     standard step policy as fallback.  A stack of points ``(n, dim)``
     gives ``(n, dim, dim, dim)``: the inverse metric and the partials each
-    come from one call.
+    come from one call.  A diagonal metric scales row k by 1/g_kk instead
+    of contracting with g^{kl}, so the contraction costs O(dim^3), not
+    O(dim^4), per point.
     """
     x = np.asarray(x, dtype=float)
-    ginv = metric_inverse(g, x)
+    ginv = _inverse(g, x)
     dg = g.partials(x) if step is None else _fd_partials(g, x, step)
-    return _levi_civita(ginv, dg)
+    return _levi_civita(g, ginv, dg)
 
 
-def _levi_civita(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Gamma^k_ij from g^{kl} and the partials ``D[..., l, i, j]``."""
+def _levi_civita(g: MetricField, ginv: np.ndarray,
+                 dg: np.ndarray) -> np.ndarray:
+    """Gamma^k_ij from g^{-1} in :func:`_inverse`'s form and the partials
+    ``D[..., l, i, j]``."""
     term = (dg + np.einsum("...jil->...ijl", dg)
             - np.einsum("...lij->...ijl", dg))
+    if g.is_diagonal:
+        return 0.5 * (ginv[..., :, None, None] * np.moveaxis(term, -1, -3))
     return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, term)
 
 

@@ -33,7 +33,9 @@ from .manifold import (
     MetricField,
     ScalarPotential,
     Trajectory,
+    _inverse,
     _levi_civita,
+    _raise_index,
     covariant_acceleration,
     gradient,
     levi_civita_connection,
@@ -72,22 +74,22 @@ def _field_step(g: MetricField, f: ScalarPotential) -> float:
 
 
 def _grad_and_norm(g: MetricField, f: ScalarPotential, x: np.ndarray):
-    """grad f, |grad f|^2, g and g^{-1} at a point or a stack.
+    """grad f, |grad f|^2 and g^{-1} (in the form of
+    :func:`~geoflow.manifold._inverse`) at a point or a stack.
 
     Raises :class:`~geoflow.errors.CriticalPointError` naming the first
     point of the stack that lies on the critical set.
     """
-    gm = g(x)
-    ginv = metric_inverse(g, x)
-    v = (ginv @ f.gradient_covector(x)[..., None])[..., 0]
-    nsq = (v[..., None, :] @ gm @ v[..., None])[..., 0, 0]
+    ginv = _inverse(g, x)
+    v = _raise_index(g, ginv, f.gradient_covector(x))
+    nsq = np.asarray(g.inner(x, v, v))
     critical = nsq <= EPS_GRAD ** 2
     if critical.any():
         i = np.unravel_index(np.argmax(critical), critical.shape)
         raise CriticalPointError(
             f"|grad f| = {np.sqrt(max(nsq[i], 0.0)):.3e} at {x[i]}: "
             "straightening undefined on the critical set")
-    return v, nsq, gm, ginv
+    return v, nsq, ginv
 
 
 def _straightening_parts(g: MetricField, f: ScalarPotential, lam: float,
@@ -98,10 +100,11 @@ def _straightening_parts(g: MetricField, f: ScalarPotential, lam: float,
     Jacobian (a finite-difference stencil of the gradient field) is the
     dominant cost.
     """
-    v, nsq, gm, ginv = _grad_and_norm(g, f, x)
+    v, nsq, ginv = _grad_and_norm(g, f, x)
+    gm = g(x)
     jac = numdiff.jacobian_fd(lambda y: gradient(g, f, y), x,
                               scale=_field_step(g, f))
-    lc = _levi_civita(ginv, g.partials(x))
+    lc = _levi_civita(g, ginv, g.partials(x))
     # |grad f|^2 Z = nabla^g_{grad f} grad f - lam grad f
     z = ((jac @ v[..., None])[..., 0]
          + np.einsum("...kij,...i,...j->...k", lc, v, v)
@@ -167,7 +170,7 @@ def pregeodesic_residual(g: MetricField, f: ScalarPotential, lam: float,
     gamma = lc - np.einsum("ij,k->kij", gm, z)
     acc = jac @ v + np.einsum("kij,i,j->k", gamma, v, v)
     defect = acc - lam * v
-    return float(np.sqrt(max(defect @ gm @ defect, 0.0) / nsq))
+    return float(np.sqrt(max(g.inner(x, defect, defect), 0.0) / nsq))
 
 
 def nonmetricity_tensor(conn: AffineConnection, g: MetricField,
@@ -203,7 +206,7 @@ def nonmetricity_cubic(g: MetricField, f: ScalarPotential, lam: float,
     """
     x = traj.position(t)
     v = traj.velocity(t)
-    gv = np.einsum("...ij,...j->...i", g(x), v)
+    gv = g.lower(x, v)
     acc = covariant_acceleration(levi_civita_connection(g), traj, t)
     c = 2.0 * (lam * np.einsum("...i,...i->...", gv, v)
                + np.einsum("...i,...i->...", gv, acc))
@@ -280,11 +283,7 @@ def projection_orthogonality(g: MetricField, f: ScalarPotential,
     u = np.asarray(p_hat, dtype=float)
     x = np.asarray(submanifold.embed(u), dtype=float)
     basis = submanifold.tangent_basis(u)
-    v, nsq, gm, _ = _grad_and_norm(g, f, x)
-    gv = gm @ v
-    worst = 0.0
-    for j in range(basis.shape[1]):
-        col = basis[:, j]
-        denom = np.sqrt(nsq * float(col @ gm @ col))
-        worst = max(worst, abs(float(gv @ col)) / denom)
-    return worst
+    v, nsq, _ = _grad_and_norm(g, f, x)
+    cols = basis.T
+    return float(np.max(np.abs(cols @ g.lower(x, v))
+                        / np.sqrt(nsq * g.inner(x, cols, cols))))

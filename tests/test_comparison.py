@@ -253,9 +253,11 @@ def test_bracketed_roots_raise_when_unfinished(monkeypatch):
 
 
 def test_compare_metric_inverse_calls_are_bounded(monkeypatch):
-    # deterministic work counters on the flat bowl: one inverse-metric call
-    # per RK45 evaluation plus one for the sample velocities, and a compare
-    # on finished curves that stays within a few calls per root
+    # deterministic work counters on the flat bowl through the dense
+    # route (the package bowl is diagonal and inverts nothing): one
+    # inverse-metric call per RK45 evaluation plus one for the sample
+    # velocities, and a compare on finished curves that stays within a
+    # few calls per root
     calls = []
     solvers = []
     inverse = mf.metric_inverse
@@ -272,6 +274,7 @@ def test_compare_metric_inverse_calls_are_bounded(monkeypatch):
     monkeypatch.setattr(mf, "metric_inverse", counted)
     monkeypatch.setattr(mf, "RK45", Recorded)
     g, f, pair = _flat_bowl()
+    g = mf.MetricField(g.chart, g, partials=g.partials)
     trajs = {}
     for x0 in (pair.x1_0, pair.x2_0):
         calls.clear()
@@ -282,6 +285,28 @@ def test_compare_metric_inverse_calls_are_bounded(monkeypatch):
     rep = cp.compare(g, f, 0.0, pair, 12.0, flow=lambda x0: trajs[id(x0)])
     assert len(rep.coincidence_times) > 200
     assert len(calls) <= 2 * len(rep.coincidence_times) + 16
+
+
+def test_diagonal_models_make_no_svd_calls(monkeypatch):
+    # deterministic counter: a diagonal metric inverts elementwise, so
+    # neither the flat bowl's flows and compare nor a chain race reaches
+    # LAPACK's SVD
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    g, f, pair = _flat_bowl()
+    rep = cp.compare(g, f, 0.0, pair, 12.0)
+    assert len(rep.coincidence_times) > 200
+    spec = gc.ChainSpec(12)
+    res = gc.universal_asymmetry_experiment(
+        spec, 2.0, 12.0 / gc.spectrum(spec).lambdas[0])
+    assert res.warming_faster and len(res.modes) == 11
+    assert calls == []
 
 
 # ---------------------------------------------------------------- symmetry

@@ -1,8 +1,14 @@
 """Core geometry: metrics, Christoffels, geodesics, gradient flows."""
 
+import re
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import (
+    assert_allclose,
+    assert_array_equal,
+    assert_array_max_ulp,
+)
 from scipy.integrate import OdeSolution
 from scipy.integrate._ivp.rk import RkDenseOutput
 
@@ -127,9 +133,124 @@ def test_metric_inverse_rejects_ill_conditioned_zero_and_nan():
 
 
 def test_positive_definite_check():
-    g = mf.MetricField(mf.Chart(2), lambda x: np.diag([1.0, -1.0]))
-    with pytest.raises(ValueError):
+    g = _constant_metric(np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError, match="not positive definite"):
         g.check_positive_definite([np.zeros(2)])
+    # on a stack, the error names the point; g = diag(x) is positive
+    # definite where both coordinates are positive
+    diag = mf.MetricField(mf.Chart(2), diagonal=lambda x: x.copy())
+    dense = mf.MetricField(mf.Chart(2), diag)
+    good = np.array([[1.0, 2.0], [0.5, 3.0], [3.0, 0.5]])
+    bad = good.copy()
+    bad[1, 1] = -3.0
+    for g in (diag, dense):
+        g.check_positive_definite(good)
+        g.check_positive_definite(good[0])
+        with pytest.raises(ValueError, match=re.escape(
+                f"not positive definite at {bad[1]}")):
+            g.check_positive_definite(bad)
+    skew = mf.MetricField(mf.Chart(2), lambda x: np.broadcast_to(
+        [[1.0, 0.5], [0.0, 1.0]], x.shape[:-1] + (2, 2)))
+    with pytest.raises(ValueError, match=re.escape(
+            f"not symmetric at {good[0]}")):
+        skew.check_positive_definite(good)
+
+
+# --------------------------------------------------------- diagonal metrics
+
+
+def _diagonal_models():
+    """(g, f, seeded points) for every package model with a diagonal metric."""
+    rng = np.random.default_rng(11)
+    models = [("euclidean-quadratic", *fixtures.euclidean_quadratic(3),
+               rng.uniform(-2.0, 2.0, (7, 3)))]
+    for n_beads in (3, 12):
+        sp = gc.spectrum(gc.ChainSpec(n_beads))
+        models.append((f"chain-{n_beads}", *gc.chain_manifold(sp),
+                       sp.a_star * np.exp(rng.uniform(
+                           np.log(0.25), np.log(4.0), (7, sp.n_modes)))))
+    sp = gc.spectrum(gc.ChainSpec(6))
+    models += [
+        ("mode-plane", *gc.mode_plane_manifold(sp, 2),
+         np.column_stack([rng.uniform(-1.0, 1.0, 7),
+                          rng.uniform(0.2, 4.0, 7)])),
+        ("sphere", *fixtures.sphere_height(),
+         np.column_stack([rng.uniform(0.3, 2.8, 7),
+                          rng.uniform(0.0, 6.0, 7)])),
+    ]
+    return [pytest.param(g, f, pts, id=name) for name, g, f, pts in models]
+
+
+@pytest.mark.parametrize("g,f,pts", _diagonal_models())
+def test_diagonal_route_matches_the_dense_route(g, f, pts):
+    # the same metric through its dense matrix, with the same partials, so
+    # only the inverse and the contractions take the other route
+    dense = mf.MetricField(g.chart, g, partials=g.partials)
+    assert g.is_diagonal and not dense.is_diagonal
+    u, v = np.random.default_rng(5).standard_normal((2,) + pts.shape)
+    for x, a, b in ((pts[0], u[0], v[0]), (pts, u, v)):
+        pairs = [
+            (g(x), dense(x)),
+            (mf.metric_inverse(g, x), mf.metric_inverse(dense, x)),
+            (mf.gradient(g, f, x), mf.gradient(dense, f, x)),
+            (g.inner(x, a, b), dense.inner(x, a, b)),
+            (g.lower(x, a), dense.lower(x, a)),
+            (mf.christoffel_levi_civita(g, x),
+             mf.christoffel_levi_civita(dense, x)),
+        ]
+        for got, want in pairs:
+            assert np.shape(got) == np.shape(want)
+            assert_array_max_ulp(got, want, maxulp=1)
+    assert isinstance(g.inner(pts[0], u[0], v[0]), float)
+
+
+def _constant_diagonal(d):
+    """A metric with the constant diagonals ``d`` on a stack of len(d)."""
+    d = np.asarray(d, dtype=float)
+    return mf.MetricField(
+        mf.Chart(d.shape[-1]),
+        diagonal=lambda x: np.broadcast_to(d, x.shape),
+        partials=lambda x: np.zeros(x.shape[:-1] + (d.shape[-1],) * 3))
+
+
+def test_diagonal_metric_rejects_ill_conditioned_zero_and_nan():
+    pts = np.arange(12.0).reshape(4, 3)
+    f = fixtures.distance_squared_potential(euclidean(3), np.zeros(3))
+    for bad in ([1.0, 1e-13, 1.0], [1.0, 0.0, 1.0], [1.0, np.nan, 1.0]):
+        d = np.tile([1.0, 2.0, 3.0], (4, 1))
+        d[2] = bad
+        g = _constant_diagonal(d)
+        for evaluate in (lambda x: mf.metric_inverse(g, x),
+                         lambda x: mf.gradient(g, f, x),
+                         lambda x: mf.christoffel_levi_civita(g, x)):
+            with pytest.raises(SingularMatrixError,
+                               match=re.escape(f"metric at {pts[2]}")):
+                evaluate(pts)
+    # the rule is the dense one: cond 1e12 passes
+    ok = _constant_diagonal(np.tile([1.0, 1e-12, 1.0], (4, 1)))
+    assert_array_equal(mf.metric_inverse(ok, pts)[:, 1, 1], 1e12)
+
+
+def test_diagonal_closure_shape_and_metric_form_are_checked():
+    pts = np.ones((4, 2))
+    square = mf.MetricField(mf.Chart(2),
+                            diagonal=lambda x: x[..., None] * np.eye(2))
+    single = mf.MetricField(mf.Chart(2), diagonal=lambda x: np.ones(2))
+    assert_array_equal(single(pts[0]), np.eye(2))
+    f = fixtures.distance_squared_potential(euclidean(2), np.zeros(2))
+    for g in (square, single):
+        for evaluate in (g, lambda x: mf.metric_inverse(g, x),
+                         lambda x: mf.gradient(g, f, x),
+                         lambda x: g.inner(x, x, x), lambda x: g.lower(x, x)):
+            with pytest.raises(ClosureShapeError):
+                evaluate(pts)
+    with pytest.raises(ValueError):
+        mf.MetricField(mf.Chart(2))
+    with pytest.raises(ValueError):
+        mf.MetricField(mf.Chart(2), euclidean(2),
+                       diagonal=lambda x: np.ones(x.shape))
+    with pytest.raises(TypeError):
+        mf.MetricField(mf.Chart(2), euclidean(2)).diagonal(pts)
 
 
 # ---------------------------------------------------------------- gradient
@@ -428,6 +549,8 @@ def test_array_queries_match_scalar_queries(kind):
     xs = traj.position(ts)
     evaluators = [lambda x: mf.metric_inverse(g, x),
                   lambda x: mf.gradient(g, f, x),
+                  lambda x: mf.grad_norm_sq(g, f, x),
+                  lambda x: g.norm(x, mf.gradient(g, f, x)),
                   g.partials,
                   lambda x: mf.christoffel_levi_civita(g, x)]
     if kind.endswith("flow"):   # off the critical set
@@ -435,6 +558,9 @@ def test_array_queries_match_scalar_queries(kind):
     for at in evaluators:
         assert_allclose(at(xs), np.stack([at(x) for x in xs]),
                         rtol=1e-14, atol=0.0)
+    # the squared norms: a float at a point, one value per point on a stack
+    assert isinstance(mf.grad_norm_sq(g, f, xs[0]), float)
+    assert mf.grad_norm_sq(g, f, xs).shape == ts.shape
     if t1 > t0:
         for lam in (0.0, 1.0):
             got = st.nonmetricity_cubic(g, f, lam, traj, ts)
