@@ -40,8 +40,9 @@ print("\nmode rates lambda_k:", np.round(sp.lambdas, 6))
 print("equilibrium variances a*_k:", np.round(sp.a_star, 6))
 
 t_plus = 4.0
-res = universal_asymmetry_experiment(spec, t_plus,
-                                     t_end=12.0 / sp.lambdas[0])
+# the race horizon defaults to 12 / lambda_min, twelve slowest-mode times
+res = universal_asymmetry_experiment(spec, t_plus)
+print(f"\nrace horizon t_end = {res.t_end:.6f}")
 print(f"\nT+ = {t_plus}, T- = {res.t_minus:.10f}")
 print("starting F, hot :", potential_F(sp, res.pair.x2_0))
 print("starting F, cold:", potential_F(sp, res.pair.x1_0))

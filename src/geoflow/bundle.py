@@ -36,8 +36,6 @@ def _encode(cell) -> str:
         return "true" if cell else "false"
     if isinstance(cell, float):
         return _FLOAT_FMT % cell
-    if isinstance(cell, int):
-        return str(cell)
     return str(cell)
 
 

@@ -65,9 +65,17 @@ def _load_config(path: str) -> configparser.ConfigParser:
     return parser
 
 
+def finite(text) -> float:
+    """The float value of a flag or config entry, refusing nan and inf."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _vector(text: str) -> tuple[float, ...]:
     try:
-        parts = tuple(float(p) for p in str(text).split(","))
+        parts = tuple(finite(p) for p in str(text).split(","))
     except ValueError:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}")
     if not parts:
@@ -141,24 +149,23 @@ def _out(args, cfg, section: str) -> str:
 def cmd_chain(args, cfg) -> int:
     out = _out(args, cfg, "chain")
     n_beads = _resolve(args, cfg, "chain", "n_beads", 11, int)
-    t_plus = _resolve(args, cfg, "chain", "t_plus", 2.0, float)
-    t_end = _resolve(args, cfg, "chain", "t_end", None, float)
+    t_plus = _resolve(args, cfg, "chain", "t_plus", 2.0, finite)
+    t_end = _resolve(args, cfg, "chain", "t_end", None, finite)
     if n_beads < 2:
         raise ConfigError("n-beads must be at least 2")
     if not t_plus >= 1.0:
         raise ConfigError("t-plus must be at least 1 (a hot start)")
+    if t_end is not None and not t_end > 0.0:
+        raise ConfigError("t-end must be positive")
 
-    spec = ChainSpec(n_beads)
-    spect = spectrum(spec)
-    if t_end is None:
-        t_end = 12.0 / spect.lambdas[0]
     start = time.perf_counter()
-    res = universal_asymmetry_experiment(spec, t_plus, t_end)
+    res = universal_asymmetry_experiment(ChainSpec(n_beads), t_plus, t_end)
     wall = time.perf_counter() - start
 
+    spect = res.spect
     bundle = ResultBundle(
         command="chain",
-        config={"n_beads": n_beads, "t_plus": t_plus, "t_end": t_end,
+        config={"n_beads": n_beads, "t_plus": t_plus, "t_end": res.t_end,
                 "derived": {"t_minus": res.t_minus,
                             "rates": list(spect.lambdas)}})
     full = res.full
@@ -200,7 +207,7 @@ def cmd_chain(args, cfg) -> int:
 
 def cmd_compare(args, cfg) -> int:
     out = _out(args, cfg, "compare")
-    tol = _resolve(args, cfg, "compare", "tol", 1e-10, float)
+    tol = _resolve(args, cfg, "compare", "tol", 1e-10, finite)
     if not tol > 0.0:
         raise ConfigError("tol must be positive")
     model_name = _resolve(args, cfg, "compare", "model", "gaussian-mode", str)
@@ -212,9 +219,9 @@ def cmd_compare(args, cfg) -> int:
                     _vector)
     dir2 = _resolve(args, cfg, "compare", "direction2", entry.direction2,
                     _vector)
-    level = _resolve(args, cfg, "compare", "level", entry.level, float)
-    lam = _resolve(args, cfg, "compare", "lam", 0.0, float)
-    t_end = _resolve(args, cfg, "compare", "t_end", 10.0, float)
+    level = _resolve(args, cfg, "compare", "level", entry.level, finite)
+    lam = _resolve(args, cfg, "compare", "lam", 0.0, finite)
+    t_end = _resolve(args, cfg, "compare", "t_end", 10.0, finite)
 
     g, f = entry.build()
     dim = g.chart.dim
@@ -225,6 +232,8 @@ def cmd_compare(args, cfg) -> int:
         raise ConfigError("seed directions must be nonzero")
     if not level > 0.0:
         raise ConfigError("level must be positive")
+    if not t_end > 0.0:
+        raise ConfigError("t-end must be positive")
 
     start = time.perf_counter()
     pair = equidistant_seed(g, f, level, np.asarray(dir1), np.asarray(dir2))
@@ -304,8 +313,8 @@ def cmd_curvature(args, cfg) -> int:
     if model_name != "gaussian-mode":
         raise ConfigError("curvature scan supports only the gaussian-mode "
                           "model")
-    grid_start = _resolve(args, cfg, "curvature", "grid_start", 0.2, float)
-    grid_stop = _resolve(args, cfg, "curvature", "grid_stop", 5.0, float)
+    grid_start = _resolve(args, cfg, "curvature", "grid_start", 0.2, finite)
+    grid_stop = _resolve(args, cfg, "curvature", "grid_stop", 5.0, finite)
     grid_points = _resolve(args, cfg, "curvature", "grid_points", 25, int)
     if not 0.0 < grid_start <= grid_stop:
         raise ConfigError("need 0 < grid-start <= grid-stop")
@@ -364,9 +373,9 @@ def _build_parser() -> _Parser:
     add_common(p_chain)
     p_chain.add_argument("--n-beads", dest="n_beads", type=int,
                          help="bead count, at least 2 (default 11)")
-    p_chain.add_argument("--t-plus", dest="t_plus", type=float,
+    p_chain.add_argument("--t-plus", dest="t_plus", type=finite,
                          help="hot start temperature ratio (default 2)")
-    p_chain.add_argument("--t-end", dest="t_end", type=float,
+    p_chain.add_argument("--t-end", dest="t_end", type=finite,
                          help="time horizon (default 12 / slowest rate)")
     p_chain.set_defaults(func=cmd_chain)
 
@@ -380,13 +389,13 @@ def _build_parser() -> _Parser:
                        help="comma-separated seed direction for curve 1")
     p_cmp.add_argument("--direction2", type=_vector,
                        help="comma-separated seed direction for curve 2")
-    p_cmp.add_argument("--level", type=float,
+    p_cmp.add_argument("--level", type=finite,
                        help="shared potential level of the two seeds")
-    p_cmp.add_argument("--lam", type=float,
+    p_cmp.add_argument("--lam", type=finite,
                        help="connection parameter (default 0)")
-    p_cmp.add_argument("--t-end", dest="t_end", type=float,
+    p_cmp.add_argument("--t-end", dest="t_end", type=finite,
                        help="time horizon (default 10)")
-    p_cmp.add_argument("--tol", type=float,
+    p_cmp.add_argument("--tol", type=finite,
                        help="integrator tolerance (default 1e-10)")
     p_cmp.set_defaults(func=cmd_compare)
 
@@ -406,9 +415,9 @@ def _build_parser() -> _Parser:
                             help="scan scalar curvature over a/a*")
     add_common(p_curv)
     p_curv.add_argument("--model", help="model name (gaussian-mode only)")
-    p_curv.add_argument("--grid-start", dest="grid_start", type=float,
+    p_curv.add_argument("--grid-start", dest="grid_start", type=finite,
                         help="smallest a/a* ratio (default 0.2)")
-    p_curv.add_argument("--grid-stop", dest="grid_stop", type=float,
+    p_curv.add_argument("--grid-stop", dest="grid_stop", type=finite,
                         help="largest a/a* ratio (default 5.0)")
     p_curv.add_argument("--grid-points", dest="grid_points", type=int,
                         help="grid size (default 25)")

@@ -178,8 +178,6 @@ class ChainTrajectory:
         def excess(t):
             return self._speed(t) - STOP_GRAD_NORM
 
-        # the stop time is searched for on [0, t_end]
-        self.ts = np.array([0.0, float(t_end)])
         self.converged = excess(t_end) <= 0.0
         if excess(0.0) <= 0.0:
             t_stop = 0.0
@@ -384,6 +382,7 @@ class ExperimentResult:
     spect: ModeSpectrum
     t_plus: float
     t_minus: float
+    t_end: float
     pair: EquidistantPair
     full: AsymmetryReport
     modes: list[AsymmetryReport] = field(default_factory=list)
@@ -394,7 +393,7 @@ class ExperimentResult:
 
 
 def universal_asymmetry_experiment(spec: ChainSpec, t_plus: float,
-                                   t_end: float,
+                                   t_end: float | None = None,
                                    per_mode: bool = True) -> ExperimentResult:
     """Warming/cooling race from F-equidistant temperature quenches.
 
@@ -403,11 +402,15 @@ def universal_asymmetry_experiment(spec: ChainSpec, t_plus: float,
     :class:`ChainTrajectory` curves, so nothing is integrated and there
     is no tolerance to set; the generic comparison races them for the
     full chain and (optionally) each mode.  ``t_plus = 1`` degenerates to
-    the chain paired with itself, delta_F identically zero.
+    the chain paired with itself, delta_F identically zero.  ``t_end``
+    caps every race and defaults to 12 / lambda_min, twelve relaxation
+    times of the slowest mode; the result records it.
     """
     if t_plus < 1.0:
         raise ValueError(f"t_plus must be >= 1, got {t_plus}")
     spect = spectrum(spec)
+    if t_end is None:
+        t_end = 12.0 / spect.lambdas[0]
     t_minus = 1.0 if t_plus == 1.0 else equidistant_temperatures(t_plus)
     a_minus = t_minus * spect.a_star
     a_plus = t_plus * spect.a_star
@@ -434,7 +437,7 @@ def universal_asymmetry_experiment(spec: ChainSpec, t_plus: float,
                  for k, sub in enumerate(subs)]
 
     return ExperimentResult(spec=spec, spect=spect, t_plus=t_plus,
-                            t_minus=t_minus,
+                            t_minus=t_minus, t_end=t_end,
                             pair=EquidistantPair(a_minus, a_plus, full.level),
                             full=full, modes=modes)
 

@@ -27,7 +27,6 @@ from scipy.integrate import RK45
 from . import numdiff
 from .errors import (
     ClosureShapeError,
-    CriticalPointError,
     NonConvergenceError,
     OutOfSpanError,
     SingularMatrixError,
@@ -297,14 +296,12 @@ class AffineConnection:
     ``coeffs(x)`` returns the (dim, dim, dim) array ``G[k, i, j]`` for a
     point and ``(n, dim, dim, dim)`` for a stack of n points.  The
     optional ``metric`` back-reference supplies the g used for curvature
-    contraction and norm computations; ``coeff_step`` is the relative step
-    used when the coefficients themselves are differentiated (curvature).
+    contraction and norm computations.
     """
 
     coeffs: Callable[[np.ndarray], np.ndarray]
     chart: Chart | None = None
     metric: MetricField | None = None
-    coeff_step: float = numdiff.STEP_COEFFS
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.coeffs(np.asarray(x, dtype=float)), dtype=float)
@@ -437,13 +434,8 @@ def _levi_civita(g: MetricField, ginv: np.ndarray,
 
 def levi_civita_connection(g: MetricField) -> AffineConnection:
     """The metric connection of g as an AffineConnection."""
-    step = numdiff.STEP_NESTED if not g.has_analytic_partials else numdiff.STEP_COEFFS
-    return AffineConnection(
-        coeffs=lambda x: christoffel_levi_civita(g, x),
-        chart=g.chart,
-        metric=g,
-        coeff_step=max(step, numdiff.STEP_COEFFS),
-    )
+    return AffineConnection(lambda x: christoffel_levi_civita(g, x),
+                            chart=g.chart, metric=g)
 
 
 def span_times(t, span: tuple[float, float]) -> float | np.ndarray:
@@ -552,7 +544,7 @@ class Trajectory:
 
 
 def _integrate(rhs, y0, t_end, tol, *, in_domain, grad_monitor=None,
-               stop_below=None, max_step=np.inf):
+               stop_below=None):
     """Drive scipy's RK45 step by step; collect dense output and flags.
 
     The dense output stacks each step's interpolant data,
@@ -567,8 +559,7 @@ def _integrate(rhs, y0, t_end, tol, *, in_domain, grad_monitor=None,
     at ``t_end == 0``, keeps the initial state.
     """
     y0 = np.asarray(y0, dtype=float)
-    solver = RK45(rhs, 0.0, y0, t_bound=float(t_end), rtol=tol, atol=tol,
-                  max_step=max_step)
+    solver = RK45(rhs, 0.0, y0, t_bound=float(t_end), rtol=tol, atol=tol)
     ts = [0.0]
     ys = [y0.copy()]
     steps = []

@@ -12,7 +12,12 @@ not metric; its non-metricity tensor has the closed form
     C(W, X, Y) = g(W, X) g(Y, Z) + g(W, Y) g(X, Z)
 
 and is the object driving the relaxation-speed comparison: along a descent
-curve, f'' = -C(xd, xd, xd) - 2 lam f'.
+curve, f'' = -C(xd, xd, xd) - 2 lam f'.  As g(xd, nabla^g_xd xd) is
+1/2 d/dt |xd|^2_g, the cubic is the speed identity
+
+    C(xd, xd, xd) = 2 lam |xd|^2_g + d_k g_ij xd^k xd^i xd^j + 2 g(xd, xdd),
+
+with no inverse metric and no Christoffel symbols in it.
 """
 
 from __future__ import annotations
@@ -36,15 +41,12 @@ from .manifold import (
     _inverse,
     _levi_civita,
     _raise_index,
-    covariant_acceleration,
     gradient,
-    levi_civita_connection,
     metric_inverse,
 )
 
 __all__ = [
     "EPS_GRAD",
-    "StraighteningConnection",
     "Submanifold",
     "z_field",
     "straightening_coeffs",
@@ -137,29 +139,15 @@ def straightening_coeffs(g: MetricField, f: ScalarPotential, lam: float,
     return lc - np.einsum("...ij,...k->...kij", gm, z)
 
 
-@dataclass(frozen=True)
-class StraighteningConnection(AffineConnection):
-    """AffineConnection carrying its defining (g, f, lam) triple."""
-
-    f: ScalarPotential | None = None
-    lam: float = 0.0
-
-
 def straightening_connection(g: MetricField, f: ScalarPotential,
-                             lam: float = 0.0) -> StraighteningConnection:
+                             lam: float = 0.0) -> AffineConnection:
     """Build the straightening connection of f over (chart, g).
 
     With lam=0 every gradient curve of f is a geodesic; for other constants
     it is a pregeodesic with tangential acceleration lam grad f.
     """
-    return StraighteningConnection(
-        coeffs=lambda x: straightening_coeffs(g, f, lam, x),
-        chart=g.chart,
-        metric=g,
-        coeff_step=numdiff.STEP_COEFFS,
-        f=f,
-        lam=lam,
-    )
+    return AffineConnection(lambda x: straightening_coeffs(g, f, lam, x),
+                            chart=g.chart, metric=g)
 
 
 def pregeodesic_residual(g: MetricField, f: ScalarPotential, lam: float,
@@ -200,17 +188,20 @@ def nonmetricity_cubic(g: MetricField, f: ScalarPotential, lam: float,
 
     For the descent tangent xd = -grad f this equals
     2 [lam |xd|^2_g + g(xd, nabla^g_xd xd)], and the identity
-    f'' + C + 2 lam f' = 0 holds along the curve.  No Z evaluation is
-    needed, so the expression stays finite through the equilibrium.
-    A scalar t gives a float, a 1-D array of t one value per time.
+    f'' + C + 2 lam f' = 0 holds along the curve.  It is evaluated as the
+    speed identity C = 2 lam |xd|^2_g + d_k g_ij xd^k xd^i xd^j
+    + 2 g(xd, xdd), from the metric, its partials and the curve alone: no
+    inverse metric, condition check, Christoffel symbols or Z, so it stays
+    finite through the equilibrium.  A scalar t gives a float, a 1-D array
+    of t one value per time.
     """
     x = traj.position(t)
     v = traj.velocity(t)
-    gv = g.lower(x, v)
-    acc = covariant_acceleration(levi_civita_connection(g), traj, t)
-    c = 2.0 * (lam * np.einsum("...i,...i->...", gv, v)
-               + np.einsum("...i,...i->...", gv, acc))
-    return float(c) if c.ndim == 0 else c
+    acc = traj.acceleration(t)
+    c = (2.0 * lam * g.inner(x, v, v)
+         + np.einsum("...kij,...k,...i,...j->...", g.partials(x), v, v, v)
+         + 2.0 * g.inner(x, v, acc))
+    return float(c) if np.ndim(c) == 0 else c
 
 
 def scalar_curvature(conn: AffineConnection, x: np.ndarray) -> float:
@@ -219,18 +210,18 @@ def scalar_curvature(conn: AffineConnection, x: np.ndarray) -> float:
     R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik,
     then Ricci_jk = R^i_jik and s = g^{jk} Ricci_jk.  With this contraction
     the unit round sphere lands at -2.  Coefficient derivatives use finite
-    differences at conn.coeff_step.
+    differences at the fixed step ``numdiff.STEP_COEFFS``.
     """
     x = np.asarray(x, dtype=float)
     if conn.metric is None:
         raise ValueError("scalar curvature needs conn.metric for contraction")
     gam = conn(x)
     try:
-        jac = numdiff.jacobian_fd(conn.__call__, x, step=conn.coeff_step)
+        jac = numdiff.jacobian_fd(conn, x, step=numdiff.STEP_COEFFS)
     except CriticalPointError as exc:
         raise StepUnderflowError(
-            f"coefficient stencil at step {conn.coeff_step:g} crosses the "
-            f"critical set near {x}") from exc
+            f"coefficient stencil at step {numdiff.STEP_COEFFS:g} crosses "
+            f"the critical set near {x}") from exc
     dgam = np.einsum("ljki->lijk", jac)          # dgam[l,i,j,k] = d_i G^l_jk
     riem = (dgam - np.einsum("lijk->ljik", dgam)
             + np.einsum("lim,mjk->lijk", gam, gam)

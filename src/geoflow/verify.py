@@ -551,9 +551,11 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
                            worst < 1e-10, worst, 1e-10,
                            "-grad F equals the mode ODE at 1000 states"))
 
-    # closed-form cubic against the trajectory route
+    # three routes to the cubic: the closed form, the speed identity and
+    # the covariant acceleration of the metric connection
     sp1 = spectrum(ChainSpec(2))
     g1, f1 = mode_manifold(sp1, 0)
+    lc1 = levi_civita_connection(g1)
     worst = 0.0
     for t_tilde in (2.0, 0.5):
         traj = integrate_flow(g1, f1, [t_tilde * sp1.a_star[0]], 3.0,
@@ -561,11 +563,14 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
         for t in rng.uniform(0.0, 2.0, size=10):
             a_t = traj.position(t)
             closed = cubic_closed_form(sp1, ModeState(a_t), 0)
-            traj_route = nonmetricity_cubic(g1, f1, 0.0, traj, t)
-            worst = max(worst, abs(traj_route + closed) / max(1.0, abs(closed)))
+            covariant = 2.0 * g1.inner(a_t, traj.velocity(t),
+                                       covariant_acceleration(lc1, traj, t))
+            for cubic in (nonmetricity_cubic(g1, f1, 0.0, traj, t), covariant):
+                worst = max(worst, abs(cubic + closed) / max(1.0, abs(closed)))
     out.append(CheckResult("gaussian-chain", "cubic-cross-validation",
                            worst < 1e-6, worst, 1e-6,
-                           "closed-form cubic = trajectory evaluation"))
+                           "closed-form cubic = speed identity = covariant "
+                           "acceleration"))
 
     # closed-form curvature against the numeric pipeline; nonzero values
     # certify the model is not dually flat
@@ -591,13 +596,11 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
     # the warming/cooling asymmetry holds across the whole grid, and the
     # integrated route reproduces each closed-form race
     def sweep_cell(n_beads, t_plus):
-        sp_cell = spectrum(ChainSpec(n_beads))
-        t_end = 12.0 / sp_cell.lambdas[0]
         res = universal_asymmetry_experiment(ChainSpec(n_beads), t_plus,
-                                             t_end, per_mode=False)
+                                             per_mode=False)
         d = res.full.delta_f
         gaps = res.full.cubic_gaps
-        ref = compare(*chain_manifold(sp_cell), 0.0, res.pair, t_end)
+        ref = compare(*chain_manifold(res.spect), 0.0, res.pair, res.t_end)
         agree = (ref.verdict == res.full.verdict
                  and len(ref.coincidence_times)
                  == len(res.full.coincidence_times))

@@ -74,12 +74,21 @@ def test_chain_degenerate_pair_inconclusive(tmp_path, capsys):
 
 
 def test_chain_rejects_bad_parameters(tmp_path, capsys):
+    # config values go through the same finite cast as the flags
+    ini = tmp_path / "inf.ini"
+    ini.write_text("[chain]\nt_end = inf\n")
     for argv in (["chain", "--n-beads", "1"],
                  ["chain", "--t-plus", "0.5"],
-                 ["chain", "--n-beads", "x"]):
+                 ["chain", "--n-beads", "x"],
+                 ["chain", "--t-plus", "inf"],
+                 ["chain", "--t-plus", "nan"],
+                 ["chain", "--t-end", "-1"],
+                 ["chain", "--t-end", "0"],
+                 ["chain", "--config", str(ini)]):
         code, _, err = run(argv + ["--out", str(tmp_path / "nope")], capsys)
         assert code == 1
         assert "config error" in err
+    assert not (tmp_path / "nope").exists()
 
 
 def test_chain_config_file_and_flag_precedence(tmp_path, capsys):
@@ -186,7 +195,12 @@ def test_compare_bad_invocations(tmp_path, capsys):
     cases = (["compare", "--model", "nope"],
              ["compare", "--direction1", "1,0"],
              ["compare", "--direction1", "0"],
+             ["compare", "--direction1", "nan,0"],
              ["compare", "--level", "-1"],
+             ["compare", "--level", "inf"],
+             ["compare", "--lam", "nan"],
+             ["compare", "--t-end", "0"],
+             ["compare", "--t-end", "-1"],
              ["compare", "--tol", "-1"])
     for argv in cases:
         code, _, err = run(argv + ["--out", str(tmp_path / "bad")], capsys)
@@ -278,6 +292,9 @@ def test_curvature_custom_grid(tmp_path, capsys):
     code, _, _ = run(["curvature", "--grid-start", "0",
                       "--out", str(tmp_path / "c2")], capsys)
     assert code == 1
+    code, _, err = run(["curvature", "--grid-stop", "inf",
+                        "--out", str(tmp_path / "c4")], capsys)
+    assert code == 1 and "config error" in err
     code, _, _ = run(["curvature", "--model", "euclidean-quadratic",
                       "--out", str(tmp_path / "c3")], capsys)
     assert code == 1

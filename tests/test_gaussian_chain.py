@@ -378,10 +378,10 @@ def test_experiment_without_modes():
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(n_beads=hst.integers(2, 64), t_plus=hst.floats(1.05, 20.0))
 def test_warming_wins_for_every_chain_and_mode(n_beads, t_plus):
-    spec = gc.ChainSpec(n_beads)
-    sp = gc.spectrum(spec)
-    res = gc.universal_asymmetry_experiment(spec, t_plus,
-                                            12.0 / sp.lambdas[0])
+    res = gc.universal_asymmetry_experiment(gc.ChainSpec(n_beads), t_plus)
+    sp = res.spect
+    # the default horizon: twelve relaxation times of the slowest mode
+    assert res.t_end == 12.0 / sp.lambdas[0]
     assert res.warming_faster
     for rep in res.modes:
         # known defect: compare calls a cubic gap below an absolute 1e-10

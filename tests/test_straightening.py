@@ -82,7 +82,6 @@ def test_coeffs_euclidean_shape():
 def test_connection_is_symmetric_and_typed():
     conn = st.straightening_connection(*gaussian_mode())
     assert isinstance(conn, mf.AffineConnection)
-    assert conn.lam == 0.0
     conn2 = st.straightening_connection(*two_mode_chain(), lam=0.5)
     gam = conn2(np.array([3.0, 1.0]))
     assert_allclose(gam, np.swapaxes(gam, 1, 2), atol=1e-12)
