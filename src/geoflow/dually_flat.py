@@ -20,7 +20,7 @@ import numpy as np
 
 from . import numdiff
 from .errors import CriticalPointError, NonConvergenceError, NonConvexError
-from .manifold import Chart, MetricField
+from .manifold import Chart, MetricField, _check_shape
 
 __all__ = [
     "HessianModel",
@@ -39,8 +39,9 @@ __all__ = [
 class HessianModel:
     """Convex potential phi over an affine chart, with derived structure.
 
-    ``eta`` and ``hessian`` closures are optional; finite differences of
-    phi fill in for value-only models.
+    ``phi``, ``eta`` and ``hessian`` closures broadcast like a MetricField's
+    (any other shape raises ClosureShapeError); ``eta`` and ``hessian`` are
+    optional, finite differences of phi filling in for value-only models.
     """
 
     def __init__(self, phi: Callable[[np.ndarray], float], chart: Chart,
@@ -53,8 +54,11 @@ class HessianModel:
         self._hessian = hessian
         self.name = name
 
-    def phi(self, theta: np.ndarray) -> float:
-        return float(self.phi_fn(np.asarray(theta, dtype=float)))
+    def phi(self, theta: np.ndarray) -> float | np.ndarray:
+        theta = np.asarray(theta, dtype=float)
+        v = np.asarray(self.phi_fn(theta), dtype=float)
+        _check_shape(v, theta.shape[:-1], f"{self.name or 'model'} phi")
+        return float(v) if v.ndim == 0 else v
 
     @property
     def has_analytic_eta(self) -> bool:
@@ -62,40 +66,40 @@ class HessianModel:
 
     def eta(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        if self._eta is not None:
-            return np.asarray(self._eta(theta), dtype=float)
-        return numdiff.jacobian_fd(self.phi, theta, scale=numdiff.STEP_EXACT)
+        if self._eta is None:
+            return numdiff.jacobian_fd(self.phi, theta,
+                                       scale=numdiff.STEP_EXACT)
+        e = np.asarray(self._eta(theta), dtype=float)
+        _check_shape(e, theta.shape, f"{self.name or 'model'} eta")
+        return e
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
         if self._hessian is not None:
             h = np.asarray(self._hessian(theta), dtype=float)
-        elif self._eta is not None:
-            h = numdiff.jacobian_fd(self._eta, theta, scale=numdiff.STEP_EXACT)
-            h = 0.5 * (h + h.T)
+            _check_shape(h, theta.shape + theta.shape[-1:],
+                         f"{self.name or 'model'} hessian")
         else:
-            h = numdiff.jacobian_fd(
-                lambda y: numdiff.jacobian_fd(self.phi, y,
-                                              scale=numdiff.STEP_EXACT),
-                theta, scale=numdiff.STEP_NESTED)
-            h = 0.5 * (h + h.T)
-        if np.linalg.eigvalsh(h).min() <= 0.0:
+            # a value-only model's eta is itself a difference of phi
+            h = numdiff.jacobian_fd(self.eta, theta, scale=(
+                numdiff.STEP_NESTED if self._eta is None
+                else numdiff.STEP_EXACT))
+            h = 0.5 * (h + np.swapaxes(h, -1, -2))
+        bad = np.linalg.eigvalsh(h).min(axis=-1) <= 0.0
+        if bad.any():
             raise NonConvexError(
                 f"Hessian of {self.name or 'phi'} not positive definite "
-                f"at {theta}")
+                f"at {theta[np.unravel_index(np.argmax(bad), bad.shape)]}")
         return h
 
-    def psi(self, theta: np.ndarray) -> float:
+    def psi(self, theta: np.ndarray) -> float | np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        return float(theta @ self.eta(theta) - self.phi(theta))
+        return (np.einsum("...i,...i->...", theta, self.eta(theta))
+                - self.phi(theta))
 
 
 def metric_field(model: HessianModel) -> MetricField:
-    """The Hessian metric of the model as a MetricField over its chart.
-
-    It evaluates a point stack only when the model's ``hessian`` closure
-    broadcasts over leading axes, as :func:`exponential_model`'s does.
-    """
+    """The Hessian metric of the model as a MetricField over its chart."""
     return MetricField(model.chart, model.hessian, name=model.name)
 
 
@@ -112,14 +116,15 @@ def legendre_dual(model: HessianModel, theta) -> tuple[np.ndarray, float]:
     return model.eta(theta), model.psi(theta)
 
 
-def canonical_divergence(model: HessianModel, p, q) -> float:
+def canonical_divergence(model: HessianModel, p, q) -> float | np.ndarray:
     """D(p, q) = phi(p) + psi(q) - theta(p) . eta(q), both points in theta."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    return model.phi(p) + model.psi(q) - float(p @ model.eta(q))
+    return (model.phi(p) + model.psi(q)
+            - np.einsum("...i,...i->...", p, model.eta(q)))
 
 
-def canonical_divergence_dual(model: HessianModel, p, q) -> float:
+def canonical_divergence_dual(model: HessianModel, p, q) -> float | np.ndarray:
     """The dual divergence D*(p, q) = D(q, p)."""
     return canonical_divergence(model, q, p)
 
@@ -162,18 +167,18 @@ def dual_model(model: HessianModel,
     Evaluations invert eta(theta) by damped Newton iteration started from
     ``theta0`` (an in-chart point; origin by default), so the dual chart
     carries no explicit domain predicate; out-of-image points fail with a
-    non-convergence error.  Evaluators are pure and may run concurrently.
+    non-convergence error.  A stack is inverted one point at a time.
     """
     dim = model.chart.dim
     start = None if theta0 is None else np.array(theta0, dtype=float)
 
     def invert(eta_pt):
-        return _invert_eta(model, eta_pt, x0=start)
+        return np.reshape([_invert_eta(model, e, x0=start)
+                           for e in eta_pt.reshape(-1, dim)], eta_pt.shape)
 
     def phi_dual(eta_pt):
         theta = invert(eta_pt)
-        return float(np.asarray(eta_pt, dtype=float) @ theta
-                     - model.phi(theta))
+        return np.einsum("...i,...i->...", eta_pt, theta) - model.phi(theta)
 
     return HessianModel(phi_dual, Chart(dim), eta=invert,
                         name=(model.name + "-dual") if model.name else "dual")
@@ -205,7 +210,7 @@ def fujiwara_amari_residual(model: HessianModel, q, x,
 
         def v_field(y):
             h = model.hessian(y)
-            return np.linalg.solve(h, h @ (y - q))
+            return np.linalg.solve(h, h @ (y - q)[..., None])[..., 0]
     elif pipeline == "fd":
         # divergence values are exact compositions when eta is analytic;
         # value-only models carry FD noise and need the coarser step
@@ -217,7 +222,7 @@ def fujiwara_amari_residual(model: HessianModel, q, x,
 
         def v_field(y):
             grad = numdiff.jacobian_fd(d_q, y, scale=inner)
-            return np.linalg.solve(model.hessian(y), grad)
+            return np.linalg.solve(model.hessian(y), grad[..., None])[..., 0]
     else:
         raise ValueError(f"unknown pipeline {pipeline!r}")
 
@@ -234,10 +239,10 @@ def fujiwara_amari_residual(model: HessianModel, q, x,
 def quadratic_model(dim: int = 1) -> HessianModel:
     """Self-dual model phi = |theta|^2 / 2 (Euclidean chart)."""
     return HessianModel(
-        lambda th: 0.5 * float(th @ th),
+        lambda th: 0.5 * (th * th).sum(axis=-1),
         Chart(dim),
         eta=lambda th: np.array(th, dtype=float),
-        hessian=lambda th: np.eye(dim),
+        hessian=lambda th: np.broadcast_to(np.eye(dim), th.shape + (dim,)),
         name="quadratic",
     )
 
@@ -245,7 +250,7 @@ def quadratic_model(dim: int = 1) -> HessianModel:
 def exponential_model() -> HessianModel:
     """phi = e^theta on the line; dual potential eta ln eta - eta."""
     return HessianModel(
-        lambda th: float(np.exp(th[0])),
+        lambda th: np.exp(th[..., 0]),
         Chart(1),
         eta=lambda th: np.exp(th),
         hessian=lambda th: np.exp(th)[..., None],
@@ -264,20 +269,20 @@ def gaussian_natural_model() -> HessianModel:
     chart = Chart(2, domain_check=lambda th: th[1] < 0.0, name="gauss-natural")
 
     def phi(th):
-        return -th[0] ** 2 / (4.0 * th[1]) - 0.5 * np.log(-2.0 * th[1])
+        return (-th[..., 0] ** 2 / (4.0 * th[..., 1])
+                - 0.5 * np.log(-2.0 * th[..., 1]))
 
     def eta(th):
-        mean = -th[0] / (2.0 * th[1])
-        var = -1.0 / (2.0 * th[1])
-        return np.array([mean, mean ** 2 + var])
+        mean = -th[..., 0] / (2.0 * th[..., 1])
+        var = -1.0 / (2.0 * th[..., 1])
+        return np.stack([mean, mean ** 2 + var], axis=-1)
 
     def hessian(th):
-        var = -1.0 / (2.0 * th[1])
-        mean = -th[0] / (2.0 * th[1])
-        return np.array([
-            [var, 2.0 * mean * var],
-            [2.0 * mean * var, 4.0 * mean ** 2 * var + 2.0 * var ** 2],
-        ])
+        var = -1.0 / (2.0 * th[..., 1])
+        mean = -th[..., 0] / (2.0 * th[..., 1])
+        return np.stack([var, 2.0 * mean * var, 2.0 * mean * var,
+                         4.0 * mean ** 2 * var + 2.0 * var ** 2],
+                        axis=-1).reshape(th.shape + (2,))
 
     return HessianModel(phi, chart, eta=eta, hessian=hessian,
                         name="gauss-natural")

@@ -131,9 +131,10 @@ def chain_laplacian(n_beads: int) -> np.ndarray:
 
 
 def spectrum(spec: ChainSpec) -> ModeSpectrum:
-    """Mode rates: Laplacian eigenvalues, zero (center-of-mass) mode dropped."""
-    evals = np.linalg.eigvalsh(chain_laplacian(spec.n_beads))
-    lam = np.sort(evals)[1:]
+    """Mode rates lambda_k = 4 sin^2(k pi / (2 n_beads)), k = 1 ... n_beads - 1:
+    the Rouse spectrum of :func:`chain_laplacian` without its zero mode."""
+    k = np.arange(1, spec.n_beads)
+    lam = 4.0 * np.sin(k * np.pi / (2 * spec.n_beads)) ** 2
     return ModeSpectrum(lambdas=lam, a_star=2.0 / lam)
 
 

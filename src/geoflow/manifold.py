@@ -294,7 +294,9 @@ class AffineConnection:
     """Coefficient field Gamma^k_ij over a chart.
 
     ``coeffs(x)`` returns the (dim, dim, dim) array ``G[k, i, j]`` for a
-    point and ``(n, dim, dim, dim)`` for a stack of n points.  The
+    point and ``(n, dim, dim, dim)`` for a stack of n points: it
+    broadcasts over leading axes, so that finite differences of the field
+    take one call per stencil.  The
     optional ``metric`` back-reference supplies the g used for curvature
     contraction and norm computations.
     """
@@ -450,12 +452,6 @@ def span_times(t, span: tuple[float, float]) -> float | np.ndarray:
     """
     t0, t1 = span
     slack = 1e-12 * max(1.0, abs(t0), abs(t1))
-    if isinstance(t, (float, int)) or getattr(t, "ndim", None) == 0:
-        # plain float arithmetic: root searches query one t at a time
-        t = float(t)
-        if not t0 - slack <= t <= t1 + slack:
-            raise OutOfSpanError(f"t={t} outside trajectory span [{t0}, {t1}]")
-        return min(max(t, t0), t1)
     t = np.asarray(t, dtype=float)
     inside = (t >= t0 - slack) & (t <= t1 + slack)
     if not inside.all():

@@ -15,8 +15,10 @@ how the function being differentiated was produced:
 Steps are scaled per component by max(1, |x_j|).
 
 A single routine, :func:`jacobian_fd`, differentiates scalar- or
-array-valued functions at a point or a stack of points;
-:func:`curve_derivative` differentiates functions of time along a curve.
+array-valued functions at a point or a stack of points, with one call of
+the function on every shifted copy at once: the function must broadcast
+over leading axes.  :func:`curve_derivative` differentiates functions of
+time along a curve, with one call on every stencil time.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import StepSizeWarning
+from .errors import ClosureShapeError, StepSizeWarning
 
 __all__ = [
     "EPS",
@@ -59,26 +61,18 @@ def check_step(h: float, x: np.ndarray) -> None:
         )
 
 
-def _difference(fn: Callable, x: np.ndarray, j: int, h):
-    """4th-order central difference of fn along coordinate j, times h."""
-    shifted = []
-    for o in _O4:
-        xo = np.array(x, dtype=float)
-        xo[..., j] += o * h
-        shifted.append(np.asarray(fn(xo), dtype=float))
-    return sum(w * s for w, s in zip(_W4, shifted))
-
-
 def jacobian_fd(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                 scale: float = STEP_EXACT, step: float | None = None) -> np.ndarray:
     """Array of partials of a scalar- or array-valued function.
 
     Returns J with J[..., j] = d fn / d x_j, i.e. the derivative index is the
     trailing axis; for a scalar function that is the gradient covector.  A
-    stack of points ``(n, dim)`` gives one leading axis of n; ``fn`` must
-    then broadcast over the stack, and each point gets its own steps.
-    ``step`` overrides the per-component scaled step with a fixed absolute
-    one (used by callers that own their own step policy).
+    stack of points ``(n, dim)`` gives one leading axis of n, and each point
+    gets its own steps.  ``fn`` is called once, on the ``(4, dim) + x.shape``
+    stack of every shifted copy of x; a result whose leading axes are not
+    ``(4, dim) + x.shape[:-1]`` raises ClosureShapeError.  ``step``
+    overrides the per-component scaled step with a fixed absolute one (used
+    by callers that own their own step policy).
     """
     x = np.asarray(x, dtype=float)
     if step is None:
@@ -86,10 +80,17 @@ def jacobian_fd(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     else:
         check_step(step, x)
         h = np.full(x.shape, float(step))
-    # the steps of one coordinate at a time: scalars for a point
-    jac = np.stack([_difference(fn, x, j, hj) for j, hj
-                    in enumerate(h.transpose(-1, *range(h.ndim - 1)))],
-                   axis=-1)
+    dim = x.shape[-1]
+    # shifted[a, j] is x with coordinate j moved by _O4[a] steps
+    offsets = _O4[:, None, None] * np.eye(dim)
+    shifted = x + offsets.reshape((4, dim) + (1,) * (x.ndim - 1) + (dim,)) * h
+    vals = np.asarray(fn(shifted), dtype=float)
+    lead = (4, dim) + x.shape[:-1]
+    if vals.shape[:len(lead)] != lead:
+        raise ClosureShapeError(
+            f"closure returned shape {vals.shape} on points {shifted.shape}; "
+            "closures must broadcast over leading axes")
+    jac = np.moveaxis(sum(w * v for w, v in zip(_W4, vals)), 0, -1)
     # h holds one step per point and coordinate; broadcast it over the
     # value axes that sit between the two
     return jac / h.reshape(h.shape[:-1] + (1,) * (jac.ndim - h.ndim)

@@ -151,35 +151,36 @@ def straightening_connection(g: MetricField, f: ScalarPotential,
 
 
 def pregeodesic_residual(g: MetricField, f: ScalarPotential, lam: float,
-                         x: np.ndarray) -> float:
-    """Relative defect |nabla~_{grad f} grad f - lam grad f|_g / |grad f|_g."""
+                         x: np.ndarray) -> float | np.ndarray:
+    """Relative defect |nabla~_{grad f} grad f - lam grad f|_g / |grad f|_g.
+
+    A float at a point, ``(n,)`` on a stack of n points.
+    """
     x = np.asarray(x, dtype=float)
     v, nsq, gm, jac, lc, z = _straightening_parts(g, f, lam, x)
-    gamma = lc - np.einsum("ij,k->kij", gm, z)
-    acc = jac @ v + np.einsum("kij,i,j->k", gamma, v, v)
+    gamma = lc - np.einsum("...ij,...k->...kij", gm, z)
+    acc = ((jac @ v[..., None])[..., 0]
+           + np.einsum("...kij,...i,...j->...k", gamma, v, v))
     defect = acc - lam * v
-    return float(np.sqrt(max(g.inner(x, defect, defect), 0.0) / nsq))
+    r = np.sqrt(np.maximum(g.inner(x, defect, defect), 0.0) / nsq)
+    return float(r) if np.ndim(r) == 0 else r
 
 
 def nonmetricity_tensor(conn: AffineConnection, g: MetricField,
                         x: np.ndarray) -> np.ndarray:
-    """(nabla g) as C[k, i, j] = d_k g_ij - G^m_ki g_mj - G^m_kj g_mi."""
+    """(nabla g) as C[..., k, i, j] = d_k g_ij - G^m_ki g_mj - G^m_kj g_mi."""
     x = np.asarray(x, dtype=float)
-    gm = g(x)
-    dg = g.partials(x)
-    gam = conn(x)
-    lower = np.einsum("mki,mj->kij", gam, gm)
-    return dg - lower - np.einsum("kij->kji", lower)
+    lower = np.einsum("...mki,...mj->...kij", conn(x), g(x))
+    return g.partials(x) - lower - np.swapaxes(lower, -1, -2)
 
 
 def nonmetricity_closed_tensor(g: MetricField, f: ScalarPotential, lam: float,
                                x: np.ndarray) -> np.ndarray:
-    """Closed form C[k, i, j] = g_ki zeta_j + g_kj zeta_i with zeta = g Z."""
+    """Closed form C[..., k, i, j] = g_ki zeta_j + g_kj zeta_i, zeta = g Z."""
     x = np.asarray(x, dtype=float)
-    gm = g(x)
-    zeta = gm @ z_field(g, f, lam, x)
-    return (np.einsum("ki,j->kij", gm, zeta)
-            + np.einsum("kj,i->kij", gm, zeta))
+    zeta = g.lower(x, z_field(g, f, lam, x))
+    c = np.einsum("...ki,...j->...kij", g(x), zeta)
+    return c + np.swapaxes(c, -1, -2)
 
 
 def nonmetricity_cubic(g: MetricField, f: ScalarPotential, lam: float,
@@ -204,13 +205,16 @@ def nonmetricity_cubic(g: MetricField, f: ScalarPotential, lam: float,
     return float(c) if np.ndim(c) == 0 else c
 
 
-def scalar_curvature(conn: AffineConnection, x: np.ndarray) -> float:
+def scalar_curvature(conn: AffineConnection,
+                     x: np.ndarray) -> float | np.ndarray:
     """Scalar curvature of the connection, contracted with conn.metric.
 
     R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik,
     then Ricci_jk = R^i_jik and s = g^{jk} Ricci_jk.  With this contraction
     the unit round sphere lands at -2.  Coefficient derivatives use finite
-    differences at the fixed step ``numdiff.STEP_COEFFS``.
+    differences at the fixed step ``numdiff.STEP_COEFFS``, from one call
+    of the coefficient field on the whole stencil.  A float at a point,
+    ``(n,)`` on a stack of n points.
     """
     x = np.asarray(x, dtype=float)
     if conn.metric is None:
@@ -222,36 +226,30 @@ def scalar_curvature(conn: AffineConnection, x: np.ndarray) -> float:
         raise StepUnderflowError(
             f"coefficient stencil at step {numdiff.STEP_COEFFS:g} crosses "
             f"the critical set near {x}") from exc
-    dgam = np.einsum("ljki->lijk", jac)          # dgam[l,i,j,k] = d_i G^l_jk
-    riem = (dgam - np.einsum("lijk->ljik", dgam)
-            + np.einsum("lim,mjk->lijk", gam, gam)
-            - np.einsum("ljm,mik->lijk", gam, gam))
-    ricci = np.einsum("ijik->jk", riem)
-    ginv = metric_inverse(conn.metric, x)
-    return float(np.einsum("jk,jk", ginv, ricci))
+    # dgam[..., l, i, j, k] = d_i G^l_jk
+    dgam = np.einsum("...ljki->...lijk", jac)
+    riem = (dgam - np.einsum("...lijk->...ljik", dgam)
+            + np.einsum("...lim,...mjk->...lijk", gam, gam)
+            - np.einsum("...ljm,...mik->...lijk", gam, gam))
+    ricci = np.einsum("...ijik->...jk", riem)
+    s = np.einsum("...jk,...jk->...", metric_inverse(conn.metric, x), ricci)
+    return float(s) if s.ndim == 0 else s
 
 
 @dataclass(frozen=True)
 class Submanifold:
     """Parametrized submanifold u -> x(u).
 
-    ``embed`` maps parameter coordinates (dim_param,) to chart coordinates;
-    ``jacobian``, when given, returns the (dim_chart, dim_param) matrix of
-    partials, otherwise finite differences are used.
+    ``embed`` maps parameter coordinates ``(..., dim_param)`` to chart
+    coordinates ``(..., dim_chart)`` and broadcasts over leading axes; the
+    tangent basis is its finite-difference Jacobian, (dim_chart, dim_param).
     """
 
     embed: Callable[[np.ndarray], np.ndarray]
     dim_param: int
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None
 
     def tangent_basis(self, u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if self.jacobian is not None:
-            jac = np.asarray(self.jacobian(u), dtype=float)
-        else:
-            jac = numdiff.jacobian_fd(
-                lambda w: np.asarray(self.embed(w), dtype=float), u,
-                scale=numdiff.STEP_EXACT)
+        jac = numdiff.jacobian_fd(self.embed, u, scale=numdiff.STEP_EXACT)
         sv = np.linalg.svd(jac, compute_uv=False)
         if sv[-1] < 1e-10 * max(sv[0], 1.0):
             raise DegenerateTangentError(

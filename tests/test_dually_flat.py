@@ -47,7 +47,7 @@ def test_legendre_exponential():
 
 
 def test_legendre_rejects_concave():
-    m = df.HessianModel(lambda th: -0.5 * float(th @ th), Chart(1),
+    m = df.HessianModel(lambda th: -0.5 * (th * th).sum(axis=-1), Chart(1),
                         name="concave")
     with pytest.raises(NonConvexError):
         df.legendre_dual(m, [1.0])

@@ -16,8 +16,13 @@ from geoflow import comparison as cp
 from geoflow import fixtures
 from geoflow import gaussian_chain as gc
 from geoflow import manifold as mf
+from geoflow import numdiff
 from geoflow import straightening as st
-from geoflow.dually_flat import canonical_divergence, exponential_model
+from geoflow.dually_flat import (
+    HessianModel,
+    canonical_divergence,
+    exponential_model,
+)
 from geoflow.errors import (
     ClosureShapeError,
     NonConvergenceError,
@@ -365,6 +370,21 @@ def test_geodesic_deterministic():
     assert np.array_equal(a.xs, b.xs)
 
 
+@pytest.mark.parametrize("kind", ["geodesic", "chain"])
+def test_scalar_times_give_one_point_queries(kind):
+    # a Python float and a 0-d array both query one point, and both are
+    # held to the span
+    traj = _trajectories()[kind][0]
+    dim = traj.xs.shape[1]
+    t0, t1 = traj.span
+    for wrap in (float, np.asarray):
+        for query in (traj.position, traj.velocity, traj.acceleration):
+            assert query(wrap(0.5 * (t0 + t1))).shape == (dim,)
+            assert_array_equal(query(wrap(t1)), query(np.array([t1]))[0])
+            with pytest.raises(OutOfSpanError):
+                query(wrap(t1 + 1e-3))
+
+
 def test_trajectory_rejects_out_of_span():
     conn = mf.levi_civita_connection(euclidean(1))
     traj = mf.integrate_geodesic(conn, [0.0], [1.0], 1.0)
@@ -507,6 +527,57 @@ def test_non_broadcasting_closure_raises_typed_error():
         flat.partials(pts)
     with pytest.raises(ClosureShapeError):
         mf.christoffel_levi_civita(flat, pts)
+    # finite differences call a closure once on a stack of shifted points
+    with pytest.raises(ClosureShapeError):
+        numdiff.jacobian_fd(lambda x: x[0], pts[0])
+    with pytest.raises(ClosureShapeError):
+        numdiff.jacobian_fd(lambda x: x[0], pts)
+    model = HessianModel(lambda th: 0.5 * th[0] ** 2 + th[1], mf.Chart(2))
+    assert model.phi(pts[0]) == 1.5
+    with pytest.raises(ClosureShapeError):
+        model.eta(pts[0])
+    with pytest.raises(ClosureShapeError):
+        HessianModel(lambda th: th[0], mf.Chart(2),
+                     hessian=lambda th: np.eye(2)).hessian(pts)
+    circle = st.Submanifold(lambda u: np.array([np.cos(u[0]), np.sin(u[0])]),
+                            dim_param=1)
+    with pytest.raises(ClosureShapeError):
+        circle.tangent_basis([0.3])
+
+
+def _stencil_reference(fn, x, h):
+    """The 4th-order stencil one coordinate and one shifted copy at a time."""
+    cols = []
+    for j in range(x.shape[-1]):
+        vals = []
+        for o in (2.0, 1.0, -1.0, -2.0):
+            xo = x.copy()
+            xo[..., j] += o * h[..., j]
+            vals.append(np.asarray(fn(xo), dtype=float))
+        cols.append(sum(w * v for w, v in zip(numdiff._W4, vals)))
+    jac = np.stack(cols, axis=-1)
+    return jac / h.reshape(h.shape[:-1] + (1,) * (jac.ndim - h.ndim)
+                           + h.shape[-1:])
+
+
+@pytest.mark.parametrize("shape", [(2,), (7, 2)])
+@pytest.mark.parametrize("which", ["potential", "metric"])
+def test_jacobian_fd_makes_one_call(shape, which):
+    # one call on the whole (4, dim) + x.shape stencil, bit for bit the
+    # per-coordinate stencil
+    g, f = fixtures.sphere_height()
+    fn = f if which == "potential" else g
+    x = np.random.default_rng(4).uniform(0.3, 2.8, size=shape)
+    calls = []
+
+    def counted(y):
+        calls.append(y.shape)
+        return fn(y)
+
+    got = numdiff.jacobian_fd(counted, x)
+    assert calls == [(4, 2) + shape]
+    h = numdiff.STEP_EXACT * np.maximum(1.0, np.abs(x))
+    assert_array_equal(got, _stencil_reference(fn, x, h))
 
 
 # --------------------------------------------------------- array-t queries
@@ -554,7 +625,14 @@ def test_array_queries_match_scalar_queries(kind):
                   g.partials,
                   lambda x: mf.christoffel_levi_civita(g, x)]
     if kind.endswith("flow"):   # off the critical set
-        evaluators.append(lambda x: st.straightening_coeffs(g, f, 1.0, x))
+        conn = st.straightening_connection(g, f, 1.0)
+        evaluators += [lambda x: st.straightening_coeffs(g, f, 1.0, x),
+                       lambda x: st.pregeodesic_residual(g, f, 1.0, x),
+                       lambda x: st.nonmetricity_tensor(conn, g, x),
+                       lambda x: st.nonmetricity_closed_tensor(g, f, 1.0, x),
+                       lambda x: st.scalar_curvature(conn, x)]
+        assert isinstance(st.pregeodesic_residual(g, f, 1.0, xs[0]), float)
+        assert isinstance(st.scalar_curvature(conn, xs[0]), float)
     for at in evaluators:
         assert_allclose(at(xs), np.stack([at(x) for x in xs]),
                         rtol=1e-14, atol=0.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from geoflow import gaussian_chain as gc
 from geoflow import manifold as mf
 from geoflow import straightening as st
 from geoflow.errors import CriticalPointError, DegenerateTangentError
@@ -247,6 +248,36 @@ def test_scalar_curvature_sphere():
         assert_allclose(s, -2.0, atol=1e-7)
 
 
+def test_certificates_evaluate_each_stencil_in_one_call(monkeypatch):
+    # deterministic counters: a stencil of the gradient field is one
+    # gradient call, and the curvature's stencil of the coefficient field
+    # one coefficient call, whatever the dimension
+    calls = {}
+
+    def count(module, name, key):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(st, "gradient", "gradient")
+    count(st, "_inverse", "inverse")
+    count(mf, "_inverse", "inverse")
+    sp = gc.spectrum(gc.ChainSpec(2))
+    g, f = gc.mode_plane_manifold(sp, 0)
+    st.scalar_curvature(st.straightening_connection(g, f, 0.0),
+                        np.array([0.0, 0.4 * sp.a_star[0]]))
+    assert calls["gradient"] <= 2 and calls["inverse"] <= 5
+    sp = gc.spectrum(gc.ChainSpec(12))
+    g, f = gc.chain_manifold(sp)
+    calls.clear()
+    st.pregeodesic_residual(g, f, 1.0, 2.0 * sp.a_star)
+    assert calls["gradient"] == 1
+
+
 # ---------------------------------------------------------------- projection
 
 
@@ -255,8 +286,9 @@ def test_projection_orthogonal_at_minimizer():
     # minimizer is u=0 and grad f is radial there
     g, _ = euclidean_quadratic(2)
     f = distance_squared_potential(g, np.array([2.0, 0.0]))
-    circle = st.Submanifold(lambda u: np.array([np.cos(u[0]), np.sin(u[0])]),
-                            dim_param=1)
+    circle = st.Submanifold(
+        lambda u: np.stack([np.cos(u[..., 0]), np.sin(u[..., 0])], axis=-1),
+        dim_param=1)
     assert st.projection_orthogonality(g, f, circle, [0.0]) < 1e-6
     assert st.projection_orthogonality(g, f, circle, [0.5]) >= 0.1
 
@@ -265,13 +297,17 @@ def test_projection_two_mode_slice():
     # freeze a1: the constrained minimizer of F has a2 at equilibrium, and
     # grad F points purely along the frozen direction
     g, f = two_mode_chain()
-    sub = st.Submanifold(lambda u: np.array([3.0, u[0]]), dim_param=1)
+    sub = st.Submanifold(
+        lambda u: np.stack([np.full(u.shape[:-1], 3.0), u[..., 0]], axis=-1),
+        dim_param=1)
     assert st.projection_orthogonality(g, f, sub, [2.0 / 3.0]) < 1e-6
     assert st.projection_orthogonality(g, f, sub, [1.5]) >= 0.1
 
 
 def test_projection_degenerate_jacobian():
     g, f = euclidean_quadratic(2)
-    bad = st.Submanifold(lambda u: np.array([u[0] ** 2, 0.0]), dim_param=1)
+    bad = st.Submanifold(
+        lambda u: np.stack([u[..., 0] ** 2, np.zeros(u.shape[:-1])], axis=-1),
+        dim_param=1)
     with pytest.raises(DegenerateTangentError):
         st.projection_orthogonality(g, f, bad, [0.0])
