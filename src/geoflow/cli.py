@@ -8,13 +8,16 @@ Four subcommands share one artifact layout (see :mod:`geoflow.bundle`):
 * ``curvature``  -- closed-form vs numeric scalar curvature over a grid
 
 Exit codes: 0 success or verdict-positive, 1 config error, 2 numerical
-failure, 3 inconclusive verdict.
+failure (a :class:`~geoflow.errors.GeoflowError`, or a ``MemoryError``
+from an array too large for the machine, reported in one stderr line), 3
+inconclusive verdict.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import sys
 import time
 
@@ -327,18 +330,18 @@ def cmd_curvature(args, cfg) -> int:
     conn = straightening_connection(g, f, 0.0)
 
     start = time.perf_counter()
-    rows = []
-    for ratio in np.linspace(grid_start, grid_stop, grid_points):
-        try:
-            closed = scalar_curvature_mode(spect, 0, float(ratio) * astar)
-        except SingularCurvatureError:
-            rows.append([float(ratio), float("nan"), float("nan"),
-                         float("nan"), "singular"])
-            continue
-        num = scalar_curvature(conn, np.array([0.0, float(ratio) * astar]))
-        rel = abs(num - closed) / max(1.0, abs(closed))
-        rows.append([float(ratio), float(closed), float(num), float(rel),
-                     "ok"])
+    ratios = np.linspace(grid_start, grid_stop, grid_points)
+    closed = np.full(grid_points, np.nan)
+    for i, ratio in enumerate(ratios):
+        with contextlib.suppress(SingularCurvatureError):
+            closed[i] = scalar_curvature_mode(spect, 0, ratio * astar)
+    ok = ~np.isnan(closed)
+    num = np.full(grid_points, np.nan)
+    num[ok] = scalar_curvature(
+        conn, np.column_stack([np.zeros(ok.sum()), ratios[ok] * astar]))
+    rel = np.abs(num - closed) / np.maximum(1.0, np.abs(closed))
+    rows = [[float(r), float(c), float(s), float(e), "ok" if k else "singular"]
+            for r, c, s, e, k in zip(ratios, closed, num, rel, ok)]
     wall = time.perf_counter() - start
 
     bundle = ResultBundle(
@@ -441,7 +444,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except GeoflowError as exc:
+    except (GeoflowError, MemoryError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_NUMERICAL

@@ -39,7 +39,7 @@ def euclidean_quadratic(dim: int = 2) -> tuple[MetricField, ScalarPotential]:
     """Flat metric with the isotropic quadratic bowl f = |x|^2 / 2."""
     g = MetricField(Chart(dim, name="euclidean"),
                     diagonal=lambda x: np.ones(x.shape),
-                    partials=lambda x: np.zeros(x.shape[:-1] + (dim,) * 3),
+                    partials=lambda x: np.zeros(x.shape + (dim,)),
                     name="euclidean")
     f = ScalarPotential(lambda x: 0.5 * (x * x).sum(axis=-1),
                         gradient=lambda x: np.asarray(x, dtype=float),
@@ -74,8 +74,8 @@ def sphere_height() -> tuple[MetricField, ScalarPotential]:
                         axis=-1)
 
     def partials(x):
-        d = np.zeros(x.shape[:-1] + (2, 2, 2))
-        d[..., 0, 1, 1] = 2.0 * np.sin(x[..., 0]) * np.cos(x[..., 0])
+        d = np.zeros(x.shape + (2,))
+        d[..., 0, 1] = 2.0 * np.sin(x[..., 0]) * np.cos(x[..., 0])
         return d
 
     def grad(x):

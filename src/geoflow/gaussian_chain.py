@@ -34,7 +34,7 @@ from .comparison import (
     compare,
 )
 from .errors import NonConvergenceError, SingularCurvatureError
-from .manifold import Chart, MetricField, ScalarPotential, span_times
+from .manifold import Chart, MetricField, ScalarPotential, _diag_matrix, span_times
 
 __all__ = [
     "ChainSpec",
@@ -295,24 +295,14 @@ def equidistant_temperatures(t_plus: float) -> float:
     return float(1.0 / u)
 
 
-def _chain_chart(n: int) -> Chart:
-    return Chart(n, domain_check=lambda a: bool((a > 0.0).all()),
-                 name="mode-variances")
-
-
 def chain_manifold(spect: ModeSpectrum) -> tuple[MetricField, ScalarPotential]:
     """Variance chart with the diagonal Fisher metric and potential F."""
-    n = spect.n_modes
-    chart = _chain_chart(n)
-
-    def partials(a):
-        d = np.zeros(a.shape[:-1] + (n, n, n))
-        idx = np.arange(n)
-        d[..., idx, idx, idx] = -1.0 / a ** 3
-        return d
-
+    chart = Chart(spect.n_modes, domain_check=lambda a: bool((a > 0.0).all()),
+                  name="mode-variances")
+    # d_l g_ii = -1/a_i^3 at l = i only: the metric is separable
     g = MetricField(chart, diagonal=lambda a: 1.0 / (2.0 * a ** 2),
-                    partials=partials, name="fisher-variance")
+                    partials=lambda a: _diag_matrix(-1.0 / a ** 3),
+                    name="fisher-variance")
 
     def grad(a):
         return spect.lambdas * (a - spect.a_star) / a ** 2
@@ -351,11 +341,10 @@ def mode_plane_manifold(spect: ModeSpectrum,
         return np.stack([2.0 / a, 1.0 / (2.0 * a ** 2)], axis=-1)
 
     def partials(x):
-        a = x[..., 1]
-        d = np.zeros(x.shape[:-1] + (2, 2, 2))
-        d[..., 1, 0, 0] = -2.0 / a ** 2
-        d[..., 1, 1, 1] = -1.0 / a ** 3
-        return d
+        # row l = 0 vanishes: g depends on the variance a alone
+        a = x[..., 1:]
+        d1 = np.concatenate([-2.0 / a ** 2, -1.0 / a ** 3], axis=-1)
+        return np.stack([np.zeros(x.shape), d1], axis=-2)
 
     g = MetricField(chart, diagonal=diagonal, partials=partials,
                     name="fisher-mode-plane")

@@ -11,7 +11,8 @@ which differentiate a whole stack in one call.
 
 Index conventions used throughout:
 
-* metric partials are stored as ``D[l, i, j] = d_l g_ij``
+* metric partials are stored as ``D[l, i, j] = d_l g_ij``, and a
+  diagonal metric's as ``P[l, i] = d_l g_ii``
 * connection coefficients as ``G[k, i, j] = Gamma^k_ij``
 * field Jacobians as ``J[k, i] = d_i V^k``
 """
@@ -103,16 +104,21 @@ class MetricField:
         Analytic closure ``partials(x) -> (..., dim, dim, dim)`` with
         ``D[..., l, i, j] = d_l g_ij``.  It broadcasts like ``matrix``: a
         point gives ``(dim, dim, dim)``, a stack ``(n, dim, dim, dim)``.
-        When omitted, partials come from finite differences of the matrix.
+        For a diagonal metric it returns ``P[..., l, i] = d_l g_ii``
+        instead: ``(dim, dim)`` for a point, ``(n, dim, dim)`` for a
+        stack.  When omitted, partials come from finite differences of
+        the matrix, or of the diagonal.
     name : str
     diagonal : callable, optional
         Keyword-only, given in place of ``matrix`` for a metric that is
         diagonal in the chart: ``diagonal(x) -> (..., dim)`` returns g_ii,
         broadcasting like ``matrix``.  Calling the field still gives the
-        dense matrix, while :meth:`inner`, :meth:`lower`,
-        :func:`metric_inverse` and :func:`gradient` work on the diagonal
-        alone, in O(dim) per point with no LAPACK call, and the
-        Levi-Civita coefficients skip their O(dim^4) contraction.
+        dense matrix, and :meth:`partials` the dense tensor, while
+        :meth:`inner`, :meth:`lower`, :func:`metric_inverse` and
+        :func:`gradient` work on the diagonal alone, in O(dim) per point
+        with no LAPACK call, :meth:`cubic_form` works on ``P`` alone, with
+        no ``(dim, dim, dim)`` array, and the Levi-Civita coefficients
+        skip their O(dim^4) contraction.
 
     Exactly one of ``matrix`` and ``diagonal`` is given (``ValueError``
     otherwise).  Positive-definiteness is checked lazily via
@@ -165,13 +171,35 @@ class MetricField:
 
     def partials(self, x: np.ndarray) -> np.ndarray:
         """Partial derivatives ``D[..., l, i, j] = d_l g_ij`` at a point or a stack."""
+        d = self._own_partials(x)
+        return _diag_matrix(d) if self.is_diagonal else d
+
+    def _own_partials(self, x: np.ndarray, step: float | None = None):
+        """The partials in the metric's own form: ``P[..., l, i]`` for a
+        diagonal metric, else ``D[..., l, i, j]``.  Finite differences of
+        the diagonal or the matrix when the metric has no partials closure
+        or ``step`` is given."""
         x = np.asarray(x, dtype=float)
-        if self._partials is None:
-            return _fd_partials(self, x)
+        if self._partials is None or step is not None:
+            jac = numdiff.jacobian_fd(self.diagonal if self.is_diagonal
+                                      else self, x, step=step)
+            return np.moveaxis(jac, -1, -2 if self.is_diagonal else -3)
         d = np.asarray(self._partials(x), dtype=float)
-        _check_shape(d, x.shape[:-1] + (self.chart.dim,) * 3,
-                     f"{self.name or 'metric'} partials")
+        tail = (self.chart.dim,) * (1 if self.is_diagonal else 2)
+        _check_shape(d, x.shape + tail, f"{self.name or 'metric'} partials")
         return d
+
+    def cubic_form(self, x: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+        """d_k g_ij v^k v^i v^j: a float at a point, ``(n,)`` on a stack.
+
+        A diagonal metric contracts its ``P[..., l, i]``, in O(dim^2) per
+        point, and never builds the dense partials.
+        """
+        d = self._own_partials(x)
+        out = (np.einsum("...l,...li,...i->...", v, d, v * v)
+               if self.is_diagonal
+               else np.einsum("...kij,...k,...i,...j->...", d, v, v, v))
+        return float(out) if out.ndim == 0 else out
 
     def lower(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The covector g_ij v^j of a vector, or of a stack of vectors at x."""
@@ -269,12 +297,6 @@ class ScalarPotential:
         return df
 
 
-def _fd_partials(g: MetricField, x: np.ndarray,
-                 step: float | None = None) -> np.ndarray:
-    """``D[..., l, i, j] = d_l g_ij`` by finite differences of g's matrix."""
-    return np.einsum("...ijl->...lij", numdiff.jacobian_fd(g, x, step=step))
-
-
 def _check_shape(out: np.ndarray, want: tuple, name: str) -> None:
     if out.shape != want:
         raise ClosureShapeError(
@@ -347,7 +369,8 @@ def _diag_matrix(d: np.ndarray) -> np.ndarray:
     """The ``(..., n, n)`` matrices with diagonals ``d`` ``(..., n)``."""
     n = d.shape[-1]
     m = np.zeros(d.shape + (n,))
-    m[..., np.arange(n), np.arange(n)] = d
+    # every (n + 1)-th element of each flattened matrix is on its diagonal
+    m.reshape(d.shape[:-1] + (n * n,))[..., :: n + 1] = d
     return m
 
 
@@ -419,8 +442,8 @@ def christoffel_levi_civita(g: MetricField, x: np.ndarray,
     """
     x = np.asarray(x, dtype=float)
     ginv = _inverse(g, x)
-    dg = g.partials(x) if step is None else _fd_partials(g, x, step)
-    return _levi_civita(g, ginv, dg)
+    dg = g._own_partials(x, step)
+    return _levi_civita(g, ginv, _diag_matrix(dg) if g.is_diagonal else dg)
 
 
 def _levi_civita(g: MetricField, ginv: np.ndarray,

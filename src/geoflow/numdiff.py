@@ -52,7 +52,7 @@ _O4 = np.array([2.0, 1.0, -1.0, -2.0])
 
 def check_step(h: float, x: np.ndarray) -> None:
     """Warn when a user-chosen step is small enough for roundoff to dominate."""
-    if h < 1e3 * EPS * np.max(np.abs(x)):
+    if h < 1e3 * EPS * np.max(np.abs(x), initial=0.0):
         warnings.warn(
             f"finite-difference step {h:.3e} is below 1e3*eps*|x|; "
             "roundoff will dominate the derivative",

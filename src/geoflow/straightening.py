@@ -200,7 +200,7 @@ def nonmetricity_cubic(g: MetricField, f: ScalarPotential, lam: float,
     v = traj.velocity(t)
     acc = traj.acceleration(t)
     c = (2.0 * lam * g.inner(x, v, v)
-         + np.einsum("...kij,...k,...i,...j->...", g.partials(x), v, v, v)
+         + g.cubic_form(x, v)
          + 2.0 * g.inner(x, v, acc))
     return float(c) if np.ndim(c) == 0 else c
 

@@ -191,6 +191,21 @@ def test_compare_unreachable_level_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in err
 
 
+def test_memory_error_is_numerical_failure(tmp_path, capsys, monkeypatch):
+    # an array too large for the machine is no configuration error; the
+    # experiment is stubbed, as a real one at that size would need ~80 GB
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 80.0 GiB for an array")
+
+    monkeypatch.setattr(cli, "universal_asymmetry_experiment", too_large)
+    code, stdout, err = run(["chain", "--n-beads", "5",
+                             "--out", str(tmp_path / "oom")], capsys)
+    assert code == 2 and stdout == ""
+    assert err.splitlines() == ["numerical failure: MemoryError: Unable to "
+                                "allocate 80.0 GiB for an array"]
+    assert not (tmp_path / "oom").exists()
+
+
 def test_compare_bad_invocations(tmp_path, capsys):
     cases = (["compare", "--model", "nope"],
              ["compare", "--direction1", "1,0"],
@@ -289,6 +304,13 @@ def test_curvature_custom_grid(tmp_path, capsys):
     assert code == 0
     _, rows = read_csv(tmp_path / "c1" / "curvature.csv")
     assert len(rows) == 1 and rows[0][4] == "ok"
+    # a grid on the singular point alone computes no numeric curvature
+    code, _, _ = run(["curvature", "--grid-start", "1", "--grid-stop", "1",
+                      "--grid-points", "1",
+                      "--out", str(tmp_path / "c5")], capsys)
+    assert code == 0
+    _, rows = read_csv(tmp_path / "c5" / "curvature.csv")
+    assert rows == [["1.000000000000e+00", "nan", "nan", "nan", "singular"]]
     code, _, _ = run(["curvature", "--grid-start", "0",
                       "--out", str(tmp_path / "c2")], capsys)
     assert code == 1

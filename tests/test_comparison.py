@@ -296,7 +296,8 @@ def test_diagonal_models_make_no_svd_calls(monkeypatch):
     # neither the flat bowl's flows and compare nor a chain race reaches
     # LAPACK's SVD; and the cubic is the speed identity, so a chain race,
     # whose closed-form curves need no gradient, inverts no metric and
-    # forms no Christoffel symbols at all
+    # forms no Christoffel symbols at all; its cubic contracts the chain's
+    # diagonal partials d_l g_ii, never the dense (n, n, n) tensor
     calls = {}
 
     def count(module, name):
@@ -317,9 +318,21 @@ def test_diagonal_models_make_no_svd_calls(monkeypatch):
                  "covariant_acceleration"):
         count(mf, name)
     count(st, "_inverse")
+    count(mf.MetricField, "partials")
     res = gc.universal_asymmetry_experiment(gc.ChainSpec(12), 2.0)
     assert res.warming_faster and len(res.modes) == 11
     assert calls == {}
+
+
+def test_large_chain_race_builds_no_dense_partials(monkeypatch):
+    # at N = 1024 the dense metric partials would take 7.98 GiB
+    def dense(*args):
+        raise AssertionError("the race built the dense metric partials")
+
+    monkeypatch.setattr(mf.MetricField, "partials", dense)
+    res = gc.universal_asymmetry_experiment(gc.ChainSpec(1024), 1.1,
+                                            per_mode=False)
+    assert res.full.verdict == cp.CURVE1_FASTER
 
 
 # ---------------------------------------------------------------- symmetry

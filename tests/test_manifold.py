@@ -202,10 +202,20 @@ def test_diagonal_route_matches_the_dense_route(g, f, pts):
             (g.lower(x, a), dense.lower(x, a)),
             (mf.christoffel_levi_civita(g, x),
              mf.christoffel_levi_civita(dense, x)),
+            # partials by finite differences of the diagonal and the matrix
+            (mf.christoffel_levi_civita(g, x, step=1e-3),
+             mf.christoffel_levi_civita(dense, x, step=1e-3)),
         ]
         for got, want in pairs:
             assert np.shape(got) == np.shape(want)
             assert_array_max_ulp(got, want, maxulp=1)
+        # the cubic sums the same terms d_l g_ii v^l v^i v^i in another
+        # order: it agrees to roundoff in the sum of their magnitudes
+        got, want = g.cubic_form(x, a), dense.cubic_form(x, a)
+        size = np.einsum("...kij,...k,...i,...j->...",
+                         np.abs(dense.partials(x)), *[np.abs(a)] * 3)
+        assert np.shape(got) == np.shape(want)
+        assert (np.abs(got - want) <= 1e-14 * size).all()
     assert isinstance(g.inner(pts[0], u[0], v[0]), float)
 
 
@@ -215,7 +225,7 @@ def _constant_diagonal(d):
     return mf.MetricField(
         mf.Chart(d.shape[-1]),
         diagonal=lambda x: np.broadcast_to(d, x.shape),
-        partials=lambda x: np.zeros(x.shape[:-1] + (d.shape[-1],) * 3))
+        partials=lambda x: np.zeros(x.shape + (d.shape[-1],)))
 
 
 def test_diagonal_metric_rejects_ill_conditioned_zero_and_nan():
@@ -256,6 +266,15 @@ def test_diagonal_closure_shape_and_metric_form_are_checked():
                        diagonal=lambda x: np.ones(x.shape))
     with pytest.raises(TypeError):
         mf.MetricField(mf.Chart(2), euclidean(2)).diagonal(pts)
+    # a diagonal metric's partials are d_l g_ii, (..., dim, dim); the
+    # dense (..., dim, dim, dim) form is refused
+    dense_form = mf.MetricField(mf.Chart(2), diagonal=np.ones_like,
+                                partials=lambda x: np.zeros(x.shape + (2, 2)))
+    for x in (pts[0], pts):
+        for evaluate in (dense_form.partials,
+                         lambda x: dense_form.cubic_form(x, x)):
+            with pytest.raises(ClosureShapeError):
+                evaluate(x)
 
 
 # ---------------------------------------------------------------- gradient
@@ -456,6 +475,10 @@ def _stack_models():
         ("sphere-fd-partials", mf.MetricField(sphere_g.chart, sphere_g),
          sphere_f,
          np.column_stack([rng.uniform(0.3, 2.8, 9), rng.uniform(0.0, 6.0, 9)])),
+        # and through its diagonal, with d_l g_ii by finite differences
+        ("sphere-diagonal-fd-partials",
+         mf.MetricField(sphere_g.chart, diagonal=sphere_g.diagonal), sphere_f,
+         np.column_stack([rng.uniform(0.3, 2.8, 9), rng.uniform(0.0, 6.0, 9)])),
         ("hessian-exp", *fixtures.hessian_exp(), rng.uniform(-1.5, 1.5, (9, 1))),
         ("distance-squared", fixtures.euclidean_quadratic(2)[0],
          fixtures.distance_squared_potential(fixtures.euclidean_quadratic(2)[0],
@@ -484,6 +507,12 @@ def test_metric_and_potential_evaluate_point_stacks(g, f, pts):
     assert_array_equal(ds, np.stack([g.partials(x) for x in pts]))
     assert_array_equal(fs, [f(x) for x in pts])
     assert all(isinstance(f(x), float) for x in pts)
+    if g.is_diagonal:
+        # finite differences of the diagonal give those of the dense
+        # matrix, bit for bit
+        assert_array_equal(
+            mf.MetricField(g.chart, diagonal=g.diagonal).partials(pts),
+            mf.MetricField(g.chart, g).partials(pts))
 
 
 def test_hessian_exp_potential_is_the_divergence():
@@ -623,6 +652,7 @@ def test_array_queries_match_scalar_queries(kind):
                   lambda x: mf.grad_norm_sq(g, f, x),
                   lambda x: g.norm(x, mf.gradient(g, f, x)),
                   g.partials,
+                  lambda x: g.cubic_form(x, mf.gradient(g, f, x)),
                   lambda x: mf.christoffel_levi_civita(g, x)]
     if kind.endswith("flow"):   # off the critical set
         conn = st.straightening_connection(g, f, 1.0)
