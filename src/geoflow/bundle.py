@@ -5,9 +5,10 @@ on-disk layout is uniform: ``<name>.csv`` per table (comma-separated,
 header row, ``%.12e`` floats, LF line endings) and ``metadata.json``
 carrying the version, the echoed config, verdicts, and wall time.
 
-Each row is formatted once, when its table is built; float cells then
-take the value of their text, so write → read round-trips reproduce the
-in-memory bundle exactly and a second write is byte-identical.
+A table keeps only its text: each row is formatted once, when the table
+is built, and its typed cells are decoded from that text when asked.  So
+write → read round-trips reproduce the in-memory bundle exactly and a
+second write is byte-identical.
 """
 
 from __future__ import annotations
@@ -15,20 +16,14 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
 
-__all__ = ["Table", "ResultBundle", "quantize"]
+__all__ = ["Table", "ResultBundle"]
 
 _FLOAT_FMT = "%.12e"
-
-
-def quantize(value: float) -> float:
-    """Round a float to the precision the CSV writer will emit."""
-    return float(_FLOAT_FMT % value)
 
 
 def _encode(cell) -> str:
@@ -43,18 +38,6 @@ def _csv_line(cells: list[str]) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="").writerow(cells)
     return buf.getvalue()
-
-
-def _format_row(row: list) -> tuple[str, list]:
-    """The row's CSV line, and the row with floats read back from it."""
-    if set(map(type, row)) == {float}:
-        # all-float rows, the bulk of every table, take no Python call per
-        # cell, and their text never needs quoting
-        text = list(map(_FLOAT_FMT.__mod__, row))
-        return ",".join(text), list(map(float, text))
-    text = [_encode(c) for c in row]
-    return _csv_line(text), [float(t) if isinstance(c, float) else c
-                             for c, t in zip(row, text)]
 
 
 def _decode(text: str):
@@ -72,38 +55,35 @@ def _decode(text: str):
         return text
 
 
-def _cells_equal(a, b) -> bool:
-    if isinstance(a, float) and isinstance(b, float):
-        return a == b or (math.isnan(a) and math.isnan(b))
-    return type(a) is type(b) and a == b
-
-
-@dataclass
 class Table:
-    """One CSV table: a header row and typed cells (float, int, bool, str).
+    """One CSV table: a header row and the CSV line of each row.
 
-    Construction takes any iterable of rows and formats each row once:
-    ``lines`` holds the CSV line written for it, and each float cell of
-    ``rows`` is replaced by the value of its text.  ``lines`` is not
-    refreshed if ``rows`` is edited later.
+    ``rows`` may be any iterable of rows of float, int, bool and str
+    cells, a generator included; each row is formatted once, into
+    ``lines``.  The ``rows`` attribute decodes ``lines`` back into typed
+    cells.
     """
 
-    header: list[str]
-    rows: list[list]
-    lines: list[str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, header: list[str], rows):
+        self.header = list(header)
         width = len(self.header)
-        self.lines = []
-        rows = []
-        for row in self.rows:
+        # all-float rows, the bulk of every table, take one % per row, and
+        # their text never needs quoting
+        float_row = ",".join([_FLOAT_FMT] * width)
+        self.lines: list[str] = []
+        for row in rows:
             if len(row) != width:
                 raise ValueError(
                     f"row width {len(row)} != header width {width}")
-            line, values = _format_row(row)
-            self.lines.append(line)
-            rows.append(values)
-        self.rows = rows
+            if set(map(type, row)) == {float}:
+                self.lines.append(float_row % tuple(row))
+            else:
+                self.lines.append(_csv_line([_encode(c) for c in row]))
+
+    @property
+    def rows(self) -> list[list]:
+        """The cells of ``lines``, as float, int, bool or str."""
+        return [[_decode(c) for c in row] for row in csv.reader(self.lines)]
 
 
 @dataclass
@@ -119,13 +99,10 @@ class ResultBundle:
     wall_time_s: float | None = None
 
     def add_table(self, name: str, header: list[str], rows) -> None:
-        """Attach a table, quantizing floats to the emitted precision.
-
-        ``rows`` may be any iterable of rows, a generator included.
-        """
+        """Attach a table; ``rows`` may be any iterable of rows."""
         if not name.replace("_", "").replace("-", "").isalnum():
             raise ValueError(f"table name {name!r} is not filename-safe")
-        self.tables[name] = Table(header=list(header), rows=rows)
+        self.tables[name] = Table(header, rows)
 
     def write(self, out_dir) -> Path:
         """Write all tables and the metadata sidecar; returns the directory."""
@@ -161,27 +138,14 @@ class ResultBundle:
                      wall_time_s=meta["wall_time_s"])
         for name in meta["tables"]:
             with open(out / f"{name}.csv", newline="") as fh:
-                reader = csv.reader(fh)
-                header = next(reader)
-                rows = [[_decode(c) for c in row] for row in reader]
-            bundle.tables[name] = Table(header=header, rows=rows)
+                header, *rows = csv.reader(fh)
+            # text cells re-encode to the very line they were read from
+            bundle.tables[name] = Table(header, rows)
         return bundle
 
     def same_data(self, other: "ResultBundle") -> bool:
-        """Field-by-field equality, treating NaN cells as equal to NaN."""
-        if (self.command, self.version, self.seed, self.verdicts,
-                self.config) != (other.command, other.version, other.seed,
-                                 other.verdicts, other.config):
-            return False
-        if sorted(self.tables) != sorted(other.tables):
-            return False
-        for name, table in self.tables.items():
-            theirs = other.tables[name]
-            if table.header != theirs.header or len(table.rows) != len(theirs.rows):
-                return False
-            for ra, rb in zip(table.rows, theirs.rows):
-                if len(ra) != len(rb):
-                    return False
-                if not all(_cells_equal(a, b) for a, b in zip(ra, rb)):
-                    return False
-        return True
+        """Equal metadata, table names, headers and CSV text."""
+        def key(b):
+            return (b.command, b.version, b.seed, b.verdicts, b.config,
+                    {n: (t.header, t.lines) for n, t in b.tables.items()})
+        return key(self) == key(other)

@@ -7,7 +7,12 @@ Four subcommands share one artifact layout (see :mod:`geoflow.bundle`):
 * ``verify``     -- the invariant battery, optionally filtered by suite
 * ``curvature``  -- closed-form vs numeric scalar curvature over a grid
 
-Exit codes: 0 success or verdict-positive, 1 config error, 2 numerical
+Each flag's type and default are declared once, in :func:`_build_parser`;
+a config file's values are cast by those types and become the
+subcommand's defaults, so a flag beats the config, which beats a default.
+
+Exit codes: 0 success or verdict-positive, 1 config error (an ``--out``
+that cannot be written included), 2 numerical
 failure (a :class:`~geoflow.errors.GeoflowError`, or a ``MemoryError``
 from an array too large for the machine, reported in one stderr line), 3
 inconclusive verdict.
@@ -18,6 +23,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import os
 import sys
 import time
 
@@ -55,19 +61,6 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _load_config(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    try:
-        with open(path) as fh:
-            parser.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}")
-    except configparser.Error as exc:
-        # configparser diagnostics carry file and line anchors
-        raise ConfigError(str(exc))
-    return parser
-
-
 def finite(text) -> float:
     """The float value of a flag or config entry, refusing nan and inf."""
     value = float(text)
@@ -78,12 +71,10 @@ def finite(text) -> float:
 
 def _vector(text: str) -> tuple[float, ...]:
     try:
-        parts = tuple(finite(p) for p in str(text).split(","))
+        return tuple(finite(p) for p in str(text).split(","))
     except ValueError:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}")
-    if not parts:
-        raise ConfigError("empty direction vector")
-    return parts
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {text!r}")
 
 
 #: flags taking a comma-separated vector; argparse reads a value such as
@@ -102,33 +93,34 @@ def _attach_vector_values(argv: list[str]) -> list[str]:
     return out
 
 
-def _resolve(args, cfg, section: str, key: str, default, cast):
-    """Flag > config (command section, then [run]) > default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if cfg is not None:
-        for sec in (section, "run"):
-            if cfg.has_option(sec, key):
-                raw = cfg.get(sec, key)
-                try:
-                    return cast(raw)
-                except (ValueError, TypeError):
-                    raise ConfigError(
-                        f"[{sec}] {key}: cannot parse {raw!r}")
-    return default
+def _config_values(path: str, commands: dict, command: str) -> dict:
+    """``command``'s values in the INI file at ``path``, by flag dest.
 
-
-def _check_config_keys(cfg, owned: dict[str, set[str]]) -> None:
-    """Raise ConfigError for a config key that no subcommand reads.
-
-    ``owned`` maps each subcommand to the keys it resolves.  A
-    subcommand's section accepts only its own keys; ``[run]``, which
-    every subcommand falls back to, and configparser's ``[DEFAULT]``
-    accept the keys of any of them.
+    A subcommand's section accepts only the keys of its own flags and
+    beats ``[run]``; ``[run]``, which every subcommand falls back to, and
+    configparser's ``[DEFAULT]`` accept the keys of any subcommand.  Each
+    value is cast by its flag's own ``type`` (a ``store_true`` flag reads
+    ``1``/``true``/``yes`` as set) and checked against its ``choices``.
+    Values are literal: no ``%`` interpolation.  An unknown section or
+    key, or a value that does not cast, raises ConfigError naming the
+    section and the key.
     """
-    shared = set().union(*owned.values())
-    owned = {**owned, "run": shared, cfg.default_section: shared}
+    cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                    interpolation=None)
+    try:
+        with open(path) as fh:
+            cfg.read_file(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}")
+    except configparser.Error as exc:
+        # configparser diagnostics carry file and line anchors
+        raise ConfigError(str(exc))
+    flags = {name: {a.dest: a for a in p._actions
+                    if a.dest not in ("help", "config")}
+             for name, p in commands.items()}
+    shared = set().union(*flags.values())
+    owned = {**{name: set(f) for name, f in flags.items()},
+             "run": shared, cfg.default_section: shared}
     defaults = set(cfg.defaults())
     for sec in [cfg.default_section, *cfg.sections()]:
         if sec not in owned:
@@ -140,35 +132,49 @@ def _check_config_keys(cfg, owned: dict[str, set[str]]) -> None:
         if unread:
             raise ConfigError(f"[{sec}] {unread[0]}: unknown key; [{sec}] "
                               "reads " + ", ".join(sorted(owned[sec])))
-
-
-def _out(args, cfg, section: str) -> str:
-    return _resolve(args, cfg, section, "out", "geoflow-out", str)
+    raw = {}
+    for sec in ("run", command):
+        if cfg.has_section(sec):
+            raw.update((key, (sec, text)) for key, text in cfg.items(sec)
+                       if key in flags[command])
+    values = {}
+    for key, (sec, text) in raw.items():
+        action = flags[command][key]
+        try:
+            if action.nargs == 0:  # store_true
+                value = text.lower() in ("1", "true", "yes")
+            else:
+                value = (action.type or str)(text)
+            ok = action.choices is None or value in action.choices
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"[{sec}] {key}: cannot parse {text!r}")
+        values[key] = value
+    return values
 
 
 # ----------------------------------------------------------------- chain
 
 
-def cmd_chain(args, cfg) -> int:
-    out = _out(args, cfg, "chain")
-    n_beads = _resolve(args, cfg, "chain", "n_beads", 11, int)
-    t_plus = _resolve(args, cfg, "chain", "t_plus", 2.0, finite)
-    t_end = _resolve(args, cfg, "chain", "t_end", None, finite)
-    if n_beads < 2:
+def cmd_chain(args) -> int:
+    if args.n_beads < 2:
         raise ConfigError("n-beads must be at least 2")
-    if not t_plus >= 1.0:
+    if not args.t_plus >= 1.0:
         raise ConfigError("t-plus must be at least 1 (a hot start)")
-    if t_end is not None and not t_end > 0.0:
+    if args.t_end is not None and not args.t_end > 0.0:
         raise ConfigError("t-end must be positive")
 
     start = time.perf_counter()
-    res = universal_asymmetry_experiment(ChainSpec(n_beads), t_plus, t_end)
+    res = universal_asymmetry_experiment(ChainSpec(args.n_beads), args.t_plus,
+                                         args.t_end)
     wall = time.perf_counter() - start
 
     spect = res.spect
     bundle = ResultBundle(
         command="chain",
-        config={"n_beads": n_beads, "t_plus": t_plus, "t_end": res.t_end,
+        config={"n_beads": args.n_beads, "t_plus": args.t_plus,
+                "t_end": res.t_end,
                 "derived": {"t_minus": res.t_minus,
                             "rates": list(spect.lambdas)}})
     full = res.full
@@ -180,7 +186,7 @@ def cmd_chain(args, cfg) -> int:
                           full.traj1.position(full.ts)], axis=-1)
     rows = np.column_stack([full.ts, full.f2, full.f1, full.delta_f,
                             variances.reshape(len(full.ts), -1)])
-    # one row list at a time: the table keeps its own quantized copy
+    # one row list at a time: the table keeps only the text
     bundle.add_table("trajectory", header, (row.tolist() for row in rows))
     bundle.add_table("coincidences", ["t_star", "cubic_gap"],
                      [[float(t), float(gap)] for t, gap
@@ -198,7 +204,7 @@ def cmd_chain(args, cfg) -> int:
     bundle.verdicts = [verdict] + [f"mode-{k + 1}: {rep.verdict}"
                                    for k, rep in enumerate(res.modes)]
     bundle.wall_time_s = wall
-    bundle.write(out)
+    bundle.write(args.out)
     print(verdict)
     for note in full.notes:
         print(f"note: {note}", file=sys.stderr)
@@ -208,46 +214,37 @@ def cmd_chain(args, cfg) -> int:
 # ---------------------------------------------------------------- compare
 
 
-def cmd_compare(args, cfg) -> int:
-    out = _out(args, cfg, "compare")
-    tol = _resolve(args, cfg, "compare", "tol", 1e-10, finite)
-    if not tol > 0.0:
+def cmd_compare(args) -> int:
+    if not args.tol > 0.0:
         raise ConfigError("tol must be positive")
-    model_name = _resolve(args, cfg, "compare", "model", "gaussian-mode", str)
-    if model_name not in COMPARE_MODELS:
-        raise ConfigError(f"unknown model {model_name!r}; registered: "
-                          + ", ".join(sorted(COMPARE_MODELS)))
-    entry = COMPARE_MODELS[model_name]
-    dir1 = _resolve(args, cfg, "compare", "direction1", entry.direction1,
-                    _vector)
-    dir2 = _resolve(args, cfg, "compare", "direction2", entry.direction2,
-                    _vector)
-    level = _resolve(args, cfg, "compare", "level", entry.level, finite)
-    lam = _resolve(args, cfg, "compare", "lam", 0.0, finite)
-    t_end = _resolve(args, cfg, "compare", "t_end", 10.0, finite)
+    entry = COMPARE_MODELS[args.model]
+    # unset seed directions and level fall back to the model's own
+    dir1 = entry.direction1 if args.direction1 is None else args.direction1
+    dir2 = entry.direction2 if args.direction2 is None else args.direction2
+    level = entry.level if args.level is None else args.level
 
     g, f = entry.build()
     dim = g.chart.dim
     if len(dir1) != dim or len(dir2) != dim:
         raise ConfigError(f"directions must have {dim} component(s) "
-                          f"for {model_name}")
+                          f"for {args.model}")
     if not (any(dir1) and any(dir2)):
         raise ConfigError("seed directions must be nonzero")
     if not level > 0.0:
         raise ConfigError("level must be positive")
-    if not t_end > 0.0:
+    if not args.t_end > 0.0:
         raise ConfigError("t-end must be positive")
 
     start = time.perf_counter()
     pair = equidistant_seed(g, f, level, np.asarray(dir1), np.asarray(dir2))
-    rep = compare(g, f, lam, pair, t_end, tol=tol)
+    rep = compare(g, f, args.lam, pair, args.t_end, tol=args.tol)
     wall = time.perf_counter() - start
 
     bundle = ResultBundle(
         command="compare",
-        config={"model": model_name, "direction1": list(dir1),
-                "direction2": list(dir2), "level": level, "lam": lam,
-                "t_end": t_end, "tol": tol})
+        config={"model": args.model, "direction1": list(dir1),
+                "direction2": list(dir2), "level": level, "lam": args.lam,
+                "t_end": args.t_end, "tol": args.tol})
     bundle.add_table("report", ["t", "f1", "f2", "delta_f"],
                      [[float(t), float(rep.f1[i]), float(rep.f2[i]),
                        float(rep.delta_f[i])]
@@ -257,7 +254,7 @@ def cmd_compare(args, cfg) -> int:
                       in zip(rep.coincidence_times, rep.cubic_gaps)])
     bundle.verdicts = [rep.verdict] + list(rep.notes)
     bundle.wall_time_s = wall
-    bundle.write(out)
+    bundle.write(args.out)
     print(rep.verdict)
     for note in rep.notes:
         print(f"note: {note}", file=sys.stderr)
@@ -267,27 +264,18 @@ def cmd_compare(args, cfg) -> int:
 # ----------------------------------------------------------------- verify
 
 
-def cmd_verify(args, cfg) -> int:
-    out = _out(args, cfg, "verify")
-    seed = _resolve(args, cfg, "verify", "seed", 0, int)
-    suite = _resolve(args, cfg, "verify", "suite", None, str)
-    flip = _resolve(args, cfg, "verify", "negative_control", False,
-                    lambda s: str(s).lower() in ("1", "true", "yes"))
-    suites = [suite] if suite else None
-    if suites and any(s not in verify_mod.SUITE_NAMES for s in suites):
-        raise ConfigError(f"unknown suite {suite!r}; available: "
-                          + ", ".join(verify_mod.SUITE_NAMES))
-
+def cmd_verify(args) -> int:
     start = time.perf_counter()
-    results = verify_mod.run_suites(seed=seed, suites=suites,
-                                    flip_nonmetricity_sign=flip)
+    results = verify_mod.run_suites(
+        seed=args.seed, suites=[args.suite] if args.suite else None,
+        flip_nonmetricity_sign=args.negative_control)
     wall = time.perf_counter() - start
 
     bundle = ResultBundle(
         command="verify",
-        config={"suite": suite or "all", "seed": seed,
-                "negative_control": flip},
-        seed=seed)
+        config={"suite": args.suite or "all", "seed": args.seed,
+                "negative_control": args.negative_control},
+        seed=args.seed)
     bundle.add_table(
         "checks",
         ["suite", "check", "passed", "measured", "tolerance", "detail"],
@@ -297,7 +285,7 @@ def cmd_verify(args, cfg) -> int:
     verdict = "all-checks-passed" if all_passed else "checks-failed"
     bundle.verdicts = [verdict]
     bundle.wall_time_s = wall
-    bundle.write(out)
+    bundle.write(args.out)
     for r in results:
         mark = "pass" if r.passed else "FAIL"
         print(f"{mark} {r.suite}/{r.name}: {r.measured:.3e} "
@@ -309,19 +297,10 @@ def cmd_verify(args, cfg) -> int:
 # -------------------------------------------------------------- curvature
 
 
-def cmd_curvature(args, cfg) -> int:
-    out = _out(args, cfg, "curvature")
-    model_name = _resolve(args, cfg, "curvature", "model", "gaussian-mode",
-                          str)
-    if model_name != "gaussian-mode":
-        raise ConfigError("curvature scan supports only the gaussian-mode "
-                          "model")
-    grid_start = _resolve(args, cfg, "curvature", "grid_start", 0.2, finite)
-    grid_stop = _resolve(args, cfg, "curvature", "grid_stop", 5.0, finite)
-    grid_points = _resolve(args, cfg, "curvature", "grid_points", 25, int)
-    if not 0.0 < grid_start <= grid_stop:
+def cmd_curvature(args) -> int:
+    if not 0.0 < args.grid_start <= args.grid_stop:
         raise ConfigError("need 0 < grid-start <= grid-stop")
-    if grid_points < 1:
+    if args.grid_points < 1:
         raise ConfigError("grid-points must be at least 1")
 
     spect = spectrum(ChainSpec(2))
@@ -330,13 +309,13 @@ def cmd_curvature(args, cfg) -> int:
     conn = straightening_connection(g, f, 0.0)
 
     start = time.perf_counter()
-    ratios = np.linspace(grid_start, grid_stop, grid_points)
-    closed = np.full(grid_points, np.nan)
+    ratios = np.linspace(args.grid_start, args.grid_stop, args.grid_points)
+    closed = np.full(args.grid_points, np.nan)
     for i, ratio in enumerate(ratios):
         with contextlib.suppress(SingularCurvatureError):
             closed[i] = scalar_curvature_mode(spect, 0, ratio * astar)
     ok = ~np.isnan(closed)
-    num = np.full(grid_points, np.nan)
+    num = np.full(args.grid_points, np.nan)
     num[ok] = scalar_curvature(
         conn, np.column_stack([np.zeros(ok.sum()), ratios[ok] * astar]))
     rel = np.abs(num - closed) / np.maximum(1.0, np.abs(closed))
@@ -346,14 +325,14 @@ def cmd_curvature(args, cfg) -> int:
 
     bundle = ResultBundle(
         command="curvature",
-        config={"model": model_name, "grid_start": grid_start,
-                "grid_stop": grid_stop, "grid_points": grid_points})
+        config={"model": "gaussian-mode", "grid_start": args.grid_start,
+                "grid_stop": args.grid_stop, "grid_points": args.grid_points})
     bundle.add_table(
         "curvature",
         ["a_ratio", "s_closed_form", "s_numeric", "rel_error", "status"],
         rows)
     bundle.wall_time_s = wall
-    bundle.write(out)
+    bundle.write(args.out)
     n_sing = sum(1 for r in rows if r[4] == "singular")
     print(f"{len(rows)} grid points, {n_sing} singular", file=sys.stderr)
     return EXIT_OK
@@ -369,15 +348,17 @@ def _build_parser() -> _Parser:
 
     def add_common(p):
         p.add_argument("--config", help="INI config file")
-        p.add_argument("--out", help="output directory (default geoflow-out)")
+        p.add_argument("--out", default="geoflow-out",
+                       help="output directory (default %(default)s)")
 
     p_chain = sub.add_parser("chain",
                              help="race warming against cooling for a chain")
     add_common(p_chain)
-    p_chain.add_argument("--n-beads", dest="n_beads", type=int,
-                         help="bead count, at least 2 (default 11)")
-    p_chain.add_argument("--t-plus", dest="t_plus", type=finite,
-                         help="hot start temperature ratio (default 2)")
+    p_chain.add_argument("--n-beads", dest="n_beads", type=int, default=11,
+                         help="bead count, at least 2 (default %(default)s)")
+    p_chain.add_argument("--t-plus", dest="t_plus", type=finite, default=2.0,
+                         help="hot start temperature ratio "
+                              "(default %(default)s)")
     p_chain.add_argument("--t-end", dest="t_end", type=finite,
                          help="time horizon (default 12 / slowest rate)")
     p_chain.set_defaults(func=cmd_chain)
@@ -385,64 +366,75 @@ def _build_parser() -> _Parser:
     p_cmp = sub.add_parser("compare",
                            help="race two equidistant seeds on a model")
     add_common(p_cmp)
-    p_cmp.add_argument("--model",
-                       help="registered model name (default gaussian-mode): "
-                            + ", ".join(sorted(COMPARE_MODELS)))
+    p_cmp.add_argument("--model", choices=sorted(COMPARE_MODELS),
+                       default="gaussian-mode",
+                       help="registered model (default %(default)s)")
     p_cmp.add_argument("--direction1", type=_vector,
-                       help="comma-separated seed direction for curve 1")
+                       help="comma-separated seed direction for curve 1 "
+                            "(default the model's)")
     p_cmp.add_argument("--direction2", type=_vector,
-                       help="comma-separated seed direction for curve 2")
+                       help="comma-separated seed direction for curve 2 "
+                            "(default the model's)")
     p_cmp.add_argument("--level", type=finite,
-                       help="shared potential level of the two seeds")
-    p_cmp.add_argument("--lam", type=finite,
-                       help="connection parameter (default 0)")
-    p_cmp.add_argument("--t-end", dest="t_end", type=finite,
-                       help="time horizon (default 10)")
-    p_cmp.add_argument("--tol", type=finite,
-                       help="integrator tolerance (default 1e-10)")
+                       help="shared potential level of the two seeds "
+                            "(default the model's)")
+    p_cmp.add_argument("--lam", type=finite, default=0.0,
+                       help="connection parameter (default %(default)s)")
+    p_cmp.add_argument("--t-end", dest="t_end", type=finite, default=10.0,
+                       help="time horizon (default %(default)s)")
+    p_cmp.add_argument("--tol", type=finite, default=1e-10,
+                       help="integrator tolerance (default %(default)s)")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_ver = sub.add_parser("verify", help="run the invariant battery")
     add_common(p_ver)
-    p_ver.add_argument("--seed", type=int,
-                       help="seed for randomized checks (default 0)")
+    p_ver.add_argument("--seed", type=int, default=0,
+                       help="seed for randomized checks (default %(default)s)")
     p_ver.add_argument("--suite", choices=verify_mod.SUITE_NAMES,
-                       help="run only this suite")
+                       help="run only this suite (default all)")
     p_ver.add_argument("--negative-control", dest="negative_control",
-                       action="store_true", default=None,
+                       action="store_true",
                        help="flip the closed-form non-metricity sign; the "
                             "battery must then fail")
     p_ver.set_defaults(func=cmd_verify)
 
     p_curv = sub.add_parser("curvature",
-                            help="scan scalar curvature over a/a*")
+                            help="scan the gaussian-mode scalar curvature "
+                                 "over a/a*")
     add_common(p_curv)
-    p_curv.add_argument("--model", help="model name (gaussian-mode only)")
     p_curv.add_argument("--grid-start", dest="grid_start", type=finite,
-                        help="smallest a/a* ratio (default 0.2)")
+                        default=0.2,
+                        help="smallest a/a* ratio (default %(default)s)")
     p_curv.add_argument("--grid-stop", dest="grid_stop", type=finite,
-                        help="largest a/a* ratio (default 5.0)")
+                        default=5.0,
+                        help="largest a/a* ratio (default %(default)s)")
     p_curv.add_argument("--grid-points", dest="grid_points", type=int,
-                        help="grid size (default 25)")
+                        default=25, help="grid size (default %(default)s)")
     p_curv.set_defaults(func=cmd_curvature)
-    # a subcommand resolves exactly its own flags from a config file
-    parser.config_keys = {
-        name: {a.dest for a in p._actions} - {"help", "config"}
-        for name, p in sub.choices.items()}
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = _attach_vector_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = parser.parse_args(_attach_vector_values(
-            sys.argv[1:] if argv is None else list(argv)))
-        cfg = _load_config(args.config) if args.config else None
-        if cfg is not None:
-            _check_config_keys(cfg, parser.config_keys)
-        return args.func(args, cfg)
+        args = parser.parse_args(argv)
+        if args.config:
+            # config values become the subcommand's defaults, and argv is
+            # parsed again: a flag beats the config, which beats a default
+            parser.commands[args.command].set_defaults(**_config_values(
+                args.config, parser.commands, args.command))
+            args = parser.parse_args(argv)
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise ConfigError(f"--out {args.out}: not a directory")
+        return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # the bundle could not be written
+        print(f"config error: cannot write --out: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (GeoflowError, MemoryError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}",

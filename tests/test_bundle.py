@@ -4,8 +4,10 @@ import filecmp
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hst
 
-from geoflow.bundle import ResultBundle, Table, quantize
+from geoflow.bundle import ResultBundle, Table, _csv_line, _encode
 
 
 def sample_bundle():
@@ -16,13 +18,6 @@ def sample_bundle():
                  [0.5, float("nan"), 5, False, "singular"]])
     b.wall_time_s = 0.25
     return b
-
-
-def test_quantize_is_idempotent():
-    for v in (1.0 / 3.0, 2.0 * math.pi, 1e-300, -4.5e17):
-        q = quantize(v)
-        assert quantize(q) == q
-        assert q == pytest.approx(v, rel=1e-12)
 
 
 def test_table_rejects_ragged_rows():
@@ -80,8 +75,29 @@ def test_same_data_detects_divergence(tmp_path):
     a = sample_bundle()
     b = sample_bundle()
     assert a.same_data(b)
-    b.tables["numbers"].rows[0][1] = 0.0
+    b.add_table("numbers", ["t", "value", "count", "flag", "label"],
+                [[0.0, 0.0, 4, True, "ok"],
+                 [0.5, float("nan"), 5, False, "singular"]])
     assert not a.same_data(b)
     c = sample_bundle()
     c.verdicts = ["inconclusive"]
     assert not a.same_data(c)
+
+
+_EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+                2.2250738585072014e-308, 1e308, -1e308, 1.0 / 3.0)
+
+
+@given(hst.lists(hst.floats(allow_nan=True, allow_infinity=True)
+                 | hst.sampled_from(_EDGE_FLOATS), min_size=1, max_size=6))
+def test_float_rows_take_either_path_to_the_same_text(row):
+    # an all-float row is formatted in one step; a str cell sends the same
+    # floats through the per-cell encoder and the csv writer
+    header = [f"c{i}" for i in range(len(row))]
+    (line,) = Table(header, [row]).lines
+    assert line == _csv_line([_encode(c) for c in row])
+    (mixed,) = Table(header + ["label"], [row + ["x"]]).lines
+    assert mixed == line + ",x"
+    (back,) = Table(header, [row]).rows
+    # repr tells -0.0 from 0.0 and a float from an int, and equates nan
+    assert list(map(repr, back)) == [repr(float("%.12e" % v)) for v in row]

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, artifacts, determinism."""
 
+import argparse
 import csv
 import filecmp
 import subprocess
@@ -127,6 +128,46 @@ def test_config_keys_nothing_reads_are_rejected(tmp_path, capsys):
         assert code == 1 and stdout == ""
         assert "config error" in err and named in err
     assert not (tmp_path / "nope").exists()
+
+
+def test_config_values_are_cast_by_the_flags_types(tmp_path, capsys):
+    ini = tmp_path / "cast.ini"
+    cases = (("chain", "[chain]\nt_end = inf\n", "[chain] t_end"),
+             ("chain", "[run]\nn_beads = 4.5\n", "[run] n_beads"),
+             ("compare", "[compare]\nmodel = nope\n", "[compare] model"))
+    for command, body, named in cases:
+        ini.write_text(body)
+        code, stdout, err = run([command, "--config", str(ini),
+                                 "--out", str(tmp_path / "nope")], capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith(f"config error: {named}: cannot parse")
+    assert not (tmp_path / "nope").exists()
+
+
+@pytest.mark.parametrize("value,code,verdict", [
+    ("yes", 2, "checks-failed"), ("no", 0, "all-checks-passed")])
+def test_config_sets_a_store_true_flag(tmp_path, capsys, value, code,
+                                       verdict):
+    ini = tmp_path / "neg.ini"
+    ini.write_text(f"[verify]\nnegative_control = {value}\n"
+                   "suite = straightening\n")
+    got = run(["verify", "--config", str(ini),
+               "--out", str(tmp_path / "neg")], capsys)
+    assert got[:2] == (code, verdict + "\n")
+    config = ResultBundle.read(tmp_path / "neg").config
+    assert config["negative_control"] is (value == "yes")
+
+
+def test_config_values_are_literal(tmp_path, capsys):
+    # a '%' is no interpolation syntax
+    out = tmp_path / "run-50%"
+    ini = tmp_path / "pct.ini"
+    ini.write_text(f"[run]\nout = {out}\n[chain]\nn_beads = 3\n")
+    code, stdout, _ = run(["chain", "--config", str(ini)], capsys)
+    assert code == 0 and stdout.strip() == "warming-faster"
+    assert ResultBundle.read(out).config["n_beads"] == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pct.ini",
+                                                          "run-50%"]
 
 
 def test_malformed_config_is_line_anchored(tmp_path, capsys):
@@ -323,6 +364,49 @@ def test_curvature_custom_grid(tmp_path, capsys):
 
 
 # ------------------------------------------------------------------- misc
+
+
+@pytest.mark.parametrize("argv,stub", [
+    (["chain", "--n-beads", "3"], "universal_asymmetry_experiment"),
+    (["compare"], "compare")])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                          argv, stub):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    real = getattr(cli, stub)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, stub, counted)
+    # an existing file is refused before any computation
+    code, stdout, err = run(argv + ["--out", str(taken)], capsys)
+    assert (code, stdout, calls) == (1, "", [])
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: ") and "not a directory" in err
+    # a path below a file fails only when the bundle is written
+    code, stdout, err = run(argv + ["--out", str(taken / "run")], capsys)
+    assert (code, stdout, calls) == (1, "", [1])
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: cannot write")
+    assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["chain", "compare", "verify",
+                                     "curvature"])
+def test_help_shows_the_declared_defaults(capsys, command):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--help"])
+    assert exit_.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    actions = cli._build_parser().commands[command]._actions
+    shown = [a.default for a in actions
+             if a.default not in (None, argparse.SUPPRESS) and a.nargs != 0]
+    assert "geoflow-out" in shown
+    for default in shown:
+        assert f"(default {default})" in text
 
 
 def test_unknown_command_and_flag(tmp_path, capsys):
