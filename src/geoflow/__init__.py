@@ -40,7 +40,6 @@ from .errors import GeoflowError
 from .gaussian_chain import (
     ChainSpec,
     ModeSpectrum,
-    ModeState,
     analytic_variance,
     chain_manifold,
     cubic_closed_form,
@@ -93,7 +92,6 @@ __all__ = [
     "INCONCLUSIVE",
     "MetricField",
     "ModeSpectrum",
-    "ModeState",
     "ScalarPotential",
     "Submanifold",
     "Trajectory",

@@ -97,16 +97,19 @@ def _config_values(path: str, commands: dict, command: str) -> dict:
     """``command``'s values in the INI file at ``path``, by flag dest.
 
     A subcommand's section accepts only the keys of its own flags and
-    beats ``[run]``; ``[run]``, which every subcommand falls back to, and
-    configparser's ``[DEFAULT]`` accept the keys of any subcommand.  Each
-    value is cast by its flag's own ``type`` (a ``store_true`` flag reads
+    beats ``[run]``, which every subcommand falls back to and which
+    accepts the keys of any subcommand.  ``[DEFAULT]`` has no special
+    meaning: it is an unknown section like any other.  Each value is cast
+    by its flag's own ``type`` (a ``store_true`` flag reads
     ``1``/``true``/``yes`` as set) and checked against its ``choices``.
     Values are literal: no ``%`` interpolation.  An unknown section or
     key, or a value that does not cast, raises ConfigError naming the
     section and the key.
     """
+    # no section header can be empty, so configparser folds no section
+    # into the others, and [DEFAULT] reads as an ordinary section
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                    interpolation=None)
+                                    interpolation=None, default_section="")
     try:
         with open(path) as fh:
             cfg.read_file(fh)
@@ -119,16 +122,12 @@ def _config_values(path: str, commands: dict, command: str) -> dict:
                     if a.dest not in ("help", "config")}
              for name, p in commands.items()}
     shared = set().union(*flags.values())
-    owned = {**{name: set(f) for name, f in flags.items()},
-             "run": shared, cfg.default_section: shared}
-    defaults = set(cfg.defaults())
-    for sec in [cfg.default_section, *cfg.sections()]:
+    owned = {**{name: set(f) for name, f in flags.items()}, "run": shared}
+    for sec in cfg.sections():
         if sec not in owned:
             raise ConfigError(f"[{sec}]: unknown section; expected one of "
                               + ", ".join(f"[{s}]" for s in owned))
-        keys = (defaults if sec == cfg.default_section
-                else set(cfg.options(sec)) - defaults)
-        unread = sorted(keys - owned[sec])
+        unread = sorted(set(cfg.options(sec)) - owned[sec])
         if unread:
             raise ConfigError(f"[{sec}] {unread[0]}: unknown key; [{sec}] "
                               "reads " + ", ".join(sorted(owned[sec])))
@@ -429,6 +428,9 @@ def main(argv=None) -> int:
         if os.path.exists(args.out) and not os.path.isdir(args.out):
             raise ConfigError(f"--out {args.out}: not a directory")
         return args.func(args)
+    except SystemExit as exc:
+        # --help printed the usage and asked argparse to exit
+        return exc.code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

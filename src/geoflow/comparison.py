@@ -47,6 +47,10 @@ LEVEL_TOL = 1e-10
 #: delta_f slack when certifying a one-sided verdict
 DELTA_TOL = 1e-9
 
+#: a cubic gap counts as zero when |C2 - C1| <= GAP_RTOL * max(|C1|, |C2|):
+#: relative, so a mode's verdict does not depend on its rate's scale
+GAP_RTOL = 1e-3
+
 #: speeds below this fraction of the run maximum are treated as converged
 #: noise and excluded from coincidence detection
 SPEED_FLOOR = 1e-8
@@ -232,7 +236,7 @@ def bracketed_roots(fn, lo, hi, f_lo, f_hi) -> np.ndarray:
 
 def compare(g: MetricField, f: ScalarPotential, lam: float,
             pair: EquidistantPair, t_end: float, tol: float = 1e-10,
-            n_samples: int = _GRID, flow=None) -> AsymmetryReport:
+            flow=None) -> AsymmetryReport:
     """Run both relaxations and issue the asymmetry verdict.
 
     ``flow(x0) -> trajectory`` supplies each curve from its seed.  The
@@ -243,7 +247,8 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
     A trajectory needs ``span`` plus ``position``, ``velocity`` and
     ``acceleration`` at a scalar t and over a 1-D array of t.
 
-    Each curve is sampled on the ``n_samples`` grid in one call each to
+    Each curve is sampled on a uniform grid of ``_GRID`` times up to the
+    shorter span, in one call each to
     ``position`` and ``velocity``; ``f`` and ``g`` then evaluate the
     position stack in one call each, so their closures must broadcast
     (:class:`~geoflow.errors.ClosureShapeError` otherwise).  The root
@@ -254,12 +259,20 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
     Speed-coincidence times are the bracketed sign changes of
     |curve1'| - |curve2'| on the dense output (plus t=0 when the seeds
     already move at equal speed), each located to 1e-12 in t and merged
-    when closer than 1e-9.  The verdict is
-    CURVE1_FASTER only when every cubic gap is positive and the sampled
-    delta_f never dips below -1e-9; symmetrically for CURVE2_FASTER;
-    anything else is INCONCLUSIVE.  Sign changes where both speeds have
-    decayed below 1e-8 of the run maximum are roundoff chatter near
-    equilibrium, not coincidences, and are skipped.
+    when closer than 1e-9.  Sign changes where both speeds have decayed
+    below 1e-8 of the run maximum are roundoff chatter near equilibrium,
+    not coincidences, and are skipped.
+
+    One verdict ladder serves with and without coincidences (an empty gap
+    list counts as all positive and all negative):
+
+    1. INCONCLUSIVE with a zero-gap note when the relaxation is symmetric:
+       every cubic gap C2 - C1 is within GAP_RTOL of max(|C1|, |C2|), or,
+       with no coincidence, |delta_f| stays within 1e-9;
+    2. CURVE1_FASTER when every cubic gap is positive and the sampled
+       delta_f never dips below -1e-9;
+    3. CURVE2_FASTER symmetrically;
+    4. INCONCLUSIVE otherwise.
     """
     pair.validate(f)
     if flow is None:
@@ -269,7 +282,7 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
     traj1, traj2 = flow(pair.x1_0), flow(pair.x2_0)
 
     t_hi = min(traj1.span[1], traj2.span[1])
-    ts = np.linspace(0.0, t_hi, n_samples)
+    ts = np.linspace(0.0, t_hi, _GRID)
     f1 = f(traj1.position(ts))
     f2 = f(traj2.position(ts))
     delta = f2 - f1
@@ -294,39 +307,30 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
         if not dedup or r - dedup[-1] > 1e-9:
             dedup.append(r)
 
-    gaps: list[float] = []
     if dedup:
-        at = np.array(dedup)
-        gaps = (nonmetricity_cubic(g, f, lam, traj2, at)
-                - nonmetricity_cubic(g, f, lam, traj1, at)).tolist()
-
-    if gaps:
-        if max(abs(gp) for gp in gaps) < 1e-10:
-            notes.append("zero-gap: every cubic gap vanishes to tolerance "
-                         "(symmetric relaxation)")
-            verdict = INCONCLUSIVE
-        elif all(gp > 0.0 for gp in gaps) and delta.min() >= -DELTA_TOL:
-            verdict = CURVE1_FASTER
-        elif all(gp < 0.0 for gp in gaps) and delta.max() <= DELTA_TOL:
-            verdict = CURVE2_FASTER
-        else:
-            verdict = INCONCLUSIVE
+        c1, c2 = (nonmetricity_cubic(g, f, lam, traj, np.array(dedup))
+                  for traj in (traj1, traj2))
+        symmetric = (np.abs(c2 - c1)
+                     <= GAP_RTOL * np.maximum(np.abs(c1), np.abs(c2))).all()
     else:
+        c1 = c2 = np.zeros(0)
         notes.append("no-coincidence: speeds never re-coincide after t=0; "
                      "verdict rests on the sampled delta_f alone")
-        if np.abs(delta).max() <= DELTA_TOL:
-            notes.append("zero-gap: delta_f vanishes to tolerance "
-                         "(symmetric relaxation)")
-            verdict = INCONCLUSIVE
-        elif delta.min() >= -DELTA_TOL:
-            verdict = CURVE1_FASTER
-        elif delta.max() <= DELTA_TOL:
-            verdict = CURVE2_FASTER
-        else:
-            verdict = INCONCLUSIVE
+        symmetric = np.abs(delta).max() <= DELTA_TOL
+    gaps = c2 - c1
+    if symmetric:
+        notes.append("zero-gap: " + ("every cubic gap" if dedup else "delta_f")
+                     + " vanishes to tolerance (symmetric relaxation)")
+        verdict = INCONCLUSIVE
+    elif (gaps > 0.0).all() and delta.min() >= -DELTA_TOL:
+        verdict = CURVE1_FASTER
+    elif (gaps < 0.0).all() and delta.max() <= DELTA_TOL:
+        verdict = CURVE2_FASTER
+    else:
+        verdict = INCONCLUSIVE
 
     return AsymmetryReport(ts=ts, delta_f=delta, f1=f1, f2=f2,
-                           coincidence_times=dedup, cubic_gaps=gaps,
+                           coincidence_times=dedup, cubic_gaps=gaps.tolist(),
                            verdict=verdict, notes=notes,
                            traj1=traj1, traj2=traj2, level=pair.level)
 

@@ -185,20 +185,27 @@ def dual_model(model: HessianModel,
 
 
 def fujiwara_amari_residual(model: HessianModel, q, x,
-                            pipeline: str = "auto") -> float:
+                            pipeline: str = "auto") -> float | np.ndarray:
     """Defect of the affine-gradient property of D_q(.) = D(q, .).
 
     Builds the Hessian-metric gradient field V of D_q and returns
     ``|(dV) V - V| / |V|`` at x; near zero certifies that gradient curves
     of the divergence are pregeodesics of the flat chart connection.
+    q and x broadcast: one pair gives a float, a stack of pairs one
+    residual per pair, from one call of each stage on the whole stack.
 
     pipeline="analytic" uses the chain-rule derivative of D_q (needs an
     analytic eta); "fd" differentiates divergence values only; "auto"
     picks "analytic" when available.
+
+    Raises
+    ------
+    CriticalPointError
+        If any pair has x = q.
     """
     q = np.asarray(q, dtype=float)
     x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x - q) < 1e-12:
+    if (np.linalg.norm(x - q, axis=-1) < 1e-12).any():
         raise CriticalPointError(
             "x = q: the divergence gradient vanishes on the diagonal")
     if pipeline == "auto":
@@ -230,10 +237,12 @@ def fujiwara_amari_residual(model: HessianModel, q, x,
     # no truncation error at any step; a wide step drowns the FD noise the
     # fd pipeline injects into each V evaluation
     outer = numdiff.STEP_NESTED if pipeline == "analytic" else 1e-2
+    x = np.broadcast_to(x, np.broadcast_shapes(x.shape, q.shape))
     v = v_field(x)
     jac = numdiff.jacobian_fd(v_field, x, scale=outer)
-    defect = jac @ v - v
-    return float(np.linalg.norm(defect) / np.linalg.norm(v))
+    defect = (jac @ v[..., None])[..., 0] - v
+    r = np.linalg.norm(defect, axis=-1) / np.linalg.norm(v, axis=-1)
+    return float(r) if r.ndim == 0 else r
 
 
 def quadratic_model(dim: int = 1) -> HessianModel:

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dually_flat import exponential_model, metric_field
+from .dually_flat import canonical_divergence, exponential_model, metric_field
 from .gaussian_chain import (
     ChainSpec,
     ModeSpectrum,
@@ -41,11 +41,7 @@ def euclidean_quadratic(dim: int = 2) -> tuple[MetricField, ScalarPotential]:
                     diagonal=lambda x: np.ones(x.shape),
                     partials=lambda x: np.zeros(x.shape + (dim,)),
                     name="euclidean")
-    f = ScalarPotential(lambda x: 0.5 * (x * x).sum(axis=-1),
-                        gradient=lambda x: np.asarray(x, dtype=float),
-                        minimum_q=np.zeros(dim),
-                        name="quadratic")
-    return g, f
+    return g, distance_squared_potential(g, np.zeros(dim))
 
 
 def gaussian_mode(rate: float = 2.0,
@@ -93,23 +89,16 @@ def sphere_height() -> tuple[MetricField, ScalarPotential]:
 def hessian_exp() -> tuple[MetricField, ScalarPotential]:
     """Exponential Hessian model with its divergence from the origin.
 
-    f(theta) = D(theta, 0) = e^theta - theta - 1, minimized at theta = 0;
-    the metric is the model's Hessian e^theta.
+    f(theta) = D(theta, 0) = e^theta - theta - 1, minimized at theta = 0,
+    with gradient eta(theta) - eta(0); the metric is the model's Hessian
+    e^theta.
     """
     model = exponential_model()
-    g = metric_field(model)
     q = np.zeros(1)
-
-    def value(x):
-        # D(x, 0) = phi(x) + psi(0) - x eta(0), with psi(0) = -1, eta(0) = 1
-        return np.exp(x[..., 0]) - 1.0 - x[..., 0]
-
-    def grad(x):
-        return np.exp(np.asarray(x, dtype=float)) - 1.0
-
-    f = ScalarPotential(value, gradient=grad, minimum_q=q.copy(),
-                        name="exp-divergence")
-    return g, f
+    f = ScalarPotential(lambda x: canonical_divergence(model, x, q),
+                        gradient=lambda x: model.eta(x) - model.eta(q),
+                        minimum_q=q.copy(), name="exp-divergence")
+    return metric_field(model), f
 
 
 def distance_squared_potential(g: MetricField,

@@ -39,7 +39,6 @@ from .manifold import Chart, MetricField, ScalarPotential, _diag_matrix, span_ti
 __all__ = [
     "ChainSpec",
     "ModeSpectrum",
-    "ModeState",
     "ExperimentResult",
     "chain_laplacian",
     "spectrum",
@@ -98,23 +97,8 @@ class ModeSpectrum:
         return self.lambdas.size
 
 
-@dataclass(frozen=True)
-class ModeState:
-    """Mode variances at a time point."""
-
-    a: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if not (a > 0.0).all():
-            raise ValueError("mode variances must be positive")
-        object.__setattr__(self, "a", a)
-
-
 def _avec(state) -> np.ndarray:
-    a = state.a if isinstance(state, ModeState) else np.asarray(state,
-                                                                dtype=float)
+    a = np.asarray(state, dtype=float)
     if not (a > 0.0).all():
         raise ValueError("mode variances must be positive")
     return a
@@ -138,16 +122,20 @@ def spectrum(spec: ChainSpec) -> ModeSpectrum:
     return ModeSpectrum(lambdas=lam, a_star=2.0 / lam)
 
 
-def analytic_variance(spec: ChainSpec, spect: ModeSpectrum, k: int,
-                      t: float) -> float:
-    """Closed-form a_k(t) = (2/lambda_k)(1 + (T_tilde - 1) e^{-2 lambda_k t})."""
+def analytic_variance(spec: ChainSpec, spect: ModeSpectrum, k,
+                      t) -> float | np.ndarray:
+    """Closed-form a_k(t) = (2/lambda_k)(1 + (T_tilde - 1) e^{-2 lambda_k t}).
+
+    The mode index k and the time t broadcast against each other, e.g.
+    ``np.arange(n)`` against ``ts[:, None]``; a scalar k and t give a float.
+    """
     lam = spect.lambdas[k]
-    return float((2.0 / lam) * (1.0 + (spec.t_tilde - 1.0)
-                                * np.exp(-2.0 * lam * t)))
+    a = (2.0 / lam) * (1.0 + (spec.t_tilde - 1.0) * np.exp(-2.0 * lam * t))
+    return float(a) if a.ndim == 0 else a
 
 
 def ode_rhs(spect: ModeSpectrum, state) -> np.ndarray:
-    """Mode velocities da_k/dt = -2 lambda_k (a_k - a*_k)."""
+    """Mode velocities da_k/dt = -2 lambda_k (a_k - a*_k), per state."""
     return -2.0 * spect.lambdas * (_avec(state) - spect.a_star)
 
 
@@ -227,32 +215,38 @@ def potential_F(spect: ModeSpectrum, state) -> float | np.ndarray:
     return float(value) if value.ndim == 0 else value
 
 
-def cubic_closed_form(spect: ModeSpectrum, state, k: int) -> float:
+def cubic_closed_form(spect: ModeSpectrum, state,
+                      k: int) -> float | np.ndarray:
     """F-acceleration of mode k: 2 lambda_k (a*/a)(adot/a)^2, adot on-flow.
 
     Equal to minus the straightening-connection cubic C(xd, xd, xd) of the
-    single-mode model at lam=0.
+    single-mode model at lam=0.  One state gives a float; a stack of
+    states ``(n, n_modes)`` gives their n values.
     """
-    a = _avec(state)[k]
-    adot = ode_rhs(spect, state)[k]
-    lam = spect.lambdas[k]
-    return float(2.0 * lam * (spect.a_star[k] / a) * (adot / a) ** 2)
+    a = _avec(state)[..., k]
+    adot = ode_rhs(spect, state)[..., k]
+    c = 2.0 * spect.lambdas[k] * (spect.a_star[k] / a) * (adot / a) ** 2
+    return float(c) if c.ndim == 0 else c
 
 
-def scalar_curvature_mode(spect: ModeSpectrum, k: int, a: float) -> float:
+def scalar_curvature_mode(spect: ModeSpectrum, k: int,
+                          a) -> float | np.ndarray:
     """Closed-form scalar curvature a (a - 5 a*) / (a - a*)^2 of mode k.
+
+    One variance gives a float; an array of variances gives an array.
 
     Raises
     ------
     SingularCurvatureError
-        Within |a - a*| < 1e-6 a*: the straightened geometry degenerates on
-        the equilibrium set.
+        If any a lies within |a - a*| < 1e-6 a*: the straightened geometry
+        degenerates on the equilibrium set.
     """
     astar = spect.a_star[k]
-    if abs(a - astar) < 1e-6 * astar:
+    if (abs(a - astar) < 1e-6 * astar).any():
         raise SingularCurvatureError(
             f"curvature of mode {k} diverges at a = a* = {astar}")
-    return float(a * (a - 5.0 * astar) / (a - astar) ** 2)
+    s = a * (a - 5.0 * astar) / (a - astar) ** 2
+    return float(s) if s.ndim == 0 else s
 
 
 #: bound on |u - ln u - target| / target in equidistant_temperatures; the

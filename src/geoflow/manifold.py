@@ -258,19 +258,15 @@ class ScalarPotential:
     minimum_q : array-like, optional
         The designated minimum.  ``None`` for potentials whose infimum lies
         outside the chart; operations that need q raise in that case.
-    min_value : float
-        Value at the minimum.
     """
 
     def __init__(self, value: Callable[[np.ndarray], float],
                  gradient: Callable[[np.ndarray], np.ndarray] | None = None,
                  minimum_q: np.ndarray | None = None,
-                 min_value: float = 0.0,
                  name: str = ""):
         self._value = value
         self._gradient = gradient
         self.minimum_q = None if minimum_q is None else np.asarray(minimum_q, dtype=float)
-        self.min_value = float(min_value)
         self.name = name
 
     def __call__(self, x: np.ndarray) -> float | np.ndarray:

@@ -130,6 +130,21 @@ def test_config_keys_nothing_reads_are_rejected(tmp_path, capsys):
     assert not (tmp_path / "nope").exists()
 
 
+def test_default_section_is_an_unknown_section(tmp_path, capsys):
+    # configparser would fold [DEFAULT] into every section, beating [run]
+    # wherever the subcommand's own section exists; it is refused instead
+    ini = tmp_path / "default.ini"
+    for body in ("[DEFAULT]\nn_beads = 3\n[run]\nn_beads = 4\n[chain]\n",
+                 "[DEFAULT]\nn_beads = 3\n[run]\nn_beads = 4\n",
+                 "[DEFAULT]\n[chain]\nn_beads = 4\n"):
+        ini.write_text(body)
+        code, stdout, err = run(["chain", "--config", str(ini),
+                                 "--out", str(tmp_path / "nope")], capsys)
+        assert code == 1 and stdout == ""
+        assert err.startswith("config error: [DEFAULT]: unknown section")
+    assert not (tmp_path / "nope").exists()
+
+
 def test_config_values_are_cast_by_the_flags_types(tmp_path, capsys):
     ini = tmp_path / "cast.ini"
     cases = (("chain", "[chain]\nt_end = inf\n", "[chain] t_end"),
@@ -397,9 +412,7 @@ def test_unwritable_out_is_a_config_error(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("command", ["chain", "compare", "verify",
                                      "curvature"])
 def test_help_shows_the_declared_defaults(capsys, command):
-    with pytest.raises(SystemExit) as exit_:
-        cli.main([command, "--help"])
-    assert exit_.value.code == 0
+    assert cli.main([command, "--help"]) == 0
     text = " ".join(capsys.readouterr().out.split())
     actions = cli._build_parser().commands[command]._actions
     shown = [a.default for a in actions

@@ -104,6 +104,19 @@ def test_compare_symmetric_is_inconclusive():
     assert np.abs(report.delta_f).max() < 1e-9
 
 
+def test_compare_flat_bowl_ties_read_zero_gap_in_any_direction():
+    # random directions leave cubic gaps of finite-difference noise, ~1e-9
+    # absolute; relative to the cubics they are ties, not crossings
+    g, f = fixtures.euclidean_quadratic(2)
+    rng = np.random.default_rng(0)
+    for d1, d2 in rng.standard_normal((3, 2, 2)):
+        report = cp.compare(g, f, 0.0, cp.equidistant_seed(g, f, 0.5, d1, d2),
+                            12.0)
+        assert report.verdict == cp.INCONCLUSIVE
+        assert report.coincidence_times
+        assert any(n.startswith("zero-gap") for n in report.notes)
+
+
 def test_compare_identical_seeds():
     g, f = fixtures.euclidean_quadratic(2)
     pair = cp.EquidistantPair(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 0.5)

@@ -183,3 +183,28 @@ def test_fa_diagonal_raises():
     m = df.quadratic_model(2)
     with pytest.raises(CriticalPointError):
         df.fujiwara_amari_residual(m, [1.0, 0.0], [1.0, 0.0])
+
+
+@pytest.mark.parametrize("pipeline", ["analytic", "fd"])
+def test_fa_stack_equals_pointwise_calls(pipeline):
+    rng = np.random.default_rng(43)
+    for model, _th0, draw in MODELS:
+        q = np.array([draw(rng) for _ in range(30)])
+        x = np.array([draw(rng) for _ in range(30)])
+        stack = df.fujiwara_amari_residual(model, q, x, pipeline)
+        assert stack.shape == (30,)
+        assert np.array_equal(stack, [df.fujiwara_amari_residual(
+            model, qi, xi, pipeline) for qi, xi in zip(q, x)])
+        # one reference point against the whole stack broadcasts
+        assert np.array_equal(
+            df.fujiwara_amari_residual(model, q[0], x, pipeline),
+            [df.fujiwara_amari_residual(model, q[0], xi, pipeline)
+             for xi in x])
+
+
+def test_fa_stack_with_one_diagonal_pair_raises():
+    m = df.quadratic_model(2)
+    q = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, -0.5]])
+    x = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(CriticalPointError):
+        df.fujiwara_amari_residual(m, q, x)

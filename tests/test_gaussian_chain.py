@@ -94,6 +94,19 @@ def test_variance_constant_at_equilibrium_start():
                         rtol=1e-13)
 
 
+def test_variance_stack_equals_pointwise_calls():
+    spec = gc.ChainSpec(9, t_tilde=3.5)
+    sp = gc.spectrum(spec)
+    k = np.arange(sp.n_modes)
+    ts = np.linspace(0.0, 4.0 / sp.lambdas[0], 13)
+    stack = gc.analytic_variance(spec, sp, k, ts[:, None])
+    assert stack.shape == (ts.size, sp.n_modes)
+    pointwise = [[gc.analytic_variance(spec, sp, j, t) for j in k]
+                 for t in ts]
+    assert np.array_equal(stack, pointwise)
+    assert type(gc.analytic_variance(spec, sp, 2, 0.5)) is float
+
+
 def test_variance_solves_the_mode_ode():
     # finite-difference d a/dt against the right-hand side
     spec = gc.ChainSpec(3, t_tilde=2.5)
@@ -104,13 +117,13 @@ def test_variance_solves_the_mode_ode():
             da = (gc.analytic_variance(spec, sp, k, t + h)
                   - gc.analytic_variance(spec, sp, k, t - h)) / (2.0 * h)
             a = np.array([gc.analytic_variance(spec, sp, j, t) for j in range(2)])
-            rhs = gc.ode_rhs(sp, gc.ModeState(a, t=t))
+            rhs = gc.ode_rhs(sp, a)
             assert_allclose(da, rhs[k], rtol=1e-7, atol=1e-9)
 
 
 def test_ode_rhs_frozen_value():
     sp = single_mode()
-    assert_allclose(gc.ode_rhs(sp, gc.ModeState([2.0])), [-4.0], atol=1e-14)
+    assert_allclose(gc.ode_rhs(sp, np.array([2.0])), [-4.0], atol=1e-14)
 
 
 def test_ode_matches_integrated_flow():
@@ -164,21 +177,21 @@ def test_closed_form_trajectory_span_ends_at_the_stop_threshold():
 
 def test_potential_frozen_value():
     sp = single_mode()
-    assert_allclose(gc.potential_F(sp, gc.ModeState([2.0])), F_MODE_WARM,
+    assert_allclose(gc.potential_F(sp, np.array([2.0])), F_MODE_WARM,
                     rtol=1e-12)
 
 
 def test_potential_uniform_start_closed_form():
     for n_beads, t_tilde in [(3, 2.0), (6, 0.5), (11, 4.0)]:
         sp = gc.spectrum(gc.ChainSpec(n_beads))
-        got = gc.potential_F(sp, gc.ModeState(t_tilde * sp.a_star))
+        got = gc.potential_F(sp, t_tilde * sp.a_star)
         want = sp.lambdas.sum() * (1.0 / t_tilde - np.log(1.0 / t_tilde) - 1.0)
         assert_allclose(got, want, rtol=1e-12)
 
 
 def test_potential_vanishes_at_equilibrium():
     sp = gc.spectrum(gc.ChainSpec(7))
-    assert gc.potential_F(sp, gc.ModeState(sp.a_star)) == pytest.approx(0.0, abs=1e-15)
+    assert gc.potential_F(sp, sp.a_star) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_rhs_is_minus_fisher_gradient():
@@ -188,7 +201,7 @@ def test_rhs_is_minus_fisher_gradient():
     g, f = gc.chain_manifold(sp)
     for _ in range(20):
         a = sp.a_star * rng.uniform(0.3, 3.0, size=sp.lambdas.size)
-        rhs = gc.ode_rhs(sp, gc.ModeState(a))
+        rhs = gc.ode_rhs(sp, a)
         ginv_grad = np.linalg.solve(g(a), f.gradient_covector(a))
         assert_allclose(rhs, -ginv_grad, rtol=1e-10, atol=1e-12)
 
@@ -200,7 +213,7 @@ def test_cubic_frozen_value():
     sp = single_mode()
     spec = gc.ChainSpec(2, t_tilde=2.0)
     a0 = gc.analytic_variance(spec, sp, 0, 0.0)
-    assert_allclose(gc.cubic_closed_form(sp, gc.ModeState([a0]), 0),
+    assert_allclose(gc.cubic_closed_form(sp, np.array([a0]), 0),
                     CUBIC_MODE_WARM, rtol=1e-12)
 
 
@@ -214,7 +227,7 @@ def test_cubic_matches_trajectory_route():
         traj = integrate_flow(g, f, a0, 3.0, tol=1e-11)
         for t in [0.0, 0.4, 1.1]:
             a_t = traj.position(t)
-            closed = gc.cubic_closed_form(sp, gc.ModeState(a_t), 0)
+            closed = gc.cubic_closed_form(sp, a_t, 0)
             traj_route = st.nonmetricity_cubic(g, f, 0.0, traj, t)
             assert_allclose(traj_route, -closed, rtol=1e-6, atol=1e-8)
 
@@ -227,9 +240,22 @@ def test_cubic_sign_separates_sides():
     t_minus = gc.equidistant_temperatures(2.0)
     a_warm = gc.analytic_variance(spec_w, sp, 0, 0.0)
     a_cold = t_minus * sp.a_star[0]
-    c_warm = gc.cubic_closed_form(sp, gc.ModeState([a_warm]), 0)
-    c_cold = gc.cubic_closed_form(sp, gc.ModeState([a_cold]), 0)
+    c_warm = gc.cubic_closed_form(sp, np.array([a_warm]), 0)
+    c_cold = gc.cubic_closed_form(sp, np.array([a_cold]), 0)
     assert c_cold > c_warm > 0.0
+
+
+def test_cubic_stack_equals_pointwise_calls():
+    rng = np.random.default_rng(5)
+    sp = gc.spectrum(gc.ChainSpec(6))
+    a = sp.a_star * rng.uniform(0.2, 4.0, size=(40, sp.n_modes))
+    for k in range(sp.n_modes):
+        stack = gc.cubic_closed_form(sp, a, k)
+        assert stack.shape == (40,)
+        assert np.array_equal(stack, [gc.cubic_closed_form(sp, row, k)
+                                      for row in a])
+    with pytest.raises(ValueError):
+        gc.cubic_closed_form(sp, np.vstack([a, -a[:1]]), 0)
 
 
 # -------------------------------------------------------------- curvature
@@ -251,6 +277,19 @@ def test_curvature_singular_at_equilibrium():
     sp = single_mode()
     with pytest.raises(SingularCurvatureError):
         gc.scalar_curvature_mode(sp, 0, sp.a_star[0])
+
+
+def test_curvature_stack_equals_pointwise_calls():
+    sp = gc.spectrum(gc.ChainSpec(4))
+    ratios = np.array([0.2, 0.5, 0.8, 1.2, 2.0, 3.5, 5.0])
+    for k in range(sp.n_modes):
+        a = ratios * sp.a_star[k]
+        stack = gc.scalar_curvature_mode(sp, k, a)
+        assert np.array_equal(stack, [gc.scalar_curvature_mode(sp, k, ai)
+                                      for ai in a])
+        # one point at equilibrium makes the whole stack singular
+        with pytest.raises(SingularCurvatureError):
+            gc.scalar_curvature_mode(sp, k, np.append(a, sp.a_star[k]))
 
 
 def test_curvature_matches_connection_route():
@@ -320,8 +359,8 @@ def test_equidistant_levels_match_on_chain(n_beads):
     sp = gc.spectrum(gc.ChainSpec(n_beads))
     for t_plus in [1.1, 2.0, 8.0]:
         t_p, t_m = t_plus, gc.equidistant_temperatures(t_plus)
-        f_plus = gc.potential_F(sp, gc.ModeState(t_p * sp.a_star))
-        f_minus = gc.potential_F(sp, gc.ModeState(t_m * sp.a_star))
+        f_plus = gc.potential_F(sp, t_p * sp.a_star)
+        f_minus = gc.potential_F(sp, t_m * sp.a_star)
         assert abs(f_plus - f_minus) < 1e-10 * max(1.0, f_plus)
         assert t_m < 1.0 < t_p
 
@@ -384,14 +423,7 @@ def test_warming_wins_for_every_chain_and_mode(n_beads, t_plus):
     assert res.t_end == 12.0 / sp.lambdas[0]
     assert res.warming_faster
     for rep in res.modes:
-        # known defect: compare calls a cubic gap below an absolute 1e-10
-        # zero, so the slowest modes of long chains near T+ = 1 (gaps
-        # ~1e-11 at N = 64, T+ = 1.05) read Inconclusive despite their
-        # positive gaps
-        gaps = np.array(rep.cubic_gaps)
-        assert rep.verdict == CURVE1_FASTER or (
-            any(n.startswith("zero-gap") for n in rep.notes)
-            and gaps.size and (gaps > 0.0).all() and (gaps < 1e-10).all())
+        assert rep.verdict == CURVE1_FASTER
     for rep in [res.full, *res.modes]:
         assert abs(rep.delta_f[0]) <= 1e-9
         assert rep.delta_f.min() >= -1e-9
@@ -403,3 +435,12 @@ def test_warming_wins_for_every_chain_and_mode(n_beads, t_plus):
             want = [gc.analytic_variance(spec_t, sp, k, t)
                     for k in range(sp.n_modes)]
             assert_allclose(traj.position(t), want, rtol=1e-12)
+
+
+def test_slow_modes_are_decided_by_the_relative_gap_cut():
+    # mode 1 of N = 64 at T+ = 1.05 has a cubic gap far below 1e-10 in
+    # absolute terms, yet 1/16 of its cubics: a real, scale-free win
+    res = gc.universal_asymmetry_experiment(gc.ChainSpec(64), 1.05)
+    gaps = np.array(res.modes[0].cubic_gaps)
+    assert gaps.size and (gaps > 0.0).all() and (gaps < 1e-10).all()
+    assert [rep.verdict for rep in res.modes] == [CURVE1_FASTER] * 63
