@@ -11,6 +11,11 @@ Each flag's type and default are declared once, in :func:`_build_parser`;
 a config file's values are cast by those types and become the
 subcommand's defaults, so a flag beats the config, which beats a default.
 
+Each ``cmd_*`` returns its bundle, its stdout line (or None), its stderr
+lines and its exit code; :func:`main` alone times the command, writes
+the bundle and prints.  ``wall_time_s`` thus covers a command's work and
+its tables, but not the write.
+
 Exit codes: 0 success or verdict-positive, 1 config error (an ``--out``
 that cannot be written included), 2 numerical
 failure (a :class:`~geoflow.errors.GeoflowError`, or a ``MemoryError``
@@ -153,10 +158,25 @@ def _config_values(path: str, commands: dict, command: str) -> dict:
     return values
 
 
+#: what a ``cmd_*`` hands to :func:`main`: bundle, stdout line or None,
+#: stderr lines, exit code
+_Outcome = tuple[ResultBundle, str | None, list[str], int]
+
+
+def _add_coincidences(bundle: ResultBundle, rep) -> None:
+    bundle.add_table("coincidences", ["t_star", "cubic_gap"],
+                     [[float(t), float(gap)] for t, gap
+                      in zip(rep.coincidence_times, rep.cubic_gaps)])
+
+
+def _exit_code(verdict: str) -> int:
+    return EXIT_INCONCLUSIVE if verdict == INCONCLUSIVE else EXIT_OK
+
+
 # ----------------------------------------------------------------- chain
 
 
-def cmd_chain(args) -> int:
+def cmd_chain(args) -> _Outcome:
     if args.n_beads < 2:
         raise ConfigError("n-beads must be at least 2")
     if not args.t_plus >= 1.0:
@@ -164,11 +184,8 @@ def cmd_chain(args) -> int:
     if args.t_end is not None and not args.t_end > 0.0:
         raise ConfigError("t-end must be positive")
 
-    start = time.perf_counter()
     res = universal_asymmetry_experiment(ChainSpec(args.n_beads), args.t_plus,
                                          args.t_end)
-    wall = time.perf_counter() - start
-
     spect = res.spect
     bundle = ResultBundle(
         command="chain",
@@ -187,9 +204,7 @@ def cmd_chain(args) -> int:
                             variances.reshape(len(full.ts), -1)])
     # one row list at a time: the table keeps only the text
     bundle.add_table("trajectory", header, (row.tolist() for row in rows))
-    bundle.add_table("coincidences", ["t_star", "cubic_gap"],
-                     [[float(t), float(gap)] for t, gap
-                      in zip(full.coincidence_times, full.cubic_gaps)])
+    _add_coincidences(bundle, full)
     bundle.add_table("modes",
                      ["mode", "rate", "a_star", "verdict", "min_delta_F"],
                      [[k + 1, float(spect.lambdas[k]),
@@ -202,18 +217,14 @@ def cmd_chain(args) -> int:
                INCONCLUSIVE: "inconclusive"}[full.verdict]
     bundle.verdicts = [verdict] + [f"mode-{k + 1}: {rep.verdict}"
                                    for k, rep in enumerate(res.modes)]
-    bundle.wall_time_s = wall
-    bundle.write(args.out)
-    print(verdict)
-    for note in full.notes:
-        print(f"note: {note}", file=sys.stderr)
-    return EXIT_INCONCLUSIVE if full.verdict == INCONCLUSIVE else EXIT_OK
+    return (bundle, verdict, [f"note: {note}" for note in full.notes],
+            _exit_code(full.verdict))
 
 
 # ---------------------------------------------------------------- compare
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> _Outcome:
     if not args.tol > 0.0:
         raise ConfigError("tol must be positive")
     entry = COMPARE_MODELS[args.model]
@@ -234,11 +245,8 @@ def cmd_compare(args) -> int:
     if not args.t_end > 0.0:
         raise ConfigError("t-end must be positive")
 
-    start = time.perf_counter()
     pair = equidistant_seed(g, f, level, np.asarray(dir1), np.asarray(dir2))
     rep = compare(g, f, args.lam, pair, args.t_end, tol=args.tol)
-    wall = time.perf_counter() - start
-
     bundle = ResultBundle(
         command="compare",
         config={"model": args.model, "direction1": list(dir1),
@@ -248,28 +256,19 @@ def cmd_compare(args) -> int:
                      [[float(t), float(rep.f1[i]), float(rep.f2[i]),
                        float(rep.delta_f[i])]
                       for i, t in enumerate(rep.ts)])
-    bundle.add_table("coincidences", ["t_star", "cubic_gap"],
-                     [[float(t), float(gap)] for t, gap
-                      in zip(rep.coincidence_times, rep.cubic_gaps)])
+    _add_coincidences(bundle, rep)
     bundle.verdicts = [rep.verdict] + list(rep.notes)
-    bundle.wall_time_s = wall
-    bundle.write(args.out)
-    print(rep.verdict)
-    for note in rep.notes:
-        print(f"note: {note}", file=sys.stderr)
-    return EXIT_INCONCLUSIVE if rep.verdict == INCONCLUSIVE else EXIT_OK
+    return (bundle, rep.verdict, [f"note: {note}" for note in rep.notes],
+            _exit_code(rep.verdict))
 
 
 # ----------------------------------------------------------------- verify
 
 
-def cmd_verify(args) -> int:
-    start = time.perf_counter()
+def cmd_verify(args) -> _Outcome:
     results = verify_mod.run_suites(
         seed=args.seed, suites=[args.suite] if args.suite else None,
         flip_nonmetricity_sign=args.negative_control)
-    wall = time.perf_counter() - start
-
     bundle = ResultBundle(
         command="verify",
         config={"suite": args.suite or "all", "seed": args.seed,
@@ -283,20 +282,15 @@ def cmd_verify(args) -> int:
     all_passed = all(r.passed for r in results)
     verdict = "all-checks-passed" if all_passed else "checks-failed"
     bundle.verdicts = [verdict]
-    bundle.wall_time_s = wall
-    bundle.write(args.out)
-    for r in results:
-        mark = "pass" if r.passed else "FAIL"
-        print(f"{mark} {r.suite}/{r.name}: {r.measured:.3e} "
-              f"(tol {r.tolerance:.1e})", file=sys.stderr)
-    print(verdict)
-    return EXIT_OK if all_passed else EXIT_NUMERICAL
+    lines = [f"{'pass' if r.passed else 'FAIL'} {r.suite}/{r.name}: "
+             f"{r.measured:.3e} (tol {r.tolerance:.1e})" for r in results]
+    return bundle, verdict, lines, EXIT_OK if all_passed else EXIT_NUMERICAL
 
 
 # -------------------------------------------------------------- curvature
 
 
-def cmd_curvature(args) -> int:
+def cmd_curvature(args) -> _Outcome:
     if not 0.0 < args.grid_start <= args.grid_stop:
         raise ConfigError("need 0 < grid-start <= grid-stop")
     if args.grid_points < 1:
@@ -306,8 +300,6 @@ def cmd_curvature(args) -> int:
     astar = spect.a_star[0]
     g, f = mode_plane_manifold(spect, 0)
     conn = straightening_connection(g, f, 0.0)
-
-    start = time.perf_counter()
     ratios = np.linspace(args.grid_start, args.grid_stop, args.grid_points)
     closed = np.full(args.grid_points, np.nan)
     for i, ratio in enumerate(ratios):
@@ -318,9 +310,6 @@ def cmd_curvature(args) -> int:
     num[ok] = scalar_curvature(
         conn, np.column_stack([np.zeros(ok.sum()), ratios[ok] * astar]))
     rel = np.abs(num - closed) / np.maximum(1.0, np.abs(closed))
-    rows = [[float(r), float(c), float(s), float(e), "ok" if k else "singular"]
-            for r, c, s, e, k in zip(ratios, closed, num, rel, ok)]
-    wall = time.perf_counter() - start
 
     bundle = ResultBundle(
         command="curvature",
@@ -329,12 +318,10 @@ def cmd_curvature(args) -> int:
     bundle.add_table(
         "curvature",
         ["a_ratio", "s_closed_form", "s_numeric", "rel_error", "status"],
-        rows)
-    bundle.wall_time_s = wall
-    bundle.write(args.out)
-    n_sing = sum(1 for r in rows if r[4] == "singular")
-    print(f"{len(rows)} grid points, {n_sing} singular", file=sys.stderr)
-    return EXIT_OK
+        [[float(r), float(c), float(s), float(e), "ok" if k else "singular"]
+         for r, c, s, e, k in zip(ratios, closed, num, rel, ok)])
+    return (bundle, None, [f"{args.grid_points} grid points, "
+                           f"{int((~ok).sum())} singular"], EXIT_OK)
 
 
 # ------------------------------------------------------------------ main
@@ -427,7 +414,15 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         if os.path.exists(args.out) and not os.path.isdir(args.out):
             raise ConfigError(f"--out {args.out}: not a directory")
-        return args.func(args)
+        start = time.perf_counter()
+        bundle, stdout, stderr, code = args.func(args)
+        bundle.wall_time_s = time.perf_counter() - start
+        bundle.write(args.out)
+        for line in stderr:
+            print(line, file=sys.stderr)
+        if stdout is not None:
+            print(stdout)
+        return code
     except SystemExit as exc:
         # --help printed the usage and asked argparse to exit
         return exc.code

@@ -8,7 +8,7 @@ against the directly sampled difference Delta f = f(curve2) - f(curve1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 # not called here (the root search is bracketed_roots); bench/tracer.py
@@ -77,14 +77,27 @@ class EquidistantPair:
     level: float
 
     def validate(self, f: ScalarPotential) -> None:
+        """Check both seeds lie on ``level`` and the level is not below the
+        minimum.
+
+        A level equal to the minimum value is accepted: both seeds then sit
+        at the minimum, as in the chain's T+ = 1 race, and :func:`compare`
+        reads the pair as a no-race.
+
+        Raises
+        ------
+        NonEquidistantError
+            If a seed is off the level by more than LEVEL_TOL, or the level
+            lies below f at the potential's designated minimum.
+        """
         for x in (self.x1_0, self.x2_0):
             err = abs(f(x) - self.level)
             if err > LEVEL_TOL:
                 raise NonEquidistantError(
                     f"|f(x) - c| = {err:.3e} at seed {x} (limit {LEVEL_TOL})")
-        if f.minimum_q is not None and not self.level > f(f.minimum_q):
+        if f.minimum_q is not None and not self.level >= f(f.minimum_q):
             raise NonEquidistantError(
-                f"level {self.level} does not exceed the minimum value")
+                f"level {self.level} lies below the minimum value")
 
 
 @dataclass
@@ -103,10 +116,10 @@ class AsymmetryReport:
     coincidence_times: list[float]
     cubic_gaps: list[float]
     verdict: str
-    notes: list[str] = field(default_factory=list)
-    traj1: Trajectory | None = None
-    traj2: Trajectory | None = None
-    level: float = np.nan
+    notes: list[str]
+    traj1: Trajectory
+    traj2: Trajectory
+    level: float
 
 
 def _seed_along(g: MetricField, f: ScalarPotential, q: np.ndarray, c: float,
@@ -124,20 +137,25 @@ def _seed_along(g: MetricField, f: ScalarPotential, q: np.ndarray, c: float,
     def level_gap(s):
         return f(on_ray(s)) - c
 
-    # expand until the ray crosses the level or leaves the chart
-    s_lo, s_hi = 0.0, 1e-3
-    while level_gap(s_hi) < 0.0:
+    # expand until the ray crosses the level; past the chart's edge, halve
+    # back toward the last in-chart point, so f is only called in the chart
+    s_lo, s_hi, s_out = 0.0, 1e-3, np.inf
+    while True:
         if chart is not None and not chart.contains(on_ray(s_hi)):
-            raise DomainExitError(
-                f"ray from {q} along {d} leaves the chart at s={s_hi:.3e} "
-                f"before reaching level {c}")
-        s_lo, s_hi = s_hi, 2.0 * s_hi
+            s_out = s_hi
+            # the chart's edge is pinned to 4 eps: the level lies beyond
+            if s_out - s_lo <= _ROOT_RTOL * max(1.0, s_out):
+                raise DomainExitError(
+                    f"ray from {q} along {d} leaves the chart at "
+                    f"s={s_out:.3e} before reaching level {c}")
+        elif level_gap(s_hi) < 0.0:
+            s_lo = s_hi
+        else:
+            break
+        s_hi = 2.0 * s_lo if s_out == np.inf else 0.5 * (s_lo + s_out)
         if s_hi > 1e8:
             raise LevelUnreachableError(
                 f"level {c} not reached within s <= 1e8 along {d}")
-    if chart is not None and not chart.contains(on_ray(s_hi)):
-        raise DomainExitError(
-            f"level {c} is only crossed outside the chart along {d}")
 
     for _ in range(80):
         s_mid = 0.5 * (s_lo + s_hi)
@@ -166,14 +184,21 @@ def equidistant_seed(g: MetricField, f: ScalarPotential, c: float,
     """Find the two points where rays from the minimum cross the level c.
 
     Scalar root-finding (bisection, then Newton polish to |f - c| < 1e-10)
-    along each direction from f.minimum_q.
+    along each direction from f.minimum_q.  The ray doubles its step
+    until it crosses the level; a step that lands outside the chart is
+    halved back toward the last in-chart point, so f is never called
+    outside the chart.  ``c`` must exceed f at the minimum.
 
     Raises
     ------
     MissingMinimumError
         If the potential has no designated minimum.
-    LevelUnreachableError, DomainExitError
-        If a ray fails to cross the level inside the chart.
+    LevelUnreachableError
+        If a ray does not cross the level within s <= 1e8, or the Newton
+        polish stalls.
+    DomainExitError
+        If a ray reaches the chart's edge, pinned to 4 eps, below the
+        level.
     """
     if f.minimum_q is None:
         raise MissingMinimumError(
@@ -266,13 +291,17 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
     One verdict ladder serves with and without coincidences (an empty gap
     list counts as all positive and all negative):
 
-    1. INCONCLUSIVE with a zero-gap note when the relaxation is symmetric:
+    1. INCONCLUSIVE with a no-race note when either span has zero length:
+       a seed whose |grad f| is already below STOP_GRAD_NORM (a pair on
+       the minimum's own level, say) never moves, so there is nothing to
+       race; no root search runs and no cubic is taken;
+    2. INCONCLUSIVE with a zero-gap note when the relaxation is symmetric:
        every cubic gap C2 - C1 is within GAP_RTOL of max(|C1|, |C2|), or,
        with no coincidence, |delta_f| stays within 1e-9;
-    2. CURVE1_FASTER when every cubic gap is positive and the sampled
+    3. CURVE1_FASTER when every cubic gap is positive and the sampled
        delta_f never dips below -1e-9;
-    3. CURVE2_FASTER symmetrically;
-    4. INCONCLUSIVE otherwise.
+    4. CURVE2_FASTER symmetrically;
+    5. INCONCLUSIVE otherwise.
     """
     pair.validate(f)
     if flow is None:
@@ -283,12 +312,20 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
 
     t_hi = min(traj1.span[1], traj2.span[1])
     ts = np.linspace(0.0, t_hi, _GRID)
-    f1 = f(traj1.position(ts))
-    f2 = f(traj2.position(ts))
+    x1, x2 = traj1.position(ts), traj2.position(ts)
+    f1, f2 = f(x1), f(x2)
     delta = f2 - f1
 
-    s1 = _speed(g, traj1, ts)
-    s2 = _speed(g, traj2, ts)
+    if t_hi == 0.0:
+        return AsymmetryReport(
+            ts=ts, delta_f=delta, f1=f1, f2=f2, coincidence_times=[],
+            cubic_gaps=[], verdict=INCONCLUSIVE,
+            notes=["no-race: a curve starts with |grad f| below "
+                   "STOP_GRAD_NORM and never moves; nothing to race"],
+            traj1=traj1, traj2=traj2, level=pair.level)
+
+    s1 = g.norm(x1, traj1.velocity(ts))
+    s2 = g.norm(x2, traj2.velocity(ts))
     diff = s1 - s2
     floor = SPEED_FLOOR * max(s1.max(), s2.max())
     live = np.maximum(s1, s2) > floor

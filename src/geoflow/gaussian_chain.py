@@ -25,14 +25,7 @@ from functools import partial
 import numpy as np
 from scipy.optimize import brentq
 
-from .comparison import (
-    _GRID,
-    INCONCLUSIVE,
-    STOP_GRAD_NORM,
-    AsymmetryReport,
-    EquidistantPair,
-    compare,
-)
+from .comparison import STOP_GRAD_NORM, AsymmetryReport, EquidistantPair, compare
 from .errors import NonConvergenceError, SingularCurvatureError
 from .manifold import Chart, MetricField, ScalarPotential, _diag_matrix, span_times
 
@@ -385,8 +378,9 @@ def universal_asymmetry_experiment(spec: ChainSpec, t_plus: float,
     (cooling) start a+ = T_plus a*.  Both relax along closed-form
     :class:`ChainTrajectory` curves, so nothing is integrated and there
     is no tolerance to set; the generic comparison races them for the
-    full chain and (optionally) each mode.  ``t_plus = 1`` degenerates to
-    the chain paired with itself, delta_F identically zero.  ``t_end``
+    full chain and (optionally) each mode.  At ``t_plus = 1`` both starts
+    sit at equilibrium and never move, so every race is a no-race:
+    Inconclusive, with the no-race note of :func:`compare`.  ``t_end``
     caps every race and defaults to 12 / lambda_min, twelve relaxation
     times of the slowest mode; the result records it.
     """
@@ -398,43 +392,22 @@ def universal_asymmetry_experiment(spec: ChainSpec, t_plus: float,
     t_minus = 1.0 if t_plus == 1.0 else equidistant_temperatures(t_plus)
     a_minus = t_minus * spect.a_star
     a_plus = t_plus * spect.a_star
-    subs = ([_mode_spectrum(spect, k) for k in range(spect.n_modes)]
-            if per_mode else [])
 
-    if t_plus == 1.0:
-        full = _degenerate_report(spect, a_plus, t_end)
-        modes = [_degenerate_report(sub, a_plus[k:k + 1], t_end)
-                 for k, sub in enumerate(subs)]
-    else:
-        def race(sp, x_minus, x_plus):
-            g, f = chain_manifold(sp)
-            # the temperature solve pins the two levels together to within
-            # EQUIDISTANT_RTOL; quote their midpoint so seed validation
-            # sees both gaps half-sized
-            level = 0.5 * (f(x_plus) + f(x_minus))
-            return compare(g, f, 0.0, EquidistantPair(x_minus, x_plus, level),
-                           t_end, flow=partial(ChainTrajectory, sp,
-                                               t_end=t_end))
+    def race(sp, x_minus, x_plus):
+        g, f = chain_manifold(sp)
+        # the temperature solve pins the two levels together to within
+        # EQUIDISTANT_RTOL; quote their midpoint so seed validation sees
+        # both gaps half-sized
+        level = 0.5 * (f(x_plus) + f(x_minus))
+        return compare(g, f, 0.0, EquidistantPair(x_minus, x_plus, level),
+                       t_end, flow=partial(ChainTrajectory, sp, t_end=t_end))
 
-        full = race(spect, a_minus, a_plus)
-        modes = [race(sub, a_minus[k:k + 1], a_plus[k:k + 1])
-                 for k, sub in enumerate(subs)]
+    full = race(spect, a_minus, a_plus)
+    modes = [race(_mode_spectrum(spect, k), a_minus[k:k + 1], a_plus[k:k + 1])
+             for k in range(spect.n_modes if per_mode else 0)]
 
     return ExperimentResult(spec=spec, spect=spect, t_plus=t_plus,
                             t_minus=t_minus, t_end=t_end,
                             pair=EquidistantPair(a_minus, a_plus, full.level),
                             full=full, modes=modes)
 
-
-def _degenerate_report(spect: ModeSpectrum, x0: np.ndarray,
-                       t_end: float) -> AsymmetryReport:
-    """Self-paired comparison: one trajectory serves as both curves."""
-    traj = ChainTrajectory(spect, x0, t_end)
-    ts = np.linspace(0.0, traj.span[1], _GRID)
-    fv = potential_F(spect, traj.position(ts))
-    return AsymmetryReport(
-        ts=ts, delta_f=np.zeros_like(ts), f1=fv, f2=fv,
-        coincidence_times=[], cubic_gaps=[], verdict=INCONCLUSIVE,
-        notes=["degenerate self-pair: both curves share one seed, "
-               "delta_f is identically zero"],
-        traj1=traj, traj2=traj, level=float(fv[0]))

@@ -569,9 +569,10 @@ def _integrate(rhs, y0, t_end, tol, *, in_domain, grad_monitor=None,
     ``grad_monitor(y, dy)`` gets each accepted state with the RHS there
     (RK45's first-same-as-last stage, so it costs no evaluation) and
     returns the gradient norm; integration stops, flagged converged, once
-    it falls below ``stop_below``.  The dense output is ``None`` when no
-    step of positive length was accepted: RK45's only zero-length step,
-    at ``t_end == 0``, keeps the initial state.
+    it falls below ``stop_below``.  A seed already below it takes no step
+    (RK45 holds the RHS at y0 from its setup).  The dense output is
+    ``None`` when no step of positive length was accepted: RK45's only
+    zero-length step, at ``t_end == 0``, keeps the initial state.
     """
     y0 = np.asarray(y0, dtype=float)
     solver = RK45(rhs, 0.0, y0, t_bound=float(t_end), rtol=tol, atol=tol)
@@ -579,10 +580,11 @@ def _integrate(rhs, y0, t_end, tol, *, in_domain, grad_monitor=None,
     ys = [y0.copy()]
     steps = []
     exited = False
-    converged = False
+    converged = (grad_monitor is not None and stop_below is not None
+                 and grad_monitor(y0, solver.f) < stop_below)
     window: list[float] = []
     prev_window_min = np.inf
-    while solver.status == "running":
+    while solver.status == "running" and not converged:
         msg = solver.step()
         if solver.status == "failed":
             raise StepUnderflowError(msg or "adaptive step size underflow")
@@ -654,7 +656,8 @@ def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,
     ----------
     stop_grad_norm : float, optional
         Stop early (flagged ``converged``) once the Riemannian gradient norm
-        falls below this threshold.
+        falls below this threshold.  A seed already below it takes no
+        step: the trajectory holds x0 alone, with span (0, 0).
 
     Raises
     ------

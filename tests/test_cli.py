@@ -222,6 +222,23 @@ def test_compare_symmetric_bowl_inconclusive(tmp_path, capsys):
     assert any("zero-gap" in v for v in bundle.verdicts)
 
 
+def test_compare_seeds_near_the_chart_edge(tmp_path, capsys):
+    code, stdout, err = run(["compare", "--model", "gaussian-mode",
+                             "--level", "1", "--out", str(tmp_path / "edge")],
+                            capsys)
+    assert (code, stdout.strip(), err) == (0, "Curve1Faster", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["chain", "--n-beads", "3"], ["compare"], ["curvature"],
+    ["verify", "--suite", "manifold-core"]])
+def test_every_command_records_its_wall_time(tmp_path, capsys, argv):
+    # pins the metadata contract: each bundle carries its wall time
+    run(argv + ["--out", str(tmp_path / "out")], capsys)
+    wall = ResultBundle.read(tmp_path / "out").wall_time_s
+    assert isinstance(wall, float) and wall > 0.0
+
+
 def test_compare_accepts_negative_vectors(tmp_path, capsys):
     # "-0.3,0.5" is no plain negative number, so argparse would read it
     # as an option; the "--flag=value" form must keep working alongside

@@ -78,6 +78,19 @@ def test_seed_domain_exit():
         cp.equidistant_seed(g, f, 0.5, [1.0], [-1.0])
 
 
+@pytest.mark.parametrize("level", [0.7, 1.0, 2.0, 3.0])
+def test_seed_near_the_chart_edge_stays_in_the_chart(level):
+    # along -1 the ray's doubling overshoots a = 0 for every level above
+    # ~0.663; the gaussian-mode potential raises outside its chart, so
+    # seeding must halve back instead of calling it there
+    g, f = fixtures.gaussian_mode()
+    pair = cp.equidistant_seed(g, f, level, [1.0], [-1.0])
+    for x in (pair.x1_0, pair.x2_0):
+        assert g.chart.contains(x)
+        assert abs(f(x) - level) < 1e-10
+    assert pair.x2_0[0] < 1.0 < pair.x1_0[0]
+
+
 def test_seed_requires_minimum():
     g, _ = fixtures.euclidean_quadratic(1)
     f = mf.ScalarPotential(lambda x: x[..., 0], gradient=np.ones_like)
@@ -90,6 +103,17 @@ def test_pair_validation():
     bad = cp.EquidistantPair(np.array([1.0, 0.0]), np.array([0.5, 0.0]), 0.5)
     with pytest.raises(NonEquidistantError):
         bad.validate(f)
+
+
+def test_pair_below_the_minimum_level_is_refused():
+    # pins the rule: the designated minimum's value f(q) = 1 lies above
+    # the seeds' level 0.25
+    f = mf.ScalarPotential(lambda x: (x * x).sum(axis=-1),
+                           gradient=lambda x: 2.0 * np.asarray(x),
+                           minimum_q=np.array([1.0, 0.0]))
+    pair = cp.EquidistantPair(np.array([0.5, 0.0]), np.array([0.0, 0.5]), 0.25)
+    with pytest.raises(NonEquidistantError):
+        pair.validate(f)
 
 
 # ---------------------------------------------------------------- compare
@@ -123,6 +147,33 @@ def test_compare_identical_seeds():
     report = cp.compare(g, f, 0.0, pair, 5.0)
     assert np.all(report.delta_f == 0.0)
     assert report.verdict == cp.INCONCLUSIVE
+
+
+@pytest.mark.parametrize("model", ["flat-bowl", "chain"])
+def test_pair_on_the_minimum_level_is_a_no_race(model, monkeypatch):
+    if model == "flat-bowl":    # integrated
+        g, _ = fixtures.euclidean_quadratic()
+        f = fixtures.distance_squared_potential(g, np.zeros(2))
+        flow = None
+    else:                       # closed form
+        sp = gc.spectrum(gc.ChainSpec(4))
+        g, f = gc.chain_manifold(sp)
+
+        def flow(x0):
+            return gc.ChainTrajectory(sp, x0, 50.0)
+
+    def refused(*args):
+        raise AssertionError("a no-race ran the root search or a cubic")
+
+    monkeypatch.setattr(cp, "bracketed_roots", refused)
+    monkeypatch.setattr(cp, "nonmetricity_cubic", refused)
+    q = f.minimum_q
+    report = cp.compare(g, f, 0.0, cp.EquidistantPair(q, q, f(q)), 50.0,
+                        flow=flow)
+    assert report.verdict == cp.INCONCLUSIVE
+    assert report.traj1.span == report.traj2.span == (0.0, 0.0)
+    assert report.coincidence_times == [] and report.cubic_gaps == []
+    assert [n.split(":")[0] for n in report.notes] == ["no-race"]
 
 
 def test_compare_mode_warming_wins():

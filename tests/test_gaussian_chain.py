@@ -401,10 +401,23 @@ def test_experiment_degenerate_pair_is_flat():
     assert res.full.verdict == INCONCLUSIVE
     assert np.abs(res.full.delta_f).max() == 0.0
     assert not res.warming_faster
-    assert any("degenerate" in n for n in res.full.notes)
+    assert any(n.startswith("no-race") for n in res.full.notes)
     for rep in res.modes:
         assert rep.verdict == INCONCLUSIVE
         assert np.abs(rep.delta_f).max() == 0.0
+
+
+def test_modes_too_slow_to_move_are_no_races():
+    # mode 1 at N = 128, T+ = 1.001 starts at Fisher speed
+    # sqrt(2) lambda_1 |T - 1| / T ~ 8.5e-7, below STOP_GRAD_NORM
+    res = gc.universal_asymmetry_experiment(gc.ChainSpec(128), 1.001)
+    lam = res.spect.lambdas[0]
+    assert np.sqrt(2.0) * lam * 1e-3 / 1.001 < STOP_GRAD_NORM
+    first, *rest = res.modes
+    assert first.verdict == INCONCLUSIVE
+    assert any(n.startswith("no-race") for n in first.notes)
+    assert not any(n.startswith("zero-gap") for n in first.notes)
+    assert all(rep.verdict == CURVE1_FASTER for rep in rest)
 
 
 def test_experiment_without_modes():

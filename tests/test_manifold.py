@@ -443,6 +443,16 @@ def test_flow_stop_grad_norm():
     assert np.sqrt(mf.grad_norm_sq(g, f, traj.xs[-1])) < 1e-4
 
 
+def test_flow_from_a_converged_seed_takes_no_step():
+    g, f = fixtures.euclidean_quadratic(2)
+    x0 = np.array([3e-7, -4e-7])    # |grad f| = 5e-7
+    traj = mf.integrate_flow(g, f, x0, 50.0, stop_grad_norm=1e-6)
+    assert traj.converged
+    assert traj.span == (0.0, 0.0)
+    assert len(traj.ts) == 1
+    assert np.array_equal(traj.position(0.0), x0)
+
+
 def test_flow_nonconvergence_detected():
     # concave potential: the flow runs away and the gradient norm grows
     g = euclidean(1)
