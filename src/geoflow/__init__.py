@@ -22,6 +22,7 @@ from .comparison import (
     AsymmetryReport,
     EquidistantPair,
     compare,
+    compare_batch,
     equidistant_seed,
 )
 from .dually_flat import (
@@ -101,6 +102,7 @@ __all__ = [
     "chain_manifold",
     "christoffel_levi_civita",
     "compare",
+    "compare_batch",
     "covariant_acceleration",
     "cubic_closed_form",
     "dual_model",

@@ -34,6 +34,7 @@ __all__ = [
     "AsymmetryReport",
     "equidistant_seed",
     "compare",
+    "compare_batch",
     "metric_symmetry_check",
 ]
 
@@ -70,11 +71,15 @@ _ROOT_MAXITER = 100
 
 @dataclass(frozen=True)
 class EquidistantPair:
-    """Two seeds on the same level set of f."""
+    """Two seeds on the same level set of f.
+
+    A batch of B pairs stacks them on a leading axis: seeds of shape
+    ``(B, dim)`` and levels of shape ``(B,)``.
+    """
 
     x1_0: np.ndarray
     x2_0: np.ndarray
-    level: float
+    level: float | np.ndarray
 
     def validate(self, f: ScalarPotential) -> None:
         """Check both seeds lie on ``level`` and the level is not below the
@@ -82,7 +87,8 @@ class EquidistantPair:
 
         A level equal to the minimum value is accepted: both seeds then sit
         at the minimum, as in the chain's T+ = 1 race, and :func:`compare`
-        reads the pair as a no-race.
+        reads the pair as a no-race.  A batch is checked in one call of f
+        per side.
 
         Raises
         ------
@@ -91,11 +97,12 @@ class EquidistantPair:
             lies below f at the potential's designated minimum.
         """
         for x in (self.x1_0, self.x2_0):
-            err = abs(f(x) - self.level)
+            err = np.max(np.abs(f(x) - self.level))
             if err > LEVEL_TOL:
                 raise NonEquidistantError(
                     f"|f(x) - c| = {err:.3e} at seed {x} (limit {LEVEL_TOL})")
-        if f.minimum_q is not None and not self.level >= f(f.minimum_q):
+        if (f.minimum_q is not None
+                and not np.all(self.level >= f(f.minimum_q))):
             raise NonEquidistantError(
                 f"level {self.level} lies below the minimum value")
 
@@ -215,19 +222,21 @@ def equidistant_seed(g: MetricField, f: ScalarPotential, c: float,
 
 
 def _speed(g: MetricField, traj: Trajectory, t):
-    """Riemannian speed |xd|_g at a scalar t or over a 1-D array of t."""
-    return g.norm(traj.position(t), traj.velocity(t))
+    """Riemannian speed |xd|_g at a scalar t or over an array of t."""
+    return g.norm(*traj.position_velocity(t))
 
 
 def bracketed_roots(fn, lo, hi, f_lo, f_hi) -> np.ndarray:
-    """One root of ``fn`` in each bracket [lo[j], hi[j]], all at once.
+    """One root of ``fn(., j)`` in each bracket j, [lo[j], hi[j]], all at
+    once.
 
     ``f_lo`` and ``f_hi`` are fn at the bracket ends and must differ in
     sign.  Illinois regula falsi: the false-position point replaces the
     end whose value has its sign; when it lands on the same side as the
     previous point, the value kept at the other end is halved, so both
-    ends close in.  Each round evaluates
-    ``fn`` once, on the array of the unfinished brackets' points.  A
+    ends close in.  Each round evaluates ``fn(t, j)`` once, on the array
+    t of the unfinished brackets' points and the ascending array j of
+    their indices, so a bracket may have a function of its own.  A
     bracket is done when fn vanishes there or the bracket is narrower
     than ROOT_XTOL + 4 eps |t|.
 
@@ -246,7 +255,7 @@ def bracketed_roots(fn, lo, hi, f_lo, f_hi) -> np.ndarray:
             return b
         ai, bi, fai, fbi = a[todo], b[todo], fa[todo], fb[todo]
         c = bi - fbi * (bi - ai) / (fbi - fai)
-        fc = np.asarray(fn(c), dtype=float)
+        fc = np.asarray(fn(c, todo), dtype=float)
         flip = np.sign(fc) != np.sign(fbi)
         # a sign change between b and c: b becomes the far end
         a[todo] = np.where(flip, bi, ai)
@@ -259,27 +268,154 @@ def bracketed_roots(fn, lo, hi, f_lo, f_hi) -> np.ndarray:
         f"{_ROOT_MAXITER} rounds")
 
 
+def _by_row(n: int, rows: np.ndarray, times: np.ndarray):
+    """Times grouped by their ascending ``rows`` into an ``(n, m)`` stack,
+    left-aligned and padded with t = 0, where every curve is defined;
+    with the column of each time."""
+    col = np.arange(rows.size) - np.searchsorted(rows, rows)
+    out = np.zeros((n, col.max(initial=-1) + 1))
+    out[rows, col] = times
+    return out, col
+
+
+def compare_batch(g: MetricField, f: ScalarPotential, lam: float,
+                  pairs: EquidistantPair, flow) -> list[AsymmetryReport]:
+    """Race B equidistant pairs at once; report b is the race of pair b.
+
+    ``pairs`` holds the B pairs on a leading axis (a pair of single seeds
+    is the batch of one), and ``flow(seeds)`` returns the B curves from
+    a seed stack as one trajectory.  Its ``span`` ends broadcast to
+    ``(B,)``, and its ``position_velocity`` and ``acceleration`` at times
+    of shape ``(B, n)`` give ``(B, n, dim)``, row b on curve b; a single
+    curve is a batch of one.  A batched trajectory gives row b alone as
+    ``traj[b]``, which report b keeps.  ``f`` and ``g`` evaluate point
+    stacks ``(B, n, dim)`` in one call each, row b belonging to pair b.
+
+    Every row runs the steps of :func:`compare`, each as one array
+    operation over all rows:
+
+    - one grid stack of ``_GRID`` times on each row's shorter span;
+    - one :func:`bracketed_roots` call over every row's brackets, whose
+      rounds query both curves on a ``(B, m)`` stack of times;
+    - one :func:`nonmetricity_cubic` call per side over every root;
+    - the verdict ladder of :func:`compare`, row by row.
+
+    Illinois steps, speeds and cubics are elementwise and every reduction
+    runs along a row, so each report is bit for bit the one
+    :func:`compare` gives for its pair alone.
+    """
+    pairs.validate(f)
+    traj1, traj2 = flow(pairs.x1_0), flow(pairs.x2_0)
+    levels = np.atleast_1d(pairs.level)
+    n = levels.size
+
+    t_hi = np.broadcast_to(np.minimum(traj1.span[1], traj2.span[1]), (n,))
+    # np.linspace(0, t_hi, _GRID) row by row: its array form would switch
+    # every row to its zero-step branch when one row has t_hi = 0
+    ts = np.arange(_GRID) * (t_hi / (_GRID - 1))[:, None]
+    ts[:, -1] = t_hi
+    x1, v1 = traj1.position_velocity(ts)
+    x2, v2 = traj2.position_velocity(ts)
+    f1, f2 = f(x1), f(x2)
+    delta = f2 - f1
+    race = t_hi > 0.0
+
+    s1, s2 = g.norm(x1, v1), g.norm(x2, v2)
+    diff = s1 - s2
+    floor = SPEED_FLOOR * np.maximum(s1.max(axis=1), s2.max(axis=1))
+    live = np.maximum(s1, s2) > floor[:, None]
+    both_live = live[:, :-1] & live[:, 1:] & race[:, None]
+    on_grid = both_live & (diff[:, :-1] == 0.0) & (ts[:, :-1] > 0.0)
+    row, i = np.nonzero(both_live & (diff[:, :-1] * diff[:, 1:] < 0.0))
+
+    def speed_gap(t, j):
+        at, col = _by_row(n, row[j], t)
+        return (_speed(g, traj1, at) - _speed(g, traj2, at))[row[j], col]
+
+    refined = (bracketed_roots(speed_gap, ts[row, i], ts[row, i + 1],
+                               diff[row, i], diff[row, i + 1])
+               if race.any() else np.zeros(0))
+    on_row, on_i = np.nonzero(on_grid)
+    at_start = np.flatnonzero(race & (np.abs(diff[:, 0]) <= floor))
+    rows = np.concatenate([at_start, on_row, row])
+    roots = np.concatenate([np.zeros(at_start.size), ts[on_row, on_i],
+                            refined])
+    order = np.lexsort((roots, rows))
+    coincide: list[list[float]] = [[] for _ in range(n)]
+    for r, t in zip(rows[order].tolist(), roots[order].tolist()):
+        kept = coincide[r]
+        if not kept or t - kept[-1] > 1e-9:
+            kept.append(t)
+
+    counts = np.array([len(c) for c in coincide])
+    at, _ = _by_row(n, np.repeat(np.arange(n), counts),
+                    np.concatenate(coincide))
+    if at.size:
+        c1, c2 = (nonmetricity_cubic(g, f, lam, traj, at)
+                  for traj in (traj1, traj2))
+    else:
+        c1 = c2 = at
+    gaps = c2 - c1
+    pad = np.arange(at.shape[1]) >= counts[:, None]
+    zero_gap = (np.abs(gaps) <= GAP_RTOL * np.maximum(np.abs(c1), np.abs(c2)))
+    symmetric = np.where(counts > 0, (zero_gap | pad).all(axis=1),
+                         np.abs(delta).max(axis=1) <= DELTA_TOL)
+    up = ((gaps > 0.0) | pad).all(axis=1) & (delta.min(axis=1) >= -DELTA_TOL)
+    down = ((gaps < 0.0) | pad).all(axis=1) & (delta.max(axis=1) <= DELTA_TOL)
+
+    batched = np.ndim(traj1.span[1]) == 1
+    reports = []
+    for b in range(n):
+        notes: list[str] = []
+        if not race[b]:
+            notes.append("no-race: a curve starts with |grad f| below "
+                         "STOP_GRAD_NORM and never moves; nothing to race")
+            verdict = INCONCLUSIVE
+        else:
+            if not counts[b]:
+                notes.append("no-coincidence: speeds never re-coincide after "
+                             "t=0; verdict rests on the sampled delta_f alone")
+            if symmetric[b]:
+                notes.append("zero-gap: " + ("every cubic gap" if counts[b]
+                                             else "delta_f")
+                             + " vanishes to tolerance (symmetric relaxation)")
+                verdict = INCONCLUSIVE
+            elif up[b]:
+                verdict = CURVE1_FASTER
+            elif down[b]:
+                verdict = CURVE2_FASTER
+            else:
+                verdict = INCONCLUSIVE
+        reports.append(AsymmetryReport(
+            ts=ts[b], delta_f=delta[b], f1=f1[b], f2=f2[b],
+            coincidence_times=coincide[b],
+            cubic_gaps=gaps[b, :counts[b]].tolist(), verdict=verdict,
+            notes=notes, traj1=traj1[b] if batched else traj1,
+            traj2=traj2[b] if batched else traj2, level=float(levels[b])))
+    return reports
+
+
 def compare(g: MetricField, f: ScalarPotential, lam: float,
             pair: EquidistantPair, t_end: float, tol: float = 1e-10,
             flow=None) -> AsymmetryReport:
     """Run both relaxations and issue the asymmetry verdict.
 
-    ``flow(x0) -> trajectory`` supplies each curve from its seed.  The
-    default integrates ``integrate_flow(g, f, x0, t_end, tol=tol,
-    stop_grad_norm=STOP_GRAD_NORM)``.  A closed-form relaxation such as
-    :class:`geoflow.gaussian_chain.ChainTrajectory` may stand in for it;
-    ``t_end`` and ``tol`` then go unused, the flow sets its own horizon.
-    A trajectory needs ``span`` plus ``position``, ``velocity`` and
-    ``acceleration`` at a scalar t and over a 1-D array of t.
+    The batch of one of :func:`compare_batch`, which holds the single
+    code path.  ``flow(x0) -> trajectory`` supplies each curve from its
+    seed.  The default integrates ``integrate_flow(g, f, x0, t_end,
+    tol=tol, stop_grad_norm=STOP_GRAD_NORM)``.  A closed-form relaxation
+    such as :class:`geoflow.gaussian_chain.ChainTrajectory` may stand in
+    for it; ``t_end`` and ``tol`` then go unused, the flow sets its own
+    horizon.  A trajectory needs ``span`` plus ``position_velocity`` and
+    ``acceleration`` at a scalar t and over an array of t.
 
     Each curve is sampled on a uniform grid of ``_GRID`` times up to the
-    shorter span, in one call each to
-    ``position`` and ``velocity``; ``f`` and ``g`` then evaluate the
-    position stack in one call each, so their closures must broadcast
-    (:class:`~geoflow.errors.ClosureShapeError` otherwise).  The root
-    search refines every bracket at once (:func:`bracketed_roots`), one
-    array query per round, and the cubics are one
-    :func:`nonmetricity_cubic` call per curve over all roots.
+    shorter span, in one ``position_velocity`` call each; ``f`` and ``g``
+    then evaluate the position stack in one call each, so their closures
+    must broadcast (:class:`~geoflow.errors.ClosureShapeError`
+    otherwise).  The root search refines every bracket at once
+    (:func:`bracketed_roots`), one array query per round, and the cubics
+    are one :func:`nonmetricity_cubic` call per curve over all roots.
 
     Speed-coincidence times are the bracketed sign changes of
     |curve1'| - |curve2'| on the dense output (plus t=0 when the seeds
@@ -303,73 +439,11 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
     4. CURVE2_FASTER symmetrically;
     5. INCONCLUSIVE otherwise.
     """
-    pair.validate(f)
     if flow is None:
         def flow(x0):
             return integrate_flow(g, f, x0, t_end, tol=tol,
                                   stop_grad_norm=STOP_GRAD_NORM)
-    traj1, traj2 = flow(pair.x1_0), flow(pair.x2_0)
-
-    t_hi = min(traj1.span[1], traj2.span[1])
-    ts = np.linspace(0.0, t_hi, _GRID)
-    x1, x2 = traj1.position(ts), traj2.position(ts)
-    f1, f2 = f(x1), f(x2)
-    delta = f2 - f1
-
-    if t_hi == 0.0:
-        return AsymmetryReport(
-            ts=ts, delta_f=delta, f1=f1, f2=f2, coincidence_times=[],
-            cubic_gaps=[], verdict=INCONCLUSIVE,
-            notes=["no-race: a curve starts with |grad f| below "
-                   "STOP_GRAD_NORM and never moves; nothing to race"],
-            traj1=traj1, traj2=traj2, level=pair.level)
-
-    s1 = g.norm(x1, traj1.velocity(ts))
-    s2 = g.norm(x2, traj2.velocity(ts))
-    diff = s1 - s2
-    floor = SPEED_FLOOR * max(s1.max(), s2.max())
-    live = np.maximum(s1, s2) > floor
-
-    notes: list[str] = []
-    both_live = live[:-1] & live[1:]
-    on_grid = both_live & (diff[:-1] == 0.0) & (ts[:-1] > 0.0)
-    i = np.flatnonzero(both_live & (diff[:-1] * diff[1:] < 0.0))
-    refined = bracketed_roots(
-        lambda t: _speed(g, traj1, t) - _speed(g, traj2, t),
-        ts[i], ts[i + 1], diff[i], diff[i + 1])
-    roots = np.sort(np.concatenate([[0.0] if abs(diff[0]) <= floor else [],
-                                    ts[:-1][on_grid], refined]))
-    dedup: list[float] = []
-    for r in roots.tolist():
-        if not dedup or r - dedup[-1] > 1e-9:
-            dedup.append(r)
-
-    if dedup:
-        c1, c2 = (nonmetricity_cubic(g, f, lam, traj, np.array(dedup))
-                  for traj in (traj1, traj2))
-        symmetric = (np.abs(c2 - c1)
-                     <= GAP_RTOL * np.maximum(np.abs(c1), np.abs(c2))).all()
-    else:
-        c1 = c2 = np.zeros(0)
-        notes.append("no-coincidence: speeds never re-coincide after t=0; "
-                     "verdict rests on the sampled delta_f alone")
-        symmetric = np.abs(delta).max() <= DELTA_TOL
-    gaps = c2 - c1
-    if symmetric:
-        notes.append("zero-gap: " + ("every cubic gap" if dedup else "delta_f")
-                     + " vanishes to tolerance (symmetric relaxation)")
-        verdict = INCONCLUSIVE
-    elif (gaps > 0.0).all() and delta.min() >= -DELTA_TOL:
-        verdict = CURVE1_FASTER
-    elif (gaps < 0.0).all() and delta.max() <= DELTA_TOL:
-        verdict = CURVE2_FASTER
-    else:
-        verdict = INCONCLUSIVE
-
-    return AsymmetryReport(ts=ts, delta_f=delta, f1=f1, f2=f2,
-                           coincidence_times=dedup, cubic_gaps=gaps.tolist(),
-                           verdict=verdict, notes=notes,
-                           traj1=traj1, traj2=traj2, level=pair.level)
+    return compare_batch(g, f, lam, pair, flow)[0]
 
 
 def metric_symmetry_check(g: MetricField, f: ScalarPotential,

@@ -25,7 +25,13 @@ from functools import partial
 import numpy as np
 from scipy.optimize import brentq
 
-from .comparison import STOP_GRAD_NORM, AsymmetryReport, EquidistantPair, compare
+from .comparison import (
+    STOP_GRAD_NORM,
+    AsymmetryReport,
+    EquidistantPair,
+    compare,
+    compare_batch,
+)
 from .errors import NonConvergenceError, SingularCurvatureError
 from .manifold import Chart, MetricField, ScalarPotential, _diag_matrix, span_times
 
@@ -139,62 +145,103 @@ class ChainTrajectory:
     i.e. the Fisher gradient flow of F, with position, velocity and
     acceleration read off the formula.  Like
     :class:`~geoflow.manifold.Trajectory`, each takes a scalar t, giving
-    shape ``(n_modes,)``, or a 1-D array of n times, giving
-    ``(n, n_modes)``; the rates broadcast against t through
-    ``np.multiply.outer``.  A time outside ``span`` raises
+    shape ``(n_modes,)``, or an array of times, giving
+    ``t.shape + (n_modes,)``; ``position_velocity`` gives both from one
+    exponential.  A time outside ``span`` raises
     :class:`~geoflow.errors.OutOfSpanError`.
 
+    A start of shape ``(n_modes, 1)`` is a batch of one-mode curves: row
+    k relaxes mode k alone, from ``x0[k]``.  Its span ends, ``converged``
+    and ``ts`` then have one entry (row) per mode, a query's times have
+    the modes on their leading axis (``(n_modes,)`` or ``(n_modes, n)``,
+    giving ``(n_modes, 1)`` or ``(n_modes, n, 1)``), and ``traj[k]`` is
+    row k as a one-mode curve of its own.
+
     The span ends at the first time the Fisher |grad F| (the speed, which
-    falls monotonically) reaches the comparison's STOP_GRAD_NORM, found by
-    brentq and capped at ``t_end``; ``converged`` is True when the cap
-    does not bind.  ``ts``, ``xs`` and ``vs`` hold the two ends of the
+    falls monotonically) reaches the comparison's STOP_GRAD_NORM, capped
+    at ``t_end``; ``converged`` is True when the cap does not bind.  For
+    one mode the speed 2 lambda |d| e / (sqrt2 (a* + d e)), with
+    d = x0 - a* and e = e^{-2 lambda t}, is rational in e, and speed = S
+    solves to e = sqrt2 S a* / (2 lambda |d| - sqrt2 S d); several modes
+    take brentq.  ``ts``, ``xs`` and ``vs`` hold the two ends of the
     span, and ``exited_domain`` is always False: the variances stay
     positive.
     """
 
     def __init__(self, spect: ModeSpectrum, x0, t_end: float):
-        self._rate = 2.0 * spect.lambdas
-        self._a_star = spect.a_star
-        self._d0 = _avec(x0) - spect.a_star
-
-        def excess(t):
-            return self._speed(t) - STOP_GRAD_NORM
-
-        self.converged = excess(t_end) <= 0.0
-        if excess(0.0) <= 0.0:
+        x0 = _avec(x0)
+        self._rate = (2.0 * spect.lambdas).reshape(x0.shape)
+        self._a_star = spect.a_star.reshape(x0.shape)
+        self._d0 = x0 - self._a_star
+        self.converged = self._speed(t_end) <= STOP_GRAD_NORM
+        still = self._speed(0.0) <= STOP_GRAD_NORM
+        if x0.shape[-1] == 1:   # one mode: the closed form, row by row
+            s = np.sqrt(2.0) * STOP_GRAD_NORM
+            with np.errstate(divide="ignore", invalid="ignore"):
+                e = s * self._a_star / (self._rate * np.abs(self._d0)
+                                        - s * self._d0)
+                t_stop = np.clip(-np.log(e[..., 0]) / self._rate[..., 0],
+                                 0.0, t_end)
+            t_stop = np.where(still, 0.0,
+                              np.where(self.converged, t_stop, t_end))
+        elif still:
             t_stop = 0.0
         elif not self.converged:
             t_stop = float(t_end)
         else:
-            t_stop = brentq(excess, 0.0, t_end, xtol=1e-12)
-        self.ts = np.array([0.0, t_stop])
-        self.xs = self.position(self.ts)
-        self.vs = self.velocity(self.ts)
+            t_stop = brentq(lambda t: self._speed(t) - STOP_GRAD_NORM, 0.0,
+                            t_end, xtol=1e-12)
+        t_stop = np.asarray(t_stop, dtype=float)
+        self.ts = np.stack([np.zeros_like(t_stop), t_stop], axis=-1)
+        self.xs, self.vs = self.position_velocity(self.ts)
         self.exited_domain = False
 
     @property
-    def span(self) -> tuple[float, float]:
-        return 0.0, float(self.ts[-1])
+    def span(self) -> tuple[float, float | np.ndarray]:
+        end = self.ts[..., -1]
+        return 0.0, float(end) if end.ndim == 0 else end
 
-    def _speed(self, t: float) -> float:
+    def __getitem__(self, k: int) -> "ChainTrajectory":
+        row = object.__new__(ChainTrajectory)
+        row._rate, row._a_star, row._d0 = (self._rate[k], self._a_star[k],
+                                           self._d0[k])
+        row.ts, row.xs, row.vs = self.ts[k], self.xs[k], self.vs[k]
+        row.converged = self.converged[k]
+        row.exited_domain = False
+        return row
+
+    def _speed(self, t: float) -> float | np.ndarray:
         # position and velocity at one t in the span, sharing one exp
         decay = np.exp(-(t * self._rate))
         a = self._a_star + self._d0 * decay
         v = -self._rate * self._d0 * decay
-        return float(np.sqrt(np.sum(v ** 2 / (2.0 * a ** 2))))
+        return np.sqrt(np.sum(v ** 2 / (2.0 * a ** 2), axis=-1))
 
-    def _decay(self, t) -> np.ndarray:
-        return np.exp(-np.multiply.outer(span_times(t, self.span),
-                                         self._rate))
+    def _terms(self, t):
+        """Rate, a*, x0 - a* and the decay, each shaped for the times t."""
+        t = span_times(t, self.span)
+        terms = self._rate, self._a_star, self._d0
+        if self._rate.ndim == 2:    # a batch: the rows run down t's first axis
+            shape = (-1,) + (1,) * max(t.ndim - 1, 0) + (1,)
+            terms = tuple(v.reshape(shape) for v in terms)
+        rate, a_star, d0 = terms
+        return rate, a_star, d0, np.exp(-(t[..., None] * rate))
 
     def position(self, t) -> np.ndarray:
-        return self._a_star + self._d0 * self._decay(t)
+        _, a_star, d0, decay = self._terms(t)
+        return a_star + d0 * decay
 
     def velocity(self, t) -> np.ndarray:
-        return -self._rate * self._d0 * self._decay(t)
+        rate, _, d0, decay = self._terms(t)
+        return -rate * d0 * decay
+
+    def position_velocity(self, t) -> tuple[np.ndarray, np.ndarray]:
+        rate, a_star, d0, decay = self._terms(t)
+        return a_star + d0 * decay, -rate * d0 * decay
 
     def acceleration(self, t) -> np.ndarray:
-        return self._rate ** 2 * self._d0 * self._decay(t)
+        rate, _, d0, decay = self._terms(t)
+        return rate ** 2 * d0 * decay
 
 
 def potential_F(spect: ModeSpectrum, state) -> float | np.ndarray:
@@ -203,9 +250,13 @@ def potential_F(spect: ModeSpectrum, state) -> float | np.ndarray:
     One state gives a float; a stack of states ``(n, n_modes)`` gives
     their n values.
     """
-    r = spect.a_star / _avec(state)
-    value = np.sum(spect.lambdas * (r - np.log(r) - 1.0), axis=-1)
+    value = _potential(spect.lambdas, spect.a_star, _avec(state))
     return float(value) if value.ndim == 0 else value
+
+
+def _potential(lam, a_star, a) -> np.ndarray:
+    r = a_star / a
+    return np.sum(lam * (r - np.log(r) - 1.0), axis=-1)
 
 
 def cubic_closed_form(spect: ModeSpectrum, state,
@@ -310,6 +361,27 @@ def _mode_spectrum(spect: ModeSpectrum, k: int) -> ModeSpectrum:
                         a_star=spect.a_star[k:k + 1])
 
 
+def _mode_rows(spect: ModeSpectrum) -> tuple[MetricField, ScalarPotential]:
+    """Every mode's :func:`mode_manifold` at once, for a batched race.
+
+    A point stack's leading axis runs over the modes: row k of an
+    ``(n_modes, 1)`` or ``(n_modes, n, 1)`` stack holds states of mode k.
+    The one-mode Fisher metric 1/(2 a^2) has no rate in it, so one
+    metric serves every row; the potential takes row k's lambda_k and
+    a*_k.
+    """
+    g, _ = mode_manifold(spect, 0)
+
+    def value(a):
+        lam, a_star = (v.reshape((-1,) + (1,) * (a.ndim - 1))
+                       for v in (spect.lambdas, spect.a_star))
+        return _potential(lam, a_star, _avec(a))
+
+    f = ScalarPotential(value, minimum_q=spect.a_star[:, None],
+                        name="mode-potentials")
+    return g, f
+
+
 def mode_plane_manifold(spect: ModeSpectrum,
                         k: int) -> tuple[MetricField, ScalarPotential]:
     """Mode k on the (mean, variance) chart.
@@ -377,12 +449,15 @@ def universal_asymmetry_experiment(spec: ChainSpec, t_plus: float,
     Curve 1 is the cold (warming) start a- = T_minus a*, curve 2 the hot
     (cooling) start a+ = T_plus a*.  Both relax along closed-form
     :class:`ChainTrajectory` curves, so nothing is integrated and there
-    is no tolerance to set; the generic comparison races them for the
-    full chain and (optionally) each mode.  At ``t_plus = 1`` both starts
-    sit at equilibrium and never move, so every race is a no-race:
-    Inconclusive, with the no-race note of :func:`compare`.  ``t_end``
-    caps every race and defaults to 12 / lambda_min, twelve relaxation
-    times of the slowest mode; the result records it.
+    is no tolerance to set.  :func:`~geoflow.comparison.compare` races
+    the full chain; with ``per_mode``, one
+    :func:`~geoflow.comparison.compare_batch` call races all N - 1 modes,
+    mode k on its own one-mode manifold, each report the one ``compare``
+    would give.  At ``t_plus = 1`` both starts sit at equilibrium and
+    never move, so every race is a no-race: Inconclusive, with the
+    no-race note of :func:`~geoflow.comparison.compare`.  ``t_end`` caps
+    every race and defaults to 12 / lambda_min, twelve relaxation times
+    of the slowest mode; the result records it.
     """
     if t_plus < 1.0:
         raise ValueError(f"t_plus must be >= 1, got {t_plus}")
@@ -392,22 +467,25 @@ def universal_asymmetry_experiment(spec: ChainSpec, t_plus: float,
     t_minus = 1.0 if t_plus == 1.0 else equidistant_temperatures(t_plus)
     a_minus = t_minus * spect.a_star
     a_plus = t_plus * spect.a_star
+    flow = partial(ChainTrajectory, spect, t_end=t_end)
 
-    def race(sp, x_minus, x_plus):
-        g, f = chain_manifold(sp)
+    def pair(f, x_minus, x_plus):
         # the temperature solve pins the two levels together to within
         # EQUIDISTANT_RTOL; quote their midpoint so seed validation sees
         # both gaps half-sized
-        level = 0.5 * (f(x_plus) + f(x_minus))
-        return compare(g, f, 0.0, EquidistantPair(x_minus, x_plus, level),
-                       t_end, flow=partial(ChainTrajectory, sp, t_end=t_end))
+        return EquidistantPair(x_minus, x_plus,
+                               0.5 * (f(x_plus) + f(x_minus)))
 
-    full = race(spect, a_minus, a_plus)
-    modes = [race(_mode_spectrum(spect, k), a_minus[k:k + 1], a_plus[k:k + 1])
-             for k in range(spect.n_modes if per_mode else 0)]
+    g, f = chain_manifold(spect)
+    full = compare(g, f, 0.0, pair(f, a_minus, a_plus), t_end, flow=flow)
+    modes = []
+    if per_mode:
+        g, f = _mode_rows(spect)
+        modes = compare_batch(g, f, 0.0,
+                              pair(f, a_minus[:, None], a_plus[:, None]),
+                              flow)
 
     return ExperimentResult(spec=spec, spect=spect, t_plus=t_plus,
                             t_minus=t_minus, t_end=t_end,
                             pair=EquidistantPair(a_minus, a_plus, full.level),
                             full=full, modes=modes)
-

@@ -459,10 +459,13 @@ def levi_civita_connection(g: MetricField) -> AffineConnection:
                             chart=g.chart, metric=g)
 
 
-def span_times(t, span: tuple[float, float]) -> float | np.ndarray:
-    """t (a scalar or a 1-D array) as floats clipped into ``span``.
+def span_times(t,
+               span: tuple[float, float | np.ndarray]) -> float | np.ndarray:
+    """t (a scalar or an array) as floats clipped into ``span``.
 
     Roundoff-level overshoot at either end is tolerated and clipped away.
+    A batch of curves has one span end per curve, shape ``(B,)``; t's
+    leading axis then runs over the curves.
 
     Raises
     ------
@@ -470,13 +473,17 @@ def span_times(t, span: tuple[float, float]) -> float | np.ndarray:
         If any element lies outside the span by more than that.
     """
     t0, t1 = span
-    slack = 1e-12 * max(1.0, abs(t0), abs(t1))
     t = np.asarray(t, dtype=float)
+    if np.ndim(t1):     # a batch: its span ends run down t's leading axis
+        t1 = t1.reshape(t1.shape + (1,) * (t.ndim - 1))
+        slack = 1e-12 * np.maximum(max(1.0, abs(t0)), np.abs(t1))
+    else:
+        slack = 1e-12 * max(1.0, abs(t0), abs(t1))
     inside = (t >= t0 - slack) & (t <= t1 + slack)
     if not inside.all():
         raise OutOfSpanError(
             f"t={t[~inside]} outside trajectory span [{t0}, {t1}]")
-    return np.clip(t, t0, t1)
+    return np.minimum(np.maximum(t, t0), t1)
 
 
 class Trajectory:
@@ -491,11 +498,12 @@ class Trajectory:
     :class:`scipy.integrate.OdeSolution`.
 
     ``position``, ``velocity`` and ``acceleration`` take a scalar t, giving
-    shape ``(dim,)``, or a 1-D array of n times, giving ``(n, dim)``.  A
-    time outside ``span`` raises :class:`~geoflow.errors.OutOfSpanError`.
-    A flow's velocity applies its field to the whole position stack in
-    one call, and the acceleration differentiates the velocity at every
-    t with one velocity call over all stencil times.
+    shape ``(dim,)``, or an array of times, giving ``t.shape + (dim,)``;
+    ``position_velocity`` gives both from one query.  A time outside
+    ``span`` raises :class:`~geoflow.errors.OutOfSpanError`.  A flow's
+    velocity applies its field to the whole position stack in one call,
+    and the acceleration differentiates the velocity at every t with one
+    velocity call over all stencil times.
 
     Attributes
     ----------
@@ -543,9 +551,16 @@ class Trajectory:
         return self._state(t)[..., : self._dim]
 
     def velocity(self, t) -> np.ndarray:
+        return self.position_velocity(t)[1]
+
+    def position_velocity(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Position and velocity at t from one evaluation of the dense
+        output; a flow applies its field to that position stack."""
         if self._velocity_field is None:
-            return self._state(t)[..., self._dim:]
-        return np.asarray(self._velocity_field(self.position(t)), dtype=float)
+            y = self._state(t)
+            return y[..., : self._dim], y[..., self._dim:]
+        x = self.position(t)
+        return x, np.asarray(self._velocity_field(x), dtype=float)
 
     def acceleration(self, t) -> np.ndarray:
         """d(velocity)/dt from the dense output (5-point stencil).
@@ -692,7 +707,6 @@ def covariant_acceleration(conn: AffineConnection, traj: Trajectory,
     dense velocity output; the connection term is evaluated at x(t).  A
     1-D array of t gives one row per time.
     """
-    x = traj.position(t)
-    v = traj.velocity(t)
+    x, v = traj.position_velocity(t)
     acc = traj.acceleration(t)
     return acc + np.einsum("...kij,...i,...j->...k", conn(x), v, v)

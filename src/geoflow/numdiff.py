@@ -107,10 +107,11 @@ def curve_derivative(fn: Callable[[np.ndarray], np.ndarray], t,
     result stays 4th-order accurate even at the span's ends.  ``order`` is 1
     or 2.
 
-    ``t`` is a scalar or a 1-D array of n times; ``fn`` is called once,
-    on the 1-D array of all stencil times, and returns one value (a scalar
-    or a vector) per time.  A scalar t gives a float for scalar values and
-    a vector otherwise; an array gives one row per t.
+    ``t`` is a scalar or an array of times; ``fn`` is called once, on the
+    1-D array of all stencil times, and returns one value (a scalar or a
+    vector) per time.  A scalar t gives a float for scalar values and a
+    vector otherwise; an array gives one value per t, shaped
+    ``t.shape + value shape``.
     """
     t0, t1 = span
     width = t1 - t0

@@ -193,11 +193,10 @@ def nonmetricity_cubic(g: MetricField, f: ScalarPotential, lam: float,
     speed identity C = 2 lam |xd|^2_g + d_k g_ij xd^k xd^i xd^j
     + 2 g(xd, xdd), from the metric, its partials and the curve alone: no
     inverse metric, condition check, Christoffel symbols or Z, so it stays
-    finite through the equilibrium.  A scalar t gives a float, a 1-D array
+    finite through the equilibrium.  A scalar t gives a float, an array
     of t one value per time.
     """
-    x = traj.position(t)
-    v = traj.velocity(t)
+    x, v = traj.position_velocity(t)
     acc = traj.acceleration(t)
     c = (2.0 * lam * g.inner(x, v, v)
          + g.cubic_form(x, v)

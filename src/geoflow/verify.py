@@ -198,8 +198,8 @@ def _suite_manifold(rng) -> list[CheckResult]:
         ts = _segment_midpoints(traj, 12)
         fdot = numdiff.curve_derivative(lambda s: f(traj.position(s)), ts,
                                         traj.span)
-        v = traj.velocity(ts)
-        worst = max(worst, _worst_rel(-fdot, g.inner(traj.position(ts), v, v)))
+        x, v = traj.position_velocity(ts)
+        worst = max(worst, _worst_rel(-fdot, g.inner(x, v, v)))
     out.append(CheckResult("manifold-core", "energy-identity",
                            worst < 1e-6, worst, 1e-6,
                            "df/dt = -|velocity|^2_g on dense samples"))
@@ -215,9 +215,9 @@ def _suite_manifold(rng) -> list[CheckResult]:
     t0, t1 = traj.ts[:-1], traj.ts[1:]
     # five Simpson nodes per accepted step, all steps in one stack
     nodes = np.linspace(t0, t1, 5).ravel()
-    v = traj.velocity(nodes)
-    vals = np.einsum("...kij,...i,...j->...k", lc(traj.position(nodes)),
-                     v, v).reshape(5, len(t0), -1)
+    x, v = traj.position_velocity(nodes)
+    vals = np.einsum("...kij,...i,...j->...k", lc(x), v, v).reshape(
+        5, len(t0), -1)
     h = ((t1 - t0) / 4.0)[:, None]
     integral = h / 3.0 * (vals[0] + 4 * vals[1] + 2 * vals[2]
                           + 4 * vals[3] + vals[4])
@@ -384,8 +384,8 @@ def _suite_gradient_flow(rng) -> list[CheckResult]:
     t_stars = np.asarray(rep.coincidence_times, dtype=float)
 
     def loss_rate(traj):
-        return np.sum(f.gradient_covector(traj.position(t_stars))
-                      * traj.velocity(t_stars), axis=-1)
+        x, v = traj.position_velocity(t_stars)
+        return np.sum(f.gradient_covector(x) * v, axis=-1)
 
     worst = float(np.max(np.abs(loss_rate(rep.traj1) - loss_rate(rep.traj2)),
                          initial=0.0))
@@ -549,9 +549,9 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
         traj = integrate_flow(g1, f1, [t_tilde * sp1.a_star[0]], 3.0,
                               tol=1e-11)
         ts = rng.uniform(0.0, 2.0, size=10)
-        a_t = traj.position(ts)
+        a_t, v_t = traj.position_velocity(ts)
         closed = cubic_closed_form(sp1, a_t, 0)
-        covariant = 2.0 * g1.inner(a_t, traj.velocity(ts),
+        covariant = 2.0 * g1.inner(a_t, v_t,
                                    covariant_acceleration(lc1, traj, ts))
         for cubic in (nonmetricity_cubic(g1, f1, 0.0, traj, ts), covariant):
             worst = max(worst, _worst_rel(-cubic, closed))
@@ -614,8 +614,9 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
     # a one-mode race's speeds cross exactly once, at
     # e^{-2 lambda t*} = -(c1 + c2) / (2 c1 c2) with c = T - 1 per start
     worst, once = 0.0, True
-    for n_beads, t_plus in ((64, 1.05), (12, 2.0), (33, 8.0), (6, 1.1)):
-        res = universal_asymmetry_experiment(ChainSpec(n_beads), t_plus)
+    races = {cell: universal_asymmetry_experiment(ChainSpec(cell[0]), cell[1])
+             for cell in ((64, 1.05), (12, 2.0), (33, 8.0), (6, 1.1))}
+    for (_, t_plus), res in races.items():
         c1, c2 = res.t_minus - 1.0, t_plus - 1.0
         t_star = np.log(-2.0 * c1 * c2 / (c1 + c2)) / (2.0 * res.spect.lambdas)
         for rep, want in zip(res.modes, t_star):
@@ -627,6 +628,24 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
                            once and worst < 1e-9, worst, 1e-9,
                            "each mode's speeds cross once, at the "
                            "closed-form time"))
+
+    # every mode's race is the unit race rescaled by t -> lambda_k t and
+    # F -> lambda_k F, so gap_k / lambda_k^3 and lambda_k t*_k do not
+    # depend on k; the spread is their range over min |value|
+    worst = 0.0
+    for res in (races[64, 1.05], races[33, 8.0]):
+        if any(len(rep.coincidence_times) != 1 for rep in res.modes):
+            worst = np.inf
+            break
+        lam = res.spect.lambdas
+        gap = np.array([rep.cubic_gaps[0] for rep in res.modes]) / lam ** 3
+        cross = np.array([rep.coincidence_times[0] for rep in res.modes]) * lam
+        worst = max(worst, *(float(np.ptp(x) / np.abs(x).min())
+                             for x in (gap, cross)))
+    out.append(CheckResult("gaussian-chain", "mode-scaling-covariance",
+                           worst < 1e-10, worst, 1e-10,
+                           "gap_k / lambda_k^3 and lambda_k t*_k are the "
+                           "same for every mode"))
 
     # both trajectories stay on their own side of equilibrium.  Strict
     # inequality is checked per mode out to 10/lambda_k; past that the gap

@@ -82,7 +82,9 @@ def test_mode_relaxation_closed_forms(battery):
     _assert_checks(battery, "gaussian-chain/ode-closed-form",
                    "gaussian-chain/cubic-cross-validation",
                    "gaussian-chain/curvature-cross-validation",
-                   "gaussian-chain/curvature-point-value")
+                   "gaussian-chain/curvature-point-value",
+                   "gaussian-chain/crossing-closed-form",
+                   "gaussian-chain/mode-scaling-covariance")
 
 
 def test_warming_beats_cooling_across_the_grid(timed_battery):

@@ -292,7 +292,7 @@ def test_bracketed_roots_match_brentq():
               for name, g, rep in _smooth_reports()]
     for name, fn, lo, hi, f_lo, f_hi in cases:
         assert lo.size, name
-        got = cp.bracketed_roots(fn, lo, hi, f_lo, f_hi)
+        got = cp.bracketed_roots(lambda t, _: fn(t), lo, hi, f_lo, f_hi)
         want = [brentq(fn, a, b, xtol=cp.ROOT_XTOL) for a, b in zip(lo, hi)]
         assert_allclose(got, want, rtol=0.0, atol=1e-12, err_msg=name)
 
@@ -305,7 +305,7 @@ def test_bracketed_roots_on_roundoff_brackets():
     rep = cp.compare(g, f, 0.0, pair, 12.0)
     fn, lo, hi, f_lo, f_hi = _speed_brackets(g, rep)
     assert lo.size > 200
-    got = cp.bracketed_roots(fn, lo, hi, f_lo, f_hi)
+    got = cp.bracketed_roots(lambda t, _: fn(t), lo, hi, f_lo, f_hi)
     assert np.all((lo < got) & (got < hi))
     speed = cp._speed(g, rep.traj1, got)
     assert np.all(np.abs(fn(got)) <= 4.0 * np.finfo(float).eps * speed)
@@ -314,7 +314,8 @@ def test_bracketed_roots_on_roundoff_brackets():
 def test_bracketed_roots_raise_when_unfinished(monkeypatch):
     monkeypatch.setattr(cp, "_ROOT_MAXITER", 2)
     with pytest.raises(NonConvergenceError):
-        cp.bracketed_roots(np.sin, [3.0], [3.3], [np.sin(3.0)], [np.sin(3.3)])
+        cp.bracketed_roots(lambda t, _: np.sin(t), [3.0], [3.3],
+                           [np.sin(3.0)], [np.sin(3.3)])
 
 
 def test_compare_metric_inverse_calls_are_bounded(monkeypatch):

@@ -1,14 +1,25 @@
 """Mode spectrum, relaxation closed forms, and the warming/cooling experiment."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 
+from geoflow import comparison as cp
 from geoflow import gaussian_chain as gc
 from geoflow import straightening as st
-from geoflow.comparison import CURVE1_FASTER, INCONCLUSIVE, STOP_GRAD_NORM
+from geoflow.comparison import (
+    CURVE1_FASTER,
+    INCONCLUSIVE,
+    STOP_GRAD_NORM,
+    EquidistantPair,
+    compare,
+    compare_batch,
+)
 from geoflow.errors import NonConvergenceError, SingularCurvatureError
 from geoflow.manifold import grad_norm_sq, integrate_flow
 
@@ -170,6 +181,35 @@ def test_closed_form_trajectory_span_ends_at_the_stop_threshold():
     assert capped.span == (0.0, 0.5 * t_stop)
     still = gc.ChainTrajectory(sp, sp.a_star, 1e3)
     assert still.converged and still.span == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("t_tilde", [0.3, 2.0, 8.0])
+def test_one_mode_stop_time_is_the_closed_form(t_tilde):
+    # speed = S is linear in e^{-2 lambda t} for one mode; the closed form
+    # agrees with a brentq solve of the speed, one curve or a batch row
+    sp = gc.spectrum(gc.ChainSpec(12))
+    x0 = t_tilde * sp.a_star
+    batch = gc.ChainTrajectory(sp, x0[:, None], 1e4)
+    assert batch.converged.all() and batch.span[1].shape == (11,)
+    for k in range(sp.n_modes):
+        one = gc._mode_spectrum(sp, k)
+        traj = gc.ChainTrajectory(one, x0[k:k + 1], 1e4)
+        t_stop = traj.span[1]
+        want = brentq(lambda t: traj._speed(t) - STOP_GRAD_NORM, 0.0, 1e4,
+                      xtol=1e-14)
+        assert abs(t_stop - want) <= 1e-12 * max(1.0, want)
+        assert traj.converged and batch[k].span == traj.span
+        assert batch[k].position(t_stop).tobytes() == \
+            traj.position(t_stop).tobytes()
+        assert batch.position(batch.span[1])[k].tobytes() == \
+            traj.position(t_stop).tobytes()
+
+        capped = gc.ChainTrajectory(one, x0[k:k + 1], 0.5 * t_stop)
+        assert not capped.converged and capped.span == (0.0, 0.5 * t_stop)
+    still = gc.ChainTrajectory(sp, np.where(np.arange(11) == 4, sp.a_star,
+                                            x0)[:, None], 1e4)
+    assert still.converged.all() and still[4].span == (0.0, 0.0)
+    assert (np.delete(still.span[1], 4) == np.delete(batch.span[1], 4)).all()
 
 
 # ----------------------------------------------------- potential and metric
@@ -448,6 +488,86 @@ def test_warming_wins_for_every_chain_and_mode(n_beads, t_plus):
             want = [gc.analytic_variance(spec_t, sp, k, t)
                     for k in range(sp.n_modes)]
             assert_allclose(traj.position(t), want, rtol=1e-12)
+
+
+def _mode_race_alone(res, k):
+    """Mode k's race as a compare of that one pair."""
+    sp = gc._mode_spectrum(res.spect, k)
+    g, f = gc.mode_manifold(res.spect, k)
+    lo, hi = res.pair.x1_0[k:k + 1], res.pair.x2_0[k:k + 1]
+    pair = EquidistantPair(lo, hi, 0.5 * (f(hi) + f(lo)))
+    return compare(g, f, 0.0, pair, res.t_end,
+                   flow=partial(gc.ChainTrajectory, sp, t_end=res.t_end))
+
+
+def _assert_same_race(got, want):
+    assert got.verdict == want.verdict
+    assert got.notes == want.notes
+    assert got.coincidence_times == want.coincidence_times
+    assert got.cubic_gaps == want.cubic_gaps
+    assert got.delta_f.tobytes() == want.delta_f.tobytes()
+    assert got.level == want.level
+
+
+@pytest.mark.parametrize("n_beads, t_plus",
+                         [(n, t) for n in range(3, 13) for t in (1.1, 2.0, 8.0)]
+                         + [(64, 1.05)])
+def test_batched_mode_races_equal_one_compare_per_mode(n_beads, t_plus):
+    res = gc.universal_asymmetry_experiment(gc.ChainSpec(n_beads), t_plus)
+    assert len(res.modes) == n_beads - 1
+    for k, rep in enumerate(res.modes):
+        _assert_same_race(rep, _mode_race_alone(res, k))
+
+
+def test_batched_modes_at_4096_beads_keep_their_no_races():
+    # modes 1-3 start below STOP_GRAD_NORM; the other 4092 rows race
+    res = gc.universal_asymmetry_experiment(gc.ChainSpec(4096), 1.1)
+    for k in (0, 1, 2):
+        assert [n.split(":")[0] for n in res.modes[k].notes] == ["no-race"]
+    assert all(rep.verdict == CURVE1_FASTER for rep in res.modes[3:])
+    for k in (0, 1, 2, 3, 4, 100, 2047, 4094):
+        _assert_same_race(res.modes[k], _mode_race_alone(res, k))
+
+
+def test_a_no_race_row_leaks_nothing_into_its_batch():
+    # mode 4 seeded at equilibrium has t_hi = 0: its grid, roots and cubic
+    # padding must not move the other rows by a bit
+    res = gc.universal_asymmetry_experiment(gc.ChainSpec(9), 2.0)
+    sp = res.spect
+    lo, hi = (np.where(np.arange(8) == 3, sp.a_star, x)[:, None]
+              for x in (res.pair.x1_0, res.pair.x2_0))
+    g, f = gc._mode_rows(sp)
+    reps = compare_batch(g, f, 0.0,
+                         EquidistantPair(lo, hi, 0.5 * (f(hi) + f(lo))),
+                         partial(gc.ChainTrajectory, sp, t_end=res.t_end))
+    assert [n.split(":")[0] for n in reps[3].notes] == ["no-race"]
+    assert reps[3].verdict == INCONCLUSIVE and reps[3].traj1.span == (0.0, 0.0)
+    g3, f3 = gc.mode_manifold(sp, 3)
+    q = sp.a_star[3:4]
+    _assert_same_race(reps[3], compare(
+        g3, f3, 0.0, EquidistantPair(q, q, f3(q)), res.t_end,
+        flow=partial(gc.ChainTrajectory, gc._mode_spectrum(sp, 3),
+                     t_end=res.t_end)))
+    for k, rep in enumerate(reps):
+        if k != 3:
+            _assert_same_race(rep, res.modes[k])
+
+
+def test_per_mode_races_make_one_root_search(monkeypatch):
+    calls = []
+    search = cp.bracketed_roots
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return search(*args)
+
+    monkeypatch.setattr(cp, "bracketed_roots", counted)
+    gc.universal_asymmetry_experiment(gc.ChainSpec(12), 2.0, per_mode=False)
+    assert len(calls) == 1
+    calls.clear()
+    gc.universal_asymmetry_experiment(gc.ChainSpec(12), 2.0)
+    # the full race, then one search over all 11 modes' brackets
+    assert calls[0] >= 1 and calls[1:] == [11]
 
 
 def test_slow_modes_are_decided_by_the_relative_gap_cut():

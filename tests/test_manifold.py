@@ -655,6 +655,10 @@ def test_array_queries_match_scalar_queries(kind):
         got = query(ts)
         assert got.shape == stacked.shape == (ts.size, traj.xs.shape[1])
         assert_allclose(got, stacked, rtol=1e-14, atol=0.0)
+    # one query for both, bit for bit the separate ones
+    x, v = traj.position_velocity(ts)
+    assert x.tobytes() == traj.position(ts).tobytes()
+    assert v.tobytes() == traj.velocity(ts).tobytes()
     # the evaluators along the curve: a point stack, and an array of t
     xs = traj.position(ts)
     evaluators = [lambda x: mf.metric_inverse(g, x),
