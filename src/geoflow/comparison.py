@@ -308,6 +308,9 @@ def compare_batch(g: MetricField, f: ScalarPotential, lam: float,
     traj1, traj2 = flow(pairs.x1_0), flow(pairs.x2_0)
     levels = np.atleast_1d(pairs.level)
     n = levels.size
+    batched = np.ndim(traj1.span[1]) == 1
+    if n > 1 and not batched:
+        raise ValueError(f"flow gave one curve for a batch of {n} pairs")
 
     t_hi = np.broadcast_to(np.minimum(traj1.span[1], traj2.span[1]), (n,))
     # np.linspace(0, t_hi, _GRID) row by row: its array form would switch
@@ -363,7 +366,6 @@ def compare_batch(g: MetricField, f: ScalarPotential, lam: float,
     up = ((gaps > 0.0) | pad).all(axis=1) & (delta.min(axis=1) >= -DELTA_TOL)
     down = ((gaps < 0.0) | pad).all(axis=1) & (delta.max(axis=1) <= DELTA_TOL)
 
-    batched = np.ndim(traj1.span[1]) == 1
     reports = []
     for b in range(n):
         notes: list[str] = []

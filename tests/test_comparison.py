@@ -176,6 +176,15 @@ def test_pair_on_the_minimum_level_is_a_no_race(model, monkeypatch):
     assert [n.split(":")[0] for n in report.notes] == ["no-race"]
 
 
+def test_a_batch_needs_one_curve_per_pair():
+    g, f = fixtures.euclidean_quadratic(2)
+    x = np.array([[1.0, 0.0], [0.0, 1.0]])
+    pairs = cp.EquidistantPair(x, x[::-1], np.full(2, f(x[0])))
+    with pytest.raises(ValueError, match="one curve"):
+        cp.compare_batch(g, f, 0.0, pairs,
+                         lambda x0: mf.integrate_flow(g, f, x0[0], 1.0))
+
+
 def test_compare_mode_warming_wins():
     # cold (warming) start as curve 1, hot (cooling) start as curve 2
     g, f, pair = mode_pair()
