@@ -191,8 +191,7 @@ def cmd_chain(args) -> _Outcome:
         command="chain",
         config={"n_beads": args.n_beads, "t_plus": args.t_plus,
                 "t_end": res.t_end,
-                "derived": {"t_minus": res.t_minus,
-                            "rates": list(spect.lambdas)}})
+                "derived": {"t_minus": res.t_minus}})
     full = res.full
     header = ["t", "F_plus", "F_minus", "delta_F"]
     for k in range(spect.n_modes):
@@ -215,8 +214,7 @@ def cmd_chain(args) -> _Outcome:
     verdict = {CURVE1_FASTER: "warming-faster",
                CURVE2_FASTER: "cooling-faster",
                INCONCLUSIVE: "inconclusive"}[full.verdict]
-    bundle.verdicts = [verdict] + [f"mode-{k + 1}: {rep.verdict}"
-                                   for k, rep in enumerate(res.modes)]
+    bundle.verdicts = [verdict]
     return (bundle, verdict, [f"note: {note}" for note in full.notes],
             _exit_code(full.verdict))
 

@@ -11,9 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# not called here (the root search is bracketed_roots); bench/tracer.py
-# wraps this binding, so it stays importable
-from scipy.optimize import brentq  # noqa: F401
+from scipy.optimize import brentq
 
 from .errors import (
     DomainExitError,
@@ -35,7 +33,6 @@ __all__ = [
     "equidistant_seed",
     "compare",
     "compare_batch",
-    "metric_symmetry_check",
 ]
 
 CURVE1_FASTER = "Curve1Faster"
@@ -164,25 +161,14 @@ def _seed_along(g: MetricField, f: ScalarPotential, q: np.ndarray, c: float,
             raise LevelUnreachableError(
                 f"level {c} not reached within s <= 1e8 along {d}")
 
-    for _ in range(80):
-        s_mid = 0.5 * (s_lo + s_hi)
-        if level_gap(s_mid) < 0.0:
-            s_lo = s_mid
-        else:
-            s_hi = s_mid
-
-    s = 0.5 * (s_lo + s_hi)
-    for _ in range(25):
-        gap = level_gap(s)
-        if abs(gap) < LEVEL_TOL:
-            break
-        slope = float(f.gradient_covector(on_ray(s)) @ d)
-        if slope == 0.0:
-            break
-        s -= gap / slope
-    if abs(level_gap(s)) >= LEVEL_TOL:
+    # Brent's method on the bracket, to machine precision in s
+    s, info = brentq(level_gap, s_lo, s_hi, xtol=np.finfo(float).tiny,
+                     rtol=_ROOT_RTOL, full_output=True, disp=False)
+    gap = abs(level_gap(s))
+    if not info.converged or gap >= LEVEL_TOL:
         raise LevelUnreachableError(
-            f"root polish stalled at |f - c| = {abs(level_gap(s)):.3e}")
+            f"level solve on [{s_lo:.3e}, {s_hi:.3e}] ended at "
+            f"|f - c| = {gap:.3e} ({info.flag})")
     return on_ray(s)
 
 
@@ -190,19 +176,21 @@ def equidistant_seed(g: MetricField, f: ScalarPotential, c: float,
                      direction1, direction2) -> EquidistantPair:
     """Find the two points where rays from the minimum cross the level c.
 
-    Scalar root-finding (bisection, then Newton polish to |f - c| < 1e-10)
-    along each direction from f.minimum_q.  The ray doubles its step
+    Along each direction from f.minimum_q the ray doubles its step
     until it crosses the level; a step that lands outside the chart is
     halved back toward the last in-chart point, so f is never called
-    outside the chart.  ``c`` must exceed f at the minimum.
+    outside the chart.  One scipy ``brentq`` solve then locates the
+    crossing in that bracket to 4 eps relative in the ray parameter, and
+    each seed must land within |f - c| < LEVEL_TOL.  ``c`` must exceed f
+    at the minimum.
 
     Raises
     ------
     MissingMinimumError
         If the potential has no designated minimum.
     LevelUnreachableError
-        If a ray does not cross the level within s <= 1e8, or the Newton
-        polish stalls.
+        If a ray does not cross the level within s <= 1e8, or its solve
+        does not converge to |f - c| < LEVEL_TOL.
     DomainExitError
         If a ray reaches the chart's edge, pinned to 4 eps, below the
         level.
@@ -214,11 +202,8 @@ def equidistant_seed(g: MetricField, f: ScalarPotential, c: float,
     if not c > f(q):
         raise ValueError(
             f"level c={c} must exceed the minimum value f(q)={f(q)}")
-    x1 = _seed_along(g, f, q, c, direction1)
-    x2 = _seed_along(g, f, q, c, direction2)
-    pair = EquidistantPair(x1, x2, float(c))
-    pair.validate(f)
-    return pair
+    return EquidistantPair(_seed_along(g, f, q, c, direction1),
+                           _seed_along(g, f, q, c, direction2), float(c))
 
 
 def _speed(g: MetricField, traj: Trajectory, t):
@@ -447,14 +432,3 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
                                   stop_grad_norm=STOP_GRAD_NORM)
     return compare_batch(g, f, lam, pair, flow)[0]
 
-
-def metric_symmetry_check(g: MetricField, f: ScalarPotential,
-                          pair: EquidistantPair, t_end: float) -> bool:
-    """True iff the paired relaxations are indistinguishable in f.
-
-    The witness that a potential admits a metric straightening connection:
-    max_t |delta_f| < 1e-7 * level.
-    """
-    report = compare(g, f, 0.0, pair, t_end)
-    scale = max(abs(pair.level), 1e-30)
-    return bool(np.abs(report.delta_f).max() < 1e-7 * scale)

@@ -228,12 +228,10 @@ class ChainTrajectory:
         return rate, a_star, d0, np.exp(-(t[..., None] * rate))
 
     def position(self, t) -> np.ndarray:
-        _, a_star, d0, decay = self._terms(t)
-        return a_star + d0 * decay
+        return self.position_velocity(t)[0]
 
     def velocity(self, t) -> np.ndarray:
-        rate, _, d0, decay = self._terms(t)
-        return -rate * d0 * decay
+        return self.position_velocity(t)[1]
 
     def position_velocity(self, t) -> tuple[np.ndarray, np.ndarray]:
         rate, a_star, d0, decay = self._terms(t)

@@ -37,6 +37,7 @@ from .dually_flat import (
     quadratic_model,
 )
 from .fixtures import (
+    COMPARE_MODELS,
     distance_squared_potential,
     euclidean_quadratic,
     gaussian_mode,
@@ -81,7 +82,8 @@ from .straightening import (
 
 __all__ = ["CheckResult", "SUITE_NAMES", "run_suites"]
 
-MODE_LEVEL = 2.0 * np.log(2.0) - 1.0
+#: the gaussian-mode race's level, F at T = 2, as ``geoflow compare`` seeds it
+MODE_LEVEL = COMPARE_MODELS["gaussian-mode"].level
 
 
 @dataclass(frozen=True)

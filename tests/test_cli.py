@@ -43,9 +43,11 @@ def test_chain_small_run(tmp_path, capsys):
     delta = np.array([float(r[3]) for r in rows])
     assert delta.min() >= -1e-9
     assert float(rows[0][1]) == pytest.approx(float(rows[0][2]), rel=1e-9)
-    bundle = ResultBundle.read(out)
-    assert bundle.verdicts[0] == "warming-faster"
-    assert all("Curve1Faster" in v for v in bundle.verdicts[1:])
+    # modes.csv is the one record of each mode's rate and verdict
+    assert ResultBundle.read(out).verdicts == ["warming-faster"]
+    header, rows = read_csv(out / "modes.csv")
+    assert [r[header.index("mode")] for r in rows] == ["1", "2"]
+    assert all(r[header.index("verdict")] == "Curve1Faster" for r in rows)
 
 
 @pytest.mark.parametrize("n_beads,t_plus", [(4, 1.5), (11, 2)])

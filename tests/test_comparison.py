@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
@@ -13,6 +15,7 @@ from geoflow import straightening as st
 from geoflow.errors import (
     ClosureShapeError,
     DomainExitError,
+    GeoflowError,
     LevelUnreachableError,
     MissingMinimumError,
     NonConvergenceError,
@@ -98,6 +101,58 @@ def test_seed_requires_minimum():
         cp.equidistant_seed(g, f, 1.0, [1.0], [-1.0])
 
 
+def test_seed_solve_that_does_not_converge_is_typed(monkeypatch):
+    # a Brent solve cut to one iteration ends off the level; that is a
+    # LevelUnreachableError, not scipy's RuntimeError
+    def one_step(*args, **kwargs):
+        return brentq(*args, **{**kwargs, "maxiter": 1})
+
+    monkeypatch.setattr(cp, "brentq", one_step)
+    g, f = fixtures.gaussian_mode()
+    with pytest.raises(LevelUnreachableError):
+        cp.equidistant_seed(g, f, MODE_LEVEL, [1.0], [-1.0])
+
+
+def test_seed_potential_calls_are_bounded(monkeypatch):
+    # the ray walk plus one Brent solve per ray: 43 calls of f for the
+    # default gaussian-mode pair (bisection with a Newton check took 191)
+    calls = []
+    value = mf.ScalarPotential.__call__
+
+    def counted(self, x):
+        calls.append(1)
+        return value(self, x)
+
+    monkeypatch.setattr(mf.ScalarPotential, "__call__", counted)
+    entry = fixtures.COMPARE_MODELS["gaussian-mode"]
+    g, f = entry.build()
+    cp.equidistant_seed(g, f, entry.level, entry.direction1, entry.direction2)
+    assert len(calls) <= 50
+
+
+_DIRECTION = hst.floats(-10.0, 10.0).filter(lambda v: abs(v) > 1e-3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=hst.sampled_from(sorted(fixtures.COMPARE_MODELS)),
+       level=hst.floats(1e-6, 50.0),
+       components=hst.lists(_DIRECTION, min_size=4, max_size=4))
+def test_seeds_lie_on_the_level_in_the_chart(model, level, components):
+    # a seed is on the level inside the chart, or seeding says why not
+    g, f = fixtures.COMPARE_MODELS[model].build()
+    dim = g.chart.dim
+    d1, d2 = np.array(components[:dim]), np.array(components[2:2 + dim])
+    try:
+        pair = cp.equidistant_seed(g, f, level, d1, d2)
+    except GeoflowError:
+        return
+    for x, d in ((pair.x1_0, d1), (pair.x2_0, d2)):
+        assert g.chart.contains(x)
+        assert abs(f(x) - level) < cp.LEVEL_TOL
+        # on the ray from the minimum, on the side it points to
+        assert (x - f.minimum_q) @ d > 0.0
+
+
 def test_pair_validation():
     _, f = fixtures.euclidean_quadratic(2)
     bad = cp.EquidistantPair(np.array([1.0, 0.0]), np.array([0.5, 0.0]), 0.5)
@@ -147,6 +202,56 @@ def test_compare_identical_seeds():
     report = cp.compare(g, f, 0.0, pair, 5.0)
     assert np.all(report.delta_f == 0.0)
     assert report.verdict == cp.INCONCLUSIVE
+
+
+class _Spiral:
+    """x(t) = e^{-t} R(w t) x0 in the plane: |x| decays as on the flat
+    bowl's gradient curve (w = 0), at sqrt(1 + w^2) times its speed."""
+
+    def __init__(self, x0, w):
+        self.x0, self.w, self.span = np.asarray(x0), w, (0.0, 8.0)
+
+    def position_velocity(self, t):
+        t = np.asarray(t)[..., None]
+        c, s = np.cos(self.w * t), np.sin(self.w * t)
+        x, y = self.x0
+        p = np.exp(-t) * np.concatenate([c * x - s * y, s * x + c * y], -1)
+        turn = np.concatenate([-p[..., 1:], p[..., :1]], -1)
+        return p, -p + self.w * turn
+
+
+def test_no_coincidence_and_no_delta_f_reads_zero_gap():
+    # the spiral keeps the straight curve's f but never its speed: no
+    # coincidence, and the zero-gap rung rests on delta_f alone
+    g, f = fixtures.euclidean_quadratic(2)
+    pair = cp.EquidistantPair(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.5)
+    report = cp.compare(g, f, 0.0, pair, 8.0,
+                        flow=lambda x0: _Spiral(x0, 0.0 if x0[0] else 1.0))
+    assert report.coincidence_times == []
+    assert np.abs(report.delta_f).max() <= cp.DELTA_TOL
+    assert report.verdict == cp.INCONCLUSIVE
+    assert [n.split(":")[0] for n in report.notes] == ["no-coincidence",
+                                                        "zero-gap"]
+    assert "delta_f vanishes" in report.notes[1]
+
+
+def test_cubic_gaps_of_both_signs_are_inconclusive(monkeypatch):
+    # curve 2's cubic alternates in sign over the flat bowl's ties and
+    # curve 1's is zero: neither one-sided rung holds, and no note applies
+    sides = iter([0.0, 1.0])
+
+    def cubic(g, f, lam, traj, at):
+        return next(sides) * (-1.0) ** np.arange(at.shape[-1]) + 0.0 * at
+
+    monkeypatch.setattr(cp, "nonmetricity_cubic", cubic)
+    g, f = fixtures.euclidean_quadratic(2)
+    pair = cp.equidistant_seed(g, f, 0.5, [1.0, 0.0], [0.0, 1.0])
+    report = cp.compare(g, f, 0.0, pair, 8.0)
+    assert len(report.cubic_gaps) > 1
+    assert min(report.cubic_gaps) < 0.0 < max(report.cubic_gaps)
+    assert np.abs(report.delta_f).max() <= cp.DELTA_TOL
+    assert report.verdict == cp.INCONCLUSIVE
+    assert report.notes == []
 
 
 @pytest.mark.parametrize("model", ["flat-bowl", "chain"])
@@ -410,20 +515,35 @@ def test_large_chain_race_builds_no_dense_partials(monkeypatch):
 
 
 # ---------------------------------------------------------------- symmetry
+# verify's distance-squared-symmetry criterion, max |delta_f| < 1e-7 c,
+# read off compare's own report
+
+
+def _max_delta_over_level(rep):
+    return np.abs(rep.delta_f).max() / rep.level
 
 
 def test_symmetry_check_distance_squared():
     g, f = fixtures.euclidean_quadratic(2)
     pair = cp.equidistant_seed(g, f, 0.5, [1.0, 0.0], [0.0, 1.0])
-    assert cp.metric_symmetry_check(g, f, pair, 8.0)
+    rep = cp.compare(g, f, 0.0, pair, 8.0)
+    assert _max_delta_over_level(rep) < 1e-7
+    assert rep.verdict == cp.INCONCLUSIVE
+    assert rep.notes[0].startswith("zero-gap")
 
 
 def test_symmetry_check_mode_fails():
     g, f, pair = mode_pair()
-    assert not cp.metric_symmetry_check(g, f, pair, 8.0)
+    rep = cp.compare(g, f, 0.0, pair, 8.0)
+    assert _max_delta_over_level(rep) > 1e-7
+    assert rep.verdict == cp.CURVE2_FASTER
+    assert rep.notes == []
 
 
 def test_symmetry_check_equal_seeds():
     g, f = fixtures.euclidean_quadratic(2)
     pair = cp.EquidistantPair(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 0.5)
-    assert cp.metric_symmetry_check(g, f, pair, 5.0)
+    rep = cp.compare(g, f, 0.0, pair, 5.0)
+    assert not rep.delta_f.any()
+    assert rep.verdict == cp.INCONCLUSIVE
+    assert rep.notes[0].startswith("zero-gap")
