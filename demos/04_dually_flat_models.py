@@ -44,7 +44,7 @@ print("D(p||p) =", canonical_divergence(model, p, p))
 # the dual model swaps the roles: its potential is psi(eta), its
 # divergence the reversed one
 dm = dual_model(model)
-eta_p, eta_q = model.eta(p), model.eta(q)
+eta_p, eta_q = model.gradient_covector(p), model.gradient_covector(q)
 print("\ndual-chart divergence D*(eta_p||eta_q) =",
       canonical_divergence(dm, eta_p, eta_q))
 print("equals the reversed original        =",

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import numdiff
 from .errors import CriticalPointError, NonConvergenceError, NonConvexError
-from .manifold import Chart, MetricField, _check_shape
+from .manifold import Chart, MetricField, ScalarPotential, _check_shape
 
 __all__ = [
     "HessianModel",
@@ -36,42 +36,24 @@ __all__ = [
 ]
 
 
-class HessianModel:
+class HessianModel(ScalarPotential):
     """Convex potential phi over an affine chart, with derived structure.
 
-    ``phi``, ``eta`` and ``hessian`` closures broadcast like a MetricField's
-    (any other shape raises ClosureShapeError); ``eta`` and ``hessian`` are
-    optional, finite differences of phi filling in for value-only models.
+    The ScalarPotential of value phi and gradient eta = d(phi): calling the
+    model gives phi and :meth:`gradient_covector` the dual coordinates
+    eta, under that class's shape checks and finite-difference fallback.
+    The optional ``hessian`` closure broadcasts the same way (any other
+    shape raises ClosureShapeError); without it, finite differences of
+    eta fill in.
     """
 
     def __init__(self, phi: Callable[[np.ndarray], float], chart: Chart,
                  eta: Callable[[np.ndarray], np.ndarray] | None = None,
                  hessian: Callable[[np.ndarray], np.ndarray] | None = None,
                  name: str = ""):
-        self.phi_fn = phi
+        super().__init__(phi, gradient=eta, name=name)
         self.chart = chart
-        self._eta = eta
         self._hessian = hessian
-        self.name = name
-
-    def phi(self, theta: np.ndarray) -> float | np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        v = np.asarray(self.phi_fn(theta), dtype=float)
-        _check_shape(v, theta.shape[:-1], f"{self.name or 'model'} phi")
-        return float(v) if v.ndim == 0 else v
-
-    @property
-    def has_analytic_eta(self) -> bool:
-        return self._eta is not None
-
-    def eta(self, theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        if self._eta is None:
-            return numdiff.jacobian_fd(self.phi, theta,
-                                       scale=numdiff.STEP_EXACT)
-        e = np.asarray(self._eta(theta), dtype=float)
-        _check_shape(e, theta.shape, f"{self.name or 'model'} eta")
-        return e
 
     def hessian(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -81,9 +63,9 @@ class HessianModel:
                          f"{self.name or 'model'} hessian")
         else:
             # a value-only model's eta is itself a difference of phi
-            h = numdiff.jacobian_fd(self.eta, theta, scale=(
-                numdiff.STEP_NESTED if self._eta is None
-                else numdiff.STEP_EXACT))
+            h = numdiff.jacobian_fd(self.gradient_covector, theta, scale=(
+                numdiff.STEP_EXACT if self.has_analytic_gradient
+                else numdiff.STEP_NESTED))
             h = 0.5 * (h + np.swapaxes(h, -1, -2))
         bad = np.linalg.eigvalsh(h).min(axis=-1) <= 0.0
         if bad.any():
@@ -94,8 +76,8 @@ class HessianModel:
 
     def psi(self, theta: np.ndarray) -> float | np.ndarray:
         theta = np.asarray(theta, dtype=float)
-        return (np.einsum("...i,...i->...", theta, self.eta(theta))
-                - self.phi(theta))
+        return (np.einsum("...i,...i->...", theta,
+                          self.gradient_covector(theta)) - self(theta))
 
 
 def metric_field(model: HessianModel) -> MetricField:
@@ -113,15 +95,15 @@ def legendre_dual(model: HessianModel, theta) -> tuple[np.ndarray, float]:
     """
     theta = np.asarray(theta, dtype=float)
     model.hessian(theta)
-    return model.eta(theta), model.psi(theta)
+    return model.gradient_covector(theta), model.psi(theta)
 
 
 def canonical_divergence(model: HessianModel, p, q) -> float | np.ndarray:
     """D(p, q) = phi(p) + psi(q) - theta(p) . eta(q), both points in theta."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    return (model.phi(p) + model.psi(q)
-            - np.einsum("...i,...i->...", p, model.eta(q)))
+    return (model(p) + model.psi(q)
+            - np.einsum("...i,...i->...", p, model.gradient_covector(q)))
 
 
 def canonical_divergence_dual(model: HessianModel, p, q) -> float | np.ndarray:
@@ -140,7 +122,7 @@ def _invert_eta(model: HessianModel, target: np.ndarray,
             "origin is outside this model's chart")
     scale = 1.0 + float(np.linalg.norm(target))
     for _ in range(60):
-        resid = model.eta(theta) - target
+        resid = model.gradient_covector(theta) - target
         if np.linalg.norm(resid) < 1e-13 * scale:
             return theta
         step = np.linalg.solve(model.hessian(theta), resid)
@@ -148,8 +130,8 @@ def _invert_eta(model: HessianModel, target: np.ndarray,
         base = np.linalg.norm(resid)
         for _ in range(30):
             cand = theta - damp * step
-            if model.chart.contains(cand) and \
-                    np.linalg.norm(model.eta(cand) - target) < base:
+            if model.chart.contains(cand) and np.linalg.norm(
+                    model.gradient_covector(cand) - target) < base:
                 theta = cand
                 break
             damp *= 0.5
@@ -157,7 +139,7 @@ def _invert_eta(model: HessianModel, target: np.ndarray,
             break
     raise NonConvergenceError(
         f"eta inversion stalled at |eta - target| = "
-        f"{np.linalg.norm(model.eta(theta) - target):.3e}")
+        f"{np.linalg.norm(model.gradient_covector(theta) - target):.3e}")
 
 
 def dual_model(model: HessianModel,
@@ -178,25 +160,23 @@ def dual_model(model: HessianModel,
 
     def phi_dual(eta_pt):
         theta = invert(eta_pt)
-        return np.einsum("...i,...i->...", eta_pt, theta) - model.phi(theta)
+        return np.einsum("...i,...i->...", eta_pt, theta) - model(theta)
 
     return HessianModel(phi_dual, Chart(dim), eta=invert,
                         name=(model.name + "-dual") if model.name else "dual")
 
 
-def fujiwara_amari_residual(model: HessianModel, q, x,
-                            pipeline: str = "auto") -> float | np.ndarray:
+def fujiwara_amari_residual(model: HessianModel, q, x) -> float | np.ndarray:
     """Defect of the affine-gradient property of D_q(.) = D(q, .).
 
-    Builds the Hessian-metric gradient field V of D_q and returns
-    ``|(dV) V - V| / |V|`` at x; near zero certifies that gradient curves
-    of the divergence are pregeodesics of the flat chart connection.
-    q and x broadcast: one pair gives a float, a stack of pairs one
-    residual per pair, from one call of each stage on the whole stack.
-
-    pipeline="analytic" uses the chain-rule derivative of D_q (needs an
-    analytic eta); "fd" differentiates divergence values only; "auto"
-    picks "analytic" when available.
+    Builds the Hessian-metric gradient field V of D_q, from finite
+    differences of divergence values and a solve against the model's
+    Hessian, and returns ``|(dV) V - V| / |V|`` at x; near zero certifies
+    that gradient curves of the divergence are pregeodesics of the flat
+    chart connection.  A model whose eta, phi and Hessian disagree reads
+    far from zero.  q and x broadcast: one pair gives a float, a stack of
+    pairs one residual per pair, from one call of each stage on the whole
+    stack.
 
     Raises
     ------
@@ -208,38 +188,24 @@ def fujiwara_amari_residual(model: HessianModel, q, x,
     if (np.linalg.norm(x - q, axis=-1) < 1e-12).any():
         raise CriticalPointError(
             "x = q: the divergence gradient vanishes on the diagonal")
-    if pipeline == "auto":
-        pipeline = "analytic" if model.has_analytic_eta else "fd"
+    # divergence values are exact compositions when eta is analytic;
+    # value-only models carry FD noise and need the coarser step
+    inner = (numdiff.STEP_EXACT if model.has_analytic_gradient
+             else numdiff.STEP_NESTED)
 
-    if pipeline == "analytic":
-        if not model.has_analytic_eta:
-            raise ValueError("analytic pipeline needs a model with eta")
+    def d_q(y):
+        return canonical_divergence(model, q, y)
 
-        def v_field(y):
-            h = model.hessian(y)
-            return np.linalg.solve(h, h @ (y - q)[..., None])[..., 0]
-    elif pipeline == "fd":
-        # divergence values are exact compositions when eta is analytic;
-        # value-only models carry FD noise and need the coarser step
-        inner = (numdiff.STEP_EXACT if model.has_analytic_eta
-                 else numdiff.STEP_NESTED)
-
-        def d_q(y):
-            return canonical_divergence(model, q, y)
-
-        def v_field(y):
-            grad = numdiff.jacobian_fd(d_q, y, scale=inner)
-            return np.linalg.solve(model.hessian(y), grad[..., None])[..., 0]
-    else:
-        raise ValueError(f"unknown pipeline {pipeline!r}")
+    def v_field(y):
+        grad = numdiff.jacobian_fd(d_q, y, scale=inner)
+        return np.linalg.solve(model.hessian(y), grad[..., None])[..., 0]
 
     # the property under test makes V affine, so the outer derivative has
-    # no truncation error at any step; a wide step drowns the FD noise the
-    # fd pipeline injects into each V evaluation
-    outer = numdiff.STEP_NESTED if pipeline == "analytic" else 1e-2
+    # no truncation error at any step; a wide step drowns the FD noise
+    # of each V evaluation
     x = np.broadcast_to(x, np.broadcast_shapes(x.shape, q.shape))
     v = v_field(x)
-    jac = numdiff.jacobian_fd(v_field, x, scale=outer)
+    jac = numdiff.jacobian_fd(v_field, x, scale=1e-2)
     defect = (jac @ v[..., None])[..., 0] - v
     r = np.linalg.norm(defect, axis=-1) / np.linalg.norm(v, axis=-1)
     return float(r) if r.ndim == 0 else r

@@ -96,7 +96,8 @@ def hessian_exp() -> tuple[MetricField, ScalarPotential]:
     model = exponential_model()
     q = np.zeros(1)
     f = ScalarPotential(lambda x: canonical_divergence(model, x, q),
-                        gradient=lambda x: model.eta(x) - model.eta(q),
+                        gradient=lambda x: (model.gradient_covector(x)
+                                            - model.gradient_covector(q)),
                         minimum_q=q.copy(), name="exp-divergence")
     return metric_field(model), f
 

@@ -54,9 +54,6 @@ __all__ = [
 #: condition-number ceiling beyond which a metric counts as degenerate
 COND_LIMIT = 1e12
 
-#: time step (relative) for differentiating dense output along a curve
-CURVE_STEP = 1e-4
-
 #: accepted steps per non-convergence monitoring window
 _MONITOR_WINDOW = 64
 
@@ -568,8 +565,7 @@ class Trajectory:
         Needs a span of positive width.
         """
         t = span_times(t, self.span)
-        acc = numdiff.curve_derivative(self.velocity, t, self.span, order=1,
-                                       step=CURVE_STEP)
+        acc = numdiff.curve_derivative(self.velocity, t, self.span, order=1)
         return np.reshape(acc, np.shape(t) + (self._dim,))
 
 

@@ -11,6 +11,8 @@ how the function being differentiated was produced:
   noise amplification of the second differentiation near 1e-7.
 * ``STEP_COEFFS`` for derivatives of connection-coefficient fields inside
   the curvature pipeline, which stack two levels of differentiation.
+* ``STEP_CURVE`` for :func:`curve_derivative`'s stencil in time, which
+  differentiates dense output and closed-form curves alike.
 
 Steps are scaled per component by max(1, |x_j|).
 
@@ -35,6 +37,7 @@ __all__ = [
     "STEP_EXACT",
     "STEP_NESTED",
     "STEP_COEFFS",
+    "STEP_CURVE",
     "jacobian_fd",
     "curve_derivative",
     "check_step",
@@ -44,6 +47,7 @@ EPS = float(np.finfo(float).eps)
 STEP_EXACT = EPS ** (1.0 / 3.0)
 STEP_NESTED = EPS ** 0.25
 STEP_COEFFS = 1e-3
+STEP_CURVE = 1e-4
 
 # 4th-order central stencil: f' ~ (-f2 + 8 f1 - 8 f_1 + f_2) / 12h
 _W4 = np.array([-1.0, 8.0, -8.0, 1.0]) / 12.0
@@ -98,12 +102,12 @@ def jacobian_fd(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
 
 
 def curve_derivative(fn: Callable[[np.ndarray], np.ndarray], t,
-                     span: tuple[float, float], order: int = 1,
-                     step: float = 1e-4):
+                     span: tuple[float, float], order: int = 1):
     """Differentiate a function of time known on a closed span.
 
-    Fits the exact quartic through a 5-point stencil and differentiates it at
-    ``t``.  The stencil is kept inside ``span`` by sliding its center, so the
+    Fits the exact quartic through a 5-point stencil, of step
+    ``STEP_CURVE * max(1, |t|)``, and differentiates it at ``t``.  The
+    stencil is kept inside ``span`` by sliding its center, so the
     result stays 4th-order accurate even at the span's ends.  ``order`` is 1
     or 2.
 
@@ -118,7 +122,7 @@ def curve_derivative(fn: Callable[[np.ndarray], np.ndarray], t,
     if width <= 0.0:
         raise ValueError("degenerate span")
     t = np.asarray(t, dtype=float)
-    h = np.minimum(step * np.maximum(1.0, np.abs(t)), width / 4.0)
+    h = np.minimum(STEP_CURVE * np.maximum(1.0, np.abs(t)), width / 4.0)
     center = np.minimum(np.maximum(t, t0 + 2.0 * h), t1 - 2.0 * h)
     ts = center[..., None] + h[..., None] * np.arange(-2.0, 3.0)
     raw = np.asarray(fn(ts.reshape(-1)), dtype=float)

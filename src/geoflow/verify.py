@@ -33,7 +33,6 @@ from .dually_flat import (
     fujiwara_amari_residual,
     gaussian_natural_model,
     legendre_dual,
-    metric_field,
     quadratic_model,
 )
 from .fixtures import (
@@ -265,7 +264,9 @@ def _suite_straightening(rng, flip_sign=False) -> list[CheckResult]:
                                             initial=0.0)))
     out.append(CheckResult("straightening", "pregeodesic",
                            worst < 1e-8, worst, 1e-8,
-                           "relative pregeodesic residual, lam in {0, 1}"))
+                           "relative pregeodesic residual, lam in {0, 1}; "
+                           "zero algebraically once Z is built, so it "
+                           "bounds the construction's roundoff"))
 
     # definition-based non-metricity against the closed form
     worst = 0.0
@@ -455,19 +456,20 @@ def _suite_dually_flat(rng) -> list[CheckResult]:
     worst_primal = 0.0
     worst_dual = 0.0
     for name, model, center, width in models:
-        g = metric_field(model)
         dm = dual_model(model, theta0=center)
         pts = center + rng.uniform(-width, width, size=(100, center.size))
         h = model.hessian(pts)
+        h_fd = numdiff.jacobian_fd(model.gradient_covector, pts)
         worst_primal = max(worst_primal, float(np.max(
-            np.abs(h - g(pts)).max(axis=(-2, -1))
+            np.abs(h - h_fd).max(axis=(-2, -1))
             / np.maximum(1.0, np.abs(h).max(axis=(-2, -1))))))
         eta, _ = legendre_dual(model, pts[::10])
         resid = dm.hessian(eta) @ h[::10] - np.eye(center.size)
         worst_dual = max(worst_dual, float(np.abs(resid).max()))
     out.append(CheckResult("fujiwara-amari", "metric-consistency",
                            worst_primal < 1e-8, worst_primal, 1e-8,
-                           "Hessian of the potential is the metric"))
+                           "Hessian closure is d(eta), against finite "
+                           "differences of eta"))
     out.append(CheckResult("fujiwara-amari", "dual-metric-inverse",
                            worst_dual < 1e-6, worst_dual, 1e-6,
                            "dual Hessian inverts the primal one"))
@@ -493,13 +495,11 @@ def _suite_dually_flat(rng) -> list[CheckResult]:
         while (near := np.linalg.norm(x - q, axis=-1) < 1e-3).any():
             x[near] = center + rng.uniform(-width, width,
                                            size=(near.sum(), center.size))
-        for pipeline in ("analytic", "fd"):
-            worst = max(worst, float(fujiwara_amari_residual(
-                model, q, x, pipeline=pipeline).max()))
+        worst = max(worst, float(fujiwara_amari_residual(model, q, x).max()))
     out.append(CheckResult("fujiwara-amari", "fujiwara-amari",
                            worst < 1e-6, worst, 1e-6,
                            "divergence gradient flows are autoparallel, "
-                           "100 pairs per model, both pipelines"))
+                           "100 pairs per model"))
     return out
 
 

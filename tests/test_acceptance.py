@@ -101,3 +101,8 @@ def test_distance_squared_relaxation_is_symmetric(battery):
 
 def test_divergence_gradient_is_affinely_self_parallel(battery):
     _assert_checks(battery, "fujiwara-amari/fujiwara-amari")
+
+
+def test_unknown_suite_is_refused():
+    with pytest.raises(ValueError, match="nope"):
+        run_suites(suites=["nope"])

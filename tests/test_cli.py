@@ -389,6 +389,9 @@ def test_curvature_custom_grid(tmp_path, capsys):
     code, _, _ = run(["curvature", "--grid-start", "0",
                       "--out", str(tmp_path / "c2")], capsys)
     assert code == 1
+    code, _, err = run(["curvature", "--grid-points", "0",
+                        "--out", str(tmp_path / "c6")], capsys)
+    assert code == 1 and "grid-points" in err
     code, _, err = run(["curvature", "--grid-stop", "inf",
                         "--out", str(tmp_path / "c4")], capsys)
     assert code == 1 and "config error" in err

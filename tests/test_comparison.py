@@ -61,6 +61,12 @@ def test_seed_degenerate_level():
         cp.equidistant_seed(g, f, 0.0, [1.0, 0.0], [0.0, 1.0])
 
 
+def test_seed_zero_direction():
+    g, f = fixtures.gaussian_mode()
+    with pytest.raises(ValueError, match="nonzero"):
+        cp.equidistant_seed(g, f, MODE_LEVEL, [1.0], [0.0])
+
+
 def test_seed_level_unreachable():
     # bounded potential: level 2 is never crossed
     g, _ = fixtures.euclidean_quadratic(1)

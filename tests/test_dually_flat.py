@@ -5,8 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from geoflow import dually_flat as df
-from geoflow import numdiff
-from geoflow.errors import CriticalPointError, NonConvexError
+from geoflow import numdiff, verify
+from geoflow.errors import (
+    CriticalPointError,
+    NonConvergenceError,
+    NonConvexError,
+)
 from geoflow.manifold import Chart
 
 # frozen closed forms:
@@ -62,7 +66,7 @@ def test_legendre_involution():
             eta, _ = df.legendre_dual(model, th)
             back, phi_back = df.legendre_dual(dm, eta)
             assert np.abs(back - th).max() < 1e-8
-            assert abs(phi_back - model.phi(th)) < 1e-8
+            assert abs(phi_back - model(th)) < 1e-8
 
 
 def test_pairing_identity():
@@ -72,7 +76,7 @@ def test_pairing_identity():
         for _ in range(20):
             th = draw(rng)
             eta, psi = df.legendre_dual(model, th)
-            assert abs(model.phi(th) + psi - float(th @ eta)) < 1e-9
+            assert abs(model(th) + psi - float(th @ eta)) < 1e-9
 
 
 def test_metric_consistency():
@@ -86,8 +90,8 @@ def test_metric_consistency():
             h = model.hessian(th)
             assert_allclose(g(th), h, rtol=1e-8)
             if i % 10 == 0:
-                eta = model.eta(th)
-                h_dual = numdiff.jacobian_fd(dm.eta, eta,
+                eta = model.gradient_covector(th)
+                h_dual = numdiff.jacobian_fd(dm.gradient_covector, eta,
                                              scale=numdiff.STEP_EXACT)
                 assert_allclose(h_dual, np.linalg.inv(h), rtol=1e-7,
                                 atol=1e-9)
@@ -150,12 +154,6 @@ def test_dual_view():
 # ---------------------------------------------------------------- flat law
 
 
-def test_fa_quadratic_analytic():
-    m = df.quadratic_model(1)
-    r = df.fujiwara_amari_residual(m, [0.0], [1.0], pipeline="analytic")
-    assert r < 1e-10
-
-
 def test_fa_exponential_fd():
     m = df.exponential_model()
     rng = np.random.default_rng(17)
@@ -163,7 +161,7 @@ def test_fa_exponential_fd():
         q, x = rng.uniform(-2, 2, (2, 1))
         if abs(x[0] - q[0]) < 1e-3:
             continue
-        assert df.fujiwara_amari_residual(m, q, x, pipeline="fd") < 1e-6
+        assert df.fujiwara_amari_residual(m, q, x) < 1e-6
 
 
 def test_fa_all_models_100_pairs():
@@ -175,7 +173,6 @@ def test_fa_all_models_100_pairs():
             if np.linalg.norm(x - q) < 1e-3:
                 continue
             assert df.fujiwara_amari_residual(model, q, x) < 1e-6
-            assert df.fujiwara_amari_residual(model, q, x, "fd") < 1e-6
             count += 1
 
 
@@ -185,21 +182,19 @@ def test_fa_diagonal_raises():
         df.fujiwara_amari_residual(m, [1.0, 0.0], [1.0, 0.0])
 
 
-@pytest.mark.parametrize("pipeline", ["analytic", "fd"])
-def test_fa_stack_equals_pointwise_calls(pipeline):
+def test_fa_stack_equals_pointwise_calls():
     rng = np.random.default_rng(43)
     for model, _th0, draw in MODELS:
         q = np.array([draw(rng) for _ in range(30)])
         x = np.array([draw(rng) for _ in range(30)])
-        stack = df.fujiwara_amari_residual(model, q, x, pipeline)
+        stack = df.fujiwara_amari_residual(model, q, x)
         assert stack.shape == (30,)
         assert np.array_equal(stack, [df.fujiwara_amari_residual(
-            model, qi, xi, pipeline) for qi, xi in zip(q, x)])
+            model, qi, xi) for qi, xi in zip(q, x)])
         # one reference point against the whole stack broadcasts
         assert np.array_equal(
-            df.fujiwara_amari_residual(model, q[0], x, pipeline),
-            [df.fujiwara_amari_residual(model, q[0], xi, pipeline)
-             for xi in x])
+            df.fujiwara_amari_residual(model, q[0], x),
+            [df.fujiwara_amari_residual(model, q[0], xi) for xi in x])
 
 
 def test_fa_stack_with_one_diagonal_pair_raises():
@@ -208,3 +203,35 @@ def test_fa_stack_with_one_diagonal_pair_raises():
     x = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 2.0]])
     with pytest.raises(CriticalPointError):
         df.fujiwara_amari_residual(m, q, x)
+
+
+def test_fa_residual_catches_an_eta_that_is_not_dphi():
+    # eta = 1.2 grad phi breaks the Legendre structure; the divergence
+    # values then disagree with the Hessian solve and the residual is O(1)
+    good = df.gaussian_natural_model()
+    bad = df.HessianModel(good, good.chart,
+                          eta=lambda th: 1.2 * good.gradient_covector(th),
+                          hessian=good.hessian, name="broken")
+    rng = np.random.default_rng(3)
+    q = np.array([0.0, -0.5]) + rng.uniform(-0.3, 0.3, (100, 2))
+    x = np.array([0.0, -0.5]) + rng.uniform(-0.3, 0.3, (100, 2))
+    assert df.fujiwara_amari_residual(good, q, x).max() < 1e-6
+    assert df.fujiwara_amari_residual(bad, q, x).max() > 1e-2
+
+
+def test_metric_consistency_catches_a_hessian_one_percent_off(monkeypatch):
+    off = [(name, df.HessianModel(
+        m, m.chart, eta=m.gradient_covector,
+        hessian=lambda th, m=m: 1.01 * m.hessian(th), name=name),
+        center, width) for name, m, center, width in verify._models()]
+    monkeypatch.setattr(verify, "_models", lambda: off)
+    rows = {r.name: r for r in verify.run_suites(suites=["fujiwara-amari"])}
+    assert not rows["metric-consistency"].passed
+    assert rows["metric-consistency"].measured > 1e-3
+
+
+def test_dual_model_default_start_outside_the_chart():
+    # the origin is not in the half-plane theta_2 < 0
+    dm = df.dual_model(df.gaussian_natural_model())
+    with pytest.raises(NonConvergenceError, match="in-chart"):
+        dm(np.array([0.0, 1.0]))

@@ -80,6 +80,15 @@ def test_spectrum_matches_sine_rates(n_beads):
 def test_chain_spec_validation():
     with pytest.raises(ValueError):
         gc.ChainSpec(1)
+
+
+@pytest.mark.parametrize("rates,message", [
+    ([], "nonempty"), ([[1.0, 2.0]], "nonempty"),
+    ([0.0, 1.0], "positive"), ([2.0, 1.0], "strictly increasing"),
+    ([1.0, 1.0], "strictly increasing")])
+def test_mode_spectrum_validation(rates, message):
+    with pytest.raises(ValueError, match=message):
+        gc.ModeSpectrum(np.array(rates), np.ones(1))
     with pytest.raises(ValueError):
         gc.ChainSpec(4, t_tilde=0.0)
     assert gc.ChainSpec(4).n_modes == 3

@@ -261,6 +261,8 @@ def test_diagonal_closure_shape_and_metric_form_are_checked():
                 evaluate(pts)
     with pytest.raises(ValueError):
         mf.MetricField(mf.Chart(2))
+    with pytest.raises(ValueError, match="dimension"):
+        mf.Chart(0)
     with pytest.raises(ValueError):
         mf.MetricField(mf.Chart(2), euclidean(2),
                        diagonal=lambda x: np.ones(x.shape))
@@ -433,6 +435,8 @@ def test_flow_energy_identity():
         fdot = numdiff.curve_derivative(lambda s: f(traj.position(s)), t,
                                         traj.span)
         assert abs(fdot + mf.grad_norm_sq(g, f, traj.position(t))) < 1e-6
+    with pytest.raises(ValueError, match="degenerate span"):
+        numdiff.curve_derivative(lambda s: s, 0.5, (0.5, 0.5))
 
 
 def test_flow_stop_grad_norm():
@@ -572,9 +576,9 @@ def test_non_broadcasting_closure_raises_typed_error():
     with pytest.raises(ClosureShapeError):
         numdiff.jacobian_fd(lambda x: x[0], pts)
     model = HessianModel(lambda th: 0.5 * th[0] ** 2 + th[1], mf.Chart(2))
-    assert model.phi(pts[0]) == 1.5
+    assert model(pts[0]) == 1.5
     with pytest.raises(ClosureShapeError):
-        model.eta(pts[0])
+        model.gradient_covector(pts[0])
     with pytest.raises(ClosureShapeError):
         HessianModel(lambda th: th[0], mf.Chart(2),
                      hessian=lambda th: np.eye(2)).hessian(pts)

@@ -238,6 +238,12 @@ def test_scalar_curvature_flat():
     assert abs(st.scalar_curvature(lc, np.array([0.3, -1.0, 2.0]))) < 1e-12
 
 
+def test_scalar_curvature_needs_a_metric():
+    flat = mf.AffineConnection(lambda x: np.zeros(x.shape + x.shape[-1:] * 2))
+    with pytest.raises(ValueError, match="conn.metric"):
+        st.scalar_curvature(flat, np.zeros(2))
+
+
 def test_scalar_curvature_sphere():
     # Ricci here contracts R^i_{jik}; under this sign convention the unit
     # round sphere lands at -2
