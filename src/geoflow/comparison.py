@@ -133,7 +133,6 @@ def _seed_along(g: MetricField, f: ScalarPotential, q: np.ndarray, c: float,
     if nd == 0.0:
         raise ValueError("seed direction must be nonzero")
     d = d / nd
-    chart = g.chart
 
     def on_ray(s):
         return q + s * d
@@ -145,7 +144,7 @@ def _seed_along(g: MetricField, f: ScalarPotential, q: np.ndarray, c: float,
     # back toward the last in-chart point, so f is only called in the chart
     s_lo, s_hi, s_out = 0.0, 1e-3, np.inf
     while True:
-        if chart is not None and not chart.contains(on_ray(s_hi)):
+        if not g.chart.contains(on_ray(s_hi)):
             s_out = s_hi
             # the chart's edge is pinned to 4 eps: the level lies beyond
             if s_out - s_lo <= _ROOT_RTOL * max(1.0, s_out):
@@ -339,7 +338,7 @@ def compare_batch(g: MetricField, f: ScalarPotential, lam: float,
     at, _ = _by_row(n, np.repeat(np.arange(n), counts),
                     np.concatenate(coincide))
     if at.size:
-        c1, c2 = (nonmetricity_cubic(g, f, lam, traj, at)
+        c1, c2 = (nonmetricity_cubic(g, lam, traj, at)
                   for traj in (traj1, traj2))
     else:
         c1 = c2 = at

@@ -62,10 +62,7 @@ class HessianModel(ScalarPotential):
             _check_shape(h, theta.shape + theta.shape[-1:],
                          f"{self.name or 'model'} hessian")
         else:
-            # a value-only model's eta is itself a difference of phi
-            h = numdiff.jacobian_fd(self.gradient_covector, theta, scale=(
-                numdiff.STEP_EXACT if self.has_analytic_gradient
-                else numdiff.STEP_NESTED))
+            h = numdiff.jacobian_fd(self.gradient_covector, theta)
             h = 0.5 * (h + np.swapaxes(h, -1, -2))
         bad = np.linalg.eigvalsh(h).min(axis=-1) <= 0.0
         if bad.any():
@@ -188,16 +185,12 @@ def fujiwara_amari_residual(model: HessianModel, q, x) -> float | np.ndarray:
     if (np.linalg.norm(x - q, axis=-1) < 1e-12).any():
         raise CriticalPointError(
             "x = q: the divergence gradient vanishes on the diagonal")
-    # divergence values are exact compositions when eta is analytic;
-    # value-only models carry FD noise and need the coarser step
-    inner = (numdiff.STEP_EXACT if model.has_analytic_gradient
-             else numdiff.STEP_NESTED)
 
     def d_q(y):
         return canonical_divergence(model, q, y)
 
     def v_field(y):
-        grad = numdiff.jacobian_fd(d_q, y, scale=inner)
+        grad = numdiff.jacobian_fd(d_q, y)
         return np.linalg.solve(model.hessian(y), grad[..., None])[..., 0]
 
     # the property under test makes V affine, so the outer derivative has

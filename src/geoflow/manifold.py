@@ -162,24 +162,20 @@ class MetricField:
         _check_shape(d, x.shape, f"{self.name or 'metric'} diagonal")
         return d
 
-    @property
-    def has_analytic_partials(self) -> bool:
-        return self._partials is not None
-
     def partials(self, x: np.ndarray) -> np.ndarray:
         """Partial derivatives ``D[..., l, i, j] = d_l g_ij`` at a point or a stack."""
         d = self._own_partials(x)
         return _diag_matrix(d) if self.is_diagonal else d
 
-    def _own_partials(self, x: np.ndarray, step: float | None = None):
+    def _own_partials(self, x: np.ndarray):
         """The partials in the metric's own form: ``P[..., l, i]`` for a
         diagonal metric, else ``D[..., l, i, j]``.  Finite differences of
-        the diagonal or the matrix when the metric has no partials closure
-        or ``step`` is given."""
+        the diagonal or the matrix, at ``numdiff.STEP``, when the metric
+        has no partials closure."""
         x = np.asarray(x, dtype=float)
-        if self._partials is None or step is not None:
+        if self._partials is None:
             jac = numdiff.jacobian_fd(self.diagonal if self.is_diagonal
-                                      else self, x, step=step)
+                                      else self, x)
             return np.moveaxis(jac, -1, -2 if self.is_diagonal else -3)
         d = np.asarray(self._partials(x), dtype=float)
         tail = (self.chart.dim,) * (1 if self.is_diagonal else 2)
@@ -272,10 +268,6 @@ class ScalarPotential:
         _check_shape(v, x.shape[:-1], self.name or "potential")
         return float(v) if v.ndim == 0 else v
 
-    @property
-    def has_analytic_gradient(self) -> bool:
-        return self._gradient is not None
-
     def gradient_covector(self, x: np.ndarray) -> np.ndarray:
         """Partial derivatives (d_i f) at a point or a stack, shaped like x.
 
@@ -311,14 +303,14 @@ class AffineConnection:
     ``coeffs(x)`` returns the (dim, dim, dim) array ``G[k, i, j]`` for a
     point and ``(n, dim, dim, dim)`` for a stack of n points: it
     broadcasts over leading axes, so that finite differences of the field
-    take one call per stencil.  The
-    optional ``metric`` back-reference supplies the g used for curvature
-    contraction and norm computations.
+    take one call per stencil.  ``chart`` bounds the geodesics of the
+    connection, and ``metric`` supplies the g used for curvature
+    contraction.
     """
 
     coeffs: Callable[[np.ndarray], np.ndarray]
-    chart: Chart | None = None
-    metric: MetricField | None = None
+    chart: Chart
+    metric: MetricField
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.coeffs(np.asarray(x, dtype=float)), dtype=float)
@@ -420,22 +412,19 @@ def grad_norm_sq(g: MetricField, f: ScalarPotential,
     return g.inner(x, v, v)
 
 
-def christoffel_levi_civita(g: MetricField, x: np.ndarray,
-                            step: float | None = None) -> np.ndarray:
+def christoffel_levi_civita(g: MetricField, x: np.ndarray) -> np.ndarray:
     """Levi-Civita coefficients Gamma^k_ij = 1/2 g^{kl}(d_i g_jl + d_j g_il - d_l g_ij).
 
-    ``step`` forces a fixed finite-difference step for the metric partials
-    (a warning fires if it is small enough for roundoff to dominate);
-    otherwise analytic partials are used when the metric has them, with the
-    standard step policy as fallback.  A stack of points ``(n, dim)``
-    gives ``(n, dim, dim, dim)``: the inverse metric and the partials each
-    come from one call.  A diagonal metric scales row k by 1/g_kk instead
-    of contracting with g^{kl}, so the contraction costs O(dim^3), not
-    O(dim^4), per point.
+    The metric partials are the metric's partials closure, or finite
+    differences of the metric at ``numdiff.STEP`` when it has none.  A
+    stack of points ``(n, dim)`` gives ``(n, dim, dim, dim)``: the inverse
+    metric and the partials each come from one call.  A diagonal metric
+    scales row k by 1/g_kk instead of contracting with g^{kl}, so the
+    contraction costs O(dim^3), not O(dim^4), per point.
     """
     x = np.asarray(x, dtype=float)
     ginv = _inverse(g, x)
-    dg = g._own_partials(x, step)
+    dg = g._own_partials(x)
     return _levi_civita(g, ginv, _diag_matrix(dg) if g.is_diagonal else dg)
 
 
@@ -642,18 +631,15 @@ def integrate_geodesic(conn: AffineConnection, x0, v0, t_end: float,
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
     n = x0.size
-    chart = conn.chart
 
     def rhs(_t, y):
         x, v = y[:n], y[n:]
         acc = -np.einsum("kij,i,j->k", conn(x), v, v)
         return np.concatenate([v, acc])
 
-    def in_domain(y):
-        return chart is None or chart.contains(y[:n])
-
-    ts, ys, dense, exited, _ = _integrate(rhs, np.concatenate([x0, v0]),
-                                          t_end, tol, in_domain=in_domain)
+    ts, ys, dense, exited, _ = _integrate(
+        rhs, np.concatenate([x0, v0]), t_end, tol,
+        in_domain=lambda y: conn.chart.contains(y[:n]))
     return Trajectory(ts, ys[:, :n], ys[:, n:], dense, n,
                       exited_domain=exited)
 
@@ -677,7 +663,6 @@ def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,
         the numerical stand-in for a flow that is not relaxing.
     """
     x0 = np.asarray(x0, dtype=float)
-    chart = g.chart
 
     def field(x):
         return -gradient(g, f, x)
@@ -687,8 +672,7 @@ def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,
         return np.sqrt(max(-float(f.gradient_covector(x) @ xdot), 0.0))
 
     ts, ys, dense, exited, converged = _integrate(
-        lambda _t, x: field(x), x0, t_end, tol,
-        in_domain=lambda x: chart is None or chart.contains(x),
+        lambda _t, x: field(x), x0, t_end, tol, in_domain=g.chart.contains,
         grad_monitor=monitor, stop_below=stop_grad_norm)
     vs = field(ys)
     return Trajectory(ts, ys, vs, dense, x0.size, velocity_field=field,

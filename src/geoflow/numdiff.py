@@ -1,20 +1,25 @@
 """Finite-difference derivatives with a fixed step policy.
 
-Everything here is a 4th-order central difference.  The step scale depends on
-how the function being differentiated was produced:
+Everything here is a 4th-order central difference.  Its error is about
+eps/h from roundoff plus h^4 from truncation, smallest near
+h ~ eps^(1/5) ~ 7e-4, so the steps are:
 
-* ``STEP_EXACT`` for closed-form evaluators (metric entries, potential
-  values).  With h ~ eps^(1/3) the roundoff noise of the difference quotient
-  sits near 1e-11 relative while the truncation term is negligible.
-* ``STEP_NESTED`` for fields that are themselves finite-difference results
-  and therefore carry ~1e-11 relative noise; the larger step keeps the
-  noise amplification of the second differentiation near 1e-7.
+* ``STEP`` = eps^(1/4) ~ 1.2e-4, the default, for the derivatives of
+  metric entries, potential values, eta, gradient fields and divergence
+  values, whether the field is a closed form or itself a finite
+  difference.  Near the optimum, it keeps the roundoff of a closed form's
+  derivative near 1e-12 relative; on a field that already carries ~1e-11
+  of difference noise it keeps the second differentiation near 1e-7.
+  The smaller eps^(1/3), the optimum of a 2nd-order stencil, read 10 to
+  25 times worse on the Hessian and Fujiwara-Amari checks and on the
+  mode-plane curvature.
 * ``STEP_COEFFS`` for derivatives of connection-coefficient fields inside
   the curvature pipeline, which stack two levels of differentiation.
 * ``STEP_CURVE`` for :func:`curve_derivative`'s stencil in time, which
   differentiates dense output and closed-form curves alike.
 
-Steps are scaled per component by max(1, |x_j|).
+``STEP`` is scaled per component by max(1, |x_j|); ``STEP_COEFFS`` is an
+absolute step.
 
 A single routine, :func:`jacobian_fd`, differentiates scalar- or
 array-valued functions at a point or a stack of points, with one call of
@@ -34,8 +39,7 @@ from .errors import ClosureShapeError, StepSizeWarning
 
 __all__ = [
     "EPS",
-    "STEP_EXACT",
-    "STEP_NESTED",
+    "STEP",
     "STEP_COEFFS",
     "STEP_CURVE",
     "jacobian_fd",
@@ -44,8 +48,7 @@ __all__ = [
 ]
 
 EPS = float(np.finfo(float).eps)
-STEP_EXACT = EPS ** (1.0 / 3.0)
-STEP_NESTED = EPS ** 0.25
+STEP = EPS ** 0.25
 STEP_COEFFS = 1e-3
 STEP_CURVE = 1e-4
 
@@ -66,7 +69,7 @@ def check_step(h: float, x: np.ndarray) -> None:
 
 
 def jacobian_fd(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                scale: float = STEP_EXACT, step: float | None = None) -> np.ndarray:
+                scale: float = STEP, step: float | None = None) -> np.ndarray:
     """Array of partials of a scalar- or array-valued function.
 
     Returns J with J[..., j] = d fn / d x_j, i.e. the derivative index is the
@@ -74,9 +77,9 @@ def jacobian_fd(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     stack of points ``(n, dim)`` gives one leading axis of n, and each point
     gets its own steps.  ``fn`` is called once, on the ``(4, dim) + x.shape``
     stack of every shifted copy of x; a result whose leading axes are not
-    ``(4, dim) + x.shape[:-1]`` raises ClosureShapeError.  ``step``
-    overrides the per-component scaled step with a fixed absolute one (used
-    by callers that own their own step policy).
+    ``(4, dim) + x.shape[:-1]`` raises ClosureShapeError.  Coordinate j
+    steps by ``scale * max(1, |x_j|)``; ``step`` overrides that with a
+    fixed absolute step (used by callers that own their own step policy).
     """
     x = np.asarray(x, dtype=float)
     if step is None:

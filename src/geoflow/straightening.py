@@ -63,18 +63,6 @@ __all__ = [
 EPS_GRAD = 1e-10
 
 
-def _field_step(g: MetricField, f: ScalarPotential) -> float:
-    """FD step for differentiating the gradient vector field.
-
-    The field is an exact composition when both g and f carry analytic
-    derivative closures; otherwise it already contains FD noise and needs
-    the coarser nested step.
-    """
-    if g.has_analytic_partials and f.has_analytic_gradient:
-        return numdiff.STEP_EXACT
-    return numdiff.STEP_NESTED
-
-
 def _grad_and_norm(g: MetricField, f: ScalarPotential, x: np.ndarray):
     """grad f, |grad f|^2 and g^{-1} (in the form of
     :func:`~geoflow.manifold._inverse`) at a point or a stack.
@@ -104,8 +92,7 @@ def _straightening_parts(g: MetricField, f: ScalarPotential, lam: float,
     """
     v, nsq, ginv = _grad_and_norm(g, f, x)
     gm = g(x)
-    jac = numdiff.jacobian_fd(lambda y: gradient(g, f, y), x,
-                              scale=_field_step(g, f))
+    jac = numdiff.jacobian_fd(lambda y: gradient(g, f, y), x)
     lc = _levi_civita(g, ginv, g.partials(x))
     # |grad f|^2 Z = nabla^g_{grad f} grad f - lam grad f
     z = ((jac @ v[..., None])[..., 0]
@@ -188,8 +175,8 @@ def nonmetricity_closed_tensor(g: MetricField, f: ScalarPotential, lam: float,
     return c + np.swapaxes(c, -1, -2)
 
 
-def nonmetricity_cubic(g: MetricField, f: ScalarPotential, lam: float,
-                       traj: Trajectory, t) -> float | np.ndarray:
+def nonmetricity_cubic(g: MetricField, lam: float, traj: Trajectory,
+                       t) -> float | np.ndarray:
     """C(xd, xd, xd) along a descent trajectory, from curve data only.
 
     For the descent tangent xd = -grad f this equals
@@ -221,8 +208,6 @@ def scalar_curvature(conn: AffineConnection,
     ``(n,)`` on a stack of n points.
     """
     x = np.asarray(x, dtype=float)
-    if conn.metric is None:
-        raise ValueError("scalar curvature needs conn.metric for contraction")
     gam = conn(x)
     try:
         jac = numdiff.jacobian_fd(conn, x, step=numdiff.STEP_COEFFS)
@@ -244,16 +229,15 @@ def scalar_curvature(conn: AffineConnection,
 class Submanifold:
     """Parametrized submanifold u -> x(u).
 
-    ``embed`` maps parameter coordinates ``(..., dim_param)`` to chart
-    coordinates ``(..., dim_chart)`` and broadcasts over leading axes; the
-    tangent basis is its finite-difference Jacobian, (dim_chart, dim_param).
+    ``embed`` maps parameter coordinates ``(..., k)`` to chart coordinates
+    ``(..., dim)`` and broadcasts over leading axes; the tangent basis is
+    its finite-difference Jacobian, (dim, k).
     """
 
     embed: Callable[[np.ndarray], np.ndarray]
-    dim_param: int
 
     def tangent_basis(self, u: np.ndarray) -> np.ndarray:
-        jac = numdiff.jacobian_fd(self.embed, u, scale=numdiff.STEP_EXACT)
+        jac = numdiff.jacobian_fd(self.embed, u)
         sv = np.linalg.svd(jac, compute_uv=False)
         if sv[-1] < 1e-10 * max(sv[0], 1.0):
             raise DegenerateTangentError(

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import numdiff
-from .comparison import CURVE1_FASTER, compare, equidistant_seed
+from .comparison import CURVE1_FASTER, DELTA_TOL, compare, equidistant_seed
 from .dually_flat import (
     HessianModel,
     canonical_divergence,
@@ -58,8 +58,6 @@ from .gaussian_chain import (
     universal_asymmetry_experiment,
 )
 from .manifold import (
-    MetricField,
-    christoffel_levi_civita,
     covariant_acceleration,
     grad_norm_sq,
     gradient,
@@ -142,6 +140,26 @@ def _segment_midpoints(traj, n):
     mids = 0.5 * (ts[:-1] + ts[1:])
     idx = np.linspace(0, len(mids) - 1, min(n, len(mids))).astype(int)
     return mids[idx]
+
+
+def _lambda_defect(g, f, x0) -> float:
+    """Largest |nabla~_xd xd - lam grad f| component along a descent flow.
+
+    The flow starts at x0; the worst is over 8 step midpoints and lam in
+    {0, 1}.  Gamma~(xd, xd) = Gamma^g(xd, xd) - |xd|^2 Z leaves only the
+    gradient field's Jacobian, so this is the Jacobian's error along the
+    curve: the metric partials cancel, and only a gradient field that is
+    not linear in the chart shows the step.
+    """
+    traj = integrate_flow(g, f, x0, 1.0, tol=1e-10)
+    ts = _segment_midpoints(traj, 8)
+    worst = 0.0
+    for lam in (0.0, 1.0):
+        acc = covariant_acceleration(straightening_connection(g, f, lam),
+                                     traj, ts)
+        want = lam * gradient(g, f, traj.position(ts))
+        worst = max(worst, float(np.abs(acc - want).max()))
+    return worst
 
 
 # ------------------------------------------------------------ manifold-core
@@ -229,16 +247,16 @@ def _suite_manifold(rng) -> list[CheckResult]:
                            "step-integrated covariant acceleration on a "
                            "sphere geodesic"))
 
-    # finite-difference coefficients converge to the analytic ones
-    g_num = MetricField(g.chart, g)     # the same metric, partials by FD
+    # finite-difference metric partials converge to the analytic ones; in
+    # the unit box the scaled step is h itself
     x = np.array([np.pi / 4, 0.3])
-    ref = christoffel_levi_civita(g, x)
-    e1 = np.abs(christoffel_levi_civita(g_num, x, step=1e-2) - ref).max()
-    e2 = np.abs(christoffel_levi_civita(g_num, x, step=5e-3) - ref).max()
+    ref = np.moveaxis(g.partials(x), 0, -1)
+    e1, e2 = (np.abs(numdiff.jacobian_fd(g, x, scale=h) - ref).max()
+              for h in (1e-2, 5e-3))
     ratio = e1 / max(e2, 1e-300)
     out.append(CheckResult("manifold-core", "fd-consistency",
                            ratio >= 3.5, ratio, 3.5,
-                           "halving h shrinks the Christoffel error"))
+                           "halving h shrinks the metric partials' error"))
     return out
 
 
@@ -301,18 +319,14 @@ def _suite_straightening(rng, flip_sign=False) -> list[CheckResult]:
                            "argument-order asymmetry exceeds the floor"))
 
     # lam moves the covariant acceleration from 0 to grad f
-    g, f = euclidean_quadratic()
-    traj = integrate_flow(g, f, [1.3, -0.7], 1.0, tol=1e-10)
-    ts = _segment_midpoints(traj, 8)
-    worst = 0.0
-    for lam in (0.0, 1.0):
-        acc = covariant_acceleration(straightening_connection(g, f, lam),
-                                     traj, ts)
-        want = lam * gradient(g, f, traj.position(ts))
-        worst = max(worst, float(np.abs(acc - want).max()))
+    worst = max(_lambda_defect(*euclidean_quadratic(), [1.3, -0.7]),
+                _lambda_defect(*hessian_exp(), [0.8]))
     out.append(CheckResult("straightening", "lambda-consistency",
                            worst < 1e-7, worst, 1e-7,
-                           "flow acceleration is lam * grad f"))
+                           "flow acceleration is lam * grad f: bowl, "
+                           "hessian-exp; it sees the gradient field's "
+                           "Jacobian, not the metric partials, which "
+                           "cancel"))
 
     # second-derivative identity along descent curves
     worst = 0.0
@@ -325,7 +339,7 @@ def _suite_straightening(rng, flip_sign=False) -> list[CheckResult]:
                                                 ts, traj.span, order=order)
                        for order in (1, 2))
         for lam in (0.0, 1.0):
-            c = nonmetricity_cubic(g, f, lam, traj, ts)
+            c = nonmetricity_cubic(g, lam, traj, ts)
             worst = max(worst, _worst_rel(-c - 2.0 * lam * fdot, fddot))
     out.append(CheckResult("straightening", "identity-chain",
                            worst < 1e-5, worst, 1e-5,
@@ -336,15 +350,13 @@ def _suite_straightening(rng, flip_sign=False) -> list[CheckResult]:
     g, _ = euclidean_quadratic()
     f = distance_squared_potential(g, np.array([2.0, 0.0]))
     circle = Submanifold(
-        lambda u: np.stack([np.cos(u[..., 0]), np.sin(u[..., 0])], axis=-1),
-        dim_param=1)
+        lambda u: np.stack([np.cos(u[..., 0]), np.sin(u[..., 0])], axis=-1))
     foot = minimize_scalar(lambda u: f(circle.embed(np.array([u]))),
                            bounds=(-1.0, 1.0), method="bounded",
                            options={"xatol": 1e-12}).x
     g2, f2 = two_mode_chain()
     slice_sub = Submanifold(
-        lambda u: np.stack([np.full(u.shape[:-1], 3.0), u[..., 0]], axis=-1),
-        dim_param=1)
+        lambda u: np.stack([np.full(u.shape[:-1], 3.0), u[..., 0]], axis=-1))
     at_foot = max(projection_orthogonality(g, f, circle, [foot]),
                   projection_orthogonality(g2, f2, slice_sub, [2.0 / 3.0]))
     off_foot = min(projection_orthogonality(g, f, circle, [foot + 0.5]),
@@ -372,14 +384,14 @@ def _suite_gradient_flow(rng) -> list[CheckResult]:
     pin0 = abs(rep.delta_f[0])
     pin1 = abs(rep.delta_f[-1])
     converged = rep.traj1.converged and rep.traj2.converged
-    pinned = pin0 <= 1e-9 and (not converged or pin1 < 10 * tol)
+    pinned = pin0 <= DELTA_TOL and (not converged or pin1 < 10 * tol)
     out.append(CheckResult("gradient-flow", "endpoint-pinning",
-                           pinned, max(pin0, pin1), 1e-9,
+                           pinned, max(pin0, pin1), DELTA_TOL,
                            "delta_f vanishes at both ends"))
 
-    sound = (rep.verdict != CURVE1_FASTER) or rep.delta_f.min() >= -1e-9
+    sound = (rep.verdict != CURVE1_FASTER) or rep.delta_f.min() >= -DELTA_TOL
     out.append(CheckResult("gradient-flow", "verdict-soundness",
-                           sound, float(rep.delta_f.min()), -1e-9,
+                           sound, float(rep.delta_f.min()), -DELTA_TOL,
                            "faster verdict never contradicts sampled delta_f"))
 
     # at coincidence times the loss rates df(xdot) agree and the curvature
@@ -555,7 +567,7 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
         closed = cubic_closed_form(sp1, a_t, 0)
         covariant = 2.0 * g1.inner(a_t, v_t,
                                    covariant_acceleration(lc1, traj, ts))
-        for cubic in (nonmetricity_cubic(g1, f1, 0.0, traj, ts), covariant):
+        for cubic in (nonmetricity_cubic(g1, 0.0, traj, ts), covariant):
             worst = max(worst, _worst_rel(-cubic, closed))
     out.append(CheckResult("gaussian-chain", "cubic-cross-validation",
                            worst < 1e-6, worst, 1e-6,
@@ -601,10 +613,10 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
         zip(*cells))
     worst_min = min(d_min)
     out.append(CheckResult("gaussian-chain", "universality-sweep",
-                           all(faster) and worst_min >= -1e-9
+                           all(faster) and worst_min >= -DELTA_TOL
                            and all(mid_positive) and all(gaps_positive)
                            and any(coincide),
-                           worst_min, -1e-9,
+                           worst_min, -DELTA_TOL,
                            "warming faster on the full (N, T+) grid; every "
                            "cubic gap positive; some cell has coincidences"))
     worst = max(route_gap)

@@ -246,7 +246,7 @@ def test_cubic_gaps_of_both_signs_are_inconclusive(monkeypatch):
     # curve 1's is zero: neither one-sided rung holds, and no note applies
     sides = iter([0.0, 1.0])
 
-    def cubic(g, f, lam, traj, at):
+    def cubic(g, lam, traj, at):
         return next(sides) * (-1.0) ** np.arange(at.shape[-1]) + 0.0 * at
 
     monkeypatch.setattr(cp, "nonmetricity_cubic", cubic)
@@ -306,6 +306,22 @@ def test_compare_mode_warming_wins():
     assert all(gp > 0.0 for gp in report.cubic_gaps)
     assert report.delta_f.min() >= -1e-9
     assert report.delta_f.max() > 1e-3
+
+
+def test_hessian_exp_race_matches_analytic_partials():
+    # the registry model's metric e^theta has no partials closure, so its
+    # cubic uses finite differences of the metric; the race whose metric
+    # carries the analytic partials e^theta runs the same curves
+    entry = fixtures.COMPARE_MODELS["hessian-exp"]
+    g, f = entry.build()
+    exact = mf.MetricField(g.chart, g,
+                           partials=lambda x: np.exp(x)[..., None, None])
+    pair = cp.equidistant_seed(g, f, entry.level, entry.direction1,
+                               entry.direction2)
+    fd, ref = (cp.compare(m, f, 0.0, pair, 10.0) for m in (g, exact))
+    assert fd.verdict == ref.verdict == cp.CURVE1_FASTER
+    assert len(ref.cubic_gaps) == 1
+    assert_allclose(fd.cubic_gaps, ref.cubic_gaps, rtol=1e-12, atol=0.0)
 
 
 def test_compare_orientation_flips():

@@ -91,8 +91,7 @@ def test_metric_consistency():
             assert_allclose(g(th), h, rtol=1e-8)
             if i % 10 == 0:
                 eta = model.gradient_covector(th)
-                h_dual = numdiff.jacobian_fd(dm.gradient_covector, eta,
-                                             scale=numdiff.STEP_EXACT)
+                h_dual = numdiff.jacobian_fd(dm.gradient_covector, eta)
                 assert_allclose(h_dual, np.linalg.inv(h), rtol=1e-7,
                                 atol=1e-9)
 

@@ -277,7 +277,7 @@ def test_cubic_matches_trajectory_route():
         for t in [0.0, 0.4, 1.1]:
             a_t = traj.position(t)
             closed = gc.cubic_closed_form(sp, a_t, 0)
-            traj_route = st.nonmetricity_cubic(g, f, 0.0, traj, t)
+            traj_route = st.nonmetricity_cubic(g, 0.0, traj, t)
             assert_allclose(traj_route, -closed, rtol=1e-6, atol=1e-8)
 
 

@@ -1,17 +1,23 @@
 """Straightening connections: Z field, non-metricity, curvature, projection."""
 
+import functools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from geoflow import gaussian_chain as gc
 from geoflow import manifold as mf
+from geoflow import numdiff
 from geoflow import straightening as st
+from geoflow import verify
 from geoflow.errors import CriticalPointError, DegenerateTangentError
 from geoflow.fixtures import (
     distance_squared_potential,
     euclidean_quadratic,
     gaussian_mode,
+    hessian_exp,
     sphere_height,
     two_mode_chain,
 )
@@ -171,7 +177,7 @@ def segment_midpoint(traj, t_near):
 def test_cubic_euclidean_start():
     g, f = euclidean_quadratic(2)
     traj = mf.integrate_flow(g, f, [1.0, 0.0], 1.0)
-    assert_allclose(st.nonmetricity_cubic(g, f, 0.0, traj, 0.0), -2.0,
+    assert_allclose(st.nonmetricity_cubic(g, 0.0, traj, 0.0), -2.0,
                     atol=1e-6)
 
 
@@ -179,24 +185,23 @@ def test_cubic_mode_closed_form():
     # descent cubic equals -2 rate (a*/a) (da/dt / a)^2; -8 at a0 = 2 a*
     g, f = gaussian_mode()
     traj = mf.integrate_flow(g, f, [2.0], 1.0)
-    assert_allclose(st.nonmetricity_cubic(g, f, 0.0, traj, 0.0),
+    assert_allclose(st.nonmetricity_cubic(g, 0.0, traj, 0.0),
                     MODE_CUBIC_AT_START, rtol=1e-6)
     t = segment_midpoint(traj, 0.3)
     a = traj.position(t)[0]
     adot = traj.velocity(t)[0]
     want = -2.0 * MODE_RATE * (1.0 / a) * (adot / a) ** 2
-    assert_allclose(st.nonmetricity_cubic(g, f, 0.0, traj, t), want, rtol=1e-6)
+    assert_allclose(st.nonmetricity_cubic(g, 0.0, traj, t), want, rtol=1e-6)
 
 
 def test_cubic_vanishes_at_equilibrium():
     g, f = gaussian_mode()
     traj = mf.integrate_flow(g, f, [1.0], 0.5)
-    assert abs(st.nonmetricity_cubic(g, f, 0.0, traj, 0.25)) < 1e-12
+    assert abs(st.nonmetricity_cubic(g, 0.0, traj, 0.25)) < 1e-12
 
 
 def test_identity_chain():
     # f'' + C(xd,xd,xd) + 2 lam f' = 0 along descent curves
-    from geoflow import numdiff
     cases = [
         (*euclidean_quadratic(2), np.array([1.3, -0.7])),
         (*gaussian_mode(), np.array([2.0])),
@@ -210,7 +215,7 @@ def test_identity_chain():
                     lambda s: f(traj.position(s)), t, traj.span)
                 fddot = numdiff.curve_derivative(
                     lambda s: f(traj.position(s)), t, traj.span, order=2)
-                c = st.nonmetricity_cubic(g, f, lam, traj, t)
+                c = st.nonmetricity_cubic(g, lam, traj, t)
                 resid = fddot + c + 2.0 * lam * fdot
                 assert abs(resid) < 1e-5 * max(1.0, abs(fddot))
 
@@ -229,6 +234,19 @@ def test_lambda_controls_tangential_acceleration():
             assert np.abs(acc - want).max() < 1e-7
 
 
+def test_lambda_consistency_sees_a_coarse_jacobian_step(monkeypatch):
+    # the check measures the gradient field's Jacobian along a flow.  The
+    # bowl's grad f is linear in the chart, so no step shows there; on
+    # hessian-exp, grad f = 1 - e^-theta, and a step of 0.3 reads ~7e-5
+    coarse = functools.partial(numdiff.jacobian_fd, scale=0.3)
+    monkeypatch.setattr(st, "numdiff", SimpleNamespace(jacobian_fd=coarse))
+    assert verify._lambda_defect(*euclidean_quadratic(2), [1.3, -0.7]) < 1e-8
+    assert verify._lambda_defect(*hessian_exp(), [0.8]) > 1e-5
+    check, = (r for r in verify.run_suites(0, ["straightening"])
+              if r.name == "lambda-consistency")
+    assert not check.passed and check.measured > 1e-5
+
+
 # ---------------------------------------------------------------- curvature
 
 
@@ -238,10 +256,19 @@ def test_scalar_curvature_flat():
     assert abs(st.scalar_curvature(lc, np.array([0.3, -1.0, 2.0]))) < 1e-12
 
 
-def test_scalar_curvature_needs_a_metric():
-    flat = mf.AffineConnection(lambda x: np.zeros(x.shape + x.shape[-1:] * 2))
-    with pytest.raises(ValueError, match="conn.metric"):
-        st.scalar_curvature(flat, np.zeros(2))
+def test_mode_plane_curvature_on_the_cli_grid():
+    # the curvature command's default grid of a/a*, less its singular
+    # equilibrium cell, against the closed form
+    sp = gc.spectrum(gc.ChainSpec(2))
+    g, f = gc.mode_plane_manifold(sp, 0)
+    ratios = np.linspace(0.2, 5.0, 25)
+    a = ratios[np.abs(ratios - 1.0) > 1e-3] * sp.a_star[0]
+    closed = gc.scalar_curvature_mode(sp, 0, a)
+    num = st.scalar_curvature(st.straightening_connection(g, f, 0.0),
+                              np.stack([np.zeros_like(a), a], axis=-1))
+    assert a.size == 24
+    assert (np.abs(num - closed) / np.maximum(1.0, np.abs(closed))
+            < 5e-8).all()
 
 
 def test_scalar_curvature_sphere():
@@ -293,8 +320,7 @@ def test_projection_orthogonal_at_minimizer():
     g, _ = euclidean_quadratic(2)
     f = distance_squared_potential(g, np.array([2.0, 0.0]))
     circle = st.Submanifold(
-        lambda u: np.stack([np.cos(u[..., 0]), np.sin(u[..., 0])], axis=-1),
-        dim_param=1)
+        lambda u: np.stack([np.cos(u[..., 0]), np.sin(u[..., 0])], axis=-1))
     assert st.projection_orthogonality(g, f, circle, [0.0]) < 1e-6
     assert st.projection_orthogonality(g, f, circle, [0.5]) >= 0.1
 
@@ -304,8 +330,7 @@ def test_projection_two_mode_slice():
     # grad F points purely along the frozen direction
     g, f = two_mode_chain()
     sub = st.Submanifold(
-        lambda u: np.stack([np.full(u.shape[:-1], 3.0), u[..., 0]], axis=-1),
-        dim_param=1)
+        lambda u: np.stack([np.full(u.shape[:-1], 3.0), u[..., 0]], axis=-1))
     assert st.projection_orthogonality(g, f, sub, [2.0 / 3.0]) < 1e-6
     assert st.projection_orthogonality(g, f, sub, [1.5]) >= 0.1
 
@@ -313,7 +338,6 @@ def test_projection_two_mode_slice():
 def test_projection_degenerate_jacobian():
     g, f = euclidean_quadratic(2)
     bad = st.Submanifold(
-        lambda u: np.stack([u[..., 0] ** 2, np.zeros(u.shape[:-1])], axis=-1),
-        dim_param=1)
+        lambda u: np.stack([u[..., 0] ** 2, np.zeros(u.shape[:-1])], axis=-1))
     with pytest.raises(DegenerateTangentError):
         st.projection_orthogonality(g, f, bad, [0.0])
