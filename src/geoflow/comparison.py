@@ -130,6 +130,10 @@ def _seed_along(g: MetricField, f: ScalarPotential, q: np.ndarray, c: float,
                 direction: np.ndarray) -> np.ndarray:
     d = np.asarray(direction, dtype=float)
     nd = np.linalg.norm(d)
+    if nd == 0.0 and d.any():
+        # the norm of a tiny direction underflows; rescale it first
+        d = d / np.abs(d).max()
+        nd = np.linalg.norm(d)
     if nd == 0.0:
         raise ValueError("seed direction must be nonzero")
     d = d / nd

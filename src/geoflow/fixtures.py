@@ -44,11 +44,10 @@ def euclidean_quadratic(dim: int = 2) -> tuple[MetricField, ScalarPotential]:
     return g, distance_squared_potential(g, np.zeros(dim))
 
 
-def gaussian_mode(rate: float = 2.0,
-                  a_star: float = 1.0) -> tuple[MetricField, ScalarPotential]:
-    """Single relaxation mode: Fisher metric on the variance half-line."""
-    spect = ModeSpectrum(lambdas=np.array([rate]), a_star=np.array([a_star]))
-    return mode_manifold(spect, 0)
+def gaussian_mode() -> tuple[MetricField, ScalarPotential]:
+    """Single relaxation mode of rate 2 (a* = 1): Fisher metric on the
+    variance half-line."""
+    return mode_manifold(ModeSpectrum(lambdas=np.array([2.0])), 0)
 
 
 def two_mode_chain() -> tuple[MetricField, ScalarPotential]:

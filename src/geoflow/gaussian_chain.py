@@ -75,10 +75,11 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class ModeSpectrum:
-    """Ascending mode rates and their equilibrium variances a* = 2/lambda."""
+    """Ascending mode rates and their equilibrium variances a* = 2/lambda,
+    derived from the rates."""
 
     lambdas: np.ndarray
-    a_star: np.ndarray
+    a_star: np.ndarray = field(init=False)
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
@@ -89,7 +90,7 @@ class ModeSpectrum:
         if not (np.diff(lam) > 0.0).all():
             raise ValueError("mode rates must be strictly increasing")
         object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "a_star", np.asarray(self.a_star, dtype=float))
+        object.__setattr__(self, "a_star", 2.0 / lam)
 
     @property
     def n_modes(self) -> int:
@@ -118,7 +119,7 @@ def spectrum(spec: ChainSpec) -> ModeSpectrum:
     the Rouse spectrum of :func:`chain_laplacian` without its zero mode."""
     k = np.arange(1, spec.n_beads)
     lam = 4.0 * np.sin(k * np.pi / (2 * spec.n_beads)) ** 2
-    return ModeSpectrum(lambdas=lam, a_star=2.0 / lam)
+    return ModeSpectrum(lambdas=lam)
 
 
 def analytic_variance(spec: ChainSpec, spect: ModeSpectrum, k,
@@ -355,8 +356,7 @@ def mode_manifold(spect: ModeSpectrum,
 
 
 def _mode_spectrum(spect: ModeSpectrum, k: int) -> ModeSpectrum:
-    return ModeSpectrum(lambdas=spect.lambdas[k:k + 1],
-                        a_star=spect.a_star[k:k + 1])
+    return ModeSpectrum(lambdas=spect.lambdas[k:k + 1])
 
 
 def _mode_rows(spect: ModeSpectrum) -> tuple[MetricField, ScalarPotential]:

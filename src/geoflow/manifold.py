@@ -118,10 +118,10 @@ class MetricField:
         skip their O(dim^4) contraction.
 
     Exactly one of ``matrix`` and ``diagonal`` is given (``ValueError``
-    otherwise).  Positive-definiteness is checked lazily via
-    :meth:`check_positive_definite` on fixture points, not on every
-    evaluation.  Calling the field, :meth:`diagonal` or :meth:`partials`
-    passes a point or a stack to its closure in one call and raises
+    otherwise).  Positive-definiteness is never checked on evaluation;
+    callers check their own models with :meth:`check_positive_definite`.
+    Calling the field, :meth:`diagonal` or :meth:`partials` passes a point
+    or a stack to its closure in one call and raises
     :class:`~geoflow.errors.ClosureShapeError` when the result does not
     have the shape above.
     """

@@ -6,8 +6,12 @@ Given (g, f) and a real constant lam, the coefficient field
     Z = (nabla^g_{grad f} grad f - lam grad f) / |grad f|^2,
 
 defines a symmetric connection on the chart minus the critical set of f,
-whose (pre)geodesics include every gradient curve of f.  The connection is
-not metric; its non-metricity tensor has the closed form
+whose (pre)geodesics include every gradient curve of f.  As the Hessian
+nabla^g df is symmetric and nabla^g is metric, v = grad f has
+g(nabla^g_v v, w) = g(nabla^g_w v, v) = 1/2 w(|v|^2_g), so
+Z = (1/2 grad |grad f|^2 - lam grad f) / |grad f|^2 needs the derivative
+of one scalar and no metric partials.  The connection is not metric; its
+non-metricity tensor has the closed form
 
     C(W, X, Y) = g(W, X) g(Y, Z) + g(W, Y) g(X, Z)
 
@@ -84,26 +88,34 @@ def _grad_and_norm(g: MetricField, f: ScalarPotential, x: np.ndarray):
 
 def _straightening_parts(g: MetricField, f: ScalarPotential, lam: float,
                          x: np.ndarray):
-    """v = grad f, |v|^2, g, the Jacobian of grad f, Gamma^g and Z at x.
+    """v = grad f, |v|^2, g^{-1}, the Jacobian of grad f and Z at x.
 
-    x is a point or a stack, and each part is evaluated once over it; the
-    Jacobian (a finite-difference stencil of the gradient field) is the
-    dominant cost.
+    x is a point or a stack.  One stencil of y -> (grad f, |grad f|^2),
+    the dominant cost, gives the Jacobian and d|v|^2, hence
+    |v|^2 Z = 1/2 g^{-1} d|v|^2 - lam v.
     """
     v, nsq, ginv = _grad_and_norm(g, f, x)
-    gm = g(x)
-    jac = numdiff.jacobian_fd(lambda y: gradient(g, f, y), x)
-    lc = _levi_civita(g, ginv, g.partials(x))
-    # |grad f|^2 Z = nabla^g_{grad f} grad f - lam grad f
-    z = ((jac @ v[..., None])[..., 0]
-         + np.einsum("...kij,...i,...j->...k", lc, v, v)
+
+    def field_and_norm(y):
+        w = gradient(g, f, y)
+        return np.concatenate([w, g.inner(y, w, w)[..., None]], axis=-1)
+
+    jac = numdiff.jacobian_fd(field_and_norm, x)
+    z = (0.5 * _raise_index(g, ginv, jac[..., -1, :])
          - lam * v) / nsq[..., None]
-    return v, nsq, gm, jac, lc, z
+    return v, nsq, ginv, jac[..., :-1, :], z
+
+
+def _coeffs(g: MetricField, x: np.ndarray, ginv: np.ndarray,
+            z: np.ndarray) -> np.ndarray:
+    """Gamma~ = Gamma^g - g Z at x, from the parts' g^{-1} and Z."""
+    lc = _levi_civita(g, ginv, g.partials(x))
+    return lc - np.einsum("...ij,...k->...kij", g(x), z)
 
 
 def z_field(g: MetricField, f: ScalarPotential, lam: float,
             x: np.ndarray) -> np.ndarray:
-    """The vector Z with |grad f|^2 Z = nabla^g_{grad f} grad f - lam grad f.
+    """The vector Z with |grad f|^2 Z = 1/2 grad |grad f|^2 - lam grad f.
 
     A point gives ``(dim,)``, a stack ``(n, dim)``.
 
@@ -121,9 +133,9 @@ def straightening_coeffs(g: MetricField, f: ScalarPotential, lam: float,
 
     A point gives ``(dim, dim, dim)``, a stack ``(n, dim, dim, dim)``.
     """
-    _, _, gm, _, lc, z = _straightening_parts(g, f, lam,
-                                              np.asarray(x, dtype=float))
-    return lc - np.einsum("...ij,...k->...kij", gm, z)
+    x = np.asarray(x, dtype=float)
+    _, _, ginv, _, z = _straightening_parts(g, f, lam, x)
+    return _coeffs(g, x, ginv, z)
 
 
 def straightening_connection(g: MetricField, f: ScalarPotential,
@@ -141,18 +153,18 @@ def pregeodesic_residual(g: MetricField, f: ScalarPotential, lam: float,
                          x: np.ndarray) -> float | np.ndarray:
     """Relative defect |nabla~_{grad f} grad f - lam grad f|_g / |grad f|_g.
 
-    The defect is zero algebraically once Z is built: Gamma~(v, v) =
-    Gamma^g(v, v) - |v|^2_g Z, and |v|^2_g Z is nabla^g_v v - lam v from
-    the same Jacobian and Christoffel symbols.  So the residual bounds the
-    roundoff of the construction; it stays near 1e-15 even for metric
-    partials that do not belong to the metric.  A float at a point,
-    ``(n,)`` on a stack of n points.
+    nabla~_v v is J v + Gamma~(v, v) = J v + Gamma^g(v, v) - |v|^2_g Z,
+    from the Jacobian J of v = grad f, the metric partials and Z.  Z came
+    from 1/2 grad |v|^2 instead, so the residual compares the two routes
+    to nabla^g_v v: it reads the finite-difference error of a correct
+    construction and fails on partials that do not belong to the metric.
+    A float at a point, ``(n,)`` on a stack of n points.
     """
     x = np.asarray(x, dtype=float)
-    v, nsq, gm, jac, lc, z = _straightening_parts(g, f, lam, x)
-    gamma = lc - np.einsum("...ij,...k->...kij", gm, z)
+    v, nsq, ginv, jac, z = _straightening_parts(g, f, lam, x)
     acc = ((jac @ v[..., None])[..., 0]
-           + np.einsum("...kij,...i,...j->...k", gamma, v, v))
+           + np.einsum("...kij,...i,...j->...k", _coeffs(g, x, ginv, z),
+                       v, v))
     defect = acc - lam * v
     r = np.sqrt(np.maximum(g.inner(x, defect, defect), 0.0) / nsq)
     return float(r) if np.ndim(r) == 0 else r

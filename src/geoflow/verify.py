@@ -146,10 +146,11 @@ def _lambda_defect(g, f, x0) -> float:
     """Largest |nabla~_xd xd - lam grad f| component along a descent flow.
 
     The flow starts at x0; the worst is over 8 step midpoints and lam in
-    {0, 1}.  Gamma~(xd, xd) = Gamma^g(xd, xd) - |xd|^2 Z leaves only the
-    gradient field's Jacobian, so this is the Jacobian's error along the
-    curve: the metric partials cancel, and only a gradient field that is
-    not linear in the chart shows the step.
+    {0, 1}.  Gamma~(xd, xd) = Gamma^g(xd, xd) - |xd|^2 Z, and Z comes
+    from 1/2 grad |grad f|^2, so this compares the curve's acceleration
+    plus Gamma^g(xd, xd) with that finite difference along the curve.  On
+    the bowl, grad f is linear and |grad f|^2 quadratic, so the stencil is
+    exact there and only hessian-exp shows the step.
     """
     traj = integrate_flow(g, f, x0, 1.0, tol=1e-10)
     ts = _segment_midpoints(traj, 8)
@@ -283,8 +284,8 @@ def _suite_straightening(rng, flip_sign=False) -> list[CheckResult]:
     out.append(CheckResult("straightening", "pregeodesic",
                            worst < 1e-8, worst, 1e-8,
                            "relative pregeodesic residual, lam in {0, 1}; "
-                           "zero algebraically once Z is built, so it "
-                           "bounds the construction's roundoff"))
+                           "Jacobian + Christoffel route to nabla_v v "
+                           "against the 1/2 grad |v|^2 that built Z"))
 
     # definition-based non-metricity against the closed form
     worst = 0.0
@@ -325,8 +326,7 @@ def _suite_straightening(rng, flip_sign=False) -> list[CheckResult]:
                            worst < 1e-7, worst, 1e-7,
                            "flow acceleration is lam * grad f: bowl, "
                            "hessian-exp; it sees the gradient field's "
-                           "Jacobian, not the metric partials, which "
-                           "cancel"))
+                           "derivatives and the metric partials"))
 
     # second-derivative identity along descent curves
     worst = 0.0

@@ -258,6 +258,22 @@ def test_compare_accepts_negative_vectors(tmp_path, capsys):
                        tmp_path / "joined" / "report.csv", shallow=False)
 
 
+def test_compare_seeds_along_a_tiny_direction(tmp_path, capsys):
+    # the direction's norm underflows to 0; it seeds as its unit vector
+    code, stdout, err = run(["compare", "--model", "gaussian-mode",
+                             "--direction1=-1e-200",
+                             "--out", str(tmp_path / "tiny")], capsys)
+    assert (code, stdout.strip(), err) == (0, "Curve1Faster", "")
+    run(["compare", "--model", "gaussian-mode",
+         "--out", str(tmp_path / "default")], capsys)
+    assert filecmp.cmp(tmp_path / "tiny" / "report.csv",
+                       tmp_path / "default" / "report.csv", shallow=False)
+    code, stdout, _ = run(["compare", "--model", "euclidean-quadratic",
+                           "--direction1=1e-300,0", "--t-end", "1",
+                           "--out", str(tmp_path / "bowl")], capsys)
+    assert (code, stdout.strip()) == (3, "Inconclusive")
+
+
 def test_compare_unreachable_level_is_numerical_failure(tmp_path, capsys):
     code, _, err = run(["compare", "--model", "hessian-exp",
                         "--level", "1e9",

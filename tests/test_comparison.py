@@ -67,6 +67,21 @@ def test_seed_zero_direction():
         cp.equidistant_seed(g, f, MODE_LEVEL, [1.0], [0.0])
 
 
+def test_seed_tiny_direction_seeds_like_its_unit_direction():
+    # the norm of these directions underflows to 0; they seed as the unit
+    # vectors they point along, to the bit
+    g, f = fixtures.gaussian_mode()
+    tiny = cp.equidistant_seed(g, f, MODE_LEVEL, [1e-300], [-1e-200])
+    unit = cp.equidistant_seed(g, f, MODE_LEVEL, [1.0], [-1.0])
+    assert np.array_equal(tiny.x1_0, unit.x1_0)
+    assert np.array_equal(tiny.x2_0, unit.x2_0)
+    g, f = fixtures.euclidean_quadratic(2)
+    tiny = cp.equidistant_seed(g, f, 0.5, [1e-300, 0.0], [0.0, -5e-324])
+    unit = cp.equidistant_seed(g, f, 0.5, [1.0, 0.0], [0.0, -1.0])
+    assert np.array_equal(tiny.x1_0, unit.x1_0)
+    assert np.array_equal(tiny.x2_0, unit.x2_0)
+
+
 def test_seed_level_unreachable():
     # bounded potential: level 2 is never crossed
     g, _ = fixtures.euclidean_quadratic(1)

@@ -88,7 +88,7 @@ def test_chain_spec_validation():
     ([1.0, 1.0], "strictly increasing")])
 def test_mode_spectrum_validation(rates, message):
     with pytest.raises(ValueError, match=message):
-        gc.ModeSpectrum(np.array(rates), np.ones(1))
+        gc.ModeSpectrum(np.array(rates))
     with pytest.raises(ValueError):
         gc.ChainSpec(4, t_tilde=0.0)
     assert gc.ChainSpec(4).n_modes == 3

@@ -55,16 +55,63 @@ def test_z_mode_closed_form():
 
 
 def test_z_matches_linear_solve():
-    # brute-force oracle: solve (|grad f|^2 I) Z = nabla_grad grad - lam grad
-    g, f = gaussian_mode()
-    x = np.array([2.0])
-    v = mf.gradient(g, f, x)
-    nsq = float(v @ g(x) @ v)
-    jac = np.array([[(mf.gradient(g, f, x + 1e-6)[0]
-                      - mf.gradient(g, f, x - 1e-6)[0]) / 2e-6]])
-    h = jac @ v + np.einsum("kij,i,j->k", mf.christoffel_levi_civita(g, x), v, v)
-    oracle = np.linalg.solve(nsq * np.eye(1), h)
-    assert_allclose(st.z_field(g, f, 0.0, x), oracle, rtol=1e-5)
+    # brute-force oracle on the Jacobian route: solve
+    # (|grad f|^2 I) Z = J v + Gamma^g(v, v) - lam v, with J a central
+    # difference of grad f; Z itself comes from 1/2 grad |grad f|^2
+    sp = gc.spectrum(gc.ChainSpec(2))
+    cases = [(*gaussian_mode(), [2.0]),
+             (*sphere_height(), [1.1, 0.4]),
+             (*hessian_exp(), [0.8]),
+             (*gc.mode_plane_manifold(sp, 0), [0.3, 2.5 * sp.a_star[0]])]
+    for g, f, x in cases:
+        x = np.array(x)
+        v = mf.gradient(g, f, x)
+        nsq = float(v @ g(x) @ v)
+        dx = 1e-6 * np.eye(x.size)
+        jac = np.stack([(mf.gradient(g, f, x + e) - mf.gradient(g, f, x - e))
+                        / 2e-6 for e in dx], axis=-1)
+        acc = jac @ v + np.einsum("kij,i,j->k",
+                                  mf.christoffel_levi_civita(g, x), v, v)
+        for lam in (0.0, 1.0):
+            oracle = np.linalg.solve(nsq * np.eye(x.size), acc - lam * v)
+            assert_allclose(st.z_field(g, f, lam, x), oracle, rtol=1e-5,
+                            atol=1e-8 * np.abs(oracle).max())
+
+
+def _chain_points(n=50):
+    sp = gc.spectrum(gc.ChainSpec(6))
+    g, f = gc.chain_manifold(sp)
+    rng = np.random.default_rng(5)
+    return g, f, sp.a_star * rng.uniform(1.2, 3.0, (n, sp.n_modes))
+
+
+def test_z_reads_no_metric_partials():
+    # Z = (1/2 grad |grad f|^2 - lam grad f) / |grad f|^2 needs the metric
+    # and grad f alone: a partials closure that raises changes no bit
+    g, f, x = _chain_points()
+
+    def partials(y):
+        raise AssertionError("Z read the metric partials")
+
+    bare = mf.MetricField(g.chart, diagonal=g.diagonal, partials=partials)
+    for lam in (0.0, 1.0):
+        assert np.array_equal(st.z_field(bare, f, lam, x),
+                              st.z_field(g, f, lam, x))
+        assert np.array_equal(st.nonmetricity_closed_tensor(bare, f, lam, x),
+                              st.nonmetricity_closed_tensor(g, f, lam, x))
+
+
+def test_pregeodesic_residual_sees_wrong_metric_partials():
+    # the residual compares the Jacobian + Christoffel route to
+    # nabla_v v with the 1/2 grad |v|^2 behind Z, so partials that do not
+    # belong to the metric show, while the true ones read FD error only
+    g, f, x = _chain_points()
+    scaled = mf.MetricField(g.chart, diagonal=g.diagonal,
+                            partials=lambda y: 1.5 * g.partials(y).diagonal(
+                                axis1=-2, axis2=-1))
+    for lam in (0.0, 1.0):
+        assert st.pregeodesic_residual(g, f, lam, x).max() < 1e-8
+        assert st.pregeodesic_residual(scaled, f, lam, x).min() > 1e-3
 
 
 def test_z_raises_at_critical_point():
@@ -235,9 +282,9 @@ def test_lambda_controls_tangential_acceleration():
 
 
 def test_lambda_consistency_sees_a_coarse_jacobian_step(monkeypatch):
-    # the check measures the gradient field's Jacobian along a flow.  The
-    # bowl's grad f is linear in the chart, so no step shows there; on
-    # hessian-exp, grad f = 1 - e^-theta, and a step of 0.3 reads ~7e-5
+    # the check measures the finite difference behind Z along a flow.  The
+    # bowl's |grad f|^2 is quadratic in the chart, so no step shows there;
+    # on hessian-exp, grad f = 1 - e^-theta, and a step of 0.3 reads ~7e-5
     coarse = functools.partial(numdiff.jacobian_fd, scale=0.3)
     monkeypatch.setattr(st, "numdiff", SimpleNamespace(jacobian_fd=coarse))
     assert verify._lambda_defect(*euclidean_quadratic(2), [1.3, -0.7]) < 1e-8
