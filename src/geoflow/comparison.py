@@ -20,14 +20,20 @@ from .errors import (
     NonConvergenceError,
     NonEquidistantError,
 )
-from .manifold import MetricField, ScalarPotential, Trajectory, integrate_flow
+from .manifold import (
+    MetricField,
+    ScalarPotential,
+    Trajectory,
+    grad_norm_sq,
+    integrate_flow,
+)
 from .straightening import nonmetricity_cubic
 
 __all__ = [
     "CURVE1_FASTER",
     "CURVE2_FASTER",
     "INCONCLUSIVE",
-    "STOP_GRAD_NORM",
+    "STOP_RTOL",
     "EquidistantPair",
     "AsymmetryReport",
     "equidistant_seed",
@@ -53,9 +59,10 @@ GAP_RTOL = 1e-3
 #: noise and excluded from coincidence detection
 SPEED_FLOOR = 1e-8
 
-#: Fisher |grad f| at which a relaxation counts as converged; each curve
-#: of a comparison ends there
-STOP_GRAD_NORM = 1e-6
+#: fraction of its own start speed |grad f(x0)| at which a relaxation
+#: counts as converged; each curve of a comparison ends there, so the
+#: stop does not depend on the scale of f or of the metric
+STOP_RTOL = 1e-6
 
 _GRID = 512
 
@@ -129,14 +136,14 @@ class AsymmetryReport:
 def _seed_along(g: MetricField, f: ScalarPotential, q: np.ndarray, c: float,
                 direction: np.ndarray) -> np.ndarray:
     d = np.asarray(direction, dtype=float)
-    nd = np.linalg.norm(d)
-    if nd == 0.0 and d.any():
-        # the norm of a tiny direction underflows; rescale it first
-        d = d / np.abs(d).max()
-        nd = np.linalg.norm(d)
-    if nd == 0.0:
+    if not np.isfinite(d).all():
+        raise ValueError(f"seed direction must be finite, got {d}")
+    # scale by max|d| first, so the norm neither underflows nor overflows
+    scale = np.abs(d).max(initial=0.0)
+    if scale == 0.0:
         raise ValueError("seed direction must be nonzero")
-    d = d / nd
+    d = d / scale
+    d = d / np.linalg.norm(d)
 
     def on_ray(s):
         return q + s * d
@@ -358,8 +365,8 @@ def compare_batch(g: MetricField, f: ScalarPotential, lam: float,
     for b in range(n):
         notes: list[str] = []
         if not race[b]:
-            notes.append("no-race: a curve starts with |grad f| below "
-                         "STOP_GRAD_NORM and never moves; nothing to race")
+            notes.append("no-race: a curve starts at rest (its span is "
+                         "[0, 0]) and never moves; nothing to race")
             verdict = INCONCLUSIVE
         else:
             if not counts[b]:
@@ -393,7 +400,9 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
     The batch of one of :func:`compare_batch`, which holds the single
     code path.  ``flow(x0) -> trajectory`` supplies each curve from its
     seed.  The default integrates ``integrate_flow(g, f, x0, t_end,
-    tol=tol, stop_grad_norm=STOP_GRAD_NORM)``.  A closed-form relaxation
+    tol=tol, stop_grad_norm=STOP_RTOL * |grad f(x0)|)``, so each curve
+    ends once its speed has fallen to STOP_RTOL of its own start speed,
+    whatever the scale of f.  A closed-form relaxation
     such as :class:`geoflow.gaussian_chain.ChainTrajectory` may stand in
     for it; ``t_end`` and ``tol`` then go unused, the flow sets its own
     horizon.  A trajectory needs ``span`` plus ``position_velocity`` and
@@ -418,9 +427,9 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
     list counts as all positive and all negative):
 
     1. INCONCLUSIVE with a no-race note when either span has zero length:
-       a seed whose |grad f| is already below STOP_GRAD_NORM (a pair on
-       the minimum's own level, say) never moves, so there is nothing to
-       race; no root search runs and no cubic is taken;
+       a seed at rest, with |grad f| = 0 (a pair on the minimum's own
+       level, say), never moves, so there is nothing to race; no root
+       search runs and no cubic is taken;
     2. INCONCLUSIVE with a zero-gap note when the relaxation is symmetric:
        every cubic gap C2 - C1 is within GAP_RTOL of max(|C1|, |C2|), or,
        with no coincidence, |delta_f| stays within 1e-9;
@@ -431,7 +440,8 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
     """
     if flow is None:
         def flow(x0):
+            stop = STOP_RTOL * np.sqrt(grad_norm_sq(g, f, x0))
             return integrate_flow(g, f, x0, t_end, tol=tol,
-                                  stop_grad_norm=STOP_GRAD_NORM)
+                                  stop_grad_norm=stop)
     return compare_batch(g, f, lam, pair, flow)[0]
 

@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .comparison import (
-    STOP_GRAD_NORM,
+    STOP_RTOL,
     AsymmetryReport,
     EquidistantPair,
     compare,
@@ -152,21 +152,24 @@ class ChainTrajectory:
     :class:`~geoflow.errors.OutOfSpanError`.
 
     A start of shape ``(n_modes, 1)`` is a batch of one-mode curves: row
-    k relaxes mode k alone, from ``x0[k]``.  Its span ends, ``converged``
-    and ``ts`` then have one entry (row) per mode, a query's times have
-    the modes on their leading axis (``(n_modes,)`` or ``(n_modes, n)``,
-    giving ``(n_modes, 1)`` or ``(n_modes, n, 1)``), and ``traj[k]`` is
-    row k as a one-mode curve of its own.
+    k relaxes mode k alone, from ``x0[k]``.  Its span ends and ``ts``
+    then have one entry (row) per mode, a query's times have the modes on
+    their leading axis (``(n_modes,)`` or ``(n_modes, n)``, giving
+    ``(n_modes, 1)`` or ``(n_modes, n, 1)``), and ``traj[k]`` is row k as
+    a one-mode curve of its own.
 
-    The span ends at the first time the Fisher |grad F| (the speed, which
-    falls monotonically) reaches the comparison's STOP_GRAD_NORM, capped
-    at ``t_end``; ``converged`` is True when the cap does not bind.  For
-    one mode the speed 2 lambda |d| e / (sqrt2 (a* + d e)), with
-    d = x0 - a* and e = e^{-2 lambda t}, is rational in e, and speed = S
-    solves to e = sqrt2 S a* / (2 lambda |d| - sqrt2 S d); several modes
-    take brentq.  ``ts``, ``xs`` and ``vs`` hold the two ends of the
-    span, and ``exited_domain`` is always False: the variances stay
-    positive.
+    The span ends once the Fisher speed |grad F| has surely fallen to
+    STOP_RTOL of its own start value, capped at ``t_end``.  Mode k's
+    speed |v_k| / (sqrt2 a_k), relative to its start, is
+    e x0_k / (a*_k + (x0_k - a*_k) e) with e = e^{-2 lambda_k t}, which
+    is at most max(1, x0_k / a*_k) e.  So every mode, and with them the
+    whole speed, is down to STOP_RTOL by
+    max_k ln(max(1, x0_k / a*_k) / STOP_RTOL) / (2 lambda_k); a mode
+    that starts at a*_k never moves and counts 0, so a start at a*
+    spans [0, 0].  The bound is one closed form for one curve, a batch
+    row and any number of modes, so a batch row's span is its one-curve
+    span bit for bit.  ``ts``, ``xs`` and ``vs`` hold the two ends of
+    the span.
     """
 
     def __init__(self, spect: ModeSpectrum, x0, t_end: float):
@@ -174,28 +177,12 @@ class ChainTrajectory:
         self._rate = (2.0 * spect.lambdas).reshape(x0.shape)
         self._a_star = spect.a_star.reshape(x0.shape)
         self._d0 = x0 - self._a_star
-        self.converged = self._speed(t_end) <= STOP_GRAD_NORM
-        still = self._speed(0.0) <= STOP_GRAD_NORM
-        if x0.shape[-1] == 1:   # one mode: the closed form, row by row
-            s = np.sqrt(2.0) * STOP_GRAD_NORM
-            with np.errstate(divide="ignore", invalid="ignore"):
-                e = s * self._a_star / (self._rate * np.abs(self._d0)
-                                        - s * self._d0)
-                t_stop = np.clip(-np.log(e[..., 0]) / self._rate[..., 0],
-                                 0.0, t_end)
-            t_stop = np.where(still, 0.0,
-                              np.where(self.converged, t_stop, t_end))
-        elif still:
-            t_stop = 0.0
-        elif not self.converged:
-            t_stop = float(t_end)
-        else:
-            t_stop = brentq(lambda t: self._speed(t) - STOP_GRAD_NORM, 0.0,
-                            t_end, xtol=1e-12)
-        t_stop = np.asarray(t_stop, dtype=float)
+        ratio = np.maximum(1.0, x0 / self._a_star)
+        t_mode = np.where(self._d0 == 0.0, 0.0,
+                          np.log(ratio / STOP_RTOL) / self._rate)
+        t_stop = np.minimum(t_end, t_mode.max(axis=-1))
         self.ts = np.stack([np.zeros_like(t_stop), t_stop], axis=-1)
         self.xs, self.vs = self.position_velocity(self.ts)
-        self.exited_domain = False
 
     @property
     def span(self) -> tuple[float, float | np.ndarray]:
@@ -207,16 +194,7 @@ class ChainTrajectory:
         row._rate, row._a_star, row._d0 = (self._rate[k], self._a_star[k],
                                            self._d0[k])
         row.ts, row.xs, row.vs = self.ts[k], self.xs[k], self.vs[k]
-        row.converged = self.converged[k]
-        row.exited_domain = False
         return row
-
-    def _speed(self, t: float) -> float | np.ndarray:
-        # position and velocity at one t in the span, sharing one exp
-        decay = np.exp(-(t * self._rate))
-        a = self._a_star + self._d0 * decay
-        v = -self._rate * self._d0 * decay
-        return np.sqrt(np.sum(v ** 2 / (2.0 * a ** 2), axis=-1))
 
     def _terms(self, t):
         """Rate, a*, x0 - a* and the decay, each shaped for the times t."""

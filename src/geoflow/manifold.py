@@ -423,9 +423,7 @@ def christoffel_levi_civita(g: MetricField, x: np.ndarray) -> np.ndarray:
     contraction costs O(dim^3), not O(dim^4), per point.
     """
     x = np.asarray(x, dtype=float)
-    ginv = _inverse(g, x)
-    dg = g._own_partials(x)
-    return _levi_civita(g, ginv, _diag_matrix(dg) if g.is_diagonal else dg)
+    return _levi_civita(g, _inverse(g, x), g.partials(x))
 
 
 def _levi_civita(g: MetricField, ginv: np.ndarray,
@@ -569,8 +567,9 @@ def _integrate(rhs, y0, t_end, tol, *, in_domain, grad_monitor=None,
     ``grad_monitor(y, dy)`` gets each accepted state with the RHS there
     (RK45's first-same-as-last stage, so it costs no evaluation) and
     returns the gradient norm; integration stops, flagged converged, once
-    it falls below ``stop_below``.  A seed already below it takes no step
-    (RK45 holds the RHS at y0 from its setup).  The dense output is
+    it falls below ``stop_below``.  A seed at or below it takes no step
+    (RK45 holds the RHS at y0 from its setup), so a seed at rest does not
+    move even when ``stop_below`` is 0.  The dense output is
     ``None`` when no step of positive length was accepted: RK45's only
     zero-length step, at ``t_end == 0``, keeps the initial state.
     """
@@ -581,7 +580,7 @@ def _integrate(rhs, y0, t_end, tol, *, in_domain, grad_monitor=None,
     steps = []
     exited = False
     converged = (grad_monitor is not None and stop_below is not None
-                 and grad_monitor(y0, solver.f) < stop_below)
+                 and grad_monitor(y0, solver.f) <= stop_below)
     window: list[float] = []
     prev_window_min = np.inf
     while solver.status == "running" and not converged:
@@ -653,8 +652,8 @@ def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,
     ----------
     stop_grad_norm : float, optional
         Stop early (flagged ``converged``) once the Riemannian gradient norm
-        falls below this threshold.  A seed already below it takes no
-        step: the trajectory holds x0 alone, with span (0, 0).
+        falls below this threshold.  A seed at or below it takes no step:
+        the trajectory holds x0 alone, with span (0, 0).
 
     Raises
     ------

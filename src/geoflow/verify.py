@@ -626,10 +626,12 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
                            "coincidence count, variances"))
 
     # a one-mode race's speeds cross exactly once, at
-    # e^{-2 lambda t*} = -(c1 + c2) / (2 c1 c2) with c = T - 1 per start
+    # e^{-2 lambda t*} = -(c1 + c2) / (2 c1 c2) with c = T - 1 per start;
+    # at (512, 1.01) mode 1 starts at a Fisher speed of only 5.3e-7
     worst, once = 0.0, True
     races = {cell: universal_asymmetry_experiment(ChainSpec(cell[0]), cell[1])
-             for cell in ((64, 1.05), (12, 2.0), (33, 8.0), (6, 1.1))}
+             for cell in ((64, 1.05), (12, 2.0), (33, 8.0), (6, 1.1),
+                          (512, 1.01))}
     for (_, t_plus), res in races.items():
         c1, c2 = res.t_minus - 1.0, t_plus - 1.0
         t_star = np.log(-2.0 * c1 * c2 / (c1 + c2)) / (2.0 * res.spect.lambdas)
@@ -647,7 +649,7 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
     # F -> lambda_k F, so gap_k / lambda_k^3 and lambda_k t*_k do not
     # depend on k; the spread is their range over min |value|
     worst = 0.0
-    for res in (races[64, 1.05], races[33, 8.0]):
+    for res in (races[64, 1.05], races[33, 8.0], races[512, 1.01]):
         if any(len(rep.coincidence_times) != 1 for rep in res.modes):
             worst = np.inf
             break

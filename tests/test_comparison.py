@@ -82,6 +82,23 @@ def test_seed_tiny_direction_seeds_like_its_unit_direction():
     assert np.array_equal(tiny.x2_0, unit.x2_0)
 
 
+def test_seed_huge_direction_seeds_like_its_unit_direction():
+    # the norm of [1e300, 1e300] overflows to inf; scaled by max|d| first,
+    # it seeds as [1, 1] to the bit
+    g, f = fixtures.euclidean_quadratic(2)
+    huge = cp.equidistant_seed(g, f, 0.5, [1e300, 1e300], [-1e300, 0.0])
+    unit = cp.equidistant_seed(g, f, 0.5, [1.0, 1.0], [-1.0, 0.0])
+    assert huge.x1_0.tobytes() == unit.x1_0.tobytes()
+    assert huge.x2_0.tobytes() == unit.x2_0.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_seed_rejects_a_non_finite_direction(bad):
+    g, f = fixtures.euclidean_quadratic(2)
+    with pytest.raises(ValueError, match="finite"):
+        cp.equidistant_seed(g, f, 0.5, [bad, 1.0], [-1.0, 0.0])
+
+
 def test_seed_level_unreachable():
     # bounded potential: level 2 is never crossed
     g, _ = fixtures.euclidean_quadratic(1)
@@ -494,9 +511,11 @@ def test_compare_metric_inverse_calls_are_bounded(monkeypatch):
     g = mf.MetricField(g.chart, g, partials=g.partials)
     trajs = {}
     for x0 in (pair.x1_0, pair.x2_0):
+        # compare's own stop: STOP_RTOL of the seed's speed
+        stop = cp.STOP_RTOL * np.sqrt(mf.grad_norm_sq(g, f, x0))
         calls.clear()
         trajs[id(x0)] = mf.integrate_flow(g, f, x0, 12.0,
-                                          stop_grad_norm=cp.STOP_GRAD_NORM)
+                                          stop_grad_norm=stop)
         assert len(calls) <= solvers[-1].nfev + 1
     calls.clear()
     rep = cp.compare(g, f, 0.0, pair, 12.0, flow=lambda x0: trajs[id(x0)])

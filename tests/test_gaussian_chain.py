@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
-from scipy.optimize import brentq
 
 from geoflow import comparison as cp
 from geoflow import gaussian_chain as gc
@@ -15,7 +14,7 @@ from geoflow import straightening as st
 from geoflow.comparison import (
     CURVE1_FASTER,
     INCONCLUSIVE,
-    STOP_GRAD_NORM,
+    STOP_RTOL,
     EquidistantPair,
     compare,
     compare_batch,
@@ -176,48 +175,60 @@ def test_closed_form_trajectory_solves_the_mode_ode():
 
 
 def test_closed_form_trajectory_span_ends_at_the_stop_threshold():
+    # hot and cold starts alike: at the span's end the Fisher speed has
+    # fallen to at most STOP_RTOL of its own start value
     sp = gc.spectrum(gc.ChainSpec(4))
     g, f = gc.chain_manifold(sp)
-    traj = gc.ChainTrajectory(sp, 2.0 * sp.a_star, 1e3)
-    t_stop = traj.span[1]
-    assert traj.converged and not traj.exited_domain
-    assert traj.xs.shape == traj.vs.shape == (2, 3)
-    speed = np.sqrt(grad_norm_sq(g, f, traj.position(t_stop)))
-    assert speed == pytest.approx(STOP_GRAD_NORM, rel=1e-9)
+    for t_tilde in (0.3, 2.0):
+        x0 = t_tilde * sp.a_star
+        traj = gc.ChainTrajectory(sp, x0, 1e3)
+        t_stop = traj.span[1]
+        assert 0.0 < t_stop < 1e3
+        assert traj.xs.shape == traj.vs.shape == (2, 3)
+        end = grad_norm_sq(g, f, traj.position(t_stop))
+        assert np.sqrt(end / grad_norm_sq(g, f, x0)) <= STOP_RTOL
 
-    capped = gc.ChainTrajectory(sp, 2.0 * sp.a_star, 0.5 * t_stop)
-    assert not capped.converged
-    assert capped.span == (0.0, 0.5 * t_stop)
+        capped = gc.ChainTrajectory(sp, x0, 0.5 * t_stop)
+        assert capped.span == (0.0, 0.5 * t_stop)
     still = gc.ChainTrajectory(sp, sp.a_star, 1e3)
-    assert still.converged and still.span == (0.0, 0.0)
+    assert still.span == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("t_tilde", [0.3, 2.0, 8.0])
 def test_one_mode_stop_time_is_the_closed_form(t_tilde):
-    # speed = S is linear in e^{-2 lambda t} for one mode; the closed form
-    # agrees with a brentq solve of the speed, one curve or a batch row
+    # one mode's speed, relative to its start, is e x0 / (a* + (x0 - a*) e)
+    # <= max(1, x0 / a*) e with e = e^{-2 lambda t}; the span ends where
+    # that bound reaches STOP_RTOL, which leaves the speed within a factor
+    # min(1, x0 / a*) of STOP_RTOL, for one curve or a batch row alike
     sp = gc.spectrum(gc.ChainSpec(12))
     x0 = t_tilde * sp.a_star
     batch = gc.ChainTrajectory(sp, x0[:, None], 1e4)
-    assert batch.converged.all() and batch.span[1].shape == (11,)
+    assert batch.span[1].shape == (11,)
     for k in range(sp.n_modes):
         one = gc._mode_spectrum(sp, k)
+        g, f = gc.mode_manifold(sp, k)
         traj = gc.ChainTrajectory(one, x0[k:k + 1], 1e4)
         t_stop = traj.span[1]
-        want = brentq(lambda t: traj._speed(t) - STOP_GRAD_NORM, 0.0, 1e4,
-                      xtol=1e-14)
-        assert abs(t_stop - want) <= 1e-12 * max(1.0, want)
-        assert traj.converged and batch[k].span == traj.span
+        want = np.log(max(1.0, t_tilde) / STOP_RTOL) / (2.0 * sp.lambdas[k])
+        assert t_stop == pytest.approx(want, rel=1e-14)
+        ratio = np.sqrt(grad_norm_sq(g, f, traj.position(t_stop))
+                        / grad_norm_sq(g, f, x0[k:k + 1]))
+        assert (1.0 - 1e-5) * min(1.0, t_tilde) * STOP_RTOL <= ratio
+        assert ratio <= STOP_RTOL
+        assert batch[k].span == traj.span
         assert batch[k].position(t_stop).tobytes() == \
             traj.position(t_stop).tobytes()
         assert batch.position(batch.span[1])[k].tobytes() == \
             traj.position(t_stop).tobytes()
 
         capped = gc.ChainTrajectory(one, x0[k:k + 1], 0.5 * t_stop)
-        assert not capped.converged and capped.span == (0.0, 0.5 * t_stop)
+        assert capped.span == (0.0, 0.5 * t_stop)
+    capped = gc.ChainTrajectory(sp, x0[:, None], batch.span[1][5])
+    assert (capped.span[1] == np.minimum(batch.span[1],
+                                         batch.span[1][5])).all()
     still = gc.ChainTrajectory(sp, np.where(np.arange(11) == 4, sp.a_star,
                                             x0)[:, None], 1e4)
-    assert still.converged.all() and still[4].span == (0.0, 0.0)
+    assert still[4].span == (0.0, 0.0)
     assert (np.delete(still.span[1], 4) == np.delete(batch.span[1], 4)).all()
 
 
@@ -456,17 +467,17 @@ def test_experiment_degenerate_pair_is_flat():
         assert np.abs(rep.delta_f).max() == 0.0
 
 
-def test_modes_too_slow_to_move_are_no_races():
+def test_modes_that_start_slow_still_race():
     # mode 1 at N = 128, T+ = 1.001 starts at Fisher speed
-    # sqrt(2) lambda_1 |T - 1| / T ~ 8.5e-7, below STOP_GRAD_NORM
+    # sqrt(2) lambda_1 |T - 1| / T ~ 8.5e-7; its race is the unit race
+    # rescaled, and its stop is relative to that start speed, so it races
+    # and is decided like every other mode
     res = gc.universal_asymmetry_experiment(gc.ChainSpec(128), 1.001)
-    lam = res.spect.lambdas[0]
-    assert np.sqrt(2.0) * lam * 1e-3 / 1.001 < STOP_GRAD_NORM
-    first, *rest = res.modes
-    assert first.verdict == INCONCLUSIVE
-    assert any(n.startswith("no-race") for n in first.notes)
-    assert not any(n.startswith("zero-gap") for n in first.notes)
-    assert all(rep.verdict == CURVE1_FASTER for rep in rest)
+    assert np.sqrt(2.0) * res.spect.lambdas[0] * 1e-3 / 1.001 < 1e-6
+    assert all(rep.verdict == CURVE1_FASTER for rep in res.modes)
+    for k in (0, 1, 63, 126):
+        assert len(res.modes[k].coincidence_times) == 1
+        _assert_same_race(res.modes[k], _mode_race_alone(res, k))
 
 
 def test_experiment_without_modes():
@@ -528,12 +539,12 @@ def test_batched_mode_races_equal_one_compare_per_mode(n_beads, t_plus):
         _assert_same_race(rep, _mode_race_alone(res, k))
 
 
-def test_batched_modes_at_4096_beads_keep_their_no_races():
-    # modes 1-3 start below STOP_GRAD_NORM; the other 4092 rows race
+def test_batched_modes_at_4096_beads_all_race():
+    # modes 1-3 start below a Fisher speed of 1e-6; each still races to
+    # STOP_RTOL of its own start speed and reads Curve1Faster
     res = gc.universal_asymmetry_experiment(gc.ChainSpec(4096), 1.1)
-    for k in (0, 1, 2):
-        assert [n.split(":")[0] for n in res.modes[k].notes] == ["no-race"]
-    assert all(rep.verdict == CURVE1_FASTER for rep in res.modes[3:])
+    assert res.warming_faster
+    assert all(rep.verdict == CURVE1_FASTER for rep in res.modes)
     for k in (0, 1, 2, 3, 4, 100, 2047, 4094):
         _assert_same_race(res.modes[k], _mode_race_alone(res, k))
 
