@@ -222,9 +222,15 @@ def cmd_chain(args) -> _Outcome:
 # ---------------------------------------------------------------- compare
 
 
+#: scipy's RK45 raises any tolerance below 100 eps to that floor, so a
+#: smaller one would be recorded but never used
+_TOL_FLOOR = 100.0 * float(np.finfo(float).eps)
+
+
 def cmd_compare(args) -> _Outcome:
-    if not args.tol > 0.0:
-        raise ConfigError("tol must be positive")
+    if not _TOL_FLOOR <= args.tol < 1.0:
+        raise ConfigError(f"tol must be at least 100 eps ({_TOL_FLOOR!r}) "
+                          "and below 1")
     entry = COMPARE_MODELS[args.model]
     # unset seed directions and level fall back to the model's own
     dir1 = entry.direction1 if args.direction1 is None else args.direction1
@@ -367,7 +373,8 @@ def _build_parser() -> _Parser:
     p_cmp.add_argument("--t-end", dest="t_end", type=finite, default=10.0,
                        help="time horizon (default %(default)s)")
     p_cmp.add_argument("--tol", type=finite, default=1e-10,
-                       help="integrator tolerance (default %(default)s)")
+                       help="integrator tolerance, at least 100 eps and "
+                            "below 1 (default %(default)s)")
     p_cmp.set_defaults(func=cmd_compare)
 
     p_ver = sub.add_parser("verify", help="run the invariant battery")

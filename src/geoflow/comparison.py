@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DomainExitError,
@@ -71,6 +70,17 @@ _GRID = 512
 ROOT_XTOL = 1e-12
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 _ROOT_MAXITER = 100
+
+
+def brentq(f, a, b, **kwargs):
+    """scipy's ``brentq``, imported on the first call.
+
+    Deferred so that ``import geoflow`` and pointwise geometry never load
+    scipy.optimize; the seed and temperature solves share this binding.
+    """
+    from scipy.optimize import brentq as solve
+
+    return solve(f, a, b, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -23,12 +23,12 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .comparison import (
     STOP_RTOL,
     AsymmetryReport,
     EquidistantPair,
+    brentq,
     compare,
     compare_batch,
 )

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import RK45
 
 from . import numdiff
 from .errors import (
@@ -572,7 +571,10 @@ def _integrate(rhs, y0, t_end, tol, *, in_domain, grad_monitor=None,
     move even when ``stop_below`` is 0.  The dense output is
     ``None`` when no step of positive length was accepted: RK45's only
     zero-length step, at ``t_end == 0``, keeps the initial state.
+    RK45 is imported here, so pointwise geometry never loads scipy.
     """
+    from scipy.integrate import RK45
+
     y0 = np.asarray(y0, dtype=float)
     solver = RK45(rhs, 0.0, y0, t_bound=float(t_end), rtol=tol, atol=tol)
     ts = [0.0]

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import numdiff
 from .comparison import CURVE1_FASTER, DELTA_TOL, compare, equidistant_seed
@@ -265,6 +264,8 @@ def _suite_manifold(rng) -> list[CheckResult]:
 
 
 def _suite_straightening(rng, flip_sign=False) -> list[CheckResult]:
+    from scipy.optimize import minimize_scalar
+
     out = []
     fixtures = [("euclidean-quadratic", *euclidean_quadratic()),
                 ("gaussian-mode", *gaussian_mode()),

@@ -5,6 +5,7 @@ import csv
 import filecmp
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -307,11 +308,29 @@ def test_compare_bad_invocations(tmp_path, capsys):
              ["compare", "--lam", "nan"],
              ["compare", "--t-end", "0"],
              ["compare", "--t-end", "-1"],
-             ["compare", "--tol", "-1"])
+             ["compare", "--tol", "-1"],
+             # below 100 eps RK45 would run at its floor while metadata.json
+             # recorded the unused value; at 1e300 a step left the chart
+             ["compare", "--model", "gaussian-mode", "--tol", "1e-300"],
+             ["compare", "--model", "gaussian-mode", "--tol", "2.2e-14"],
+             ["compare", "--model", "gaussian-mode", "--tol", "1"],
+             ["compare", "--model", "gaussian-mode", "--tol", "1e300"])
     for argv in cases:
         code, _, err = run(argv + ["--out", str(tmp_path / "bad")], capsys)
         assert code == 1
         assert "config error" in err
+
+
+def test_compare_runs_at_the_integrators_tolerance_floor(tmp_path, capsys):
+    # the smallest tolerance RK45 honours is accepted and recorded as used
+    floor = 100.0 * float(np.finfo(float).eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, _ = run(["compare", "--model", "gaussian-mode",
+                               "--tol", repr(floor),
+                               "--out", str(tmp_path / "floor")], capsys)
+    assert (code, stdout.strip()) == (0, "Curve1Faster")
+    assert ResultBundle.read(tmp_path / "floor").config["tol"] == floor
 
 
 # ------------------------------------------------------------------ verify
@@ -468,6 +487,51 @@ def test_unknown_command_and_flag(tmp_path, capsys):
                  ["compare", "--seed", "1"], ["curvature", "--tol", "1e-9"],
                  ["verify", "--tol", "1e-9"]):
         assert run(argv, capsys)[0] == 1
+
+
+_POINTWISE_RUN = """
+import sys
+
+import numpy as np
+
+import geoflow
+from geoflow import cli
+from geoflow.gaussian_chain import (
+    ChainSpec, chain_manifold, mode_plane_manifold, spectrum)
+from geoflow.straightening import (
+    nonmetricity_tensor, pregeodesic_residual, scalar_curvature,
+    straightening_connection)
+
+spect = spectrum(ChainSpec(6))
+for (g, f), x in ((chain_manifold(spect), 0.7 * spect.a_star),
+                  (mode_plane_manifold(spect, 0),
+                   np.array([0.1, 0.7 * spect.a_star[0]]))):
+    conn = straightening_connection(g, f, 0.0)
+    for value in (pregeodesic_residual(g, f, 0.0, x),
+                  nonmetricity_tensor(conn, g, x), scalar_curvature(conn, x)):
+        assert np.all(np.isfinite(value))
+assert cli.main(["curvature", "--out", sys.argv[1]]) == 0
+assert cli.main(["chain", "--help"]) == 0
+assert cli.main(["compare", "--tol", "1e-300", "--out", sys.argv[1]]) == 1
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not loaded, loaded
+"""
+
+
+def test_pointwise_paths_never_load_scipy(tmp_path):
+    # scipy is imported where a flow or a Brent solve first runs, so the
+    # import, the pointwise geometry, the curvature command, --help and
+    # config errors are numpy-only; a compare in a fresh process still
+    # loads it on demand
+    proc = subprocess.run(
+        [sys.executable, "-c", _POINTWISE_RUN, str(tmp_path / "curv")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "geoflow.cli", "compare", "--model",
+         "gaussian-mode", "--out", str(tmp_path / "cmp")],
+        capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout.strip()) == (0, "Curve1Faster")
 
 
 def test_entry_point_subprocess(tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 from numpy.testing import assert_allclose
@@ -500,13 +501,13 @@ def test_compare_metric_inverse_calls_are_bounded(monkeypatch):
         calls.append(1)
         return inverse(*args)
 
-    class Recorded(mf.RK45):
+    class Recorded(scipy.integrate.RK45):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             solvers.append(self)
 
     monkeypatch.setattr(mf, "metric_inverse", counted)
-    monkeypatch.setattr(mf, "RK45", Recorded)
+    monkeypatch.setattr(scipy.integrate, "RK45", Recorded)
     g, f, pair = _flat_bowl()
     g = mf.MetricField(g.chart, g, partials=g.partials)
     trajs = {}

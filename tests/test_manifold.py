@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.integrate
 from numpy.testing import (
     assert_allclose,
     assert_array_equal,
@@ -710,12 +711,12 @@ def _recording_rk45(monkeypatch):
     """Patch RK45 so the per-step interpolants it hands out are kept."""
     steps = []
 
-    class Recorded(mf.RK45):
+    class Recorded(scipy.integrate.RK45):
         def dense_output(self):
             steps.append(super().dense_output())
             return steps[-1]
 
-    monkeypatch.setattr(mf, "RK45", Recorded)
+    monkeypatch.setattr(scipy.integrate, "RK45", Recorded)
     return steps
 
 
