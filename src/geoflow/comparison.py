@@ -288,18 +288,22 @@ def compare_batch(g: MetricField, f: ScalarPotential, lam: float,
     """Race B equidistant pairs at once; report b is the race of pair b.
 
     ``pairs`` holds the B pairs on a leading axis (a pair of single seeds
-    is the batch of one), and ``flow(seeds)`` returns the B curves from
-    a seed stack as one trajectory.  Its ``span`` ends broadcast to
-    ``(B,)``, and its ``position_velocity`` and ``acceleration`` at times
-    of shape ``(B, n)`` give ``(B, n, dim)``, row b on curve b; a single
-    curve is a batch of one.  A batched trajectory gives row b alone as
+    is the batch of one), and one call ``flow(x1_0, x2_0)`` returns both
+    sides, ``(traj1, traj2)``, each side's B curves as one trajectory.
+    Its ``span`` ends broadcast to ``(B,)``, and its
+    ``position_velocity`` and ``acceleration`` at times of shape
+    ``(B, n)`` give ``(B, n, dim)``, row b on curve b; a single curve is
+    a batch of one.  A batched trajectory gives row b alone as
     ``traj[b]``, which report b keeps.  ``f`` and ``g`` evaluate point
     stacks ``(B, n, dim)`` in one call each, row b belonging to pair b.
 
     Every row runs the steps of :func:`compare`, each as one array
     operation over all rows:
 
-    - one grid stack of ``_GRID`` times on each row's shorter span;
+    - one grid stack of ``_GRID`` times on each row's shorter span,
+      whose sampled positions must lie in the chart
+      (:class:`~geoflow.errors.DomainExitError` otherwise, before f
+      is called there);
     - one :func:`bracketed_roots` call over every row's brackets, whose
       rounds query both curves on a ``(B, m)`` stack of times;
     - one :func:`nonmetricity_cubic` call per side over every root;
@@ -310,7 +314,7 @@ def compare_batch(g: MetricField, f: ScalarPotential, lam: float,
     :func:`compare` gives for its pair alone.
     """
     pairs.validate(f)
-    traj1, traj2 = flow(pairs.x1_0), flow(pairs.x2_0)
+    traj1, traj2 = flow(pairs.x1_0, pairs.x2_0)
     levels = np.atleast_1d(pairs.level)
     n = levels.size
     batched = np.ndim(traj1.span[1]) == 1
@@ -324,6 +328,10 @@ def compare_batch(g: MetricField, f: ScalarPotential, lam: float,
     ts[:, -1] = t_hi
     x1, v1 = traj1.position_velocity(ts)
     x2, v2 = traj2.position_velocity(ts)
+    if not (g.chart.contains(x1) and g.chart.contains(x2)):
+        raise DomainExitError(
+            f"the dense output leaves chart {g.chart.name!r} between "
+            "accepted steps; a smaller tol keeps it inside")
     f1, f2 = f(x1), f(x2)
     delta = f2 - f1
     race = t_hi > 0.0
@@ -408,14 +416,18 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
     """Run both relaxations and issue the asymmetry verdict.
 
     The batch of one of :func:`compare_batch`, which holds the single
-    code path.  ``flow(x0) -> trajectory`` supplies each curve from its
-    seed.  The default integrates ``integrate_flow(g, f, x0, t_end,
-    tol=tol, stop_grad_norm=STOP_RTOL * |grad f(x0)|)``, so each curve
-    ends once its speed has fallen to STOP_RTOL of its own start speed,
-    whatever the scale of f.  A closed-form relaxation
-    such as :class:`geoflow.gaussian_chain.ChainTrajectory` may stand in
-    for it; ``t_end`` and ``tol`` then go unused, the flow sets its own
-    horizon.  A trajectory needs ``span`` plus ``position_velocity`` and
+    code path.  ``flow(x1_0, x2_0) -> (traj1, traj2)`` supplies both
+    curves from their seeds in one call.  The default races them through
+    one solve, ``integrate_flow`` on the seed stack ``(2, dim)`` with
+    ``tol`` and each curve's own ``stop_grad_norm = STOP_RTOL * |grad
+    f(x0)|``: one RK45 system whose steps pass only when each curve's
+    own error estimate meets ``tol``, and in which each curve ends once
+    its speed has fallen to STOP_RTOL of its own start speed, whatever
+    the scale of f, with its own ``converged`` and ``exited_domain``
+    flags.  A closed-form relaxation such as
+    :func:`geoflow.gaussian_chain.chain_flow` may stand in for it;
+    ``t_end`` and ``tol`` then go unused, the flow sets its own horizon.
+    A trajectory needs ``span`` plus ``position_velocity`` and
     ``acceleration`` at a scalar t and over an array of t.
 
     Each curve is sampled on a uniform grid of ``_GRID`` times up to the
@@ -449,9 +461,11 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
     5. INCONCLUSIVE otherwise.
     """
     if flow is None:
-        def flow(x0):
-            stop = STOP_RTOL * np.sqrt(grad_norm_sq(g, f, x0))
-            return integrate_flow(g, f, x0, t_end, tol=tol,
+        def flow(x1_0, x2_0):
+            seeds = np.stack([x1_0, x2_0])
+            stop = STOP_RTOL * np.sqrt(grad_norm_sq(g, f, seeds))
+            traj = integrate_flow(g, f, seeds, t_end, tol=tol,
                                   stop_grad_norm=stop)
+            return traj[0], traj[1]
     return compare_batch(g, f, lam, pair, flow)[0]
 

@@ -234,7 +234,7 @@ def gaussian_natural_model() -> HessianModel:
     eta = (mean, second moment), and the canonical divergence reproduces
     the KL divergence between the underlying densities.
     """
-    chart = Chart(2, domain_check=lambda th: th[1] < 0.0, name="gauss-natural")
+    chart = Chart(2, domain_check=lambda th: th[..., 1] < 0.0, name="gauss-natural")
 
     def phi(th):
         return (-th[..., 0] ** 2 / (4.0 * th[..., 1])

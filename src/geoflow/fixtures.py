@@ -61,7 +61,8 @@ def sphere_height() -> tuple[MetricField, ScalarPotential]:
     The chart excludes the poles; the minimum sits at theta = pi, outside
     the open strip, so the potential carries no designated minimum.
     """
-    chart = Chart(2, domain_check=lambda x: 0.05 < x[0] < np.pi - 0.05,
+    chart = Chart(2, domain_check=lambda x: (0.05 < x[..., 0])
+                  & (x[..., 0] < np.pi - 0.05),
                   name="sphere-polar")
 
     def diagonal(x):

@@ -20,7 +20,6 @@ the generic comparison and straightening tooling to certify that.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -44,6 +43,7 @@ __all__ = [
     "analytic_variance",
     "ode_rhs",
     "ChainTrajectory",
+    "chain_flow",
     "potential_F",
     "cubic_closed_form",
     "scalar_curvature_mode",
@@ -221,6 +221,15 @@ class ChainTrajectory:
         return rate ** 2 * d0 * decay
 
 
+def chain_flow(spect: ModeSpectrum, t_end: float):
+    """The race's flow on closed-form curves: ``flow(x1_0, x2_0)`` gives
+    the :class:`ChainTrajectory` of each side, capped at ``t_end``."""
+    def flow(x1_0, x2_0):
+        return (ChainTrajectory(spect, x1_0, t_end),
+                ChainTrajectory(spect, x2_0, t_end))
+    return flow
+
+
 def potential_F(spect: ModeSpectrum, state) -> float | np.ndarray:
     """F = sum_k lambda_k (a*/a - ln(a*/a) - 1); zero only at equilibrium.
 
@@ -369,7 +378,8 @@ def mode_plane_manifold(spect: ModeSpectrum,
     """
     lam = spect.lambdas[k]
     astar = spect.a_star[k]
-    chart = Chart(2, domain_check=lambda x: x[1] > 0.0, name="mode-plane")
+    chart = Chart(2, domain_check=lambda x: x[..., 1] > 0.0,
+                  name="mode-plane")
 
     def diagonal(x):
         a = x[..., 1]
@@ -443,7 +453,7 @@ def universal_asymmetry_experiment(spec: ChainSpec, t_plus: float,
     t_minus = 1.0 if t_plus == 1.0 else equidistant_temperatures(t_plus)
     a_minus = t_minus * spect.a_star
     a_plus = t_plus * spect.a_star
-    flow = partial(ChainTrajectory, spect, t_end=t_end)
+    flow = chain_flow(spect, t_end)
 
     def pair(f, x_minus, x_plus):
         # the temperature solve pins the two levels together to within

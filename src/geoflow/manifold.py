@@ -67,7 +67,10 @@ class Chart:
         Number of coordinates.
     domain_check : callable, optional
         Predicate marking the valid region.  ``None`` means the whole of
-        R^dim is valid.
+        R^dim is valid.  Like every closure it broadcasts over leading
+        axes: on a point ``(dim,)`` or a stack ``(..., dim)`` it returns a
+        bool, or one bool per point, and :meth:`contains` is true when all
+        of them are.
     name : str
         Label used in error messages.
     """
@@ -81,9 +84,10 @@ class Chart:
             raise ValueError("chart dimension must be >= 1")
 
     def contains(self, x: np.ndarray) -> bool:
+        """Whether x, a point or every point of a stack, is in the chart."""
         if self.domain_check is None:
             return True
-        return bool(self.domain_check(np.asarray(x, dtype=float)))
+        return bool(np.all(self.domain_check(np.asarray(x, dtype=float))))
 
 
 class MetricField:
@@ -470,7 +474,7 @@ def span_times(t,
 
 
 class Trajectory:
-    """Integrated curve with dense output.
+    """Integrated curve, or batch of curves, with dense output.
 
     Samples are the accepted integrator steps; between them, position (and
     velocity, for second-order states) comes from RK45's own quartic
@@ -488,47 +492,93 @@ class Trajectory:
     and the acceleration differentiates the velocity at every t with one
     velocity call over all stencil times.
 
+    A batch of B curves, from one joint solve of
+    :func:`integrate_flow` on a seed stack, shares that solve's step times
+    ``ts``; the keyword ``last`` gives the index of each curve's own last
+    sample, so curve b's span ends at ``ts[last[b]]`` and ``span`` has
+    ends of shape ``(B,)``.  Query times then have the curves on their
+    leading axis, ``(B,)`` or ``(B, n)``, giving ``(B, dim)`` or
+    ``(B, n, dim)``, and ``traj[b]`` is curve b alone, a one-curve
+    trajectory.
+
     Attributes
     ----------
     ts, xs, vs : ndarray
-        Sample times, positions, velocities.
+        Sample times, positions, velocities; a batch's positions and
+        velocities are ``(B, len(ts), dim)``.
     exited_domain : bool
-        True when integration stopped early at the last in-domain state.
+        True when integration stopped early at the last in-domain state;
+        one flag per curve, ``(B,)``, on a batch.
     converged : bool
-        True when a stop condition (gradient-norm threshold) fired.
+        True when a stop condition (gradient-norm threshold) fired; one
+        flag per curve on a batch.
+    steps, nfev : int
+        Accepted steps and right-hand-side evaluations of the solve; the
+        curves of a joint solve share them.
     """
 
     def __init__(self, ts, xs, vs, dense: tuple | None, dim: int,
                  velocity_field: Callable[[np.ndarray], np.ndarray] | None = None,
-                 exited_domain: bool = False, converged: bool = False):
+                 exited_domain=False, converged=False, *, last=None,
+                 steps: int = 0, nfev: int = 0):
         self.ts = np.asarray(ts, dtype=float)
         self.xs = np.asarray(xs, dtype=float)
         self.vs = np.asarray(vs, dtype=float)
         # (t_old, h, y_old, Q) of the steps from :func:`_integrate`, or None
-        # when no step of positive length was taken
+        # when no step of positive length was taken; a batch's y_old and Q
+        # carry the curves on their second axis
         self._dense = dense
         self._dim = dim
         self._velocity_field = velocity_field
+        # the index of each curve's last sample: a scalar for one curve
+        self._last = np.asarray(self.ts.size - 1 if last is None else last)
         self.exited_domain = exited_domain
         self.converged = converged
+        self.steps = steps
+        self.nfev = nfev
 
     @property
-    def span(self) -> tuple[float, float]:
-        return float(self.ts[0]), float(self.ts[-1])
+    def span(self) -> tuple[float, float | np.ndarray]:
+        end = self.ts[self._last]
+        return float(self.ts[0]), float(end) if end.ndim == 0 else end
+
+    def __getitem__(self, b: int) -> "Trajectory":
+        k = int(self._last[b])
+        dense = None
+        if self._dense is not None and k > 0:
+            t_old, h, y_old, q = self._dense
+            dense = (t_old[:k], h[:k], y_old[:k, b], q[:k, b])
+        return Trajectory(self.ts[:k + 1], self.xs[b, :k + 1],
+                          self.vs[b, :k + 1], dense, self._dim,
+                          self._velocity_field,
+                          bool(self.exited_domain[b]),
+                          bool(self.converged[b]), steps=self.steps,
+                          nfev=self.nfev)
+
+    def _rows(self, t: np.ndarray) -> tuple:
+        """The curve index for each time of t: none for one curve; for a
+        batch, curve b down t's leading axis."""
+        if self._last.ndim == 0:
+            return ()
+        return (np.arange(self._last.size).reshape((-1,)
+                                                   + (1,) * (t.ndim - 1)),)
 
     def _state(self, t) -> np.ndarray:
         t = span_times(t, self.span)
+        rows = self._rows(t)
         if self._dense is None:
-            y0 = np.concatenate([self.xs[0], self.vs[0]])
-            return np.broadcast_to(y0, np.shape(t) + y0.shape).copy()
+            y0 = np.concatenate([self.xs[..., 0, :], self.vs[..., 0, :]],
+                                axis=-1)[rows]
+            return np.broadcast_to(y0, t.shape + y0.shape[-1:]).copy()
         t_old, h, y_old, q = self._dense
-        i = np.clip(np.searchsorted(self.ts, t, side="left") - 1,
-                    0, h.size - 1)
+        last_step = np.maximum(self._last - 1, 0)[rows]
+        i = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0,
+                    last_step)
         x = ((t - t_old[i]) / h[i])[..., None]
         # the powers x, x^2, x^3, x^4 of the step fraction
         p = np.cumprod(np.repeat(x, q.shape[-1], axis=-1), axis=-1)
-        y = np.einsum("...ij,...j->...i", q[i], p)
-        return h[i][..., None] * y + y_old[i]
+        y = np.einsum("...ij,...j->...i", q[(i,) + rows], p)
+        return h[i][..., None] * y + y_old[(i,) + rows]
 
     def position(self, t) -> np.ndarray:
         return self._state(t)[..., : self._dim]
@@ -548,65 +598,108 @@ class Trajectory:
     def acceleration(self, t) -> np.ndarray:
         """d(velocity)/dt from the dense output (5-point stencil).
 
-        Needs a span of positive width.
+        Needs a span of positive width; on a batch, every curve's.
         """
         t = span_times(t, self.span)
-        acc = numdiff.curve_derivative(self.velocity, t, self.span, order=1)
+        t0, t1 = self.span
+        lead = t.shape[:np.ndim(t1)]    # a batch's curves
+
+        def velocity(s):
+            # the stencil times come flat; a batch regroups them by curve
+            return self.velocity(s.reshape(lead + (-1,))).reshape(
+                -1, self._dim)
+
+        end = np.reshape(t1, lead + (1,) * (t.ndim - len(lead)))
+        acc = numdiff.curve_derivative(velocity, t, (t0, end), order=1)
         return np.reshape(acc, np.shape(t) + (self._dim,))
 
 
-def _integrate(rhs, y0, t_end, tol, *, in_domain, grad_monitor=None,
-               stop_below=None):
+def _integrate(rhs, y0, t_end, tol, *, in_domain, n_curves=1,
+               grad_monitor=None, stop_below=None):
     """Drive scipy's RK45 step by step; collect dense output and flags.
 
-    The dense output stacks each step's interpolant data,
-    ``(t_old, h, y_old, Q)`` with shapes ``(steps,)``, ``(steps,)``,
-    ``(steps, n)`` and ``(steps, n, 4)``, for :class:`Trajectory`.
+    The state ``y0`` stacks ``n_curves`` curves of equal size, and RK45
+    integrates them as one system: one right-hand-side call per stage, one
+    step sequence.  A step is accepted only if each curve's own RMS error
+    estimate, scipy's norm over that curve's states, passes on its own, so
+    every curve is held to ``tol`` as in a solve of its own; one curve is
+    plain RK45, bit for bit.  The states come back curve by curve,
+    ``(samples, n_curves, m)``, and the dense output stacks each step's
+    interpolant data for a batched :class:`Trajectory`, ``(t_old, h,
+    y_old, Q)`` with shapes ``(steps,)``, ``(steps,)``,
+    ``(steps, n_curves, m)`` and ``(steps, n_curves, m, 4)``.
+
+    ``in_domain(y)`` gives one flag per curve.  Once any curve leaves the
+    domain, the solve ends at the last state where all were inside, and
+    each still-running curve outside is flagged as exited.
 
     ``grad_monitor(y, dy)`` gets each accepted state with the RHS there
     (RK45's first-same-as-last stage, so it costs no evaluation) and
-    returns the gradient norm; integration stops, flagged converged, once
-    it falls below ``stop_below``.  A seed at or below it takes no step
-    (RK45 holds the RHS at y0 from its setup), so a seed at rest does not
-    move even when ``stop_below`` is 0.  The dense output is
-    ``None`` when no step of positive length was accepted: RK45's only
-    zero-length step, at ``t_end == 0``, keeps the initial state.
-    RK45 is imported here, so pointwise geometry never loads scipy.
+    returns each curve's gradient norm; a curve stops, flagged converged,
+    at the first accepted state where it falls below its entry of
+    ``stop_below``, and the solve ends once every curve has stopped.  A
+    seed at or below it takes no step (RK45 holds the RHS at y0 from its
+    setup), so a seed at rest does not move even when ``stop_below`` is
+    0.  The dense output is ``None`` when no step of positive length was
+    accepted: RK45's only zero-length step, at ``t_end == 0``, keeps the
+    initial state.  Returns the sample times, the states, the dense
+    output and the :class:`Trajectory` keywords of the batch: per-curve
+    ``exited_domain`` and ``converged`` flags, each curve's ``last``
+    sample index, and the solve's accepted ``steps`` and RHS
+    evaluations ``nfev``.
+
+    RK45 is looked up here, so pointwise geometry never loads scipy.
     """
     from scipy.integrate import RK45
 
-    y0 = np.asarray(y0, dtype=float)
-    solver = RK45(rhs, 0.0, y0, t_bound=float(t_end), rtol=tol, atol=tol)
+    class PerCurveRK45(RK45):
+        def _estimate_error_norm(self, K, h, scale):
+            err = (self._estimate_error(K, h) / scale).reshape(n_curves, -1)
+            # scipy's RMS norm, taken curve by curve
+            return max(np.linalg.norm(e) / e.size ** 0.5 for e in err)
+
+    y0 = np.asarray(y0, dtype=float).reshape(-1)
+    solver = PerCurveRK45(rhs, 0.0, y0, t_bound=float(t_end), rtol=tol,
+                          atol=tol)
     ts = [0.0]
     ys = [y0.copy()]
     steps = []
-    exited = False
-    converged = (grad_monitor is not None and stop_below is not None
-                 and grad_monitor(y0, solver.f) <= stop_below)
-    window: list[float] = []
+    accepted = 0
+    last = np.zeros(n_curves, dtype=int)
+    exited = np.zeros(n_curves, dtype=bool)
+    converged = np.zeros(n_curves, dtype=bool)
+    if grad_monitor is not None and stop_below is not None:
+        converged = grad_monitor(y0, solver.f) <= stop_below
+    running = ~converged
+    window = []
     prev_window_min = np.inf
-    while solver.status == "running" and not converged:
+    while solver.status == "running" and running.any():
         msg = solver.step()
         if solver.status == "failed":
             raise StepUnderflowError(msg or "adaptive step size underflow")
-        if not in_domain(solver.y):
-            exited = True
+        accepted += 1
+        inside = np.asarray(in_domain(solver.y), dtype=bool)
+        if not inside.all():
+            exited = running & ~inside
             break
         if solver.t != solver.t_old:    # zero-length only at t_end == 0
             steps.append(solver.dense_output())
         ts.append(solver.t)
         ys.append(solver.y.copy())
+        last[running] = len(ts) - 1
         if grad_monitor is None:
             continue
         norm = grad_monitor(solver.y, solver.f)
-        if stop_below is not None and norm < stop_below:
-            converged = True
-            break
+        if stop_below is not None:
+            stop = running & (norm < stop_below)
+            converged = converged | stop
+            running = running & ~stop
         window.append(norm)
         if len(window) == _MONITOR_WINDOW:
-            wmin = min(window)
-            floor = 1e-13 * (1.0 + float(np.linalg.norm(solver.y)))
-            if wmin >= prev_window_min and wmin > floor:
+            wmin = np.min(window, axis=0)
+            size = np.linalg.norm(solver.y.reshape(n_curves, -1), axis=1)
+            if (running & (wmin >= prev_window_min)
+                    & (wmin > 1e-13 * (1.0 + size))).any():
                 raise NonConvergenceError(
                     "gradient norm failed to decrease over a full "
                     f"window of {_MONITOR_WINDOW} steps")
@@ -616,9 +709,13 @@ def _integrate(rhs, y0, t_end, tol, *, in_domain, grad_monitor=None,
     if steps:
         dense = (np.array([s.t_old for s in steps]),
                  np.array([s.h for s in steps]),
-                 np.stack([s.y_old for s in steps]),
-                 np.stack([s.Q for s in steps]))
-    return np.array(ts), np.array(ys), dense, exited, converged
+                 np.stack([s.y_old for s in steps]).reshape(
+                     len(steps), n_curves, -1),
+                 np.stack([s.Q for s in steps]).reshape(
+                     len(steps), n_curves, -1, steps[0].Q.shape[-1]))
+    return (np.array(ts), np.array(ys).reshape(len(ts), n_curves, -1),
+            dense, dict(exited_domain=exited, converged=converged, last=last,
+                        steps=accepted, nfev=solver.nfev))
 
 
 def integrate_geodesic(conn: AffineConnection, x0, v0, t_end: float,
@@ -638,46 +735,74 @@ def integrate_geodesic(conn: AffineConnection, x0, v0, t_end: float,
         acc = -np.einsum("kij,i,j->k", conn(x), v, v)
         return np.concatenate([v, acc])
 
-    ts, ys, dense, exited, _ = _integrate(
+    ts, ys, dense, info = _integrate(
         rhs, np.concatenate([x0, v0]), t_end, tol,
-        in_domain=lambda y: conn.chart.contains(y[:n]))
-    return Trajectory(ts, ys[:, :n], ys[:, n:], dense, n,
-                      exited_domain=exited)
+        in_domain=lambda y: [conn.chart.contains(y[:n])])
+    ys = ys.swapaxes(0, 1)
+    return Trajectory(ts, ys[..., :n], ys[..., n:], dense, n, **info)[0]
 
 
 def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,
                    tol: float = 1e-10,
-                   stop_grad_norm: float | None = None) -> Trajectory:
-    """Integrate the gradient descent xd = -grad f.
+                   stop_grad_norm: float | np.ndarray | None = None
+                   ) -> Trajectory:
+    """Integrate the gradient descent xd = -grad f from a seed or a seed stack.
+
+    A seed ``(dim,)`` gives one curve.  A stack of B seeds ``(B, dim)``
+    gives the batch of B curves, integrated as one RK45 system of B·dim
+    states: each right-hand-side call is one :func:`gradient` call on the
+    ``(B, dim)`` stack.  A step is accepted only if every curve's own
+    error estimate meets ``tol``, so each curve is as accurate as in a
+    solve of its own, and one seed is plain RK45 bit for bit (the seed is
+    the batch of one).  The batch's :class:`Trajectory` shares the solve's
+    step times, ``steps`` and ``nfev``; curve b ends at its own stop, and
+    ``traj[b]`` is curve b alone.
 
     Parameters
     ----------
-    stop_grad_norm : float, optional
-        Stop early (flagged ``converged``) once the Riemannian gradient norm
-        falls below this threshold.  A seed at or below it takes no step:
-        the trajectory holds x0 alone, with span (0, 0).
+    stop_grad_norm : float or (B,) array, optional
+        Each curve stops (flagged ``converged``) at the first accepted
+        step where its Riemannian gradient norm falls below its threshold.
+        A seed at or below it takes no step: the curve holds x0 alone,
+        with span (0, 0).  The solve ends once every curve has stopped.
+
+    The curves of a batch share one domain check: once any curve leaves
+    the chart, every curve ends at the last state where all were inside,
+    and the ones outside are flagged ``exited_domain``.
 
     Raises
     ------
     NonConvergenceError
-        If the gradient norm fails to decrease over a full output window,
-        the numerical stand-in for a flow that is not relaxing.
+        If a running curve's gradient norm fails to decrease over a full
+        output window, the numerical stand-in for a flow that is not
+        relaxing.
     """
     x0 = np.asarray(x0, dtype=float)
+    # the closures see the seed's own shape, a point or a stack
+    shape, dim = x0.shape, x0.shape[-1]
+    n = x0.size // dim
 
     def field(x):
         return -gradient(g, f, x)
 
-    def monitor(x, xdot):
+    def monitor(y, ydot):
         # |grad f|^2 = df(grad f) = -df(xdot), with xdot = field(x) at hand
-        return np.sqrt(max(-float(f.gradient_covector(x) @ xdot), 0.0))
+        x, xdot = y.reshape(shape), ydot.reshape(shape)
+        rate = np.einsum("...i,...i->...", f.gradient_covector(x), xdot)
+        return np.sqrt(np.maximum(-rate, 0.0)).reshape(n)
 
-    ts, ys, dense, exited, converged = _integrate(
-        lambda _t, x: field(x), x0, t_end, tol, in_domain=g.chart.contains,
-        grad_monitor=monitor, stop_below=stop_grad_norm)
-    vs = field(ys)
-    return Trajectory(ts, ys, vs, dense, x0.size, velocity_field=field,
-                      exited_domain=exited, converged=converged)
+    stop = (None if stop_grad_norm is None
+            else np.broadcast_to(stop_grad_norm, (n,)))
+    ts, ys, dense, info = _integrate(
+        lambda _t, y: field(y.reshape(shape)).reshape(-1), x0, t_end, tol,
+        n_curves=n,
+        in_domain=lambda y: [g.chart.contains(x) for x in y.reshape(n, dim)],
+        grad_monitor=monitor, stop_below=stop)
+    vs = field(ys.reshape((-1,) + shape)).reshape(ys.shape)
+    # the batch layout: curves first
+    traj = Trajectory(ts, ys.swapaxes(0, 1), vs.swapaxes(0, 1), dense, dim,
+                      velocity_field=field, **info)
+    return traj if x0.ndim > 1 else traj[0]
 
 
 def covariant_acceleration(conn: AffineConnection, traj: Trajectory,

@@ -118,11 +118,12 @@ def curve_derivative(fn: Callable[[np.ndarray], np.ndarray], t,
     1-D array of all stencil times, and returns one value (a scalar or a
     vector) per time.  A scalar t gives a float for scalar values and a
     vector otherwise; an array gives one value per t, shaped
-    ``t.shape + value shape``.
+    ``t.shape + value shape``.  The span's end may be an array that
+    broadcasts against t, one end per row of times.
     """
     t0, t1 = span
     width = t1 - t0
-    if width <= 0.0:
+    if np.any(width <= 0.0):
         raise ValueError("degenerate span")
     t = np.asarray(t, dtype=float)
     h = np.minimum(STEP_CURVE * np.maximum(1.0, np.abs(t)), width / 4.0)

@@ -333,6 +333,17 @@ def test_compare_runs_at_the_integrators_tolerance_floor(tmp_path, capsys):
     assert ResultBundle.read(tmp_path / "floor").config["tol"] == floor
 
 
+def test_compare_dense_output_outside_the_chart_is_a_numerical_failure(
+        tmp_path, capsys):
+    # at tol 0.5 the interpolant between two in-chart steps leaves the
+    # variance half-line; the typed error exits 2, not a traceback
+    code, stdout, err = run(["compare", "--model", "gaussian-mode",
+                             "--tol", "0.5", "--out", str(tmp_path / "c")],
+                            capsys)
+    assert (code, stdout) == (2, "")
+    assert "numerical failure: DomainExitError" in err
+
+
 # ------------------------------------------------------------------ verify
 
 

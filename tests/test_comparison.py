@@ -265,7 +265,8 @@ def test_no_coincidence_and_no_delta_f_reads_zero_gap():
     g, f = fixtures.euclidean_quadratic(2)
     pair = cp.EquidistantPair(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.5)
     report = cp.compare(g, f, 0.0, pair, 8.0,
-                        flow=lambda x0: _Spiral(x0, 0.0 if x0[0] else 1.0))
+                        flow=lambda x1, x2: (_Spiral(x1, 0.0),
+                                             _Spiral(x2, 1.0)))
     assert report.coincidence_times == []
     assert np.abs(report.delta_f).max() <= cp.DELTA_TOL
     assert report.verdict == cp.INCONCLUSIVE
@@ -302,9 +303,7 @@ def test_pair_on_the_minimum_level_is_a_no_race(model, monkeypatch):
     else:                       # closed form
         sp = gc.spectrum(gc.ChainSpec(4))
         g, f = gc.chain_manifold(sp)
-
-        def flow(x0):
-            return gc.ChainTrajectory(sp, x0, 50.0)
+        flow = gc.chain_flow(sp, 50.0)
 
     def refused(*args):
         raise AssertionError("a no-race ran the root search or a cubic")
@@ -326,7 +325,8 @@ def test_a_batch_needs_one_curve_per_pair():
     pairs = cp.EquidistantPair(x, x[::-1], np.full(2, f(x[0])))
     with pytest.raises(ValueError, match="one curve"):
         cp.compare_batch(g, f, 0.0, pairs,
-                         lambda x0: mf.integrate_flow(g, f, x0[0], 1.0))
+                         lambda x1, x2: (mf.integrate_flow(g, f, x1[0], 1.0),
+                                         mf.integrate_flow(g, f, x2[0], 1.0)))
 
 
 def test_compare_mode_warming_wins():
@@ -435,6 +435,20 @@ def _flat_bowl():
     return g, f, cp.equidistant_seed(g, f, 0.5, d1, d2)
 
 
+def _one_solve_per_curve(g, f, t_end):
+    """compare's default flow, but each curve from a solve of its own.
+
+    Two step sequences make the flat bowl's speeds differ by roundoff
+    at ~224 brackets; one joint solve shares its steps and finds fewer.
+    """
+    def flow(*seeds):
+        return tuple(mf.integrate_flow(
+            g, f, x0, t_end,
+            stop_grad_norm=cp.STOP_RTOL * np.sqrt(mf.grad_norm_sq(g, f, x0)))
+            for x0 in seeds)
+    return flow
+
+
 def _smooth_reports():
     g, f, pair = mode_pair()
     yield "gaussian-mode", g, cp.compare(g, f, 0.0, pair, 8.0)
@@ -445,7 +459,7 @@ def _smooth_reports():
     level = 0.5 * (f(lo) + f(hi))
     yield "chain", g, cp.compare(
         g, f, 0.0, cp.EquidistantPair(lo, hi, level), 50.0,
-        flow=lambda x0: gc.ChainTrajectory(sp, x0, 50.0))
+        flow=gc.chain_flow(sp, 50.0))
 
 
 def test_bracketed_roots_match_brentq():
@@ -471,7 +485,8 @@ def test_bracketed_roots_on_roundoff_brackets():
     # batched search stop at different roundoff sign changes of one
     # bracket, and both roots are zeros of fn to within a few ulp
     g, f, pair = _flat_bowl()
-    rep = cp.compare(g, f, 0.0, pair, 12.0)
+    rep = cp.compare(g, f, 0.0, pair, 12.0,
+                     flow=_one_solve_per_curve(g, f, 12.0))
     fn, lo, hi, f_lo, f_hi = _speed_brackets(g, rep)
     assert lo.size > 200
     got = cp.bracketed_roots(lambda t, _: fn(t), lo, hi, f_lo, f_hi)
@@ -519,7 +534,8 @@ def test_compare_metric_inverse_calls_are_bounded(monkeypatch):
                                           stop_grad_norm=stop)
         assert len(calls) <= solvers[-1].nfev + 1
     calls.clear()
-    rep = cp.compare(g, f, 0.0, pair, 12.0, flow=lambda x0: trajs[id(x0)])
+    rep = cp.compare(g, f, 0.0, pair, 12.0,
+                     flow=lambda x1, x2: (trajs[id(x1)], trajs[id(x2)]))
     assert len(rep.coincidence_times) > 200
     # one call per velocity query: the two sample grids, two per round
     # of the root search (all brackets at once, so the count does not
@@ -547,7 +563,8 @@ def test_diagonal_models_make_no_svd_calls(monkeypatch):
 
     count(np.linalg, "svd")
     g, f, pair = _flat_bowl()
-    rep = cp.compare(g, f, 0.0, pair, 12.0)
+    rep = cp.compare(g, f, 0.0, pair, 12.0,
+                     flow=_one_solve_per_curve(g, f, 12.0))
     assert len(rep.coincidence_times) > 200
     assert "svd" not in calls
     for name in ("_inverse", "metric_inverse", "christoffel_levi_civita",
@@ -604,3 +621,68 @@ def test_symmetry_check_equal_seeds():
     assert not rep.delta_f.any()
     assert rep.verdict == cp.INCONCLUSIVE
     assert rep.notes[0].startswith("zero-gap")
+
+
+# ---------------------------------------------------------- the joint solve
+
+
+def _joint_and_closed_race(name):
+    """g, f, the integrated report, the closed-form flow and t_end."""
+    if name == "gaussian-mode":
+        g, f, pair = mode_pair()
+        sp = gc.ModeSpectrum(lambdas=np.array([2.0]))
+        swapped = cp.EquidistantPair(pair.x2_0, pair.x1_0, pair.level)
+        return (g, f, cp.compare(g, f, 0.0, swapped, 8.0),
+                gc.chain_flow(sp, 8.0), 8.0)
+    res = gc.universal_asymmetry_experiment(gc.ChainSpec(6), 3.0,
+                                            per_mode=False)
+    g, f = gc.chain_manifold(res.spect)
+    return (g, f, cp.compare(g, f, 0.0, res.pair, res.t_end),
+            gc.chain_flow(res.spect, res.t_end), res.t_end)
+
+
+@pytest.mark.parametrize("name", ["gaussian-mode", "chain"])
+def test_each_curve_of_the_joint_solve_keeps_its_closed_form(name):
+    # within route-agreement's 1e-8 of the exact relaxation, curve by
+    # curve, and flagged as the same curve integrated alone would be
+    g, f, rep, closed_flow, t_end = _joint_and_closed_race(name)
+    assert rep.verdict == cp.CURVE1_FASTER
+    assert rep.traj1.nfev == rep.traj2.nfev
+    exact = closed_flow(rep.traj1.xs[0], rep.traj2.xs[0])
+    for traj, closed in zip((rep.traj1, rep.traj2), exact):
+        ts = np.linspace(0.0, min(traj.span[1], closed.span[1]), 257)
+        a = closed.position(ts)
+        assert np.max(np.abs(traj.position(ts) - a) / a) < 1e-8, name
+        x0 = traj.xs[0]
+        alone = mf.integrate_flow(
+            g, f, x0, t_end,
+            stop_grad_norm=cp.STOP_RTOL * np.sqrt(mf.grad_norm_sq(g, f, x0)))
+        assert (traj.converged, traj.exited_domain) == (
+            alone.converged, alone.exited_domain), name
+
+
+def test_flat_bowl_compare_is_one_solve():
+    # both curves come from one RK45 system: one step sequence, and the
+    # work of a single curve (1396 evaluations as two solves)
+    g, f, pair = _flat_bowl()
+    rep = cp.compare(g, f, 0.0, pair, 12.0)
+    assert np.shares_memory(rep.traj1.ts, rep.traj2.ts)
+    assert rep.traj1.steps == rep.traj2.steps
+    assert rep.traj1.nfev == rep.traj2.nfev <= 700
+    assert rep.verdict == cp.INCONCLUSIVE
+    assert _max_delta_over_level(rep) <= 1e-7
+
+
+def test_samples_outside_the_chart_raise_domain_exit(monkeypatch):
+    # at tol 0.5 the interpolant between two in-chart steps dips below
+    # a = 0; the samples are checked before f sees them
+    g, f, pair = mode_pair()
+    value = f._value
+
+    def guarded(a):
+        assert np.all(a > 0.0), "f called outside the chart"
+        return value(a)
+
+    monkeypatch.setattr(f, "_value", guarded)
+    with pytest.raises(DomainExitError, match="dense output"):
+        cp.compare(g, f, 0.0, pair, 8.0, tol=0.5)

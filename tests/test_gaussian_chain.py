@@ -1,6 +1,5 @@
 """Mode spectrum, relaxation closed forms, and the warming/cooling experiment."""
 
-from functools import partial
 
 import numpy as np
 import pytest
@@ -517,7 +516,7 @@ def _mode_race_alone(res, k):
     lo, hi = res.pair.x1_0[k:k + 1], res.pair.x2_0[k:k + 1]
     pair = EquidistantPair(lo, hi, 0.5 * (f(hi) + f(lo)))
     return compare(g, f, 0.0, pair, res.t_end,
-                   flow=partial(gc.ChainTrajectory, sp, t_end=res.t_end))
+                   flow=gc.chain_flow(sp, res.t_end))
 
 
 def _assert_same_race(got, want):
@@ -559,15 +558,14 @@ def test_a_no_race_row_leaks_nothing_into_its_batch():
     g, f = gc._mode_rows(sp)
     reps = compare_batch(g, f, 0.0,
                          EquidistantPair(lo, hi, 0.5 * (f(hi) + f(lo))),
-                         partial(gc.ChainTrajectory, sp, t_end=res.t_end))
+                         gc.chain_flow(sp, res.t_end))
     assert [n.split(":")[0] for n in reps[3].notes] == ["no-race"]
     assert reps[3].verdict == INCONCLUSIVE and reps[3].traj1.span == (0.0, 0.0)
     g3, f3 = gc.mode_manifold(sp, 3)
     q = sp.a_star[3:4]
     _assert_same_race(reps[3], compare(
         g3, f3, 0.0, EquidistantPair(q, q, f3(q)), res.t_end,
-        flow=partial(gc.ChainTrajectory, gc._mode_spectrum(sp, 3),
-                     t_end=res.t_end)))
+        flow=gc.chain_flow(gc._mode_spectrum(sp, 3), res.t_end)))
     for k, rep in enumerate(reps):
         if k != 3:
             _assert_same_race(rep, res.modes[k])

@@ -472,6 +472,99 @@ def test_flow_nonconvergence_detected():
         mf.integrate_flow(g, f, [1.0], 60.0)
 
 
+# ---------------------------------------------------------------- seed stacks
+
+
+def _plain_rk45(g, f, x0, t_end, tol=1e-10):
+    """scipy's RK45 on -grad f, stepped to t_end: times, states, steps."""
+    solver = scipy.integrate.RK45(lambda _t, x: -mf.gradient(g, f, x), 0.0,
+                                  np.asarray(x0, dtype=float),
+                                  t_bound=t_end, rtol=tol, atol=tol)
+    ts, ys, steps = [0.0], [solver.y.copy()], []
+    while solver.status == "running":
+        solver.step()
+        steps.append(solver.dense_output())
+        ts.append(solver.t)
+        ys.append(solver.y.copy())
+    return np.array(ts), np.array(ys), steps, solver.nfev
+
+
+@pytest.mark.parametrize("model, x0", [("sphere", [2.0, 0.5]),
+                                       ("mode", [2.5]),
+                                       ("bowl", [1.0, -0.3]),
+                                       ("two-mode", [0.5, 2.0])])
+def test_one_seed_is_plain_rk45_bit_for_bit(model, x0):
+    g, f = {"sphere": fixtures.sphere_height,
+            "mode": fixtures.gaussian_mode,
+            "bowl": lambda: fixtures.euclidean_quadratic(2),
+            "two-mode": fixtures.two_mode_chain}[model]()
+    traj = mf.integrate_flow(g, f, x0, 1.0)
+    ts, ys, steps, nfev = _plain_rk45(g, f, x0, 1.0)
+    assert traj.ts.tobytes() == ts.tobytes()
+    assert traj.xs.tobytes() == ys.tobytes()
+    t_old, h, y_old, q = traj._dense
+    for got, attr in ((t_old, "t_old"), (h, "h"), (y_old, "y_old"),
+                      (q, "Q")):
+        assert got.tobytes() == np.stack([getattr(s, attr)
+                                          for s in steps]).tobytes()
+    assert (traj.steps, traj.nfev) == (len(ts) - 1, nfev)
+
+
+def test_a_seed_stack_is_one_solve_with_a_stop_per_curve():
+    g, f = fixtures.two_mode_chain()
+    seeds = np.array([[0.5, 2.0], [3.0, 0.4], f.minimum_q])
+    stops = np.array([1e-3, 1e-5, 1.0])     # the last seed is at rest
+    traj = mf.integrate_flow(g, f, seeds, 20.0, stop_grad_norm=stops)
+    t0, t1 = traj.span
+    assert t0 == 0.0 and t1.shape == (3,)
+    assert 0.0 < t1[0] < t1[1] == traj.ts[-1] and t1[2] == 0.0
+    assert traj.converged.tolist() == [True] * 3
+    assert traj.exited_domain.tolist() == [False] * 3
+    for b in range(3):
+        one = traj[b]
+        assert one.span == (0.0, t1[b])
+        assert (one.steps, one.nfev) == (traj.steps, traj.nfev)
+        assert one.converged and not one.exited_domain
+        # each curve ends at its first accepted state below its own stop
+        speed = np.sqrt(mf.grad_norm_sq(g, f, one.xs))
+        assert speed[-1] < stops[b] or one.ts.size == 1
+        assert np.all(speed[:-1] >= stops[b])
+    # batch queries: the curves down the leading axis, bit for bit the
+    # single-curve queries, for one time per curve and for a grid
+    grid = np.linspace(0.0, 1.0, 7) * t1[:, None]
+    for t in (t1, grid):
+        x, v = traj.position_velocity(t)
+        assert x.shape == v.shape == t.shape + (2,)
+        for b in range(3):
+            xb, vb = traj[b].position_velocity(t[b])
+            assert x[b].tobytes() == xb.tobytes()
+            assert v[b].tobytes() == vb.tobytes()
+    with pytest.raises(OutOfSpanError):
+        traj.position(t1 + 1e-3)
+    # the moving curves' accelerations from one stencil call
+    pair = mf.integrate_flow(g, f, seeds[:2], 20.0, stop_grad_norm=stops[:2])
+    grid = np.linspace(0.0, 1.0, 7) * pair.span[1][:, None]
+    acc = pair.acceleration(grid)
+    assert acc.shape == grid.shape + (2,)
+    for b in range(2):
+        assert_allclose(acc[b], pair[b].acceleration(grid[b]), rtol=1e-13,
+                        atol=0.0)
+
+
+def test_a_seed_stack_flags_domain_exits_per_curve():
+    # a concave f pushes x outward: the seed at 0.5 reaches the chart's
+    # edge at x = 1 while the one at -0.1 still runs inside
+    chart = mf.Chart(1, domain_check=lambda x: x[..., 0] < 1.0)
+    g = mf.MetricField(chart, diagonal=lambda x: np.ones(x.shape))
+    f = mf.ScalarPotential(lambda x: -0.5 * (x * x).sum(axis=-1),
+                           gradient=lambda x: -x)
+    traj = mf.integrate_flow(g, f, [[0.5], [-0.1]], 5.0)
+    assert traj.exited_domain.tolist() == [True, False]
+    assert traj.converged.tolist() == [False, False]
+    assert traj.span[1][0] == traj.span[1][1] == traj.ts[-1] < 5.0
+    assert traj.xs[0, -1, 0] < 1.0
+
+
 # ---------------------------------------------------------------- point stacks
 
 
