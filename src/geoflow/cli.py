@@ -10,6 +10,8 @@ Four subcommands share one artifact layout (see :mod:`geoflow.bundle`):
 Each flag's type and default are declared once, in :func:`_build_parser`;
 a config file's values are cast by those types and become the
 subcommand's defaults, so a flag beats the config, which beats a default.
+:func:`main` builds the parser once per process and may be called again
+in-process: only a ``--config`` call builds a parser of its own.
 
 Each ``cmd_*`` returns its bundle, its stdout line (or None), its stderr
 lines and its exit code; :func:`main` alone times the command, writes
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import functools
 import os
 import sys
 import time
@@ -165,8 +168,7 @@ _Outcome = tuple[ResultBundle, str | None, list[str], int]
 
 def _add_coincidences(bundle: ResultBundle, rep) -> None:
     bundle.add_table("coincidences", ["t_star", "cubic_gap"],
-                     [[float(t), float(gap)] for t, gap
-                      in zip(rep.coincidence_times, rep.cubic_gaps)])
+                     np.column_stack([rep.coincidence_times, rep.cubic_gaps]))
 
 
 def _exit_code(verdict: str) -> int:
@@ -199,10 +201,9 @@ def cmd_chain(args) -> _Outcome:
     # per mode k the columns a{k}_plus, a{k}_minus, side by side
     variances = np.stack([full.traj2.position(full.ts),
                           full.traj1.position(full.ts)], axis=-1)
-    rows = np.column_stack([full.ts, full.f2, full.f1, full.delta_f,
-                            variances.reshape(len(full.ts), -1)])
-    # one row list at a time: the table keeps only the text
-    bundle.add_table("trajectory", header, (row.tolist() for row in rows))
+    bundle.add_table("trajectory", header,
+                     np.column_stack([full.ts, full.f2, full.f1, full.delta_f,
+                                      variances.reshape(len(full.ts), -1)]))
     _add_coincidences(bundle, full)
     bundle.add_table("modes",
                      ["mode", "rate", "a_star", "verdict", "min_delta_F"],
@@ -257,9 +258,7 @@ def cmd_compare(args) -> _Outcome:
                 "direction2": list(dir2), "level": level, "lam": args.lam,
                 "t_end": args.t_end, "tol": args.tol})
     bundle.add_table("report", ["t", "f1", "f2", "delta_f"],
-                     [[float(t), float(rep.f1[i]), float(rep.f2[i]),
-                       float(rep.delta_f[i])]
-                      for i, t in enumerate(rep.ts)])
+                     np.column_stack([rep.ts, rep.f1, rep.f2, rep.delta_f]))
     _add_coincidences(bundle, rep)
     bundle.verdicts = [rep.verdict] + list(rep.notes)
     return (bundle, rep.verdict, [f"note: {note}" for note in rep.notes],
@@ -406,14 +405,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser(models: tuple[str, ...]) -> _Parser:
+    """The process's parser for the registry's model names ``models``.
+
+    Parsing leaves a parser as it was, so :func:`main` reuses it; a
+    registry that gains or loses a model is a new key, hence a new parser.
+    """
+    return _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser = _parser(tuple(COMPARE_MODELS))
     argv = _attach_vector_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
         if args.config:
             # config values become the subcommand's defaults, and argv is
-            # parsed again: a flag beats the config, which beats a default
+            # parsed again: a flag beats the config, which beats a default.
+            # A parser of this call's own keeps them from later calls
+            parser = _build_parser()
             parser.commands[args.command].set_defaults(**_config_values(
                 args.config, parser.commands, args.command))
             args = parser.parse_args(argv)

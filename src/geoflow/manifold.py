@@ -319,13 +319,25 @@ class AffineConnection:
         return np.asarray(self.coeffs(np.asarray(x, dtype=float)), dtype=float)
 
 
-def _check_condition(s_max, s_min, x: np.ndarray) -> None:
-    """Raise unless s_max <= 1e12 s_min at every point, with s_min > 0.
+def _check_condition(sv: np.ndarray, x: np.ndarray) -> None:
+    """Raise unless max|s| <= 1e12 min|s| at every point, with min|s| > 0.
 
-    s_max and s_min are the largest and smallest singular values of the
-    metric, per point; the rule is checked without dividing, and it fails
-    for a zero or nan s_min, i.e. an infinite or undefined condition number.
+    sv holds each point's singular values of the metric (or a diagonal
+    metric's g_ii) on its last axis.  One min and one max over the whole
+    stack settle the common case: if the smallest value is positive and
+    the largest is within 1e12 of it, every point passes, since a point's
+    own extremes lie between the two and rounding 1e12 s is monotone.
+    Otherwise the rule runs point by point, without dividing; it fails
+    for a zero or nan min|s|, i.e. an infinite or undefined condition
+    number, and names the first failing point.
     """
+    if sv.size == 0:
+        return
+    lo = sv.min()
+    if lo > 0.0 and sv.max() <= COND_LIMIT * lo:
+        return
+    a = np.abs(sv)
+    s_max, s_min = a.max(axis=-1), a.min(axis=-1)
     ok = (s_max <= COND_LIMIT * s_min) & (s_min > 0.0)
     if not ok.all():
         i = np.unravel_index(np.argmin(ok), ok.shape)
@@ -340,8 +352,7 @@ def _inverse(g: MetricField, x: np.ndarray) -> np.ndarray:
     if not g.is_diagonal:
         return metric_inverse(g, x)
     d = g.diagonal(x)
-    a = np.abs(d)
-    _check_condition(a.max(axis=-1), a.min(axis=-1), x)
+    _check_condition(d, x)
     return 1.0 / d
 
 
@@ -391,7 +402,7 @@ def metric_inverse(g: MetricField, x: np.ndarray) -> np.ndarray:
         i = np.unravel_index(np.argmin(finite), finite.shape)
         raise SingularMatrixError(
             f"metric at {np.asarray(x)[i]} has no inverse: {exc}") from exc
-    _check_condition(s[..., 0], s[..., -1], x)
+    _check_condition(s, x)
     return vh.swapaxes(-1, -2) / s[..., None, :] @ u.swapaxes(-1, -2)
 
 

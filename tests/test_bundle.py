@@ -3,8 +3,9 @@
 import filecmp
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hst
 
 from geoflow.bundle import ResultBundle, Table, _csv_line, _encode
@@ -88,16 +89,45 @@ _EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
                 2.2250738585072014e-308, 1e308, -1e308, 1.0 / 3.0)
 
 
-@given(hst.lists(hst.floats(allow_nan=True, allow_infinity=True)
-                 | hst.sampled_from(_EDGE_FLOATS), min_size=1, max_size=6))
-def test_float_rows_take_either_path_to_the_same_text(row):
-    # an all-float row is formatted in one step; a str cell sends the same
-    # floats through the per-cell encoder and the csv writer
-    header = [f"c{i}" for i in range(len(row))]
-    (line,) = Table(header, [row]).lines
-    assert line == _csv_line([_encode(c) for c in row])
-    (mixed,) = Table(header + ["label"], [row + ["x"]]).lines
-    assert mixed == line + ",x"
-    (back,) = Table(header, [row]).rows
+_FLOATS = (hst.floats(allow_nan=True, allow_infinity=True)
+           | hst.sampled_from(_EDGE_FLOATS))
+
+
+@given(pool=hst.lists(_FLOATS, min_size=1, max_size=6),
+       width=hst.integers(1, 6), n_rows=hst.sampled_from([1, 2, 64, 65, 150]),
+       seed=hst.integers(0, 2**32 - 1))
+@example(pool=[0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324], width=3,
+         n_rows=150, seed=0)
+def test_float_rows_take_either_path_to_the_same_text(pool, width, n_rows,
+                                                      seed):
+    # an array table formats each distinct value of a 64-row block once;
+    # a list of rows sends the same floats through the per-cell encoder
+    # and the csv writer.  Cells drawn from a small pool repeat, within a
+    # block and across block boundaries
+    idx = np.random.default_rng(seed).integers(len(pool), size=(n_rows, width))
+    values = np.array(pool)[idx]
+    rows = values.tolist()
+    header = [f"c{i}" for i in range(width)]
+    lines = Table(header, values).lines
+    assert lines == [_csv_line([_encode(c) for c in row]) for row in rows]
+    mixed = Table(header + ["label"], [row + ["x"] for row in rows]).lines
+    assert mixed == [line + ",x" for line in lines]
     # repr tells -0.0 from 0.0 and a float from an int, and equates nan
-    assert list(map(repr, back)) == [repr(float("%.12e" % v)) for v in row]
+    assert ([list(map(repr, row)) for row in Table(header, values).rows]
+            == [[repr(float("%.12e" % v)) for v in row] for row in rows])
+
+
+def test_float_table_needs_a_2d_float_array_of_the_header_width():
+    for bad in (np.zeros(3), np.zeros((2, 3, 1)), np.zeros((2, 2)),
+                np.zeros((2, 4)), np.zeros((2, 3), dtype=int)):
+        with pytest.raises(ValueError):
+            Table(["a", "b", "c"], bad)
+    assert Table(["a", "b"], np.zeros((0, 2))).lines == []
+
+
+def test_float_table_round_trips(tmp_path):
+    b = sample_bundle()
+    values = np.array([[0.0, -0.0, math.nan], [math.inf, -math.inf, 5e-324]])
+    b.add_table("floats", ["x", "y", "z"], np.tile(values, (40, 1)))
+    b.write(tmp_path / "run")
+    assert ResultBundle.read(tmp_path / "run").same_data(b)

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from geoflow import cli
+from geoflow import cli, fixtures
 from geoflow.bundle import ResultBundle
 from geoflow.comparison import _GRID
 
@@ -113,6 +113,49 @@ def test_chain_config_file_and_flag_precedence(tmp_path, capsys):
                       "--out", str(tmp_path / "flagged")], capsys)
     assert code == 0
     assert ResultBundle.read(tmp_path / "flagged").config["n_beads"] == 3
+
+
+# main builds its parser once per process; each test below calls it again
+
+
+def test_config_defaults_do_not_outlive_their_call(tmp_path, capsys):
+    ini = tmp_path / "five.ini"
+    ini.write_text("[chain]\nn_beads = 5\n")
+    assert run(["chain", "--config", str(ini),
+                "--out", str(tmp_path / "cfg")], capsys)[0] == 0
+    assert ResultBundle.read(tmp_path / "cfg").config["n_beads"] == 5
+    assert run(["chain", "--out", str(tmp_path / "plain")], capsys)[0] == 0
+    assert ResultBundle.read(tmp_path / "plain").config["n_beads"] == 11
+
+
+def test_help_twice_in_one_process(capsys):
+    for argv in (["--help"], ["--help"], ["chain", "--help"],
+                 ["chain", "--help"]):
+        assert cli.main(argv) == 0
+        assert "usage: geoflow" in capsys.readouterr().out
+
+
+def test_a_config_error_leaves_the_next_call_intact(tmp_path, capsys):
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[chain]\nn_beads = five\n")
+    code, _, err = run(["chain", "--config", str(ini),
+                        "--out", str(tmp_path / "bad")], capsys)
+    assert code == 1 and "n_beads" in err
+    assert run(["chain", "--no-such-flag"], capsys)[0] == 1
+    code, stdout, _ = run(["chain", "--n-beads", "3",
+                           "--out", str(tmp_path / "good")], capsys)
+    assert (code, stdout.strip()) == (0, "warming-faster")
+    assert ResultBundle.read(tmp_path / "good").config["n_beads"] == 3
+
+
+def test_a_model_registered_later_is_accepted(tmp_path, capsys, monkeypatch):
+    argv = ["compare", "--model", "bowl-again", "--out", str(tmp_path / "r")]
+    code, _, err = run(argv, capsys)
+    assert code == 1 and "bowl-again" in err
+    monkeypatch.setitem(fixtures.COMPARE_MODELS, "bowl-again",
+                        fixtures.COMPARE_MODELS["euclidean-quadratic"])
+    code, stdout, _ = run(argv, capsys)
+    assert (code, stdout.strip()) == (3, "Inconclusive")
 
 
 def test_config_keys_nothing_reads_are_rejected(tmp_path, capsys):
@@ -506,7 +549,7 @@ import sys
 import numpy as np
 
 import geoflow
-from geoflow import cli
+from geoflow import cli, fixtures
 from geoflow.gaussian_chain import (
     ChainSpec, chain_manifold, mode_plane_manifold, spectrum)
 from geoflow.straightening import (

@@ -1,10 +1,13 @@
 """Core geometry: metrics, Christoffels, geodesics, gradient flows."""
 
+import math
 import re
 
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from numpy.testing import (
     assert_allclose,
     assert_array_equal,
@@ -248,6 +251,80 @@ def test_diagonal_metric_rejects_ill_conditioned_zero_and_nan():
     # the rule is the dense one: cond 1e12 passes
     ok = _constant_diagonal(np.tile([1.0, 1e-12, 1.0], (4, 1)))
     assert_array_equal(mf.metric_inverse(ok, pts)[:, 1, 1], 1e12)
+
+
+def _per_point_condition(sv, x):
+    """The condition rule checked point by point, as a reference: the
+    error message for the first point with max|s| > 1e12 min|s| or
+    min|s| not positive, or None."""
+    a = np.abs(sv)
+    s_max, s_min = a.max(axis=-1), a.min(axis=-1)
+    ok = (s_max <= 1e12 * s_min) & (s_min > 0.0)
+    if ok.all():
+        return None
+    i = np.unravel_index(np.argmin(ok), ok.shape)
+    cond = s_max[i] / s_min[i] if s_min[i] > 0.0 else np.inf
+    return f"metric at {x[i]} has condition number {cond:.3e}"
+
+
+#: a value's ratio to the largest of its point; 1e12 is the limit itself
+_COND_RATIOS = (1.0, 3.0, 1e11, np.nextafter(1e12, 0.0), 1e12,
+                np.nextafter(1e12, np.inf), 1e13)
+
+
+@hst.composite
+def _condition_stacks(draw, finite):
+    """g_ii values of shape (dim,), (n, dim) or (0, dim): positive values
+    at one scale, their ratios either side of 1e12, and in half of the
+    draws negatives, 0, -0.0, the smallest subnormal and (unless
+    ``finite``) nan and +-inf."""
+    dim = draw(hst.integers(1, 4))
+    shape = draw(hst.sampled_from(
+        [(dim,), (draw(hst.integers(1, 5)), dim), (0, dim)]))
+    scale = draw(hst.floats(1e-100, 1e100))
+    entry = hst.builds(lambda r: scale / r, hst.sampled_from(_COND_RATIOS))
+    if draw(hst.booleans()):
+        special = (0.0, -0.0, 5e-324)
+        if not finite:
+            special += (math.nan, math.inf, -math.inf)
+        entry = entry | entry.map(lambda v: -v) | hst.sampled_from(special)
+    values = draw(hst.lists(entry, min_size=math.prod(shape),
+                            max_size=math.prod(shape)))
+    return np.array(values).reshape(shape)
+
+
+def _singular_message(evaluate):
+    """The SingularMatrixError message evaluate() raises, or None."""
+    try:
+        with np.errstate(over="ignore"):
+            evaluate()
+    except SingularMatrixError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(d=_condition_stacks(finite=False))
+def test_whole_stack_condition_test_rejects_as_the_per_point_rule_diagonal(d):
+    # the diagonal route checks the g_ii themselves
+    x = np.arange(d.size, dtype=float).reshape(d.shape)
+    g = mf.MetricField(mf.Chart(d.shape[-1]), diagonal=lambda _: d)
+    with np.errstate(over="ignore"):
+        want = _per_point_condition(d, x)
+    assert _singular_message(lambda: mf.metric_inverse(g, x)) == want
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(d=_condition_stacks(finite=True))
+def test_whole_stack_condition_test_rejects_as_the_per_point_rule_svd(d):
+    # the SVD route checks the singular values of the same matrices;
+    # LAPACK refuses nan and inf before any condition check
+    x = np.arange(d.size, dtype=float).reshape(d.shape)
+    m = d[..., None] * np.eye(d.shape[-1])
+    g = mf.MetricField(mf.Chart(d.shape[-1]), lambda _: m)
+    with np.errstate(over="ignore"):
+        want = _per_point_condition(np.linalg.svd(m)[1], x)
+    assert _singular_message(lambda: mf.metric_inverse(g, x)) == want
 
 
 def test_diagonal_closure_shape_and_metric_form_are_checked():
