@@ -23,7 +23,6 @@ __all__ = [
     "SingularCurvatureError",
     "MissingMinimumError",
     "ClosureShapeError",
-    "StepSizeWarning",
 ]
 
 
@@ -90,7 +89,3 @@ class ClosureShapeError(GeoflowError, ValueError):
     of a point stack; one that ignores them fails here instead of
     returning values for the wrong points.
     """
-
-
-class StepSizeWarning(UserWarning):
-    """Finite-difference step is so small that roundoff will dominate."""

@@ -129,29 +129,28 @@ class CompareModel:
     direction1: tuple[float, ...]
     direction2: tuple[float, ...]
     level: float
-    note: str = ""
 
 
 COMPARE_MODELS: dict[str, CompareModel] = {
+    # isotropic bowl; orthogonal seeds relax identically
     "euclidean-quadratic": CompareModel(
         build=lambda: euclidean_quadratic(2),
         direction1=(1.0, 0.0),
         direction2=(0.0, 1.0),
         level=0.5,
-        note="isotropic bowl; orthogonal seeds relax identically",
     ),
+    # warming (curve 1) against cooling (curve 2) at matched level
     "gaussian-mode": CompareModel(
         build=gaussian_mode,
         direction1=(-1.0,),
         direction2=(1.0,),
         level=2.0 * np.log(2.0) - 1.0,
-        note="warming (curve 1) against cooling (curve 2) at matched level",
     ),
+    # below-minimum seed against above-minimum seed
     "hessian-exp": CompareModel(
         build=hessian_exp,
         direction1=(-1.0,),
         direction2=(1.0,),
         level=0.5,
-        note="below-minimum seed against above-minimum seed",
     ),
 }

@@ -214,19 +214,21 @@ def scalar_curvature(conn: AffineConnection,
 
     R^l_ijk = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik,
     then Ricci_jk = R^i_jik and s = g^{jk} Ricci_jk.  With this contraction
-    the unit round sphere lands at -2.  Coefficient derivatives use finite
-    differences at the fixed step ``numdiff.STEP_COEFFS``, from one call
-    of the coefficient field on the whole stencil.  A float at a point,
+    the unit round sphere lands at -2.  Coefficient derivatives are finite
+    differences at the relative scale ``numdiff.STEP_COEFFS``, stepping
+    coordinate j by STEP_COEFFS * max(1, |x_j|), from one call of the
+    coefficient field on the whole stencil.  A stencil that lands on the
+    critical set raises StepUnderflowError.  A float at a point,
     ``(n,)`` on a stack of n points.
     """
     x = np.asarray(x, dtype=float)
     gam = conn(x)
     try:
-        jac = numdiff.jacobian_fd(conn, x, step=numdiff.STEP_COEFFS)
+        jac = numdiff.jacobian_fd(conn, x, scale=numdiff.STEP_COEFFS)
     except CriticalPointError as exc:
         raise StepUnderflowError(
-            f"coefficient stencil at step {numdiff.STEP_COEFFS:g} crosses "
-            f"the critical set near {x}") from exc
+            f"coefficient stencil at relative step {numdiff.STEP_COEFFS:g} "
+            f"x max(1, |x_j|) crosses the critical set near {x}") from exc
     # dgam[..., l, i, j, k] = d_i G^l_jk
     dgam = np.einsum("...ljki->...lijk", jac)
     riem = (dgam - np.einsum("...lijk->...ljik", dgam)

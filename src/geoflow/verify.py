@@ -586,7 +586,7 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
     # the last ratio, 5, is the curvature's zero
     smallest = float(np.abs(closed[:-1]).min())
     out.append(CheckResult("gaussian-chain", "curvature-cross-validation",
-                           worst < 1e-4 and smallest > 0.1, worst, 1e-4,
+                           worst < 1e-7 and smallest > 0.1, worst, 1e-7,
                            "closed-form s = numeric s; s not identically 0"))
     point = abs(scalar_curvature_mode(sp1, 0, 2.0 * sp1.a_star[0]) + 6.0)
     out.append(CheckResult("gaussian-chain", "curvature-point-value",

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from geoflow import cli, fixtures
+from geoflow import cli, fixtures, numdiff
 from geoflow.bundle import ResultBundle
 from geoflow.comparison import _GRID
 
@@ -487,6 +487,14 @@ def test_curvature_custom_grid(tmp_path, capsys):
     code, _, _ = run(["curvature", "--model", "euclidean-quadratic",
                       "--out", str(tmp_path / "c3")], capsys)
     assert code == 1
+    # a cell whose stencil lands on a* (a* = 1 for two beads) is a typed
+    # numerical failure, not a traceback
+    edge = repr(1.0 / (1.0 - numdiff.STEP_COEFFS))
+    code, stdout, err = run(["curvature", "--grid-start", edge,
+                             "--grid-stop", edge, "--grid-points", "1",
+                             "--out", str(tmp_path / "c7")], capsys)
+    assert (code, stdout) == (2, "")
+    assert "numerical failure: StepUnderflowError" in err
 
 
 # ------------------------------------------------------------------- misc

@@ -32,7 +32,6 @@ from geoflow.errors import (
     NonConvergenceError,
     OutOfSpanError,
     SingularMatrixError,
-    StepSizeWarning,
 )
 
 # frozen by hand: the Fisher metric g(a) = 1/(2 a^2) of the gaussian-mode
@@ -419,12 +418,6 @@ def test_christoffel_fd_order():
     err = [np.abs(numdiff.jacobian_fd(g, x, scale=h) - exact).max()
            for h in (1e-2, 5e-3)]
     assert err[0] / err[1] > 3.5
-
-
-def test_christoffel_step_warning():
-    g = sphere_metric(True)
-    with pytest.warns(StepSizeWarning):
-        numdiff.jacobian_fd(g, np.array([0.9, 0.4]), step=1e-14)
 
 
 # ---------------------------------------------------------------- geodesics
