@@ -11,15 +11,15 @@ f = 1 + cos(theta).
 
 import numpy as np
 
-from geoflow import (
-    gradient,
+from geoflow.fixtures import sphere_height
+from geoflow.manifold import (
+    covariant_acceleration,
     grad_norm_sq,
+    gradient,
     integrate_flow,
     integrate_geodesic,
     levi_civita_connection,
-    covariant_acceleration,
 )
-from geoflow.fixtures import sphere_height
 
 g, f = sphere_height()
 x = np.array([1.0, 0.3])

@@ -13,17 +13,20 @@ visibly asymmetric in its arguments.
 
 import numpy as np
 
-from geoflow import (
+from geoflow.fixtures import two_mode_chain
+from geoflow.manifold import (
     covariant_acceleration,
     gradient,
     integrate_flow,
     levi_civita_connection,
+)
+from geoflow.straightening import (
+    nonmetricity_closed_tensor,
+    nonmetricity_tensor,
     pregeodesic_residual,
     straightening_connection,
     z_field,
 )
-from geoflow.straightening import nonmetricity_closed_tensor, nonmetricity_tensor
-from geoflow.fixtures import two_mode_chain
 
 g, f = two_mode_chain()
 x0 = np.array([3.0, 1.0])

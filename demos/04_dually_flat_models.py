@@ -1,6 +1,6 @@
 """
-Hessian models, Legendre duality, and self-parallel divergence gradients
-========================================================================
+Hessian models, canonical divergences, and self-parallel divergence gradients
+=============================================================================
 
 A convex potential phi on an affine chart induces the whole dually flat
 package: the Hessian metric, the dual coordinates eta = dphi, the dual
@@ -17,21 +17,18 @@ arbitrary metrics and potentials.
 
 import numpy as np
 
-from geoflow import (
+from geoflow.dually_flat import (
     canonical_divergence,
-    canonical_divergence_dual,
-    dual_model,
     exponential_model,
     fujiwara_amari_residual,
-    legendre_dual,
     metric_field,
 )
 
 model = exponential_model()
 theta = np.array([0.7])
 
-# Legendre transform: eta = dphi, psi = theta.eta - phi
-eta, psi = legendre_dual(model, theta)
+# dual coordinates eta = dphi and dual potential psi = theta.eta - phi
+eta, psi = model.gradient_covector(theta), model.psi(theta)
 print("theta =", theta, " eta =", eta, " psi =", psi)
 print("for phi = e^theta: eta = e^theta =", np.exp(theta))
 
@@ -40,15 +37,6 @@ p, q = np.array([0.7]), np.array([-0.4])
 print("\nD(p||q) =", canonical_divergence(model, p, q))
 print("D(q||p) =", canonical_divergence(model, q, p))
 print("D(p||p) =", canonical_divergence(model, p, p))
-
-# the dual model swaps the roles: its potential is psi(eta), its
-# divergence the reversed one
-dm = dual_model(model)
-eta_p, eta_q = model.gradient_covector(p), model.gradient_covector(q)
-print("\ndual-chart divergence D*(eta_p||eta_q) =",
-      canonical_divergence(dm, eta_p, eta_q))
-print("equals the reversed original        =",
-      canonical_divergence_dual(model, p, q))
 
 # Hessian metric = Fisher information of the model
 g = metric_field(model)

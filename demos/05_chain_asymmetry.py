@@ -19,7 +19,7 @@ that the numeric pipeline reproduces.
 
 import numpy as np
 
-from geoflow import (
+from geoflow.gaussian_chain import (
     ChainSpec,
     equidistant_temperatures,
     potential_F,

@@ -186,8 +186,12 @@ def cmd_chain(args) -> _Outcome:
     if args.t_end is not None and not args.t_end > 0.0:
         raise ConfigError("t-end must be positive")
 
-    res = universal_asymmetry_experiment(ChainSpec(args.n_beads), args.t_plus,
-                                         args.t_end)
+    try:
+        res = universal_asymmetry_experiment(ChainSpec(args.n_beads),
+                                             args.t_plus, args.t_end)
+    except ValueError as exc:
+        # a hot start past the float range of the metric's partials
+        raise ConfigError(str(exc)) from exc
     spect = res.spect
     bundle = ResultBundle(
         command="chain",

@@ -1,4 +1,4 @@
-"""Hessian manifolds, Legendre duality, and the canonical divergence.
+"""Hessian models and the canonical divergence.
 
 A convex potential phi on an affine chart induces the dually flat structure:
 metric g = Hess(phi), dual coordinates eta = d(phi), dual potential
@@ -6,8 +6,10 @@ psi = theta . eta - phi, and the divergence
 
     D(p, q) = phi(p) + psi(q) - theta(p) . eta(q).
 
-These are the classical fixtures against which the straightening machinery
-is validated: the gradient field of D_q(.) = D(q, .) in theta-coordinates
+Every quantity is evaluated at theta; the Legendre-dual model over the
+eta chart is classical (Amari & Nagaoka 2000, ch. 3) and is not rebuilt.
+These are the fixtures against which the straightening machinery is
+validated: the gradient field of D_q(.) = D(q, .) in theta-coordinates
 is affine (V(x) = x - q), so (dV)V = V identically, and its gradient curves
 run along straight chart lines.
 """
@@ -19,17 +21,14 @@ from typing import Callable
 import numpy as np
 
 from . import numdiff
-from .errors import CriticalPointError, NonConvergenceError, NonConvexError
+from .errors import CriticalPointError, NonConvexError
 from .manifold import Chart, MetricField, ScalarPotential, _check_shape
 
 __all__ = [
     "HessianModel",
-    "legendre_dual",
     "canonical_divergence",
-    "canonical_divergence_dual",
     "fujiwara_amari_residual",
     "metric_field",
-    "dual_model",
     "quadratic_model",
     "exponential_model",
     "gaussian_natural_model",
@@ -82,85 +81,12 @@ def metric_field(model: HessianModel) -> MetricField:
     return MetricField(model.chart, model.hessian, name=model.name)
 
 
-def legendre_dual(model: HessianModel, theta) -> tuple[np.ndarray, float]:
-    """Dual coordinates and dual potential: (eta, psi) at theta.
-
-    Raises
-    ------
-    NonConvexError
-        If the Hessian at theta is not positive definite.
-    """
-    theta = np.asarray(theta, dtype=float)
-    model.hessian(theta)
-    return model.gradient_covector(theta), model.psi(theta)
-
-
 def canonical_divergence(model: HessianModel, p, q) -> float | np.ndarray:
     """D(p, q) = phi(p) + psi(q) - theta(p) . eta(q), both points in theta."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     return (model(p) + model.psi(q)
             - np.einsum("...i,...i->...", p, model.gradient_covector(q)))
-
-
-def canonical_divergence_dual(model: HessianModel, p, q) -> float | np.ndarray:
-    """The dual divergence D*(p, q) = D(q, p)."""
-    return canonical_divergence(model, q, p)
-
-
-def _invert_eta(model: HessianModel, target: np.ndarray,
-                x0: np.ndarray | None = None) -> np.ndarray:
-    """Solve eta(theta) = target by damped Newton in the theta chart."""
-    target = np.asarray(target, dtype=float)
-    theta = np.zeros_like(target) if x0 is None else np.array(x0, dtype=float)
-    if not model.chart.contains(theta):
-        raise NonConvergenceError(
-            "eta inversion needs an in-chart starting point; the default "
-            "origin is outside this model's chart")
-    scale = 1.0 + float(np.linalg.norm(target))
-    for _ in range(60):
-        resid = model.gradient_covector(theta) - target
-        if np.linalg.norm(resid) < 1e-13 * scale:
-            return theta
-        step = np.linalg.solve(model.hessian(theta), resid)
-        damp = 1.0
-        base = np.linalg.norm(resid)
-        for _ in range(30):
-            cand = theta - damp * step
-            if model.chart.contains(cand) and np.linalg.norm(
-                    model.gradient_covector(cand) - target) < base:
-                theta = cand
-                break
-            damp *= 0.5
-        else:
-            break
-    raise NonConvergenceError(
-        f"eta inversion stalled at |eta - target| = "
-        f"{np.linalg.norm(model.gradient_covector(theta) - target):.3e}")
-
-
-def dual_model(model: HessianModel,
-               theta0: np.ndarray | None = None) -> HessianModel:
-    """The Legendre-dual model: potential psi over eta-coordinates.
-
-    Evaluations invert eta(theta) by damped Newton iteration started from
-    ``theta0`` (an in-chart point; origin by default), so the dual chart
-    carries no explicit domain predicate; out-of-image points fail with a
-    non-convergence error.  A stack is inverted one point at a time.
-    """
-    dim = model.chart.dim
-    start = None if theta0 is None else np.array(theta0, dtype=float)
-
-    def invert(eta_pt):
-        return np.reshape([_invert_eta(model, e, x0=start)
-                           for e in eta_pt.reshape(-1, dim)], eta_pt.shape)
-
-    def phi_dual(eta_pt):
-        theta = invert(eta_pt)
-        return np.einsum("...i,...i->...", eta_pt, theta) - model(theta)
-
-    return HessianModel(phi_dual, Chart(dim), eta=invert,
-                        name=(model.name + "-dual") if model.name else "dual")
 
 
 def fujiwara_amari_residual(model: HessianModel, q, x) -> float | np.ndarray:

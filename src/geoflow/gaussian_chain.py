@@ -427,6 +427,11 @@ class ExperimentResult:
         return self.full.verdict == "Curve1Faster"
 
 
+#: every variance below this bound has a finite cube, as the Fisher
+#: metric's partials -1/a^3 need; a hot start at or past it is refused
+A_MAX = float(np.cbrt(np.finfo(float).max))
+
+
 def universal_asymmetry_experiment(spec: ChainSpec, t_plus: float,
                                    t_end: float | None = None,
                                    per_mode: bool = True) -> ExperimentResult:
@@ -444,10 +449,24 @@ def universal_asymmetry_experiment(spec: ChainSpec, t_plus: float,
     no-race note of :func:`~geoflow.comparison.compare`.  ``t_end`` caps
     every race and defaults to 12 / lambda_min, twelve relaxation times
     of the slowest mode; the result records it.
+
+    Raises
+    ------
+    ValueError
+        If t_plus < 1, or if the hot start's slowest mode reaches
+        :data:`A_MAX`, where the metric's partials overflow to zero and
+        the verdict would come from the overflow.
     """
     if t_plus < 1.0:
         raise ValueError(f"t_plus must be >= 1, got {t_plus}")
     spect = spectrum(spec)
+    # Python floats: a product past the float range is inf, not a warning
+    a_hot = float(t_plus) * float(spect.a_star[0])
+    if a_hot >= A_MAX:
+        raise ValueError(
+            f"t_plus={t_plus} puts the slowest mode's hot start at "
+            f"a = {a_hot:.6g}, whose cube overflows a float; it must stay "
+            f"below {A_MAX:.6g}, i.e. t_plus < {A_MAX / spect.a_star[0]:.6g}")
     if t_end is None:
         t_end = 12.0 / spect.lambdas[0]
     t_minus = 1.0 if t_plus == 1.0 else equidistant_temperatures(t_plus)

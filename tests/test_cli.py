@@ -78,7 +78,9 @@ def test_chain_degenerate_pair_inconclusive(tmp_path, capsys):
 
 
 def test_chain_rejects_bad_parameters(tmp_path, capsys):
-    # config values go through the same finite cast as the flags
+    # config values go through the same finite cast as the flags; at
+    # three beads a t_plus from 2.82e102 up overflows the metric's
+    # partials to zero
     ini = tmp_path / "inf.ini"
     ini.write_text("[chain]\nt_end = inf\n")
     for argv in (["chain", "--n-beads", "1"],
@@ -86,6 +88,9 @@ def test_chain_rejects_bad_parameters(tmp_path, capsys):
                  ["chain", "--n-beads", "x"],
                  ["chain", "--t-plus", "inf"],
                  ["chain", "--t-plus", "nan"],
+                 ["chain", "--n-beads", "3", "--t-plus", "3e102"],
+                 ["chain", "--n-beads", "3", "--t-plus", "1e154"],
+                 ["chain", "--n-beads", "3", "--t-plus", "1e300"],
                  ["chain", "--t-end", "-1"],
                  ["chain", "--t-end", "0"],
                  ["chain", "--config", str(ini)]):

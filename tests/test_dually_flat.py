@@ -1,16 +1,12 @@
-"""Legendre duality, canonical divergence, and the flat-case gradient law."""
+"""Dual coordinates, canonical divergence, and the flat-case gradient law."""
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from geoflow import dually_flat as df
-from geoflow import numdiff, verify
-from geoflow.errors import (
-    CriticalPointError,
-    NonConvergenceError,
-    NonConvexError,
-)
+from geoflow import verify
+from geoflow.errors import CriticalPointError, NonConvexError
 from geoflow.manifold import Chart
 
 # frozen closed forms:
@@ -22,78 +18,55 @@ QUAD_D_1_0 = 0.5
 EXP_D = 1.0 - np.log(2.0)
 
 MODELS = [
-    (df.quadratic_model(2), None,
-     lambda rng: rng.uniform(-3, 3, 2)),
-    (df.exponential_model(), None,
-     lambda rng: rng.uniform(-2, 2, 1)),
-    (df.gaussian_natural_model(), np.array([0.0, -0.5]),
+    (df.quadratic_model(2), lambda rng: rng.uniform(-3, 3, 2)),
+    (df.exponential_model(), lambda rng: rng.uniform(-2, 2, 1)),
+    (df.gaussian_natural_model(),
      lambda rng: np.array([rng.uniform(-2, 2), rng.uniform(-3, -0.3)])),
 ]
 
 
-# ---------------------------------------------------------------- transform
+# --------------------------------------------------------- dual coordinates
 
 
 def test_legendre_quadratic():
     m = df.quadratic_model(1)
-    eta, psi = df.legendre_dual(m, [3.0])
-    assert_allclose(eta, [3.0], atol=1e-12)
-    assert_allclose(psi, 4.5, atol=1e-12)
-    eta0, psi0 = df.legendre_dual(m, [0.0])
-    assert_allclose(eta0, [0.0], atol=1e-12)
-    assert psi0 == 0.0
+    assert_allclose(m.gradient_covector([3.0]), [3.0], atol=1e-12)
+    assert_allclose(m.psi([3.0]), 4.5, atol=1e-12)
+    assert_allclose(m.gradient_covector([0.0]), [0.0], atol=1e-12)
+    assert m.psi([0.0]) == 0.0
 
 
 def test_legendre_exponential():
-    eta, psi = df.legendre_dual(df.exponential_model(), [0.0])
-    assert_allclose(eta, [1.0], atol=1e-12)
-    assert_allclose(psi, EXP_PSI_AT_0, atol=1e-12)
+    m = df.exponential_model()
+    assert_allclose(m.gradient_covector([0.0]), [1.0], atol=1e-12)
+    assert_allclose(m.psi([0.0]), EXP_PSI_AT_0, atol=1e-12)
 
 
 def test_legendre_rejects_concave():
     m = df.HessianModel(lambda th: -0.5 * (th * th).sum(axis=-1), Chart(1),
                         name="concave")
     with pytest.raises(NonConvexError):
-        df.legendre_dual(m, [1.0])
-
-
-def test_legendre_involution():
-    for model, th0, draw in MODELS:
-        dm = df.dual_model(model, theta0=th0)
-        rng = np.random.default_rng(5)
-        for _ in range(10):
-            th = draw(rng)
-            eta, _ = df.legendre_dual(model, th)
-            back, phi_back = df.legendre_dual(dm, eta)
-            assert np.abs(back - th).max() < 1e-8
-            assert abs(phi_back - model(th)) < 1e-8
+        m.hessian([1.0])
 
 
 def test_pairing_identity():
-    # phi(theta) + psi(eta) = theta . eta
-    for model, _th0, draw in MODELS:
+    # phi(theta) + psi(theta) = theta . eta
+    for model, draw in MODELS:
         rng = np.random.default_rng(9)
         for _ in range(20):
             th = draw(rng)
-            eta, psi = df.legendre_dual(model, th)
-            assert abs(model(th) + psi - float(th @ eta)) < 1e-9
+            eta = model.gradient_covector(th)
+            assert abs(model(th) + model.psi(th) - float(th @ eta)) < 1e-9
 
 
 def test_metric_consistency():
-    # Hessian of phi is the model metric; the dual chart carries its inverse
-    for model, th0, draw in MODELS:
+    # Hessian of phi is the model metric
+    for model, draw in MODELS:
         g = df.metric_field(model)
-        dm = df.dual_model(model, theta0=th0)
         rng = np.random.default_rng(13)
-        for i in range(100):
+        for _ in range(100):
             th = draw(rng)
-            h = model.hessian(th)
-            assert_allclose(g(th), h, rtol=1e-8)
-            if i % 10 == 0:
-                eta = model.gradient_covector(th)
-                h_dual = numdiff.jacobian_fd(dm.gradient_covector, eta)
-                assert_allclose(h_dual, np.linalg.inv(h), rtol=1e-7,
-                                atol=1e-9)
+            assert_allclose(g(th), model.hessian(th), rtol=1e-8)
 
 
 # ---------------------------------------------------------------- divergence
@@ -112,7 +85,7 @@ def test_divergence_frozen_values():
 
 def test_divergence_positivity():
     rng = np.random.default_rng(21)
-    for model, _th0, draw in MODELS:
+    for model, draw in MODELS:
         for _ in range(50):
             p, q = draw(rng), draw(rng)
             d = df.canonical_divergence(model, p, q)
@@ -142,14 +115,6 @@ def test_divergence_gaussian_is_kl():
         assert_allclose(d, kl(mu1, v1, mu0, v0), rtol=1e-9, atol=1e-12)
 
 
-def test_dual_view():
-    m = df.gaussian_natural_model()
-    p = np.array([0.5, -1.0])
-    q = np.array([-0.3, -0.7])
-    assert df.canonical_divergence_dual(m, p, q) == \
-        df.canonical_divergence(m, q, p)
-
-
 # ---------------------------------------------------------------- flat law
 
 
@@ -165,7 +130,7 @@ def test_fa_exponential_fd():
 
 def test_fa_all_models_100_pairs():
     rng = np.random.default_rng(31)
-    for model, _th0, draw in MODELS:
+    for model, draw in MODELS:
         count = 0
         while count < 100:
             q, x = draw(rng), draw(rng)
@@ -183,7 +148,7 @@ def test_fa_diagonal_raises():
 
 def test_fa_stack_equals_pointwise_calls():
     rng = np.random.default_rng(43)
-    for model, _th0, draw in MODELS:
+    for model, draw in MODELS:
         q = np.array([draw(rng) for _ in range(30)])
         x = np.array([draw(rng) for _ in range(30)])
         stack = df.fujiwara_amari_residual(model, q, x)
@@ -228,9 +193,3 @@ def test_metric_consistency_catches_a_hessian_one_percent_off(monkeypatch):
     assert not rows["metric-consistency"].passed
     assert rows["metric-consistency"].measured > 1e-3
 
-
-def test_dual_model_default_start_outside_the_chart():
-    # the origin is not in the half-plane theta_2 < 0
-    dm = df.dual_model(df.gaussian_natural_model())
-    with pytest.raises(NonConvergenceError, match="in-chart"):
-        dm(np.array([0.0, 1.0]))

@@ -1,5 +1,6 @@
 """Mode spectrum, relaxation closed forms, and the warming/cooling experiment."""
 
+import warnings
 
 import numpy as np
 import pytest
@@ -507,6 +508,30 @@ def test_warming_wins_for_every_chain_and_mode(n_beads, t_plus):
             want = [gc.analytic_variance(spec_t, sp, k, t)
                     for k in range(sp.n_modes)]
             assert_allclose(traj.position(t), want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("n_beads", [3, 12])
+def test_hot_start_just_below_the_overflow_bound_is_decided(n_beads):
+    # the slowest mode's a+ sits just under A_MAX: its cube is finite,
+    # no overflow warning is raised, and every race reads warming-faster
+    t_plus = gc.A_MAX / gc.spectrum(gc.ChainSpec(n_beads)).a_star[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = gc.universal_asymmetry_experiment(gc.ChainSpec(n_beads),
+                                                t_plus * (1.0 - 1e-12))
+    assert res.full.verdict == CURVE1_FASTER
+    assert [rep.verdict for rep in res.modes] == [CURVE1_FASTER] * (n_beads - 1)
+
+
+@pytest.mark.parametrize("n_beads", [3, 12, 100])
+def test_hot_start_past_the_overflow_bound_is_refused(n_beads):
+    # past A_MAX the metric's partials -1/a^3 overflow to zero, and a
+    # verdict (inconclusive at 1e154, warming-faster at 1e300 at N = 3)
+    # would come from the overflow
+    t_bound = gc.A_MAX / gc.spectrum(gc.ChainSpec(n_beads)).a_star[0]
+    for t_plus in (t_bound, 1e154, 1e300, np.finfo(float).max):
+        with pytest.raises(ValueError, match="overflows a float"):
+            gc.universal_asymmetry_experiment(gc.ChainSpec(n_beads), t_plus)
 
 
 def _mode_race_alone(res, k):
