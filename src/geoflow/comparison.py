@@ -63,6 +63,19 @@ SPEED_FLOOR = 1e-8
 #: stop does not depend on the scale of f or of the metric
 STOP_RTOL = 1e-6
 
+#: an integrated curve resolves its speed down to about tol of its start
+#: speed, not below: a solve coarser than tol = 1e-7 stops each curve at
+#: STOP_TOL_FACTOR * tol of its start speed instead of STOP_RTOL, where
+#: its non-convergence check would otherwise read the integration error
+#: as a flow that does not relax.  Uncapped, factors of 30 and 100
+#: decide 1 and 4 of 100 seeded 9-bead races at tol 1e-4 that the
+#: closed-form curves leave open; 10 decides none
+STOP_TOL_FACTOR = 10.0
+
+#: the cap on that fraction: however coarse the solve, each curve still
+#: relaxes to 1e-3 of its start speed rather than stopping at its seed
+STOP_RTOL_MAX = 1e-3
+
 _GRID = 512
 
 #: a bracketed root is located once its bracket is narrower than
@@ -419,12 +432,15 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
     code path.  ``flow(x1_0, x2_0) -> (traj1, traj2)`` supplies both
     curves from their seeds in one call.  The default races them through
     one solve, ``integrate_flow`` on the seed stack ``(2, dim)`` with
-    ``tol`` and each curve's own ``stop_grad_norm = STOP_RTOL * |grad
-    f(x0)|``: one RK45 system whose steps pass only when each curve's
-    own error estimate meets ``tol``, and in which each curve ends once
-    its speed has fallen to STOP_RTOL of its own start speed, whatever
-    the scale of f, with its own ``converged`` and ``exited_domain``
-    flags.  A closed-form relaxation such as
+    ``tol`` and each curve's own ``stop_grad_norm = rtol * |grad
+    f(x0)|``: one RK45 system whose steps pass only when each curve's own
+    error estimate meets ``tol``, and in which each curve ends once its
+    speed has fallen to ``rtol`` of its own start speed, whatever the
+    scale of f, with its own ``converged`` and ``exited_domain`` flags.
+    ``rtol = min(max(STOP_RTOL, STOP_TOL_FACTOR * tol), STOP_RTOL_MAX)``
+    is STOP_RTOL at tol <= 1e-7, the default included, and 10 tol, at
+    most 1e-3, above: a coarser solve does not resolve the speed further
+    down.  A closed-form relaxation such as
     :func:`geoflow.gaussian_chain.chain_flow` may stand in for it;
     ``t_end`` and ``tol`` then go unused, the flow sets its own horizon.
     A trajectory needs ``span`` plus ``position_velocity`` and
@@ -463,7 +479,8 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
     if flow is None:
         def flow(x1_0, x2_0):
             seeds = np.stack([x1_0, x2_0])
-            stop = STOP_RTOL * np.sqrt(grad_norm_sq(g, f, seeds))
+            rtol = min(max(STOP_RTOL, STOP_TOL_FACTOR * tol), STOP_RTOL_MAX)
+            stop = rtol * np.sqrt(grad_norm_sq(g, f, seeds))
             traj = integrate_flow(g, f, seeds, t_end, tol=tol,
                                   stop_grad_norm=stop)
             return traj[0], traj[1]

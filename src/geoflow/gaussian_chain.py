@@ -321,7 +321,7 @@ def equidistant_temperatures(t_plus: float) -> float:
 
 def chain_manifold(spect: ModeSpectrum) -> tuple[MetricField, ScalarPotential]:
     """Variance chart with the diagonal Fisher metric and potential F."""
-    chart = Chart(spect.n_modes, domain_check=lambda a: bool((a > 0.0).all()),
+    chart = Chart(spect.n_modes, domain_check=lambda a: (a > 0.0).all(axis=-1),
                   name="mode-variances")
     # d_l g_ii = -1/a_i^3 at l = i only: the metric is separable
     g = MetricField(chart, diagonal=lambda a: 1.0 / (2.0 * a ** 2),

@@ -285,6 +285,16 @@ class ScalarPotential:
         return df
 
 
+def _stage_covector(f: ScalarPotential) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> d_i f straight from the potential's closures, with no shape
+    check: its gradient closure, else finite differences of its value
+    closure, for the stages of a solve that checked them on its seeds."""
+    if f._gradient is not None:
+        return f._gradient
+    value = f._value
+    return lambda x: numdiff.jacobian_fd(value, x)
+
+
 def _check_shape(out: np.ndarray, want: tuple, name: str) -> None:
     if out.shape != want:
         raise ClosureShapeError(
@@ -356,6 +366,31 @@ def _inverse(g: MetricField, x: np.ndarray) -> np.ndarray:
     return 1.0 / d
 
 
+def _stage_inverse(g: MetricField) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> g^{-1} at x in :func:`_inverse`'s form, straight from the
+    metric's closure: no shape or condition check, for the stages of a
+    solve that checks both elsewhere.  A metric that LAPACK cannot
+    factor (a nan component) gives nan, which rejects the step."""
+    if g.is_diagonal:
+        diagonal = g._diagonal
+        return lambda x: 1.0 / diagonal(x)
+    matrix = g._matrix
+
+    def inverse(x):
+        m = matrix(x)
+        try:
+            return _svd_inverse(*np.linalg.svd(m))
+        except np.linalg.LinAlgError:
+            return np.full(m.shape, np.nan)
+
+    return inverse
+
+
+def _svd_inverse(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """V diag(1/s) U^T, the inverse of U diag(s) V^T."""
+    return vh.swapaxes(-1, -2) / s[..., None, :] @ u.swapaxes(-1, -2)
+
+
 def _raise_index(g: MetricField, ginv: np.ndarray,
                  w: np.ndarray) -> np.ndarray:
     """The vector g^{ij} w_j, from ``ginv`` in :func:`_inverse`'s form."""
@@ -403,14 +438,17 @@ def metric_inverse(g: MetricField, x: np.ndarray) -> np.ndarray:
         raise SingularMatrixError(
             f"metric at {np.asarray(x)[i]} has no inverse: {exc}") from exc
     _check_condition(s, x)
-    return vh.swapaxes(-1, -2) / s[..., None, :] @ u.swapaxes(-1, -2)
+    return _svd_inverse(u, s, vh)
 
 
 def gradient(g: MetricField, f: ScalarPotential, x: np.ndarray) -> np.ndarray:
     """Riemannian gradient g^{ij} d_j f, the unique vector with g(grad f, .) = df.
 
     A stack of points gives the stack of gradients.  A diagonal metric
-    divides elementwise, as (1/g_ii) d_i f.
+    divides elementwise, as (1/g_ii) d_i f.  The closures' shapes and the
+    metric's condition are checked on every call; :func:`integrate_flow`
+    checks them once on its seeds and then raises the index of the same
+    closures' outputs, with the same arithmetic, at every stage.
     """
     df = f.gradient_covector(x)
     return _raise_index(g, _inverse(g, x), df)
@@ -625,7 +663,7 @@ class Trajectory:
         return np.reshape(acc, np.shape(t) + (self._dim,))
 
 
-def _integrate(rhs, y0, t_end, tol, *, in_domain, n_curves=1,
+def _integrate(rhs, y0, t_end, tol, *, in_domain=None, n_curves=1,
                grad_monitor=None, stop_below=None):
     """Drive scipy's RK45 step by step; collect dense output and flags.
 
@@ -634,99 +672,125 @@ def _integrate(rhs, y0, t_end, tol, *, in_domain, n_curves=1,
     step sequence.  A step is accepted only if each curve's own RMS error
     estimate, scipy's norm over that curve's states, passes on its own, so
     every curve is held to ``tol`` as in a solve of its own; one curve is
-    plain RK45, bit for bit.  The states come back curve by curve,
-    ``(samples, n_curves, m)``, and the dense output stacks each step's
-    interpolant data for a batched :class:`Trajectory`, ``(t_old, h,
+    plain RK45, bit for bit.  The solve runs under one ``np.errstate``
+    that ignores division by zero, invalid values and overflow: a stage
+    at which ``rhs`` is not finite gives a non-finite error estimate, and
+    RK45 rejects the step and shrinks it.
+
+    The states come back curve by curve, ``(samples, n_curves, m)``.
+    Each accepted step keeps RK45's stages ``K``, and one product after
+    the solve forms every step's interpolant coefficients ``Q = K^T P``,
+    bit for bit those of scipy's per-step ``dense_output()``.  The dense
+    output stacks them for a batched :class:`Trajectory`, ``(t_old, h,
     y_old, Q)`` with shapes ``(steps,)``, ``(steps,)``,
     ``(steps, n_curves, m)`` and ``(steps, n_curves, m, 4)``.
 
-    ``in_domain(y)`` gives one flag per curve.  Once any curve leaves the
-    domain, the solve ends at the last state where all were inside, and
-    each still-running curve outside is flagged as exited.
+    ``in_domain(y)``, when given, gives one flag per curve.  Once any
+    curve leaves the domain, the solve ends at the last state where all
+    were inside, and each still-running curve outside is flagged as
+    exited.
 
     ``grad_monitor(y, dy)`` gets each accepted state with the RHS there
     (RK45's first-same-as-last stage, so it costs no evaluation) and
-    returns each curve's gradient norm; a curve stops, flagged converged,
-    at the first accepted state where it falls below its entry of
-    ``stop_below``, and the solve ends once every curve has stopped.  A
-    seed at or below it takes no step (RK45 holds the RHS at y0 from its
-    setup), so a seed at rest does not move even when ``stop_below`` is
-    0.  The dense output is ``None`` when no step of positive length was
-    accepted: RK45's only zero-length step, at ``t_end == 0``, keeps the
-    initial state.  Returns the sample times, the states, the dense
-    output and the :class:`Trajectory` keywords of the batch: per-curve
-    ``exited_domain`` and ``converged`` flags, each curve's ``last``
-    sample index, and the solve's accepted ``steps`` and RHS
-    evaluations ``nfev``.
+    returns each curve's gradient norm; it may raise to end the solve.  A
+    curve stops, flagged converged, at the first accepted state where its
+    norm falls below its entry of ``stop_below``, and the solve ends once
+    every curve has stopped.  A seed at or below it takes no step (RK45
+    holds the RHS at y0 from its setup), so a seed at rest does not move
+    even when ``stop_below`` is 0.  The dense output is ``None`` when no
+    step of positive length was accepted: RK45's only zero-length step,
+    at ``t_end == 0``, keeps the initial state.  Returns the sample
+    times, the states, the dense output and the :class:`Trajectory`
+    keywords of the batch: per-curve ``exited_domain`` and ``converged``
+    flags, each curve's ``last`` sample index, and the solve's accepted
+    ``steps`` and RHS evaluations ``nfev``.
 
     RK45 is looked up here, so pointwise geometry never loads scipy.
     """
     from scipy.integrate import RK45
 
     class PerCurveRK45(RK45):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            # the stages call rhs with no wrapper but scipy's counter:
+            # scipy's own also passes each result through np.asarray,
+            # which returns rhs's float arrays as they are
+            def fun(t, y):
+                self.nfev += 1
+                return rhs(t, y)
+
+            self.fun = fun
+
         def _estimate_error_norm(self, K, h, scale):
-            err = (self._estimate_error(K, h) / scale).reshape(n_curves, -1)
-            # scipy's RMS norm, taken curve by curve
-            return max(np.linalg.norm(e) / e.size ** 0.5 for e in err)
+            err = (self._estimate_error(K, h) / scale).reshape(n_curves, 1, -1)
+            # scipy's RMS norm, curve by curve: each row's dot with itself
+            # is the one np.linalg.norm takes, and the max of the rows'
+            # sums gives the max of their norms; a nan in any curve's
+            # estimate makes it nan, so RK45 rejects the step
+            sq = np.max(err @ err.swapaxes(1, 2))
+            return np.sqrt(sq) / err.shape[-1] ** 0.5
 
     y0 = np.asarray(y0, dtype=float).reshape(-1)
-    solver = PerCurveRK45(rhs, 0.0, y0, t_bound=float(t_end), rtol=tol,
-                          atol=tol)
     ts = [0.0]
     ys = [y0.copy()]
-    steps = []
+    stages = []
     accepted = 0
     last = np.zeros(n_curves, dtype=int)
     exited = np.zeros(n_curves, dtype=bool)
-    converged = np.zeros(n_curves, dtype=bool)
-    if grad_monitor is not None and stop_below is not None:
-        converged = grad_monitor(y0, solver.f) <= stop_below
-    running = ~converged
     window = []
     prev_window_min = np.inf
-    while solver.status == "running" and running.any():
-        msg = solver.step()
-        if solver.status == "failed":
-            raise StepUnderflowError(msg or "adaptive step size underflow")
-        accepted += 1
-        inside = np.asarray(in_domain(solver.y), dtype=bool)
-        if not inside.all():
-            exited = running & ~inside
-            break
-        if solver.t != solver.t_old:    # zero-length only at t_end == 0
-            steps.append(solver.dense_output())
-        ts.append(solver.t)
-        ys.append(solver.y.copy())
-        last[running] = len(ts) - 1
-        if grad_monitor is None:
-            continue
-        norm = grad_monitor(solver.y, solver.f)
-        if stop_below is not None:
-            stop = running & (norm < stop_below)
-            converged = converged | stop
-            running = running & ~stop
-        window.append(norm)
-        if len(window) == _MONITOR_WINDOW:
-            wmin = np.min(window, axis=0)
-            size = np.linalg.norm(solver.y.reshape(n_curves, -1), axis=1)
-            if (running & (wmin >= prev_window_min)
-                    & (wmin > 1e-13 * (1.0 + size))).any():
-                raise NonConvergenceError(
-                    "gradient norm failed to decrease over a full "
-                    f"window of {_MONITOR_WINDOW} steps")
-            prev_window_min = wmin
-            window = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        solver = PerCurveRK45(rhs, 0.0, y0, t_bound=float(t_end), rtol=tol,
+                              atol=tol)
+        converged = np.zeros(n_curves, dtype=bool)
+        if grad_monitor is not None and stop_below is not None:
+            converged = grad_monitor(y0, solver.f) <= stop_below
+        running = ~converged
+        while solver.status == "running" and running.any():
+            msg = solver.step()
+            if solver.status == "failed":
+                raise StepUnderflowError(msg or "adaptive step size underflow")
+            accepted += 1
+            if in_domain is not None:
+                inside = np.asarray(in_domain(solver.y), dtype=bool)
+                if not inside.all():
+                    exited = running & ~inside
+                    break
+            if solver.t != solver.t_old:    # zero-length only at t_end == 0
+                stages.append(solver.K.copy())
+            ts.append(solver.t)
+            ys.append(solver.y.copy())
+            last[running] = len(ts) - 1
+            if grad_monitor is None:
+                continue
+            norm = grad_monitor(solver.y, solver.f)
+            if stop_below is not None:
+                stop = running & (norm < stop_below)
+                converged = converged | stop
+                running = running & ~stop
+            window.append(norm)
+            if len(window) == _MONITOR_WINDOW:
+                wmin = np.min(window, axis=0)
+                size = np.linalg.norm(solver.y.reshape(n_curves, -1), axis=1)
+                if (running & (wmin >= prev_window_min)
+                        & (wmin > 1e-13 * (1.0 + size))).any():
+                    raise NonConvergenceError(
+                        "gradient norm failed to decrease over a full "
+                        f"window of {_MONITOR_WINDOW} steps")
+                prev_window_min = wmin
+                window = []
+    ts = np.array(ts)
+    ys = np.array(ys).reshape(len(ts), n_curves, -1)
     dense = None
-    if steps:
-        dense = (np.array([s.t_old for s in steps]),
-                 np.array([s.h for s in steps]),
-                 np.stack([s.y_old for s in steps]).reshape(
-                     len(steps), n_curves, -1),
-                 np.stack([s.Q for s in steps]).reshape(
-                     len(steps), n_curves, -1, steps[0].Q.shape[-1]))
-    return (np.array(ts), np.array(ys).reshape(len(ts), n_curves, -1),
-            dense, dict(exited_domain=exited, converged=converged, last=last,
-                        steps=accepted, nfev=solver.nfev))
+    if stages:
+        # every kept step has positive length: steps k = 0.. run from
+        # sample k to sample k + 1, and h = t - t_old as in scipy
+        k = len(stages)
+        q = np.stack(stages).swapaxes(1, 2) @ solver.P
+        dense = (ts[:k], ts[1:k + 1] - ts[:k], ys[:k],
+                 q.reshape(k, n_curves, -1, q.shape[-1]))
+    return ts, ys, dense, dict(exited_domain=exited, converged=converged,
+                               last=last, steps=accepted, nfev=solver.nfev)
 
 
 def integrate_geodesic(conn: AffineConnection, x0, v0, t_end: float,
@@ -761,13 +825,23 @@ def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,
 
     A seed ``(dim,)`` gives one curve.  A stack of B seeds ``(B, dim)``
     gives the batch of B curves, integrated as one RK45 system of B·dim
-    states: each right-hand-side call is one :func:`gradient` call on the
-    ``(B, dim)`` stack.  A step is accepted only if every curve's own
-    error estimate meets ``tol``, so each curve is as accurate as in a
-    solve of its own, and one seed is plain RK45 bit for bit (the seed is
-    the batch of one).  The batch's :class:`Trajectory` shares the solve's
-    step times, ``steps`` and ``nfev``; curve b ends at its own stop, and
-    ``traj[b]`` is curve b alone.
+    states: each right-hand-side call evaluates the field on the
+    ``(B, dim)`` stack in one call of each closure.  A step is accepted
+    only if every curve's own error estimate meets ``tol``, so each curve
+    is as accurate as in a solve of its own, and one seed is plain RK45
+    bit for bit (the seed is the batch of one).  The batch's
+    :class:`Trajectory` shares the solve's step times, ``steps`` and
+    ``nfev``; curve b ends at its own stop, and ``traj[b]`` is curve b
+    alone.
+
+    The flow is checked once per solve, on the seeds: one
+    :func:`gradient` call checks the closures' shapes and the metric's
+    condition, and the chart's domain check must give one flag per seed.
+    Every stage then evaluates -g^{ij} d_j f straight from the closures,
+    with :func:`gradient`'s arithmetic and no further check, and the
+    metric's condition is checked at every accepted state.  A stage at
+    which the field is not finite (a metric that vanishes there, say) is
+    a rejected step, not a warning.
 
     Parameters
     ----------
@@ -777,12 +851,19 @@ def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,
         A seed at or below it takes no step: the curve holds x0 alone,
         with span (0, 0).  The solve ends once every curve has stopped.
 
-    The curves of a batch share one domain check: once any curve leaves
-    the chart, every curve ends at the last state where all were inside,
-    and the ones outside are flagged ``exited_domain``.
+    The curves of a batch share one domain check, one call on the
+    ``(B, dim)`` stack per accepted step: once any curve leaves the
+    chart, every curve ends at the last state where all were inside, and
+    the ones outside are flagged ``exited_domain``.
 
     Raises
     ------
+    ClosureShapeError
+        If a closure, the domain check included, gives the wrong shape on
+        the seeds; before the first step.
+    SingularMatrixError
+        If the metric's condition number exceeds 1e12 at a seed or at an
+        accepted state (see :func:`metric_inverse`).
     NonConvergenceError
         If a running curve's gradient norm fails to decrease over a full
         output window, the numerical stand-in for a flow that is not
@@ -796,18 +877,42 @@ def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,
     def field(x):
         return -gradient(g, f, x)
 
+    # every check that the stages skip, made once on the seeds
+    field(x0)
+    check = g.chart.domain_check
+    in_domain = None
+    if check is not None:
+        _check_shape(np.asarray(check(x0.reshape(n, dim))), (n,),
+                     f"{g.chart.name or 'chart'} domain check")
+
+        def in_domain(y):
+            return check(y.reshape(n, dim))
+
+    inverse, covector = _stage_inverse(g), _stage_covector(f)
+    # the values whose spread is the condition number: g_ii, or the
+    # metric's singular values
+    if g.is_diagonal:
+        spectrum = g._diagonal
+    else:
+        def spectrum(x):
+            return np.linalg.svd(g._matrix(x), compute_uv=False)
+
+    def rhs(_t, y):
+        x = y.reshape(shape)
+        return -_raise_index(g, inverse(x), covector(x)).reshape(-1)
+
     def monitor(y, ydot):
+        # the metric's condition at an accepted state, and the speed there:
         # |grad f|^2 = df(grad f) = -df(xdot), with xdot = field(x) at hand
         x, xdot = y.reshape(shape), ydot.reshape(shape)
-        rate = np.einsum("...i,...i->...", f.gradient_covector(x), xdot)
+        _check_condition(spectrum(x), x)
+        rate = np.einsum("...i,...i->...", covector(x), xdot)
         return np.sqrt(np.maximum(-rate, 0.0)).reshape(n)
 
     stop = (None if stop_grad_norm is None
             else np.broadcast_to(stop_grad_norm, (n,)))
     ts, ys, dense, info = _integrate(
-        lambda _t, y: field(y.reshape(shape)).reshape(-1), x0, t_end, tol,
-        n_curves=n,
-        in_domain=lambda y: [g.chart.contains(x) for x in y.reshape(n, dim)],
+        rhs, x0, t_end, tol, n_curves=n, in_domain=in_domain,
         grad_monitor=monitor, stop_below=stop)
     vs = field(ys.reshape((-1,) + shape)).reshape(ys.shape)
     # the batch layout: curves first

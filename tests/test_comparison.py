@@ -504,10 +504,11 @@ def test_bracketed_roots_raise_when_unfinished(monkeypatch):
 
 def test_compare_metric_inverse_calls_are_bounded(monkeypatch):
     # deterministic work counters on the flat bowl through the dense
-    # route (the package bowl is diagonal and inverts nothing): one
-    # inverse-metric call per RK45 evaluation plus one for the sample
-    # velocities, and a compare on finished curves that makes a fixed
-    # number of calls, 30 at 224 roots
+    # route (the package bowl is diagonal and inverts nothing): two
+    # checked inverse-metric calls per solve, one on the seed and one for
+    # the sample velocities, since the stages invert the metric unchecked;
+    # and a compare on finished curves that makes a fixed number of
+    # calls, 30 at 224 roots
     calls = []
     solvers = []
     inverse = mf.metric_inverse
@@ -532,7 +533,7 @@ def test_compare_metric_inverse_calls_are_bounded(monkeypatch):
         calls.clear()
         trajs[id(x0)] = mf.integrate_flow(g, f, x0, 12.0,
                                           stop_grad_norm=stop)
-        assert len(calls) <= solvers[-1].nfev + 1
+        assert len(calls) == 2 and solvers[-1].nfev > 100
     calls.clear()
     rep = cp.compare(g, f, 0.0, pair, 12.0,
                      flow=lambda x1, x2: (trajs[id(x1)], trajs[id(x2)]))
@@ -671,6 +672,74 @@ def test_flat_bowl_compare_is_one_solve():
     assert rep.traj1.nfev == rep.traj2.nfev <= 700
     assert rep.verdict == cp.INCONCLUSIVE
     assert _max_delta_over_level(rep) <= 1e-7
+
+
+def test_flat_bowl_solve_checks_its_closures_once(monkeypatch):
+    # deterministic work counters: the solve takes the same 116 steps and
+    # 698 evaluations as when every stage checked its closures, while the
+    # shape-checking wrappers run once on the seeds and once on the
+    # sample velocities, never per stage or per accepted step
+    calls = {}
+
+    def count(owner, name):
+        inner = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    g, f, pair = _flat_bowl()
+    seeds = np.stack([pair.x1_0, pair.x2_0])
+    stop = cp.STOP_RTOL * np.sqrt(mf.grad_norm_sq(g, f, seeds))
+    count(mf.MetricField, "diagonal")
+    count(mf.ScalarPotential, "gradient_covector")
+    count(mf, "_check_shape")
+    traj = mf.integrate_flow(g, f, seeds, 12.0, stop_grad_norm=stop)
+    assert (traj.steps, traj.nfev) == (116, 698)
+    assert calls == {"diagonal": 2, "gradient_covector": 2, "_check_shape": 4}
+
+
+def _log_ray_chain_pairs(count):
+    """ChainSpec(9) and its first ``count`` seeded pairs on level 0.5.
+
+    Each seed is a* e^{s d} along a direction d ~ N(0, 1) in the log
+    variances, two per pair, drawn from default_rng(0), with s solved for
+    F = 0.5.
+    """
+    sp = gc.spectrum(gc.ChainSpec(9))
+    g, f = gc.chain_manifold(sp)
+    rng = np.random.default_rng(0)
+
+    def seed(d):
+        s = brentq(lambda s: f(sp.a_star * np.exp(s * d)) - 0.5, 0.0, 50.0,
+                   xtol=1e-300, rtol=8.9e-16)
+        return sp.a_star * np.exp(s * d)
+
+    pairs = [cp.EquidistantPair(*map(seed, rng.standard_normal(
+        (2, sp.n_modes))), 0.5) for _ in range(count)]
+    return sp, g, f, pairs
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-5, 1e-6])
+def test_coarse_tolerances_end_in_a_verdict(tol):
+    # a coarse solve does not resolve a curve's speed down to STOP_RTOL of
+    # its start; stopped there, the non-convergence check fired on 8, 3
+    # and 1 of these 12 chain races at these tols.  Stopped at 10 tol of
+    # the start speed, every race ends in a verdict, and every decided
+    # verdict is the closed-form curves' one
+    sp, g, f, pairs = _log_ray_chain_pairs(12)
+    t_end = 12.0 / sp.lambdas.min()
+    closed = gc.chain_flow(sp, t_end)
+    decided = 0
+    for pair in pairs:
+        got = cp.compare(g, f, 0.0, pair, t_end, tol=tol).verdict
+        if got != cp.INCONCLUSIVE:
+            decided += 1
+            assert got == cp.compare(g, f, 0.0, pair, t_end,
+                                     flow=closed).verdict
+    assert decided >= 4
 
 
 def test_samples_outside_the_chart_raise_domain_exit(monkeypatch):

@@ -16,6 +16,7 @@ from numpy.testing import (
 from scipy.integrate import OdeSolution
 from scipy.integrate._ivp.rk import RkDenseOutput
 
+from geoflow import cli
 from geoflow import comparison as cp
 from geoflow import fixtures
 from geoflow import gaussian_chain as gc
@@ -542,14 +543,107 @@ def test_flow_nonconvergence_detected():
         mf.integrate_flow(g, f, [1.0], 60.0)
 
 
+def test_a_wrong_shape_closure_raises_before_the_first_step(monkeypatch):
+    # the stages call the closures unchecked, so the seeds are checked
+    # first: a gradient written for one point, a diagonal that ignores
+    # the stack and a domain check that reduces it each raise the typed
+    # error before RK45 is set up
+    class Refused(scipy.integrate.RK45):
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("the solve started")
+
+    monkeypatch.setattr(scipy.integrate, "RK45", Refused)
+    seeds = np.ones((3, 2))
+    g, f = fixtures.euclidean_quadratic(2)
+    point_only = mf.ScalarPotential(
+        lambda x: 0.5 * (x * x).sum(axis=-1),
+        gradient=lambda x: np.array([x[0], x[1]]))
+    flat = mf.MetricField(g.chart, diagonal=lambda x: np.ones(2))
+    reduced = mf.MetricField(
+        mf.Chart(2, domain_check=lambda x: bool((x > 0.0).all())),
+        diagonal=lambda x: np.ones(x.shape))
+    for metric, potential in ((g, point_only), (flat, f), (reduced, f)):
+        with pytest.raises(ClosureShapeError):
+            mf.integrate_flow(metric, potential, seeds, 1.0)
+
+
+def _pinched_bowl():
+    """The bowl |x|^2 / 2 under the metric diag(1, |x|^4).
+
+    Its condition number |x|^-4 passes 1e12 at |x| = 1e-3, which the flow
+    from (+-1, 0) along the first axis, x = e^-t, reaches at t ~ 6.9,
+    while its speed |x| is still above 1e-6 of its start.
+    """
+    g = mf.MetricField(
+        mf.Chart(2, name="plane"),
+        diagonal=lambda x: np.stack([np.ones(x.shape[:-1]),
+                                     (x * x).sum(axis=-1) ** 2], axis=-1),
+        name="pinched")
+    return g, fixtures.distance_squared_potential(g, np.zeros(2))
+
+
+def test_a_metric_singular_where_the_flow_goes_is_a_typed_error(
+        tmp_path, capsys, monkeypatch):
+    # the condition is checked at every accepted state, not at every stage
+    g, f = _pinched_bowl()
+    with pytest.raises(SingularMatrixError, match="condition number"):
+        mf.integrate_flow(g, f, [1.0, 0.0], 10.0)
+    # a numerical failure of geoflow compare: exit 2
+    monkeypatch.setitem(fixtures.COMPARE_MODELS, "pinched-bowl",
+                        fixtures.CompareModel(_pinched_bowl, (1.0, 0.0),
+                                              (-1.0, 0.0), 0.5))
+    code = cli.main(["compare", "--model", "pinched-bowl",
+                     "--out", str(tmp_path / "pinched")])
+    assert code == 2
+    assert "numerical failure: SingularMatrixError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", ["diagonal", "dense"])
+def test_a_metric_undefined_beside_the_path_rejects_steps_silently(form):
+    # past the minimum at 0.2, below x = 0, the diagonal max(x, 0)
+    # vanishes and the dense sqrt(x)^2 is nan, which LAPACK cannot
+    # factor.  At tol 1e-4 stages overshoot there; the non-finite field
+    # makes a non-finite error estimate, RK45 rejects those steps, and no
+    # RuntimeWarning leaks (pytest turns one into an error)
+    stages = []
+
+    def metric(x):
+        stages.append(x.copy())
+        if form == "diagonal":
+            return np.maximum(x, 0.0)
+        return (np.sqrt(x) ** 2)[..., None]
+
+    g = (mf.MetricField(mf.Chart(1), diagonal=metric) if form == "diagonal"
+         else mf.MetricField(mf.Chart(1), metric))
+    f = fixtures.distance_squared_potential(g, np.array([0.2]))
+    traj = mf.integrate_flow(g, f, [1.0], 20.0, tol=1e-4)
+    assert min(x.min() for x in stages) < 0.0
+    assert traj.ts[-1] == 20.0 and np.all(traj.xs > 0.2)
+    assert abs(traj.xs[-1, 0] - 0.2) < 1e-4
+
+
 # ---------------------------------------------------------------- seed stacks
 
 
 def _plain_rk45(g, f, x0, t_end, tol=1e-10):
-    """scipy's RK45 on -grad f, stepped to t_end: times, states, steps."""
-    solver = scipy.integrate.RK45(lambda _t, x: -mf.gradient(g, f, x), 0.0,
-                                  np.asarray(x0, dtype=float),
-                                  t_bound=t_end, rtol=tol, atol=tol)
+    """scipy's RK45 on -grad f, stepped to t_end: times, states, steps.
+
+    A seed stack ``(B, dim)`` is one system of B·dim states whose error
+    norm is scipy's RMS norm taken curve by curve, the largest deciding.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size // x0.shape[-1]
+    rk45 = scipy.integrate.RK45
+    if x0.ndim > 1:
+        class PerCurve(scipy.integrate.RK45):
+            def _estimate_error_norm(self, K, h, scale):
+                err = (self._estimate_error(K, h) / scale).reshape(n, -1)
+                return max(np.linalg.norm(e) / e.size ** 0.5 for e in err)
+
+        rk45 = PerCurve
+    solver = rk45(
+        lambda _t, y: -mf.gradient(g, f, y.reshape(x0.shape)).reshape(-1),
+        0.0, x0.reshape(-1), t_bound=t_end, rtol=tol, atol=tol)
     ts, ys, steps = [0.0], [solver.y.copy()], []
     while solver.status == "running":
         solver.step()
@@ -577,6 +671,19 @@ def test_one_seed_is_plain_rk45_bit_for_bit(model, x0):
                       (q, "Q")):
         assert got.tobytes() == np.stack([getattr(s, attr)
                                           for s in steps]).tobytes()
+    assert (traj.steps, traj.nfev) == (len(ts) - 1, nfev)
+
+
+@pytest.mark.parametrize("n_beads", [3, 9])
+def test_a_seed_stack_is_rk45_with_a_per_curve_norm_bit_for_bit(n_beads):
+    # the reference takes each curve's norm in a loop, with
+    # np.linalg.norm as scipy does; the solve takes them in one product
+    g, f = gc.chain_manifold(gc.spectrum(gc.ChainSpec(n_beads)))
+    seeds = np.stack([1.8 * f.minimum_q, 0.6 * f.minimum_q])
+    traj = mf.integrate_flow(g, f, seeds, 1.0)
+    ts, ys, _, nfev = _plain_rk45(g, f, seeds, 1.0)
+    assert traj.ts.tobytes() == ts.tobytes()
+    assert traj.xs.swapaxes(0, 1).tobytes() == ys.tobytes()
     assert (traj.steps, traj.nfev) == (len(ts) - 1, nfev)
 
 
@@ -871,13 +978,17 @@ def test_array_queries_match_scalar_queries(kind):
 
 
 def _recording_rk45(monkeypatch):
-    """Patch RK45 so the per-step interpolants it hands out are kept."""
+    """Patch RK45 so that scipy's own interpolant of every step of positive
+    length is kept; ``dense_output()`` reads only the stages ``K`` of the
+    step just taken, so it is built right after each step."""
     steps = []
 
     class Recorded(scipy.integrate.RK45):
-        def dense_output(self):
-            steps.append(super().dense_output())
-            return steps[-1]
+        def step(self):
+            msg = super().step()
+            if self.t != self.t_old:
+                steps.append(self.dense_output())
+            return msg
 
     monkeypatch.setattr(scipy.integrate, "RK45", Recorded)
     return steps
@@ -906,6 +1017,20 @@ def test_stacked_dense_output_matches_scipy_ode_solution(kind, monkeypatch):
     for t in ts[::50]:
         assert np.abs(traj._state(t) - oracle(t)).max() \
             <= 1e-14 * max(1.0, np.abs(oracle(t)).max())
+
+
+def test_deferred_interpolants_of_a_joint_solve_are_scipys(monkeypatch):
+    # the interpolants formed after a two-seed solve are, byte for byte,
+    # the per-step objects scipy builds during it
+    steps = _recording_rk45(monkeypatch)
+    g, f = fixtures.two_mode_chain()
+    traj = mf.integrate_flow(g, f, [[0.5, 2.0], [3.0, 0.4]], 1.0)
+    t_old, h, y_old, q = traj._dense
+    assert len(steps) == len(traj.ts) - 1 == t_old.size > 5
+    for got, attr in ((t_old, "t_old"), (h, "h"), (y_old, "y_old"),
+                      (q, "Q")):
+        want = np.stack([getattr(s, attr) for s in steps])
+        assert got.reshape(want.shape).tobytes() == want.tobytes(), attr
 
 
 def test_stacked_dense_output_takes_the_earlier_step_at_a_boundary():
