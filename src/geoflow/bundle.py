@@ -6,10 +6,9 @@ header row, ``%.12e`` floats, LF line endings) and ``metadata.json``
 carrying the version, the echoed config, verdicts, and wall time.
 
 A table keeps only its text: each row is formatted once, when the table
-is built, and its typed cells are decoded from that text when asked.  So
-write → read round-trips reproduce the in-memory bundle exactly and a
-second write is byte-identical.  A float table comes as one 2-D array,
-whose distinct values are formatted once per block of rows.
+is built, so a second write is byte-identical.  A float table comes as
+one 2-D array, whose distinct values are formatted once per block of
+rows.
 """
 
 from __future__ import annotations
@@ -46,21 +45,6 @@ def _csv_line(cells: list[str]) -> str:
     return buf.getvalue()
 
 
-def _decode(text: str):
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
 def _float_lines(a: np.ndarray) -> list[str]:
     """The CSV line of each row of a 2-D float64 array.
 
@@ -83,8 +67,7 @@ class Table:
 
     ``rows`` is either a 2-D float64 array, one column per header name,
     or any iterable of rows of float, int, bool and str cells, a
-    generator included; each row is formatted once, into ``lines``.  The
-    ``rows`` attribute decodes ``lines`` back into typed cells.
+    generator included; each row is formatted once, into ``lines``.
     """
 
     def __init__(self, header: list[str], rows):
@@ -105,11 +88,6 @@ class Table:
                     f"row width {len(row)} != header width {width}")
             self.lines.append(_csv_line([_encode(c) for c in row]))
 
-    @property
-    def rows(self) -> list[list]:
-        """The cells of ``lines``, as float, int, bool or str."""
-        return [[_decode(c) for c in row] for row in csv.reader(self.lines)]
-
 
 @dataclass
 class ResultBundle:
@@ -117,7 +95,6 @@ class ResultBundle:
 
     command: str
     config: dict
-    version: str = __version__
     seed: int | None = None
     verdicts: list[str] = field(default_factory=list)
     tables: dict[str, Table] = field(default_factory=dict)
@@ -143,34 +120,10 @@ class ResultBundle:
             "seed": self.seed,
             "tables": sorted(self.tables),
             "verdicts": self.verdicts,
-            "version": self.version,
+            "version": __version__,
             "wall_time_s": self.wall_time_s,
         }
         with open(out / "metadata.json", "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return out
-
-    @classmethod
-    def read(cls, out_dir) -> "ResultBundle":
-        """Re-parse a written run directory into an equal bundle."""
-        out = Path(out_dir)
-        with open(out / "metadata.json") as fh:
-            meta = json.load(fh)
-        bundle = cls(command=meta["command"], config=meta["config"],
-                     version=meta["version"], seed=meta["seed"],
-                     verdicts=list(meta["verdicts"]),
-                     wall_time_s=meta["wall_time_s"])
-        for name in meta["tables"]:
-            with open(out / f"{name}.csv", newline="") as fh:
-                header, *rows = csv.reader(fh)
-            # text cells re-encode to the very line they were read from
-            bundle.tables[name] = Table(header, rows)
-        return bundle
-
-    def same_data(self, other: "ResultBundle") -> bool:
-        """Equal metadata, table names, headers and CSV text."""
-        def key(b):
-            return (b.command, b.version, b.seed, b.verdicts, b.config,
-                    {n: (t.header, t.lines) for n, t in b.tables.items()})
-        return key(self) == key(other)

@@ -32,7 +32,8 @@ from .comparison import (
     compare_batch,
 )
 from .errors import NonConvergenceError, SingularCurvatureError
-from .manifold import Chart, MetricField, ScalarPotential, _diag_matrix, span_times
+from .manifold import (Chart, MetricField, ScalarPotential, _check_horizon,
+                       _diag_matrix, span_times)
 
 __all__ = [
     "ChainSpec",
@@ -67,10 +68,6 @@ class ChainSpec:
             raise ValueError("a chain needs at least 2 beads")
         if not self.t_tilde > 0.0:
             raise ValueError("temperature ratio must be positive")
-
-    @property
-    def n_modes(self) -> int:
-        return self.n_beads - 1
 
 
 @dataclass(frozen=True)
@@ -169,10 +166,12 @@ class ChainTrajectory:
     spans [0, 0].  The bound is one closed form for one curve, a batch
     row and any number of modes, so a batch row's span is its one-curve
     span bit for bit.  ``ts``, ``xs`` and ``vs`` hold the two ends of
-    the span.
+    the span.  ``t_end`` must satisfy 0 <= t_end < inf (``ValueError``
+    otherwise).
     """
 
     def __init__(self, spect: ModeSpectrum, x0, t_end: float):
+        _check_horizon(t_end)
         x0 = _avec(x0)
         self._rate = (2.0 * spect.lambdas).reshape(x0.shape)
         self._a_star = spect.a_star.reshape(x0.shape)
@@ -421,10 +420,6 @@ class ExperimentResult:
     pair: EquidistantPair
     full: AsymmetryReport
     modes: list[AsymmetryReport] = field(default_factory=list)
-
-    @property
-    def warming_faster(self) -> bool:
-        return self.full.verdict == "Curve1Faster"
 
 
 #: every variance below this bound has a finite cube, as the Fisher

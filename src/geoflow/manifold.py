@@ -20,7 +20,7 @@ Index conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -121,8 +121,9 @@ class MetricField:
         skip their O(dim^4) contraction.
 
     Exactly one of ``matrix`` and ``diagonal`` is given (``ValueError``
-    otherwise).  Positive-definiteness is never checked on evaluation;
-    callers check their own models with :meth:`check_positive_definite`.
+    otherwise).  Positive-definiteness is never checked: the inverse and
+    the flow check only the condition number, so a model's own tests
+    must show that its g is positive definite.
     Calling the field, :meth:`diagonal` or :meth:`partials` passes a point
     or a stack to its closure in one call and raises
     :class:`~geoflow.errors.ClosureShapeError` when the result does not
@@ -212,25 +213,6 @@ class MetricField:
             out = np.einsum("...i,...ij,...j->...", u, self(x), v)
         return float(out) if out.ndim == 0 else out
 
-    def check_positive_definite(self, points: Sequence[np.ndarray]) -> None:
-        """Raise ``ValueError`` naming the first point at which the metric
-        is non-symmetric or not positive definite.
-
-        The points are evaluated as one stack; a diagonal metric is
-        positive definite where every g_ii > 0.
-        """
-        x = np.asarray(points, dtype=float)
-        if self._diagonal is not None:
-            _raise_at(~(self.diagonal(x) > 0.0).all(axis=-1), x,
-                      "metric not positive definite")
-            return
-        m = self(x)
-        _raise_at(~np.isclose(m, np.swapaxes(m, -1, -2),
-                              atol=1e-12).all(axis=(-2, -1)),
-                  x, "metric not symmetric")
-        _raise_at(~(np.linalg.eigvalsh(m).min(axis=-1) > 0.0), x,
-                  "metric not positive definite")
-
     def norm(self, x: np.ndarray, v: np.ndarray) -> float | np.ndarray:
         """Riemannian norm of a tangent vector, or of a stack of them."""
         return np.sqrt(np.maximum(self.inner(x, v, v), 0.0))
@@ -300,13 +282,6 @@ def _check_shape(out: np.ndarray, want: tuple, name: str) -> None:
         raise ClosureShapeError(
             f"{name} closure returned shape {out.shape}, expected {want}; "
             "closures must broadcast over leading axes")
-
-
-def _raise_at(bad: np.ndarray, x: np.ndarray, message: str) -> None:
-    """ValueError naming the first point of x at which ``bad`` holds."""
-    if bad.any():
-        i = np.unravel_index(np.argmax(bad), bad.shape)
-        raise ValueError(f"{message} at {x[i]}")
 
 
 @dataclass(frozen=True)
@@ -493,6 +468,13 @@ def levi_civita_connection(g: MetricField) -> AffineConnection:
     """The metric connection of g as an AffineConnection."""
     return AffineConnection(lambda x: christoffel_levi_civita(g, x),
                             chart=g.chart, metric=g)
+
+
+def _check_horizon(t_end: float) -> None:
+    """Raise ``ValueError`` unless 0 <= t_end < inf: a curve runs
+    forwards from t = 0, and a solve or a span needs a finite end."""
+    if not 0.0 <= t_end < np.inf:
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
 
 
 def span_times(t,
@@ -706,7 +688,11 @@ def _integrate(rhs, y0, t_end, tol, *, in_domain=None, n_curves=1,
     ``steps`` and RHS evaluations ``nfev``.
 
     RK45 is looked up here, so pointwise geometry never loads scipy.
+
+    Raises ``ValueError`` unless 0 <= t_end < inf: RK45 would integrate
+    backwards below 0 and never end at nan.
     """
+    _check_horizon(t_end)
     from scipy.integrate import RK45
 
     class PerCurveRK45(RK45):
@@ -772,11 +758,15 @@ def _integrate(rhs, y0, t_end, tol, *, in_domain=None, n_curves=1,
             if len(window) == _MONITOR_WINDOW:
                 wmin = np.min(window, axis=0)
                 size = np.linalg.norm(solver.y.reshape(n_curves, -1), axis=1)
-                if (running & (wmin >= prev_window_min)
-                        & (wmin > 1e-13 * (1.0 + size))).any():
+                stalled = (running & (wmin >= prev_window_min)
+                           & (wmin > 1e-13 * (1.0 + size)))
+                if stalled.any():
+                    b = np.argmax(stalled)
+                    stop = "none" if stop_below is None else stop_below[b]
                     raise NonConvergenceError(
-                        "gradient norm failed to decrease over a full "
-                        f"window of {_MONITOR_WINDOW} steps")
+                        "gradient norm failed to decrease over a full window "
+                        f"of {_MONITOR_WINDOW} steps: curve {b}, window minimum"
+                        f" {wmin[b]:.3e}, stop_grad_norm {stop}, tol {tol}")
                 prev_window_min = wmin
                 window = []
     ts = np.array(ts)
@@ -799,7 +789,8 @@ def integrate_geodesic(conn: AffineConnection, x0, v0, t_end: float,
 
     Integration stops early, flagged via ``Trajectory.exited_domain``, if the
     curve leaves the chart domain.  With identical (x0, v0, t_end, tol) the
-    result is reproducible bit for bit.
+    result is reproducible bit for bit.  ``t_end`` must satisfy
+    0 <= t_end < inf (``ValueError`` otherwise).
     """
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -858,6 +849,8 @@ def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,
 
     Raises
     ------
+    ValueError
+        Unless 0 <= t_end < inf; before the first step.
     ClosureShapeError
         If a closure, the domain check included, gives the wrong shape on
         the seeds; before the first step.
@@ -867,7 +860,8 @@ def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,
     NonConvergenceError
         If a running curve's gradient norm fails to decrease over a full
         output window, the numerical stand-in for a flow that is not
-        relaxing.
+        relaxing.  The message names the first such curve, the smallest
+        norm of its window, its ``stop_grad_norm`` and ``tol``.
     """
     x0 = np.asarray(x0, dtype=float)
     # the closures see the seed's own shape, a point or a stack

@@ -1,4 +1,4 @@
-"""Result bundle round-trip and CSV formatting guarantees."""
+"""Result bundle write and CSV formatting guarantees."""
 
 import filecmp
 import math
@@ -32,34 +32,20 @@ def test_table_name_must_be_filename_safe():
         b.add_table("../escape", ["a"], [[1.0]])
 
 
-def test_round_trip_preserves_values(tmp_path):
-    b = sample_bundle()
-    b.write(tmp_path / "run")
-    back = ResultBundle.read(tmp_path / "run")
-    assert back.same_data(b)
-    assert back.command == "chain"
-    assert back.config == {"n_beads": 3, "t_plus": 2.0}
-    assert back.seed == 7
-    assert back.verdicts == ["warming-faster"]
-    row = back.tables["numbers"].rows[0]
-    assert isinstance(row[0], float) and isinstance(row[2], int)
-    assert row[3] is True and row[4] == "ok"
-
-
 def test_round_trip_handles_nan(tmp_path):
     b = sample_bundle()
     b.write(tmp_path / "run")
-    back = ResultBundle.read(tmp_path / "run")
-    assert math.isnan(back.tables["numbers"].rows[1][1])
-    assert back.same_data(b)
+    text = (tmp_path / "run" / "numbers.csv").read_text()
+    assert text.splitlines()[2] == "5.000000000000e-01,nan,5,false,singular"
 
 
 def test_rewrite_is_byte_identical(tmp_path):
     b = sample_bundle()
     b.write(tmp_path / "one")
-    ResultBundle.read(tmp_path / "one").write(tmp_path / "two")
-    assert filecmp.cmp(tmp_path / "one" / "numbers.csv",
-                       tmp_path / "two" / "numbers.csv", shallow=False)
+    b.write(tmp_path / "two")
+    for name in ("numbers.csv", "metadata.json"):
+        assert filecmp.cmp(tmp_path / "one" / name, tmp_path / "two" / name,
+                           shallow=False)
 
 
 def test_csv_format_contract(tmp_path):
@@ -70,19 +56,6 @@ def test_csv_format_contract(tmp_path):
     text = raw.decode()
     assert text.splitlines()[0] == "t,value,count,flag,label"
     assert "3.333333333333e-01" in text
-
-
-def test_same_data_detects_divergence(tmp_path):
-    a = sample_bundle()
-    b = sample_bundle()
-    assert a.same_data(b)
-    b.add_table("numbers", ["t", "value", "count", "flag", "label"],
-                [[0.0, 0.0, 4, True, "ok"],
-                 [0.5, float("nan"), 5, False, "singular"]])
-    assert not a.same_data(b)
-    c = sample_bundle()
-    c.verdicts = ["inconclusive"]
-    assert not a.same_data(c)
 
 
 _EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
@@ -112,9 +85,9 @@ def test_float_rows_take_either_path_to_the_same_text(pool, width, n_rows,
     assert lines == [_csv_line([_encode(c) for c in row]) for row in rows]
     mixed = Table(header + ["label"], [row + ["x"] for row in rows]).lines
     assert mixed == [line + ",x" for line in lines]
-    # repr tells -0.0 from 0.0 and a float from an int, and equates nan
-    assert ([list(map(repr, row)) for row in Table(header, values).rows]
-            == [[repr(float("%.12e" % v)) for v in row] for row in rows])
+    # -0.0, +-inf and nan read as "%.12e" renders them
+    assert ([line.split(",") for line in lines]
+            == [["%.12e" % v for v in row] for row in rows])
 
 
 def test_float_table_needs_a_2d_float_array_of_the_header_width():
@@ -127,7 +100,10 @@ def test_float_table_needs_a_2d_float_array_of_the_header_width():
 
 def test_float_table_round_trips(tmp_path):
     b = sample_bundle()
-    values = np.array([[0.0, -0.0, math.nan], [math.inf, -math.inf, 5e-324]])
-    b.add_table("floats", ["x", "y", "z"], np.tile(values, (40, 1)))
+    values = np.tile([[0.0, -0.0, math.nan], [math.inf, -math.inf, 5e-324]],
+                     (40, 1))
+    b.add_table("floats", ["x", "y", "z"], values)
     b.write(tmp_path / "run")
-    assert ResultBundle.read(tmp_path / "run").same_data(b)
+    lines = (tmp_path / "run" / "floats.csv").read_text().splitlines()
+    assert lines == ["x,y,z"] + [_csv_line([_encode(c) for c in row])
+                                 for row in values.tolist()]

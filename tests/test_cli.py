@@ -3,6 +3,7 @@
 import argparse
 import csv
 import filecmp
+import json
 import subprocess
 import sys
 import warnings
@@ -11,7 +12,6 @@ import numpy as np
 import pytest
 
 from geoflow import cli, fixtures, numdiff
-from geoflow.bundle import ResultBundle
 from geoflow.comparison import _GRID
 
 
@@ -19,6 +19,11 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def read_meta(out):
+    with open(out / "metadata.json") as fh:
+        return json.load(fh)
 
 
 def read_csv(path):
@@ -45,7 +50,7 @@ def test_chain_small_run(tmp_path, capsys):
     assert delta.min() >= -1e-9
     assert float(rows[0][1]) == pytest.approx(float(rows[0][2]), rel=1e-9)
     # modes.csv is the one record of each mode's rate and verdict
-    assert ResultBundle.read(out).verdicts == ["warming-faster"]
+    assert read_meta(out)["verdicts"] == ["warming-faster"]
     header, rows = read_csv(out / "modes.csv")
     assert [r[header.index("mode")] for r in rows] == ["1", "2"]
     assert all(r[header.index("verdict")] == "Curve1Faster" for r in rows)
@@ -110,14 +115,14 @@ def test_chain_config_file_and_flag_precedence(tmp_path, capsys):
                    "t_plus = 1.5\n")
     code, stdout, _ = run(["chain", "--config", str(ini)], capsys)
     assert code == 0 and stdout.strip() == "warming-faster"
-    meta = ResultBundle.read(tmp_path / "from_cfg")
-    assert meta.config["n_beads"] == 4
-    assert meta.seed is None and "tol" not in meta.config
+    meta = read_meta(tmp_path / "from_cfg")
+    assert meta["config"]["n_beads"] == 4
+    assert meta["seed"] is None and "tol" not in meta["config"]
 
     code, _, _ = run(["chain", "--config", str(ini), "--n-beads", "3",
                       "--out", str(tmp_path / "flagged")], capsys)
     assert code == 0
-    assert ResultBundle.read(tmp_path / "flagged").config["n_beads"] == 3
+    assert read_meta(tmp_path / "flagged")["config"]["n_beads"] == 3
 
 
 # main builds its parser once per process; each test below calls it again
@@ -128,9 +133,9 @@ def test_config_defaults_do_not_outlive_their_call(tmp_path, capsys):
     ini.write_text("[chain]\nn_beads = 5\n")
     assert run(["chain", "--config", str(ini),
                 "--out", str(tmp_path / "cfg")], capsys)[0] == 0
-    assert ResultBundle.read(tmp_path / "cfg").config["n_beads"] == 5
+    assert read_meta(tmp_path / "cfg")["config"]["n_beads"] == 5
     assert run(["chain", "--out", str(tmp_path / "plain")], capsys)[0] == 0
-    assert ResultBundle.read(tmp_path / "plain").config["n_beads"] == 11
+    assert read_meta(tmp_path / "plain")["config"]["n_beads"] == 11
 
 
 def test_help_twice_in_one_process(capsys):
@@ -150,7 +155,7 @@ def test_a_config_error_leaves_the_next_call_intact(tmp_path, capsys):
     code, stdout, _ = run(["chain", "--n-beads", "3",
                            "--out", str(tmp_path / "good")], capsys)
     assert (code, stdout.strip()) == (0, "warming-faster")
-    assert ResultBundle.read(tmp_path / "good").config["n_beads"] == 3
+    assert read_meta(tmp_path / "good")["config"]["n_beads"] == 3
 
 
 def test_a_model_registered_later_is_accepted(tmp_path, capsys, monkeypatch):
@@ -220,7 +225,7 @@ def test_config_sets_a_store_true_flag(tmp_path, capsys, value, code,
     got = run(["verify", "--config", str(ini),
                "--out", str(tmp_path / "neg")], capsys)
     assert got[:2] == (code, verdict + "\n")
-    config = ResultBundle.read(tmp_path / "neg").config
+    config = read_meta(tmp_path / "neg")["config"]
     assert config["negative_control"] is (value == "yes")
 
 
@@ -231,7 +236,7 @@ def test_config_values_are_literal(tmp_path, capsys):
     ini.write_text(f"[run]\nout = {out}\n[chain]\nn_beads = 3\n")
     code, stdout, _ = run(["chain", "--config", str(ini)], capsys)
     assert code == 0 and stdout.strip() == "warming-faster"
-    assert ResultBundle.read(out).config["n_beads"] == 3
+    assert read_meta(out)["config"]["n_beads"] == 3
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pct.ini",
                                                           "run-50%"]
 
@@ -269,8 +274,8 @@ def test_compare_symmetric_bowl_inconclusive(tmp_path, capsys):
                            "--out", str(tmp_path / "sym")], capsys)
     assert code == 3
     assert stdout.strip() == "Inconclusive"
-    bundle = ResultBundle.read(tmp_path / "sym")
-    assert any("zero-gap" in v for v in bundle.verdicts)
+    verdicts = read_meta(tmp_path / "sym")["verdicts"]
+    assert any("zero-gap" in v for v in verdicts)
 
 
 def test_compare_seeds_near_the_chart_edge(tmp_path, capsys):
@@ -286,7 +291,7 @@ def test_compare_seeds_near_the_chart_edge(tmp_path, capsys):
 def test_every_command_records_its_wall_time(tmp_path, capsys, argv):
     # pins the metadata contract: each bundle carries its wall time
     run(argv + ["--out", str(tmp_path / "out")], capsys)
-    wall = ResultBundle.read(tmp_path / "out").wall_time_s
+    wall = read_meta(tmp_path / "out")["wall_time_s"]
     assert isinstance(wall, float) and wall > 0.0
 
 
@@ -300,7 +305,7 @@ def test_compare_accepts_negative_vectors(tmp_path, capsys):
                                *dirs, "--t-end", "1",
                                "--out", str(tmp_path / name)], capsys)
         assert code == 3 and stdout.strip() == "Inconclusive"
-        config = ResultBundle.read(tmp_path / name).config
+        config = read_meta(tmp_path / name)["config"]
         assert config["direction1"] == [-0.3, 0.5]
         assert config["direction2"] == [0.5, -0.3]
     assert filecmp.cmp(tmp_path / "spaced" / "report.csv",
@@ -378,7 +383,7 @@ def test_compare_runs_at_the_integrators_tolerance_floor(tmp_path, capsys):
                                "--tol", repr(floor),
                                "--out", str(tmp_path / "floor")], capsys)
     assert (code, stdout.strip()) == (0, "Curve1Faster")
-    assert ResultBundle.read(tmp_path / "floor").config["tol"] == floor
+    assert read_meta(tmp_path / "floor")["config"]["tol"] == floor
 
 
 def test_compare_dense_output_outside_the_chart_is_a_numerical_failure(
@@ -427,12 +432,12 @@ def test_verify_seed_config_and_flag_precedence(tmp_path, capsys):
     argv = ["verify", "--config", str(ini), "--suite", "manifold-core"]
     code, stdout, _ = run(argv, capsys)
     assert code == 0 and stdout.strip() == "all-checks-passed"
-    assert ResultBundle.read(tmp_path / "from_cfg").seed == 9
+    assert read_meta(tmp_path / "from_cfg")["seed"] == 9
 
     code, _, _ = run(argv + ["--seed", "3", "--out", str(tmp_path / "flagged")],
                      capsys)
     assert code == 0
-    assert ResultBundle.read(tmp_path / "flagged").seed == 3
+    assert read_meta(tmp_path / "flagged")["seed"] == 3
 
 
 def test_verify_rejects_unknown_suite(tmp_path, capsys):

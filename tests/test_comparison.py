@@ -574,7 +574,7 @@ def test_diagonal_models_make_no_svd_calls(monkeypatch):
     count(st, "_inverse")
     count(mf.MetricField, "partials")
     res = gc.universal_asymmetry_experiment(gc.ChainSpec(12), 2.0)
-    assert res.warming_faster and len(res.modes) == 11
+    assert res.full.verdict == cp.CURVE1_FASTER and len(res.modes) == 11
     assert calls == {}
 
 

@@ -2,6 +2,8 @@
 
 import math
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -139,30 +141,6 @@ def test_metric_inverse_rejects_ill_conditioned_zero_and_nan():
             mf.metric_inverse(g, np.zeros(3))
         with pytest.raises(SingularMatrixError):
             mf.metric_inverse(g, np.zeros((4, 3)))
-
-
-def test_positive_definite_check():
-    g = _constant_metric(np.diag([1.0, -1.0]))
-    with pytest.raises(ValueError, match="not positive definite"):
-        g.check_positive_definite([np.zeros(2)])
-    # on a stack, the error names the point; g = diag(x) is positive
-    # definite where both coordinates are positive
-    diag = mf.MetricField(mf.Chart(2), diagonal=lambda x: x.copy())
-    dense = mf.MetricField(mf.Chart(2), diag)
-    good = np.array([[1.0, 2.0], [0.5, 3.0], [3.0, 0.5]])
-    bad = good.copy()
-    bad[1, 1] = -3.0
-    for g in (diag, dense):
-        g.check_positive_definite(good)
-        g.check_positive_definite(good[0])
-        with pytest.raises(ValueError, match=re.escape(
-                f"not positive definite at {bad[1]}")):
-            g.check_positive_definite(bad)
-    skew = mf.MetricField(mf.Chart(2), lambda x: np.broadcast_to(
-        [[1.0, 0.5], [0.0, 1.0]], x.shape[:-1] + (2, 2)))
-    with pytest.raises(ValueError, match=re.escape(
-            f"not symmetric at {good[0]}")):
-        skew.check_positive_definite(good)
 
 
 # --------------------------------------------------------- diagonal metrics
@@ -539,8 +517,87 @@ def test_flow_nonconvergence_detected():
     g = euclidean(1)
     f = mf.ScalarPotential(lambda x: -0.5 * (x * x).sum(axis=-1),
                            gradient=lambda x: -np.asarray(x, dtype=float))
-    with pytest.raises(NonConvergenceError):
+    with pytest.raises(NonConvergenceError,
+                       match=r"curve 0, .* stop_grad_norm none, tol 1e-10$"):
         mf.integrate_flow(g, f, [1.0], 60.0)
+
+
+def _clipped_bowl():
+    # the metric max(x, 0) vanishes left of 0; f has its minimum at 0.01
+    g = mf.MetricField(mf.Chart(1), diagonal=lambda x: np.maximum(x, 0.0))
+    f = mf.ScalarPotential(lambda x: 0.5 * (x[..., 0] - 0.01) ** 2)
+    return g, f
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-6])
+@pytest.mark.parametrize("x0", [1.0, 3.0])
+def test_a_stalled_flow_says_which_curve_and_why(x0, tol):
+    # a stop below what tol resolves: the speed levels off above it
+    g, f = _clipped_bowl()
+    with pytest.raises(NonConvergenceError) as err:
+        mf.integrate_flow(g, f, [x0], 1e4, tol=tol, stop_grad_norm=1e-6)
+    msg = str(err.value)
+    assert msg.startswith("gradient norm failed to decrease over a full "
+                          "window of 64 steps: curve 0, window minimum ")
+    assert msg.endswith(f", stop_grad_norm 1e-06, tol {tol}")
+    window_min = float(re.search(r"window minimum (\S+),", msg).group(1))
+    assert 1e-6 < window_min < 1e-4
+
+
+@pytest.mark.parametrize("tol, x0, steps, nfev", [
+    (1e-8, 1.0, 37, 326), (1e-8, 3.0, 41, 374),
+    (1e-10, 1.0, 83, 638), (1e-10, 3.0, 91, 728)])
+def test_the_same_flow_at_a_finer_tol_converges(tol, x0, steps, nfev):
+    g, f = _clipped_bowl()
+    traj = mf.integrate_flow(g, f, [x0], 1e4, tol=tol, stop_grad_norm=1e-6)
+    assert traj.converged
+    assert (traj.steps, traj.nfev) == (steps, nfev)
+
+
+def test_a_stall_names_the_first_stalled_curve_of_a_batch():
+    # curve 0 relaxes to its stop; curve 1 stalls above its own
+    g, f = _clipped_bowl()
+    with pytest.raises(NonConvergenceError,
+                       match=r"curve 1, .* stop_grad_norm 1e-06, tol 1e-06$"):
+        mf.integrate_flow(g, f, [[1.0], [3.0]], 1e4, tol=1e-6,
+                          stop_grad_norm=[1e-4, 1e-6])
+
+
+def _chain_flow_to(t_end):
+    sp = gc.spectrum(gc.ChainSpec(4))
+    return gc.chain_flow(sp, t_end)(0.5 * sp.a_star, 2.0 * sp.a_star)
+
+
+_HORIZON_ENTRIES = {
+    "integrate_flow": lambda t_end: mf.integrate_flow(
+        *fixtures.gaussian_mode(), [2.0], t_end),
+    "integrate_geodesic": lambda t_end: mf.integrate_geodesic(
+        mf.levi_civita_connection(fisher_1d()), [2.0], [1.0], t_end),
+    "chain_flow": _chain_flow_to,
+    "experiment": lambda t_end: gc.universal_asymmetry_experiment(
+        gc.ChainSpec(4), 2.0, t_end=t_end),
+}
+
+# a flow to t_end = nan used to step forever, so it runs in a process of
+# its own under a timeout
+_NAN_FLOW = """
+from geoflow import fixtures, manifold as mf
+mf.integrate_flow(*fixtures.gaussian_mode(), [2.0], float("nan"))
+"""
+
+
+@pytest.mark.parametrize("t_end", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", list(_HORIZON_ENTRIES))
+def test_a_horizon_outside_zero_to_inf_is_refused(entry, t_end):
+    # below 0 a solve ran backwards into a span no query could read
+    message = f"t_end must be finite and >= 0, got {t_end}"
+    if entry == "integrate_flow" and math.isnan(t_end):
+        proc = subprocess.run([sys.executable, "-c", _NAN_FLOW],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stderr.strip().endswith(f"ValueError: {message}")
+        return
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _HORIZON_ENTRIES[entry](t_end)
 
 
 def test_a_wrong_shape_closure_raises_before_the_first_step(monkeypatch):
