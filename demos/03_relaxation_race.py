@@ -29,7 +29,7 @@ print("warming seed (curve 1)  =", pair.x1_0)
 print("cooling seed (curve 2)  =", pair.x2_0)
 print("f at both seeds         =", f(pair.x1_0), f(pair.x2_0))
 
-rep = compare(g, f, 0.0, pair, t_end=6.0)
+rep = compare(g, f, pair, t_end=6.0)
 
 print("\nverdict:", rep.verdict)
 print("delta_f = f(cooling) - f(warming) stays nonnegative:")

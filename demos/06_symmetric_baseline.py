@@ -26,7 +26,7 @@ worst = 0.0
 for i in range(10):
     d1, d2 = rng.standard_normal((2, 2))
     pair = equidistant_seed(g, f, level, d1, d2)
-    rep = compare(g, f, 0.0, pair, t_end=12.0)
+    rep = compare(g, f, pair, t_end=12.0)
     m = float(np.abs(rep.delta_f).max())
     worst = max(worst, m)
     print(f"  pair {i}: verdict {rep.verdict:13s} max|delta_f| = {m:.3e}")

@@ -255,11 +255,11 @@ def cmd_compare(args) -> _Outcome:
         raise ConfigError("t-end must be positive")
 
     pair = equidistant_seed(g, f, level, np.asarray(dir1), np.asarray(dir2))
-    rep = compare(g, f, args.lam, pair, args.t_end, tol=args.tol)
+    rep = compare(g, f, pair, args.t_end, tol=args.tol)
     bundle = ResultBundle(
         command="compare",
         config={"model": args.model, "direction1": list(dir1),
-                "direction2": list(dir2), "level": level, "lam": args.lam,
+                "direction2": list(dir2), "level": level,
                 "t_end": args.t_end, "tol": args.tol})
     bundle.add_table("report", ["t", "f1", "f2", "delta_f"],
                      np.column_stack([rep.ts, rep.f1, rep.f2, rep.delta_f]))
@@ -273,6 +273,8 @@ def cmd_compare(args) -> _Outcome:
 
 
 def cmd_verify(args) -> _Outcome:
+    if args.seed < 0:
+        raise ConfigError("seed must be non-negative")
     results = verify_mod.run_suites(
         seed=args.seed, suites=[args.suite] if args.suite else None,
         flip_nonmetricity_sign=args.negative_control)
@@ -371,8 +373,6 @@ def _build_parser() -> _Parser:
     p_cmp.add_argument("--level", type=finite,
                        help="shared potential level of the two seeds "
                             "(default the model's)")
-    p_cmp.add_argument("--lam", type=finite, default=0.0,
-                       help="connection parameter (default %(default)s)")
     p_cmp.add_argument("--t-end", dest="t_end", type=finite, default=10.0,
                        help="time horizon (default %(default)s)")
     p_cmp.add_argument("--tol", type=finite, default=1e-10,
@@ -383,7 +383,7 @@ def _build_parser() -> _Parser:
     p_ver = sub.add_parser("verify", help="run the invariant battery")
     add_common(p_ver)
     p_ver.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized checks (default %(default)s)")
+                       help="random checks' seed, >= 0 (default %(default)s)")
     p_ver.add_argument("--suite", choices=verify_mod.SUITE_NAMES,
                        help="run only this suite (default all)")
     p_ver.add_argument("--negative-control", dest="negative_control",

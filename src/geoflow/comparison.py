@@ -296,8 +296,8 @@ def _by_row(n: int, rows: np.ndarray, times: np.ndarray):
     return out, col
 
 
-def compare_batch(g: MetricField, f: ScalarPotential, lam: float,
-                  pairs: EquidistantPair, flow) -> list[AsymmetryReport]:
+def compare_batch(g: MetricField, f: ScalarPotential, pairs: EquidistantPair,
+                  flow) -> list[AsymmetryReport]:
     """Race B equidistant pairs at once; report b is the race of pair b.
 
     ``pairs`` holds the B pairs on a leading axis (a pair of single seeds
@@ -319,7 +319,8 @@ def compare_batch(g: MetricField, f: ScalarPotential, lam: float,
       is called there);
     - one :func:`bracketed_roots` call over every row's brackets, whose
       rounds query both curves on a ``(B, m)`` stack of times;
-    - one :func:`nonmetricity_cubic` call per side over every root;
+    - one lam = 0 :func:`nonmetricity_cubic` call per side over every
+      root (see :func:`compare` for why the race takes no lam);
     - the verdict ladder of :func:`compare`, row by row.
 
     Illinois steps, speeds and cubics are elementwise and every reduction
@@ -380,7 +381,7 @@ def compare_batch(g: MetricField, f: ScalarPotential, lam: float,
     at, _ = _by_row(n, np.repeat(np.arange(n), counts),
                     np.concatenate(coincide))
     if at.size:
-        c1, c2 = (nonmetricity_cubic(g, lam, traj, at)
+        c1, c2 = (nonmetricity_cubic(g, 0.0, traj, at)
                   for traj in (traj1, traj2))
     else:
         c1 = c2 = at
@@ -423,9 +424,8 @@ def compare_batch(g: MetricField, f: ScalarPotential, lam: float,
     return reports
 
 
-def compare(g: MetricField, f: ScalarPotential, lam: float,
-            pair: EquidistantPair, t_end: float, tol: float = 1e-10,
-            flow=None) -> AsymmetryReport:
+def compare(g: MetricField, f: ScalarPotential, pair: EquidistantPair,
+            t_end: float, tol: float = 1e-10, flow=None) -> AsymmetryReport:
     """Run both relaxations and issue the asymmetry verdict.
 
     The batch of one of :func:`compare_batch`, which holds the single
@@ -453,6 +453,14 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
     otherwise).  The root search refines every bracket at once
     (:func:`bracketed_roots`), one array query per round, and the cubics
     are one :func:`nonmetricity_cubic` call per curve over all roots.
+
+    The cubics are those of the lam = 0 straightening connection, and the
+    race takes no lam.  Every connection of the family makes the descent
+    curves pregeodesics; along a curve the cubic at lam exceeds the
+    lam = 0 one by 2 lam |xd|^2_g, which is the same on both curves where
+    their speeds coincide, so the gap C2 - C1 that decides the race does
+    not depend on lam.  A large lam would only inflate both cubics, and
+    with them the relative zero-gap cut below.
 
     Speed-coincidence times are the bracketed sign changes of
     |curve1'| - |curve2'| on the dense output (plus t=0 when the seeds
@@ -484,5 +492,5 @@ def compare(g: MetricField, f: ScalarPotential, lam: float,
             traj = integrate_flow(g, f, seeds, t_end, tol=tol,
                                   stop_grad_norm=stop)
             return traj[0], traj[1]
-    return compare_batch(g, f, lam, pair, flow)[0]
+    return compare_batch(g, f, pair, flow)[0]
 

@@ -39,7 +39,6 @@ __all__ = [
     "ChainSpec",
     "ModeSpectrum",
     "ExperimentResult",
-    "chain_laplacian",
     "spectrum",
     "analytic_variance",
     "ode_rhs",
@@ -101,19 +100,10 @@ def _avec(state) -> np.ndarray:
     return a
 
 
-def chain_laplacian(n_beads: int) -> np.ndarray:
-    """Path-graph Laplacian of the bead connectivity (free ends)."""
-    lap = 2.0 * np.eye(n_beads)
-    lap[0, 0] = lap[-1, -1] = 1.0
-    idx = np.arange(n_beads - 1)
-    lap[idx, idx + 1] = -1.0
-    lap[idx + 1, idx] = -1.0
-    return lap
-
-
 def spectrum(spec: ChainSpec) -> ModeSpectrum:
     """Mode rates lambda_k = 4 sin^2(k pi / (2 n_beads)), k = 1 ... n_beads - 1:
-    the Rouse spectrum of :func:`chain_laplacian` without its zero mode."""
+    the Rouse spectrum, the eigenvalues of the free-ended chain's path-graph
+    Laplacian without its zero mode."""
     k = np.arange(1, spec.n_beads)
     lam = 4.0 * np.sin(k * np.pi / (2 * spec.n_beads)) ** 2
     return ModeSpectrum(lambdas=lam)
@@ -477,12 +467,11 @@ def universal_asymmetry_experiment(spec: ChainSpec, t_plus: float,
                                0.5 * (f(x_plus) + f(x_minus)))
 
     g, f = chain_manifold(spect)
-    full = compare(g, f, 0.0, pair(f, a_minus, a_plus), t_end, flow=flow)
+    full = compare(g, f, pair(f, a_minus, a_plus), t_end, flow=flow)
     modes = []
     if per_mode:
         g, f = _mode_rows(spect)
-        modes = compare_batch(g, f, 0.0,
-                              pair(f, a_minus[:, None], a_plus[:, None]),
+        modes = compare_batch(g, f, pair(f, a_minus[:, None], a_plus[:, None]),
                               flow)
 
     return ExperimentResult(spec=spec, spect=spect, t_plus=t_plus,

@@ -378,7 +378,7 @@ def _suite_gradient_flow(rng) -> list[CheckResult]:
     g, f = gaussian_mode()
     pair = equidistant_seed(g, f, MODE_LEVEL, [-1.0], [1.0])
     tol = 1e-10
-    rep = compare(g, f, 0.0, pair, 10.0, tol=tol)
+    rep = compare(g, f, pair, 10.0, tol=tol)
 
     pin0 = abs(rep.delta_f[0])
     pin1 = abs(rep.delta_f[-1])
@@ -417,7 +417,7 @@ def _suite_gradient_flow(rng) -> list[CheckResult]:
                            ok and worst < 1e-8, worst, 1e-8,
                            "matched loss rates; delta curvature opposes gap"))
 
-    rep_half = compare(g, f, 0.0, pair, 10.0, tol=tol / 2)
+    rep_half = compare(g, f, pair, 10.0, tol=tol / 2)
     out.append(CheckResult("gradient-flow", "reparametrization-neutrality",
                            rep_half.verdict == rep.verdict, 0.0, 0.0,
                            f"verdict stable under tol halving: {rep.verdict}"))
@@ -428,7 +428,7 @@ def _suite_gradient_flow(rng) -> list[CheckResult]:
     level = 0.5
     worst = 0.0
     for d1, d2 in rng.standard_normal((20, 2, 2)):
-        sym = compare(g, f, 0.0, equidistant_seed(g, f, level, d1, d2), 12.0)
+        sym = compare(g, f, equidistant_seed(g, f, level, d1, d2), 12.0)
         worst = max(worst, float(np.abs(sym.delta_f).max()))
     out.append(CheckResult("gradient-flow", "distance-squared-symmetry",
                            worst < 1e-7 * level, worst, 1e-7 * level,
@@ -578,7 +578,7 @@ def _suite_gaussian_chain(rng) -> list[CheckResult]:
                                              per_mode=False)
         d = res.full.delta_f
         gaps = res.full.cubic_gaps
-        ref = compare(*chain_manifold(res.spect), 0.0, res.pair, res.t_end)
+        ref = compare(*chain_manifold(res.spect), res.pair, res.t_end)
         agree = (ref.verdict == res.full.verdict
                  and len(ref.coincidence_times)
                  == len(res.full.coincidence_times))

@@ -267,6 +267,9 @@ def test_compare_default_model_warming_wins(tmp_path, capsys):
     header, rows = read_csv(out / "report.csv")
     assert header == ["t", "f1", "f2", "delta_f"]
     assert len(rows) > 100
+    # the race takes no connection parameter, so none is recorded
+    assert sorted(read_meta(out)["config"]) == [
+        "direction1", "direction2", "level", "model", "t_end", "tol"]
 
 
 def test_compare_symmetric_bowl_inconclusive(tmp_path, capsys):
@@ -358,7 +361,8 @@ def test_compare_bad_invocations(tmp_path, capsys):
              ["compare", "--direction1", "nan,0"],
              ["compare", "--level", "-1"],
              ["compare", "--level", "inf"],
-             ["compare", "--lam", "nan"],
+             # the race takes no connection parameter: --lam is unknown
+             ["compare", "--lam", "0"],
              ["compare", "--t-end", "0"],
              ["compare", "--t-end", "-1"],
              ["compare", "--tol", "-1"],
@@ -372,6 +376,14 @@ def test_compare_bad_invocations(tmp_path, capsys):
         code, _, err = run(argv + ["--out", str(tmp_path / "bad")], capsys)
         assert code == 1
         assert "config error" in err
+    ini = tmp_path / "lam.ini"
+    for sec in ("compare", "run"):
+        ini.write_text(f"[{sec}]\nlam = 0\n")
+        code, stdout, err = run(["compare", "--config", str(ini),
+                                 "--out", str(tmp_path / "bad")], capsys)
+        assert (code, stdout) == (1, "")
+        assert "config error" in err and f"[{sec}] lam: unknown key" in err
+    assert not (tmp_path / "bad").exists()
 
 
 def test_compare_runs_at_the_integrators_tolerance_floor(tmp_path, capsys):
@@ -445,6 +457,19 @@ def test_verify_rejects_unknown_suite(tmp_path, capsys):
                         "--out", str(tmp_path / "x")], capsys)
     assert code == 1
     assert "config error" in err
+
+
+def test_verify_rejects_a_negative_seed(tmp_path, capsys):
+    # numpy's default_rng([seed, i]) takes no negative entry; the seed is
+    # refused as a bad invocation before any suite runs
+    ini = tmp_path / "seed.ini"
+    ini.write_text("[verify]\nseed = -1\n")
+    for argv in (["verify", "--seed", "-1"],
+                 ["verify", "--config", str(ini)]):
+        code, stdout, err = run(argv + ["--out", str(tmp_path / "x")], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == "config error: seed must be non-negative\n"
+    assert not (tmp_path / "x").exists()
 
 
 # --------------------------------------------------------------- curvature

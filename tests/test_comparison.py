@@ -216,7 +216,7 @@ def test_pair_below_the_minimum_level_is_refused():
 def test_compare_symmetric_is_inconclusive():
     g, f = fixtures.euclidean_quadratic(2)
     pair = cp.equidistant_seed(g, f, 0.5, [1.0, 0.0], [0.0, 1.0])
-    report = cp.compare(g, f, 0.0, pair, 8.0)
+    report = cp.compare(g, f, pair, 8.0)
     assert report.verdict == cp.INCONCLUSIVE
     assert any("zero-gap" in n for n in report.notes)
     assert np.abs(report.delta_f).max() < 1e-9
@@ -228,8 +228,7 @@ def test_compare_flat_bowl_ties_read_zero_gap_in_any_direction():
     g, f = fixtures.euclidean_quadratic(2)
     rng = np.random.default_rng(0)
     for d1, d2 in rng.standard_normal((3, 2, 2)):
-        report = cp.compare(g, f, 0.0, cp.equidistant_seed(g, f, 0.5, d1, d2),
-                            12.0)
+        report = cp.compare(g, f, cp.equidistant_seed(g, f, 0.5, d1, d2), 12.0)
         assert report.verdict == cp.INCONCLUSIVE
         assert report.coincidence_times
         assert any(n.startswith("zero-gap") for n in report.notes)
@@ -238,7 +237,7 @@ def test_compare_flat_bowl_ties_read_zero_gap_in_any_direction():
 def test_compare_identical_seeds():
     g, f = fixtures.euclidean_quadratic(2)
     pair = cp.EquidistantPair(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 0.5)
-    report = cp.compare(g, f, 0.0, pair, 5.0)
+    report = cp.compare(g, f, pair, 5.0)
     assert np.all(report.delta_f == 0.0)
     assert report.verdict == cp.INCONCLUSIVE
 
@@ -264,7 +263,7 @@ def test_no_coincidence_and_no_delta_f_reads_zero_gap():
     # coincidence, and the zero-gap rung rests on delta_f alone
     g, f = fixtures.euclidean_quadratic(2)
     pair = cp.EquidistantPair(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.5)
-    report = cp.compare(g, f, 0.0, pair, 8.0,
+    report = cp.compare(g, f, pair, 8.0,
                         flow=lambda x1, x2: (_Spiral(x1, 0.0),
                                              _Spiral(x2, 1.0)))
     assert report.coincidence_times == []
@@ -286,7 +285,7 @@ def test_cubic_gaps_of_both_signs_are_inconclusive(monkeypatch):
     monkeypatch.setattr(cp, "nonmetricity_cubic", cubic)
     g, f = fixtures.euclidean_quadratic(2)
     pair = cp.equidistant_seed(g, f, 0.5, [1.0, 0.0], [0.0, 1.0])
-    report = cp.compare(g, f, 0.0, pair, 8.0)
+    report = cp.compare(g, f, pair, 8.0)
     assert len(report.cubic_gaps) > 1
     assert min(report.cubic_gaps) < 0.0 < max(report.cubic_gaps)
     assert np.abs(report.delta_f).max() <= cp.DELTA_TOL
@@ -311,7 +310,7 @@ def test_pair_on_the_minimum_level_is_a_no_race(model, monkeypatch):
     monkeypatch.setattr(cp, "bracketed_roots", refused)
     monkeypatch.setattr(cp, "nonmetricity_cubic", refused)
     q = f.minimum_q
-    report = cp.compare(g, f, 0.0, cp.EquidistantPair(q, q, f(q)), 50.0,
+    report = cp.compare(g, f, cp.EquidistantPair(q, q, f(q)), 50.0,
                         flow=flow)
     assert report.verdict == cp.INCONCLUSIVE
     assert report.traj1.span == report.traj2.span == (0.0, 0.0)
@@ -324,7 +323,7 @@ def test_a_batch_needs_one_curve_per_pair():
     x = np.array([[1.0, 0.0], [0.0, 1.0]])
     pairs = cp.EquidistantPair(x, x[::-1], np.full(2, f(x[0])))
     with pytest.raises(ValueError, match="one curve"):
-        cp.compare_batch(g, f, 0.0, pairs,
+        cp.compare_batch(g, f, pairs,
                          lambda x1, x2: (mf.integrate_flow(g, f, x1[0], 1.0),
                                          mf.integrate_flow(g, f, x2[0], 1.0)))
 
@@ -333,7 +332,7 @@ def test_compare_mode_warming_wins():
     # cold (warming) start as curve 1, hot (cooling) start as curve 2
     g, f, pair = mode_pair()
     swapped = cp.EquidistantPair(pair.x2_0, pair.x1_0, pair.level)
-    report = cp.compare(g, f, 0.0, swapped, 8.0)
+    report = cp.compare(g, f, swapped, 8.0)
     assert report.verdict == cp.CURVE1_FASTER
     assert report.coincidence_times
     assert all(gp > 0.0 for gp in report.cubic_gaps)
@@ -351,7 +350,7 @@ def test_hessian_exp_race_matches_analytic_partials():
                            partials=lambda x: np.exp(x)[..., None, None])
     pair = cp.equidistant_seed(g, f, entry.level, entry.direction1,
                                entry.direction2)
-    fd, ref = (cp.compare(m, f, 0.0, pair, 10.0) for m in (g, exact))
+    fd, ref = (cp.compare(m, f, pair, 10.0) for m in (g, exact))
     assert fd.verdict == ref.verdict == cp.CURVE1_FASTER
     assert len(ref.cubic_gaps) == 1
     assert_allclose(fd.cubic_gaps, ref.cubic_gaps, rtol=1e-12, atol=0.0)
@@ -359,14 +358,14 @@ def test_hessian_exp_race_matches_analytic_partials():
 
 def test_compare_orientation_flips():
     g, f, pair = mode_pair()
-    report = cp.compare(g, f, 0.0, pair, 8.0)
+    report = cp.compare(g, f, pair, 8.0)
     assert report.verdict == cp.CURVE2_FASTER
     assert all(gp < 0.0 for gp in report.cubic_gaps)
 
 
 def test_compare_endpoint_pinning():
     g, f, pair = mode_pair()
-    report = cp.compare(g, f, 0.0, pair, 12.0, tol=1e-10)
+    report = cp.compare(g, f, pair, 12.0, tol=1e-10)
     assert abs(report.delta_f[0]) < 1e-9
     assert report.traj1.converged and report.traj2.converged
     assert abs(report.delta_f[-1]) < 1e-9
@@ -376,7 +375,7 @@ def test_compare_coincidence_characterization():
     # at t*: relaxation rates agree, and delta_f curves away from the gap
     g, f, pair = mode_pair()
     swapped = cp.EquidistantPair(pair.x2_0, pair.x1_0, pair.level)
-    report = cp.compare(g, f, 0.0, swapped, 8.0)
+    report = cp.compare(g, f, swapped, 8.0)
     for t_star, gap in zip(report.coincidence_times, report.cubic_gaps):
         if t_star == 0.0:
             continue
@@ -399,17 +398,17 @@ def test_compare_rejects_a_pointwise_only_model():
                            minimum_q=np.zeros(2))
     pair = cp.equidistant_seed(g, f, 0.5, [1.0, 0.0], [0.0, 1.0])
     with pytest.raises(ClosureShapeError):
-        cp.compare(g, f, 0.0, pair, 8.0)
+        cp.compare(g, f, pair, 8.0)
     _, f_ok = fixtures.euclidean_quadratic(2)
     with pytest.raises(ClosureShapeError):
-        cp.compare(g, f_ok, 0.0, pair, 8.0)
+        cp.compare(g, f_ok, pair, 8.0)
 
 
 def test_compare_verdict_stable_under_tol():
     g, f, pair = mode_pair()
     swapped = cp.EquidistantPair(pair.x2_0, pair.x1_0, pair.level)
-    a = cp.compare(g, f, 0.0, swapped, 8.0, tol=1e-10)
-    b = cp.compare(g, f, 0.0, swapped, 8.0, tol=5e-11)
+    a = cp.compare(g, f, swapped, 8.0, tol=1e-10)
+    b = cp.compare(g, f, swapped, 8.0, tol=5e-11)
     assert a.verdict == b.verdict == cp.CURVE1_FASTER
 
 
@@ -451,15 +450,43 @@ def _one_solve_per_curve(g, f, t_end):
 
 def _smooth_reports():
     g, f, pair = mode_pair()
-    yield "gaussian-mode", g, cp.compare(g, f, 0.0, pair, 8.0)
+    yield "gaussian-mode", g, cp.compare(g, f, pair, 8.0)
     sp = gc.spectrum(gc.ChainSpec(6))
     g, f = gc.chain_manifold(sp)
     t_minus = gc.equidistant_temperatures(3.0)
     lo, hi = t_minus * sp.a_star, 3.0 * sp.a_star
     level = 0.5 * (f(lo) + f(hi))
     yield "chain", g, cp.compare(
-        g, f, 0.0, cp.EquidistantPair(lo, hi, level), 50.0,
+        g, f, cp.EquidistantPair(lo, hi, level), 50.0,
         flow=gc.chain_flow(sp, 50.0))
+
+
+def test_the_cubic_gap_does_not_depend_on_lam():
+    # the straightening connections' cubics differ by 2 lam |xd|^2_g along
+    # a curve, and the speeds agree at a coincidence, so the gap that
+    # decides the race is the same for every lam: the race takes lam = 0
+    def reports():
+        for name in ("gaussian-mode", "hessian-exp"):
+            entry = fixtures.COMPARE_MODELS[name]
+            g, f = entry.build()
+            pair = cp.equidistant_seed(g, f, entry.level, entry.direction1,
+                                       entry.direction2)
+            yield name, g, cp.compare(g, f, pair, 10.0)
+        yield from ((name, g, rep) for name, g, rep in _smooth_reports()
+                    if name == "chain")
+
+    for name, g, rep in reports():
+        assert rep.verdict == cp.CURVE1_FASTER and rep.cubic_gaps, name
+        for t, gap in zip(rep.coincidence_times, rep.cubic_gaps):
+            x, v = rep.traj1.position_velocity(t)
+            c0 = st.nonmetricity_cubic(g, 0.0, rep.traj1, t)
+            for lam in (1.0, 1e3):
+                c1, c2 = (st.nonmetricity_cubic(g, lam, traj, t)
+                          for traj in (rep.traj1, rep.traj2))
+                assert_allclose(c2 - c1, gap, rtol=1e-9, atol=0.0,
+                                err_msg=name)
+                assert_allclose(c1 - c0, 2.0 * lam * g.inner(x, v, v),
+                                rtol=1e-9, err_msg=name)
 
 
 def test_bracketed_roots_match_brentq():
@@ -485,7 +512,7 @@ def test_bracketed_roots_on_roundoff_brackets():
     # batched search stop at different roundoff sign changes of one
     # bracket, and both roots are zeros of fn to within a few ulp
     g, f, pair = _flat_bowl()
-    rep = cp.compare(g, f, 0.0, pair, 12.0,
+    rep = cp.compare(g, f, pair, 12.0,
                      flow=_one_solve_per_curve(g, f, 12.0))
     fn, lo, hi, f_lo, f_hi = _speed_brackets(g, rep)
     assert lo.size > 200
@@ -535,7 +562,7 @@ def test_compare_metric_inverse_calls_are_bounded(monkeypatch):
                                           stop_grad_norm=stop)
         assert len(calls) == 2 and solvers[-1].nfev > 100
     calls.clear()
-    rep = cp.compare(g, f, 0.0, pair, 12.0,
+    rep = cp.compare(g, f, pair, 12.0,
                      flow=lambda x1, x2: (trajs[id(x1)], trajs[id(x2)]))
     assert len(rep.coincidence_times) > 200
     # one call per velocity query: the two sample grids, two per round
@@ -564,7 +591,7 @@ def test_diagonal_models_make_no_svd_calls(monkeypatch):
 
     count(np.linalg, "svd")
     g, f, pair = _flat_bowl()
-    rep = cp.compare(g, f, 0.0, pair, 12.0,
+    rep = cp.compare(g, f, pair, 12.0,
                      flow=_one_solve_per_curve(g, f, 12.0))
     assert len(rep.coincidence_times) > 200
     assert "svd" not in calls
@@ -601,7 +628,7 @@ def _max_delta_over_level(rep):
 def test_symmetry_check_distance_squared():
     g, f = fixtures.euclidean_quadratic(2)
     pair = cp.equidistant_seed(g, f, 0.5, [1.0, 0.0], [0.0, 1.0])
-    rep = cp.compare(g, f, 0.0, pair, 8.0)
+    rep = cp.compare(g, f, pair, 8.0)
     assert _max_delta_over_level(rep) < 1e-7
     assert rep.verdict == cp.INCONCLUSIVE
     assert rep.notes[0].startswith("zero-gap")
@@ -609,7 +636,7 @@ def test_symmetry_check_distance_squared():
 
 def test_symmetry_check_mode_fails():
     g, f, pair = mode_pair()
-    rep = cp.compare(g, f, 0.0, pair, 8.0)
+    rep = cp.compare(g, f, pair, 8.0)
     assert _max_delta_over_level(rep) > 1e-7
     assert rep.verdict == cp.CURVE2_FASTER
     assert rep.notes == []
@@ -618,7 +645,7 @@ def test_symmetry_check_mode_fails():
 def test_symmetry_check_equal_seeds():
     g, f = fixtures.euclidean_quadratic(2)
     pair = cp.EquidistantPair(np.array([1.0, 0.0]), np.array([1.0, 0.0]), 0.5)
-    rep = cp.compare(g, f, 0.0, pair, 5.0)
+    rep = cp.compare(g, f, pair, 5.0)
     assert not rep.delta_f.any()
     assert rep.verdict == cp.INCONCLUSIVE
     assert rep.notes[0].startswith("zero-gap")
@@ -633,12 +660,12 @@ def _joint_and_closed_race(name):
         g, f, pair = mode_pair()
         sp = gc.ModeSpectrum(lambdas=np.array([2.0]))
         swapped = cp.EquidistantPair(pair.x2_0, pair.x1_0, pair.level)
-        return (g, f, cp.compare(g, f, 0.0, swapped, 8.0),
+        return (g, f, cp.compare(g, f, swapped, 8.0),
                 gc.chain_flow(sp, 8.0), 8.0)
     res = gc.universal_asymmetry_experiment(gc.ChainSpec(6), 3.0,
                                             per_mode=False)
     g, f = gc.chain_manifold(res.spect)
-    return (g, f, cp.compare(g, f, 0.0, res.pair, res.t_end),
+    return (g, f, cp.compare(g, f, res.pair, res.t_end),
             gc.chain_flow(res.spect, res.t_end), res.t_end)
 
 
@@ -666,7 +693,7 @@ def test_flat_bowl_compare_is_one_solve():
     # both curves come from one RK45 system: one step sequence, and the
     # work of a single curve (1396 evaluations as two solves)
     g, f, pair = _flat_bowl()
-    rep = cp.compare(g, f, 0.0, pair, 12.0)
+    rep = cp.compare(g, f, pair, 12.0)
     assert np.shares_memory(rep.traj1.ts, rep.traj2.ts)
     assert rep.traj1.steps == rep.traj2.steps
     assert rep.traj1.nfev == rep.traj2.nfev <= 700
@@ -734,10 +761,10 @@ def test_coarse_tolerances_end_in_a_verdict(tol):
     closed = gc.chain_flow(sp, t_end)
     decided = 0
     for pair in pairs:
-        got = cp.compare(g, f, 0.0, pair, t_end, tol=tol).verdict
+        got = cp.compare(g, f, pair, t_end, tol=tol).verdict
         if got != cp.INCONCLUSIVE:
             decided += 1
-            assert got == cp.compare(g, f, 0.0, pair, t_end,
+            assert got == cp.compare(g, f, pair, t_end,
                                      flow=closed).verdict
     assert decided >= 4
 
@@ -754,4 +781,4 @@ def test_samples_outside_the_chart_raise_domain_exit(monkeypatch):
 
     monkeypatch.setattr(f, "_value", guarded)
     with pytest.raises(DomainExitError, match="dense output"):
-        cp.compare(g, f, 0.0, pair, 8.0, tol=0.5)
+        cp.compare(g, f, pair, 8.0, tol=0.5)

@@ -66,11 +66,21 @@ def test_three_bead_spectrum():
     assert_allclose(sp.a_star, [2.0, 2.0 / 3.0], atol=1e-12)
 
 
+def _chain_laplacian(n_beads):
+    """Path-graph Laplacian of the bead connectivity (free ends)."""
+    lap = 2.0 * np.eye(n_beads)
+    lap[0, 0] = lap[-1, -1] = 1.0
+    idx = np.arange(n_beads - 1)
+    lap[idx, idx + 1] = -1.0
+    lap[idx + 1, idx] = -1.0
+    return lap
+
+
 @pytest.mark.parametrize("n_beads", [2, 3, 5, 12, 33, 256])
 def test_spectrum_matches_sine_rates(n_beads):
     # the Rouse closed form against the Laplacian's own eigenvalues
     sp = gc.spectrum(gc.ChainSpec(n_beads))
-    evals = np.linalg.eigvalsh(gc.chain_laplacian(n_beads))
+    evals = np.linalg.eigvalsh(_chain_laplacian(n_beads))
     assert_allclose(sp.lambdas, evals[1:], atol=1e-12)
     assert sp.lambdas.shape == (n_beads - 1,)
     assert np.all(np.diff(sp.lambdas) > 0)
@@ -537,7 +547,7 @@ def _mode_race_alone(res, k):
     g, f = gc.mode_manifold(res.spect, k)
     lo, hi = res.pair.x1_0[k:k + 1], res.pair.x2_0[k:k + 1]
     pair = EquidistantPair(lo, hi, 0.5 * (f(hi) + f(lo)))
-    return compare(g, f, 0.0, pair, res.t_end,
+    return compare(g, f, pair, res.t_end,
                    flow=gc.chain_flow(sp, res.t_end))
 
 
@@ -578,15 +588,14 @@ def test_a_no_race_row_leaks_nothing_into_its_batch():
     lo, hi = (np.where(np.arange(8) == 3, sp.a_star, x)[:, None]
               for x in (res.pair.x1_0, res.pair.x2_0))
     g, f = gc._mode_rows(sp)
-    reps = compare_batch(g, f, 0.0,
-                         EquidistantPair(lo, hi, 0.5 * (f(hi) + f(lo))),
+    reps = compare_batch(g, f, EquidistantPair(lo, hi, 0.5 * (f(hi) + f(lo))),
                          gc.chain_flow(sp, res.t_end))
     assert [n.split(":")[0] for n in reps[3].notes] == ["no-race"]
     assert reps[3].verdict == INCONCLUSIVE and reps[3].traj1.span == (0.0, 0.0)
     g3, f3 = gc.mode_manifold(sp, 3)
     q = sp.a_star[3:4]
     _assert_same_race(reps[3], compare(
-        g3, f3, 0.0, EquidistantPair(q, q, f3(q)), res.t_end,
+        g3, f3, EquidistantPair(q, q, f3(q)), res.t_end,
         flow=gc.chain_flow(gc._mode_spectrum(sp, 3), res.t_end)))
     for k, rep in enumerate(reps):
         if k != 3:

@@ -1142,6 +1142,6 @@ def test_compare_makes_no_per_step_dense_output_calls(monkeypatch):
     g, f = fixtures.euclidean_quadratic()
     d1, d2 = np.random.default_rng([1, 0]).standard_normal((2, 2))
     pair = cp.equidistant_seed(g, f, 0.5, d1, d2)
-    rep = cp.compare(g, f, 0.0, pair, 12.0)
+    rep = cp.compare(g, f, pair, 12.0)
     assert len(rep.traj1.ts) > 10 and len(rep.coincidence_times) > 0
     assert calls == []
