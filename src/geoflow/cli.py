@@ -183,12 +183,10 @@ def cmd_chain(args) -> _Outcome:
         raise ConfigError("n-beads must be at least 2")
     if not args.t_plus >= 1.0:
         raise ConfigError("t-plus must be at least 1 (a hot start)")
-    if args.t_end is not None and not args.t_end > 0.0:
-        raise ConfigError("t-end must be positive")
 
     try:
         res = universal_asymmetry_experiment(ChainSpec(args.n_beads),
-                                             args.t_plus, args.t_end)
+                                             args.t_plus)
     except ValueError as exc:
         # a hot start past the float range of the metric's partials
         raise ConfigError(str(exc)) from exc
@@ -196,7 +194,6 @@ def cmd_chain(args) -> _Outcome:
     bundle = ResultBundle(
         command="chain",
         config={"n_beads": args.n_beads, "t_plus": args.t_plus,
-                "t_end": res.t_end,
                 "derived": {"t_minus": res.t_minus}})
     full = res.full
     header = ["t", "F_plus", "F_minus", "delta_F"]
@@ -354,8 +351,6 @@ def _build_parser() -> _Parser:
     p_chain.add_argument("--t-plus", dest="t_plus", type=finite, default=2.0,
                          help="hot start temperature ratio "
                               "(default %(default)s)")
-    p_chain.add_argument("--t-end", dest="t_end", type=finite,
-                         help="time horizon (default 12 / slowest rate)")
     p_chain.set_defaults(func=cmd_chain)
 
     p_cmp = sub.add_parser("compare",

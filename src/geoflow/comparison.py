@@ -83,6 +83,8 @@ _GRID = 512
 ROOT_XTOL = 1e-12
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 _ROOT_MAXITER = 100
+#: bisection rounds for the brackets that Illinois leaves open
+_BISECT_MAXITER = 64
 
 
 def brentq(f, a, b, **kwargs):
@@ -258,21 +260,28 @@ def bracketed_roots(fn, lo, hi, f_lo, f_hi) -> np.ndarray:
     bracket is done when fn vanishes there or the bracket is narrower
     than ROOT_XTOL + 4 eps |t|.
 
+    Where fn is roundoff, a gap of 1e-21 across a bracket 4e-12 wide,
+    say, Illinois crawls.  The brackets still open after 100 rounds are
+    bisected instead, each round halving them, for up to 64 rounds; a
+    bracket that closes within the first 100 rounds never sees a
+    bisection step.
+
     Raises
     ------
     NonConvergenceError
-        If a bracket is still open after 100 rounds.
+        If a bracket is still open after the 100 + 64 rounds.
     """
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     fa, fb = np.array(f_lo, dtype=float), np.array(f_hi, dtype=float)
     todo = np.arange(a.size)
-    for _ in range(_ROOT_MAXITER):
+    for n in range(_ROOT_MAXITER + _BISECT_MAXITER):
         width = np.abs(b[todo] - a[todo])
         todo = todo[width >= ROOT_XTOL + _ROOT_RTOL * np.abs(b[todo])]
         if todo.size == 0:
             return b
         ai, bi, fai, fbi = a[todo], b[todo], fa[todo], fb[todo]
-        c = bi - fbi * (bi - ai) / (fbi - fai)
+        c = (bi - fbi * (bi - ai) / (fbi - fai) if n < _ROOT_MAXITER
+             else 0.5 * (ai + bi))
         fc = np.asarray(fn(c, todo), dtype=float)
         flip = np.sign(fc) != np.sign(fbi)
         # a sign change between b and c: b becomes the far end
@@ -282,8 +291,8 @@ def bracketed_roots(fn, lo, hi, f_lo, f_hi) -> np.ndarray:
         hit = fc == 0.0
         a[todo[hit]] = c[hit]
     raise NonConvergenceError(
-        f"{todo.size} root bracket(s) still open after "
-        f"{_ROOT_MAXITER} rounds")
+        f"{todo.size} root bracket(s) still open after {_ROOT_MAXITER} "
+        f"Illinois and {_BISECT_MAXITER} bisection rounds")
 
 
 def _by_row(n: int, rows: np.ndarray, times: np.ndarray):
@@ -425,7 +434,8 @@ def compare_batch(g: MetricField, f: ScalarPotential, pairs: EquidistantPair,
 
 
 def compare(g: MetricField, f: ScalarPotential, pair: EquidistantPair,
-            t_end: float, tol: float = 1e-10, flow=None) -> AsymmetryReport:
+            t_end: float | None = None, tol: float = 1e-10,
+            flow=None) -> AsymmetryReport:
     """Run both relaxations and issue the asymmetry verdict.
 
     The batch of one of :func:`compare_batch`, which holds the single
@@ -440,9 +450,12 @@ def compare(g: MetricField, f: ScalarPotential, pair: EquidistantPair,
     ``rtol = min(max(STOP_RTOL, STOP_TOL_FACTOR * tol), STOP_RTOL_MAX)``
     is STOP_RTOL at tol <= 1e-7, the default included, and 10 tol, at
     most 1e-3, above: a coarser solve does not resolve the speed further
-    down.  A closed-form relaxation such as
-    :func:`geoflow.gaussian_chain.chain_flow` may stand in for it;
-    ``t_end`` and ``tol`` then go unused, the flow sets its own horizon.
+    down.  ``t_end`` bounds that solve and is needed there: a missing
+    one raises the ``ValueError`` of a bad one, 0 <= t_end < inf.  A
+    closed-form relaxation such as
+    :func:`geoflow.gaussian_chain.chain_flow` may stand in for the solve;
+    ``t_end`` and ``tol`` then go unused, and each curve ends at its own
+    stop time.
     A trajectory needs ``span`` plus ``position_velocity`` and
     ``acceleration`` at a scalar t and over an array of t.
 

@@ -32,8 +32,8 @@ from .comparison import (
     compare_batch,
 )
 from .errors import NonConvergenceError, SingularCurvatureError
-from .manifold import (Chart, MetricField, ScalarPotential, _check_horizon,
-                       _diag_matrix, span_times)
+from .manifold import (Chart, MetricField, ScalarPotential, _diag_matrix,
+                       span_times)
 
 __all__ = [
     "ChainSpec",
@@ -146,7 +146,7 @@ class ChainTrajectory:
     a one-mode curve of its own.
 
     The span ends once the Fisher speed |grad F| has surely fallen to
-    STOP_RTOL of its own start value, capped at ``t_end``.  Mode k's
+    STOP_RTOL of its own start value, and nowhere else.  Mode k's
     speed |v_k| / (sqrt2 a_k), relative to its start, is
     e x0_k / (a*_k + (x0_k - a*_k) e) with e = e^{-2 lambda_k t}, which
     is at most max(1, x0_k / a*_k) e.  So every mode, and with them the
@@ -156,12 +156,11 @@ class ChainTrajectory:
     spans [0, 0].  The bound is one closed form for one curve, a batch
     row and any number of modes, so a batch row's span is its one-curve
     span bit for bit.  ``ts``, ``xs`` and ``vs`` hold the two ends of
-    the span.  ``t_end`` must satisfy 0 <= t_end < inf (``ValueError``
-    otherwise).
+    the span.  A cold start, 0 < x0 < a* in every mode, thus ends at
+    ln(1 / STOP_RTOL) / (2 lambda_min), and a hot one later.
     """
 
-    def __init__(self, spect: ModeSpectrum, x0, t_end: float):
-        _check_horizon(t_end)
+    def __init__(self, spect: ModeSpectrum, x0):
         x0 = _avec(x0)
         self._rate = (2.0 * spect.lambdas).reshape(x0.shape)
         self._a_star = spect.a_star.reshape(x0.shape)
@@ -169,7 +168,7 @@ class ChainTrajectory:
         ratio = np.maximum(1.0, x0 / self._a_star)
         t_mode = np.where(self._d0 == 0.0, 0.0,
                           np.log(ratio / STOP_RTOL) / self._rate)
-        t_stop = np.minimum(t_end, t_mode.max(axis=-1))
+        t_stop = t_mode.max(axis=-1)
         self.ts = np.stack([np.zeros_like(t_stop), t_stop], axis=-1)
         self.xs, self.vs = self.position_velocity(self.ts)
 
@@ -210,12 +209,12 @@ class ChainTrajectory:
         return rate ** 2 * d0 * decay
 
 
-def chain_flow(spect: ModeSpectrum, t_end: float):
+def chain_flow(spect: ModeSpectrum):
     """The race's flow on closed-form curves: ``flow(x1_0, x2_0)`` gives
-    the :class:`ChainTrajectory` of each side, capped at ``t_end``."""
+    the :class:`ChainTrajectory` of each side, each ending at its own
+    stop time."""
     def flow(x1_0, x2_0):
-        return (ChainTrajectory(spect, x1_0, t_end),
-                ChainTrajectory(spect, x2_0, t_end))
+        return ChainTrajectory(spect, x1_0), ChainTrajectory(spect, x2_0)
     return flow
 
 
@@ -273,6 +272,11 @@ def scalar_curvature_mode(spect: ModeSpectrum, k: int,
 #: EQUIDISTANT_RTOL * target * sum_k lambda_k
 EQUIDISTANT_RTOL = 1e-14
 
+#: the hot ratios past this bound are refused by equidistant_temperatures:
+#: its Brent bracket's upper end 2 T_plus ln(2 T_plus) overflows a float
+#: from T_plus ~ 1.27817e305
+T_PLUS_MAX = 1.278e305
+
 
 def equidistant_temperatures(t_plus: float) -> float:
     """The cold ratio T_minus < 1 that is F-equidistant with T_plus > 1.
@@ -288,13 +292,14 @@ def equidistant_temperatures(t_plus: float) -> float:
     Raises
     ------
     ValueError
-        Unless 1 < t_plus < inf.
+        Unless 1 < t_plus <= T_PLUS_MAX.
     NonConvergenceError
         If u misses u - ln u = target by more than EQUIDISTANT_RTOL
         relative to the target.
     """
-    if not 1.0 < t_plus < np.inf:
-        raise ValueError(f"t_plus must exceed 1 and be finite, got {t_plus}")
+    if not 1.0 < t_plus <= T_PLUS_MAX:
+        raise ValueError(f"t_plus must exceed 1 and be at most T_PLUS_MAX = "
+                         f"{T_PLUS_MAX:g}, got {t_plus}")
     v = brentq(lambda v: v / np.log1p(v) - t_plus, 2.0 * (t_plus - 1.0),
                2.0 * t_plus * np.log(2.0 * t_plus), xtol=1e-300,
                disp=False)
@@ -406,7 +411,6 @@ class ExperimentResult:
     spect: ModeSpectrum
     t_plus: float
     t_minus: float
-    t_end: float
     pair: EquidistantPair
     full: AsymmetryReport
     modes: list[AsymmetryReport] = field(default_factory=list)
@@ -418,7 +422,6 @@ A_MAX = float(np.cbrt(np.finfo(float).max))
 
 
 def universal_asymmetry_experiment(spec: ChainSpec, t_plus: float,
-                                   t_end: float | None = None,
                                    per_mode: bool = True) -> ExperimentResult:
     """Warming/cooling race from F-equidistant temperature quenches.
 
@@ -431,9 +434,10 @@ def universal_asymmetry_experiment(spec: ChainSpec, t_plus: float,
     mode k on its own one-mode manifold, each report the one ``compare``
     would give.  At ``t_plus = 1`` both starts sit at equilibrium and
     never move, so every race is a no-race: Inconclusive, with the
-    no-race note of :func:`~geoflow.comparison.compare`.  ``t_end`` caps
-    every race and defaults to 12 / lambda_min, twelve relaxation times
-    of the slowest mode; the result records it.
+    no-race note of :func:`~geoflow.comparison.compare`.  No horizon is
+    set: each curve ends at its own stop time, and every race runs up to
+    the shorter one, the cold start's ln(1 / STOP_RTOL) / (2 lambda_k)
+    (lambda_min for the full chain).
 
     Raises
     ------
@@ -452,12 +456,10 @@ def universal_asymmetry_experiment(spec: ChainSpec, t_plus: float,
             f"t_plus={t_plus} puts the slowest mode's hot start at "
             f"a = {a_hot:.6g}, whose cube overflows a float; it must stay "
             f"below {A_MAX:.6g}, i.e. t_plus < {A_MAX / spect.a_star[0]:.6g}")
-    if t_end is None:
-        t_end = 12.0 / spect.lambdas[0]
     t_minus = 1.0 if t_plus == 1.0 else equidistant_temperatures(t_plus)
     a_minus = t_minus * spect.a_star
     a_plus = t_plus * spect.a_star
-    flow = chain_flow(spect, t_end)
+    flow = chain_flow(spect)
 
     def pair(f, x_minus, x_plus):
         # the temperature solve pins the two levels together to within
@@ -467,7 +469,7 @@ def universal_asymmetry_experiment(spec: ChainSpec, t_plus: float,
                                0.5 * (f(x_plus) + f(x_minus)))
 
     g, f = chain_manifold(spect)
-    full = compare(g, f, pair(f, a_minus, a_plus), t_end, flow=flow)
+    full = compare(g, f, pair(f, a_minus, a_plus), flow=flow)
     modes = []
     if per_mode:
         g, f = _mode_rows(spect)
@@ -475,6 +477,6 @@ def universal_asymmetry_experiment(spec: ChainSpec, t_plus: float,
                               flow)
 
     return ExperimentResult(spec=spec, spect=spect, t_plus=t_plus,
-                            t_minus=t_minus, t_end=t_end,
+                            t_minus=t_minus,
                             pair=EquidistantPair(a_minus, a_plus, full.level),
                             full=full, modes=modes)

@@ -470,13 +470,6 @@ def levi_civita_connection(g: MetricField) -> AffineConnection:
                             chart=g.chart, metric=g)
 
 
-def _check_horizon(t_end: float) -> None:
-    """Raise ``ValueError`` unless 0 <= t_end < inf: a curve runs
-    forwards from t = 0, and a solve or a span needs a finite end."""
-    if not 0.0 <= t_end < np.inf:
-        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
-
-
 def span_times(t,
                span: tuple[float, float | np.ndarray]) -> float | np.ndarray:
     """t (a scalar or an array) as floats clipped into ``span``.
@@ -689,10 +682,11 @@ def _integrate(rhs, y0, t_end, tol, *, in_domain=None, n_curves=1,
 
     RK45 is looked up here, so pointwise geometry never loads scipy.
 
-    Raises ``ValueError`` unless 0 <= t_end < inf: RK45 would integrate
-    backwards below 0 and never end at nan.
+    Raises ``ValueError`` unless 0 <= t_end < inf, ``None`` included:
+    RK45 would integrate backwards below 0 and never end at nan.
     """
-    _check_horizon(t_end)
+    if t_end is None or not 0.0 <= t_end < np.inf:
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     from scipy.integrate import RK45
 
     class PerCurveRK45(RK45):

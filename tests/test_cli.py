@@ -87,7 +87,7 @@ def test_chain_rejects_bad_parameters(tmp_path, capsys):
     # three beads a t_plus from 2.82e102 up overflows the metric's
     # partials to zero
     ini = tmp_path / "inf.ini"
-    ini.write_text("[chain]\nt_end = inf\n")
+    ini.write_text("[chain]\nt_plus = inf\n")
     for argv in (["chain", "--n-beads", "1"],
                  ["chain", "--t-plus", "0.5"],
                  ["chain", "--n-beads", "x"],
@@ -96,12 +96,17 @@ def test_chain_rejects_bad_parameters(tmp_path, capsys):
                  ["chain", "--n-beads", "3", "--t-plus", "3e102"],
                  ["chain", "--n-beads", "3", "--t-plus", "1e154"],
                  ["chain", "--n-beads", "3", "--t-plus", "1e300"],
-                 ["chain", "--t-end", "-1"],
-                 ["chain", "--t-end", "0"],
+                 # each curve ends at its own stop: --t-end is unknown
+                 ["chain", "--t-end", "5"],
                  ["chain", "--config", str(ini)]):
         code, _, err = run(argv + ["--out", str(tmp_path / "nope")], capsys)
         assert code == 1
         assert "config error" in err
+    ini.write_text("[chain]\nt_end = 5\n")
+    code, stdout, err = run(["chain", "--config", str(ini),
+                             "--out", str(tmp_path / "nope")], capsys)
+    assert (code, stdout) == (1, "")
+    assert "config error: [chain] t_end: unknown key" in err
     assert not (tmp_path / "nope").exists()
 
 
@@ -117,7 +122,9 @@ def test_chain_config_file_and_flag_precedence(tmp_path, capsys):
     assert code == 0 and stdout.strip() == "warming-faster"
     meta = read_meta(tmp_path / "from_cfg")
     assert meta["config"]["n_beads"] == 4
-    assert meta["seed"] is None and "tol" not in meta["config"]
+    assert meta["seed"] is None
+    # the race takes no horizon, so none is recorded
+    assert sorted(meta["config"]) == ["derived", "n_beads", "t_plus"]
 
     code, _, _ = run(["chain", "--config", str(ini), "--n-beads", "3",
                       "--out", str(tmp_path / "flagged")], capsys)
@@ -203,7 +210,7 @@ def test_default_section_is_an_unknown_section(tmp_path, capsys):
 
 def test_config_values_are_cast_by_the_flags_types(tmp_path, capsys):
     ini = tmp_path / "cast.ini"
-    cases = (("chain", "[chain]\nt_end = inf\n", "[chain] t_end"),
+    cases = (("chain", "[chain]\nt_plus = inf\n", "[chain] t_plus"),
              ("chain", "[run]\nn_beads = 4.5\n", "[run] n_beads"),
              ("compare", "[compare]\nmodel = nope\n", "[compare] model"))
     for command, body, named in cases:
@@ -286,6 +293,18 @@ def test_compare_seeds_near_the_chart_edge(tmp_path, capsys):
                              "--level", "1", "--out", str(tmp_path / "edge")],
                             capsys)
     assert (code, stdout.strip(), err) == (0, "Curve1Faster", "")
+
+
+@pytest.mark.parametrize("level", ["1e-10", "1e-14"])
+def test_compare_near_the_minimum_ends_in_a_verdict(tmp_path, capsys, level):
+    # this close to the minimum the speed gap is roundoff and Illinois
+    # alone crawls on 14 and 28 brackets: bisection must close them, so the
+    # race ends in a verdict, not in NonConvergenceError (exit 2)
+    code, stdout, err = run(["compare", "--model", "gaussian-mode",
+                             "--level", level, "--out", str(tmp_path / "low")],
+                            capsys)
+    assert (code, stdout.strip()) == (3, "Inconclusive")
+    assert "Error" not in err
 
 
 @pytest.mark.parametrize("argv", [

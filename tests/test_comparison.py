@@ -302,7 +302,7 @@ def test_pair_on_the_minimum_level_is_a_no_race(model, monkeypatch):
     else:                       # closed form
         sp = gc.spectrum(gc.ChainSpec(4))
         g, f = gc.chain_manifold(sp)
-        flow = gc.chain_flow(sp, 50.0)
+        flow = gc.chain_flow(sp)
 
     def refused(*args):
         raise AssertionError("a no-race ran the root search or a cubic")
@@ -457,8 +457,7 @@ def _smooth_reports():
     lo, hi = t_minus * sp.a_star, 3.0 * sp.a_star
     level = 0.5 * (f(lo) + f(hi))
     yield "chain", g, cp.compare(
-        g, f, cp.EquidistantPair(lo, hi, level), 50.0,
-        flow=gc.chain_flow(sp, 50.0))
+        g, f, cp.EquidistantPair(lo, hi, level), flow=gc.chain_flow(sp))
 
 
 def test_the_cubic_gap_does_not_depend_on_lam():
@@ -524,6 +523,7 @@ def test_bracketed_roots_on_roundoff_brackets():
 
 def test_bracketed_roots_raise_when_unfinished(monkeypatch):
     monkeypatch.setattr(cp, "_ROOT_MAXITER", 2)
+    monkeypatch.setattr(cp, "_BISECT_MAXITER", 2)
     with pytest.raises(NonConvergenceError):
         cp.bracketed_roots(lambda t, _: np.sin(t), [3.0], [3.3],
                            [np.sin(3.0)], [np.sin(3.3)])
@@ -660,13 +660,13 @@ def _joint_and_closed_race(name):
         g, f, pair = mode_pair()
         sp = gc.ModeSpectrum(lambdas=np.array([2.0]))
         swapped = cp.EquidistantPair(pair.x2_0, pair.x1_0, pair.level)
-        return (g, f, cp.compare(g, f, swapped, 8.0),
-                gc.chain_flow(sp, 8.0), 8.0)
+        return g, f, cp.compare(g, f, swapped, 8.0), gc.chain_flow(sp), 8.0
     res = gc.universal_asymmetry_experiment(gc.ChainSpec(6), 3.0,
                                             per_mode=False)
     g, f = gc.chain_manifold(res.spect)
-    return (g, f, cp.compare(g, f, res.pair, res.t_end),
-            gc.chain_flow(res.spect, res.t_end), res.t_end)
+    t_end = 12.0 / res.spect.lambdas[0]
+    return (g, f, cp.compare(g, f, res.pair, t_end), gc.chain_flow(res.spect),
+            t_end)
 
 
 @pytest.mark.parametrize("name", ["gaussian-mode", "chain"])
@@ -758,14 +758,13 @@ def test_coarse_tolerances_end_in_a_verdict(tol):
     # verdict is the closed-form curves' one
     sp, g, f, pairs = _log_ray_chain_pairs(12)
     t_end = 12.0 / sp.lambdas.min()
-    closed = gc.chain_flow(sp, t_end)
+    closed = gc.chain_flow(sp)
     decided = 0
     for pair in pairs:
         got = cp.compare(g, f, pair, t_end, tol=tol).verdict
         if got != cp.INCONCLUSIVE:
             decided += 1
-            assert got == cp.compare(g, f, pair, t_end,
-                                     flow=closed).verdict
+            assert got == cp.compare(g, f, pair, flow=closed).verdict
     assert decided >= 4
 
 

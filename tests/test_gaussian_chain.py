@@ -173,7 +173,7 @@ def test_ode_matches_integrated_flow():
 def test_closed_form_trajectory_solves_the_mode_ode():
     sp = gc.spectrum(gc.ChainSpec(4))
     x0 = np.array([0.3, 2.0, 5.0]) * sp.a_star
-    traj = gc.ChainTrajectory(sp, x0, 100.0)
+    traj = gc.ChainTrajectory(sp, x0)
     assert_allclose(traj.position(0.0), x0, rtol=1e-15)
     for t in [0.0, 0.4, 3.0]:
         v = traj.velocity(t)
@@ -190,16 +190,13 @@ def test_closed_form_trajectory_span_ends_at_the_stop_threshold():
     g, f = gc.chain_manifold(sp)
     for t_tilde in (0.3, 2.0):
         x0 = t_tilde * sp.a_star
-        traj = gc.ChainTrajectory(sp, x0, 1e3)
+        traj = gc.ChainTrajectory(sp, x0)
         t_stop = traj.span[1]
         assert 0.0 < t_stop < 1e3
         assert traj.xs.shape == traj.vs.shape == (2, 3)
         end = grad_norm_sq(g, f, traj.position(t_stop))
         assert np.sqrt(end / grad_norm_sq(g, f, x0)) <= STOP_RTOL
-
-        capped = gc.ChainTrajectory(sp, x0, 0.5 * t_stop)
-        assert capped.span == (0.0, 0.5 * t_stop)
-    still = gc.ChainTrajectory(sp, sp.a_star, 1e3)
+    still = gc.ChainTrajectory(sp, sp.a_star)
     assert still.span == (0.0, 0.0)
 
 
@@ -211,12 +208,12 @@ def test_one_mode_stop_time_is_the_closed_form(t_tilde):
     # min(1, x0 / a*) of STOP_RTOL, for one curve or a batch row alike
     sp = gc.spectrum(gc.ChainSpec(12))
     x0 = t_tilde * sp.a_star
-    batch = gc.ChainTrajectory(sp, x0[:, None], 1e4)
+    batch = gc.ChainTrajectory(sp, x0[:, None])
     assert batch.span[1].shape == (11,)
     for k in range(sp.n_modes):
         one = gc._mode_spectrum(sp, k)
         g, f = gc.mode_manifold(sp, k)
-        traj = gc.ChainTrajectory(one, x0[k:k + 1], 1e4)
+        traj = gc.ChainTrajectory(one, x0[k:k + 1])
         t_stop = traj.span[1]
         want = np.log(max(1.0, t_tilde) / STOP_RTOL) / (2.0 * sp.lambdas[k])
         assert t_stop == pytest.approx(want, rel=1e-14)
@@ -229,14 +226,8 @@ def test_one_mode_stop_time_is_the_closed_form(t_tilde):
             traj.position(t_stop).tobytes()
         assert batch.position(batch.span[1])[k].tobytes() == \
             traj.position(t_stop).tobytes()
-
-        capped = gc.ChainTrajectory(one, x0[k:k + 1], 0.5 * t_stop)
-        assert capped.span == (0.0, 0.5 * t_stop)
-    capped = gc.ChainTrajectory(sp, x0[:, None], batch.span[1][5])
-    assert (capped.span[1] == np.minimum(batch.span[1],
-                                         batch.span[1][5])).all()
     still = gc.ChainTrajectory(sp, np.where(np.arange(11) == 4, sp.a_star,
-                                            x0)[:, None], 1e4)
+                                            x0)[:, None])
     assert still[4].span == (0.0, 0.0)
     assert (np.delete(still.span[1], 4) == np.delete(batch.span[1], 4)).all()
 
@@ -416,6 +407,17 @@ def test_equidistant_accurate_just_above_one():
                     d - 4.0 / 3.0 * d ** 2, rtol=1e-8)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_equidistant_refuses_a_hot_ratio_past_its_bracket():
+    # from T_plus ~ 1.278e305 the bracket's end 2 T_plus ln(2 T_plus)
+    # overflows; such a T_plus is refused before any arithmetic, so with
+    # no overflow warning and with an error that names the limit
+    assert 0.0 < gc.equidistant_temperatures(gc.T_PLUS_MAX) < 1e-2
+    for bad in [1.3e305, 1e306, np.finfo(float).max, np.inf, np.nan]:
+        with pytest.raises(ValueError, match="at most T_PLUS_MAX = 1.278e"):
+            gc.equidistant_temperatures(bad)
+
+
 def test_equidistant_raises_when_the_residual_misses(monkeypatch):
     monkeypatch.setattr(gc, "brentq", lambda fn, lo, hi, **kw: hi)
     with pytest.raises(NonConvergenceError):
@@ -488,7 +490,7 @@ def test_modes_that_start_slow_still_race():
 
 
 def test_experiment_without_modes():
-    res = gc.universal_asymmetry_experiment(gc.ChainSpec(4), 2.0, 10.0,
+    res = gc.universal_asymmetry_experiment(gc.ChainSpec(4), 2.0,
                                             per_mode=False)
     assert res.modes == []
     assert res.full.verdict == CURVE1_FASTER
@@ -499,8 +501,6 @@ def test_experiment_without_modes():
 def test_warming_wins_for_every_chain_and_mode(n_beads, t_plus):
     res = gc.universal_asymmetry_experiment(gc.ChainSpec(n_beads), t_plus)
     sp = res.spect
-    # the default horizon: twelve relaxation times of the slowest mode
-    assert res.t_end == 12.0 / sp.lambdas[0]
     assert res.full.verdict == CURVE1_FASTER
     for rep in res.modes:
         assert rep.verdict == CURVE1_FASTER
@@ -541,14 +541,30 @@ def test_hot_start_past_the_overflow_bound_is_refused(n_beads):
             gc.universal_asymmetry_experiment(gc.ChainSpec(n_beads), t_plus)
 
 
+@pytest.mark.parametrize("n_beads", [3, 12])
+@pytest.mark.parametrize("t_plus", [1.1, 8.0, 1e4, 1e10])
+def test_the_race_window_is_the_cold_starts_stop_time(n_beads, t_plus):
+    # every race runs up to its shorter curve, and that is always the cold
+    # start, which stops at ln(1 / STOP_RTOL) / (2 lambda): no horizon
+    # ever shortens it
+    res = gc.universal_asymmetry_experiment(gc.ChainSpec(n_beads), t_plus)
+    lambdas = res.spect.lambdas
+    want = np.log(1.0 / STOP_RTOL) / (2.0 * lambdas)
+    full = res.full
+    assert full.ts[-1] == pytest.approx(want.max(), rel=1e-15)
+    assert full.traj1.span[1] == full.ts[-1] < full.traj2.span[1]
+    for k, rep in enumerate(res.modes):
+        assert rep.ts[-1] == pytest.approx(want[k], rel=1e-15)
+        assert rep.traj1.span[1] == rep.ts[-1] < rep.traj2.span[1]
+
+
 def _mode_race_alone(res, k):
     """Mode k's race as a compare of that one pair."""
     sp = gc._mode_spectrum(res.spect, k)
     g, f = gc.mode_manifold(res.spect, k)
     lo, hi = res.pair.x1_0[k:k + 1], res.pair.x2_0[k:k + 1]
     pair = EquidistantPair(lo, hi, 0.5 * (f(hi) + f(lo)))
-    return compare(g, f, pair, res.t_end,
-                   flow=gc.chain_flow(sp, res.t_end))
+    return compare(g, f, pair, flow=gc.chain_flow(sp))
 
 
 def _assert_same_race(got, want):
@@ -589,14 +605,14 @@ def test_a_no_race_row_leaks_nothing_into_its_batch():
               for x in (res.pair.x1_0, res.pair.x2_0))
     g, f = gc._mode_rows(sp)
     reps = compare_batch(g, f, EquidistantPair(lo, hi, 0.5 * (f(hi) + f(lo))),
-                         gc.chain_flow(sp, res.t_end))
+                         gc.chain_flow(sp))
     assert [n.split(":")[0] for n in reps[3].notes] == ["no-race"]
     assert reps[3].verdict == INCONCLUSIVE and reps[3].traj1.span == (0.0, 0.0)
     g3, f3 = gc.mode_manifold(sp, 3)
     q = sp.a_star[3:4]
     _assert_same_race(reps[3], compare(
-        g3, f3, EquidistantPair(q, q, f3(q)), res.t_end,
-        flow=gc.chain_flow(gc._mode_spectrum(sp, 3), res.t_end)))
+        g3, f3, EquidistantPair(q, q, f3(q)),
+        flow=gc.chain_flow(gc._mode_spectrum(sp, 3))))
     for k, rep in enumerate(reps):
         if k != 3:
             _assert_same_race(rep, res.modes[k])

@@ -563,9 +563,10 @@ def test_a_stall_names_the_first_stalled_curve_of_a_batch():
                           stop_grad_norm=[1e-4, 1e-6])
 
 
-def _chain_flow_to(t_end):
-    sp = gc.spectrum(gc.ChainSpec(4))
-    return gc.chain_flow(sp, t_end)(0.5 * sp.a_star, 2.0 * sp.a_star)
+def _compare_to(t_end):
+    g, f = fixtures.gaussian_mode()
+    x0 = np.array([2.0])
+    return cp.compare(g, f, cp.EquidistantPair(x0, x0, f(x0)), t_end)
 
 
 _HORIZON_ENTRIES = {
@@ -573,9 +574,7 @@ _HORIZON_ENTRIES = {
         *fixtures.gaussian_mode(), [2.0], t_end),
     "integrate_geodesic": lambda t_end: mf.integrate_geodesic(
         mf.levi_civita_connection(fisher_1d()), [2.0], [1.0], t_end),
-    "chain_flow": _chain_flow_to,
-    "experiment": lambda t_end: gc.universal_asymmetry_experiment(
-        gc.ChainSpec(4), 2.0, t_end=t_end),
+    "compare": _compare_to,
 }
 
 # a flow to t_end = nan used to step forever, so it runs in a process of
@@ -586,12 +585,13 @@ mf.integrate_flow(*fixtures.gaussian_mode(), [2.0], float("nan"))
 """
 
 
-@pytest.mark.parametrize("t_end", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("t_end", [-1.0, math.nan, math.inf, None])
 @pytest.mark.parametrize("entry", list(_HORIZON_ENTRIES))
 def test_a_horizon_outside_zero_to_inf_is_refused(entry, t_end):
-    # below 0 a solve ran backwards into a span no query could read
+    # below 0 a solve ran backwards into a span no query could read; a
+    # missing horizon is refused alike, compare's default included
     message = f"t_end must be finite and >= 0, got {t_end}"
-    if entry == "integrate_flow" and math.isnan(t_end):
+    if entry == "integrate_flow" and t_end is not None and math.isnan(t_end):
         proc = subprocess.run([sys.executable, "-c", _NAN_FLOW],
                               capture_output=True, text=True, timeout=60)
         assert proc.stderr.strip().endswith(f"ValueError: {message}")
@@ -973,8 +973,8 @@ def _trajectories():
         "zero-step-geodesic": (mf.integrate_geodesic(sphere, [1.1, 0.2],
                                                      [0.3, 0.8], 0.0),
                                g_sphere, f_sphere),
-        "chain": (gc.ChainTrajectory(sp, np.array([0.3, 2.0, 5.0]) * sp.a_star,
-                                     100.0), *gc.chain_manifold(sp)),
+        "chain": (gc.ChainTrajectory(sp, np.array([0.3, 2.0, 5.0])
+                                     * sp.a_star), *gc.chain_manifold(sp)),
     }
 
 
