@@ -13,6 +13,11 @@ subcommand's defaults, so a flag beats the config, which beats a default.
 :func:`main` builds the parser once per process and may be called again
 in-process: only a ``--config`` call builds a parser of its own.
 
+A process loads only what its command runs: ``verify`` imports the
+battery and checks ``--suite`` against its suite names, ``--config``
+imports ``configparser``, and ``chain`` and ``curvature`` load numpy
+alone, never scipy.
+
 Each ``cmd_*`` returns its bundle, its stdout line (or None), its stderr
 lines and its exit code; :func:`main` alone times the command, writes
 the bundle and prints.  ``wall_time_s`` thus covers a command's work and
@@ -28,7 +33,6 @@ inconclusive verdict.
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
 import functools
 import os
@@ -37,7 +41,6 @@ import time
 
 import numpy as np
 
-from . import verify as verify_mod
 from .bundle import ResultBundle
 from .comparison import CURVE1_FASTER, CURVE2_FASTER, INCONCLUSIVE, compare, equidistant_seed
 from .errors import GeoflowError, SingularCurvatureError
@@ -114,6 +117,8 @@ def _config_values(path: str, commands: dict, command: str) -> dict:
     key, or a value that does not cast, raises ConfigError naming the
     section and the key.
     """
+    import configparser
+
     # no section header can be empty, so configparser folds no section
     # into the others, and [DEFAULT] reads as an ordinary section
     cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
@@ -270,9 +275,14 @@ def cmd_compare(args) -> _Outcome:
 
 
 def cmd_verify(args) -> _Outcome:
+    from . import verify
+
+    if args.suite is not None and args.suite not in verify.SUITE_NAMES:
+        raise ConfigError(f"suite {args.suite!r}: expected one of "
+                          + ", ".join(verify.SUITE_NAMES))
     if args.seed < 0:
         raise ConfigError("seed must be non-negative")
-    results = verify_mod.run_suites(
+    results = verify.run_suites(
         seed=args.seed, suites=[args.suite] if args.suite else None,
         flip_nonmetricity_sign=args.negative_control)
     bundle = ResultBundle(
@@ -379,8 +389,10 @@ def _build_parser() -> _Parser:
     add_common(p_ver)
     p_ver.add_argument("--seed", type=int, default=0,
                        help="random checks' seed, >= 0 (default %(default)s)")
-    p_ver.add_argument("--suite", choices=verify_mod.SUITE_NAMES,
-                       help="run only this suite (default all)")
+    # checked by cmd_verify, so that no other command loads the battery
+    p_ver.add_argument("--suite",
+                       help="run only this suite (default all); an unknown "
+                            "name is refused with the list of suites")
     p_ver.add_argument("--negative-control", dest="negative_control",
                        action="store_true",
                        help="flip the closed-form non-metricity sign; the "

@@ -78,7 +78,7 @@ STOP_RTOL_MAX = 1e-3
 
 _GRID = 512
 
-#: a bracketed root is located once its bracket is narrower than
+#: a coincidence is located once its bracket is narrower than
 #: ROOT_XTOL + 4 eps |t|, scipy brentq's rule at xtol=1e-12
 ROOT_XTOL = 1e-12
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
@@ -90,8 +90,8 @@ _BISECT_MAXITER = 64
 def brentq(f, a, b, **kwargs):
     """scipy's ``brentq``, imported on the first call.
 
-    Deferred so that ``import geoflow`` and pointwise geometry never load
-    scipy.optimize; the seed and temperature solves share this binding.
+    Deferred so that ``import geoflow``, pointwise geometry and the chain
+    never load scipy.optimize; the seed solve alone calls it.
     """
     from scipy.optimize import brentq as solve
 
@@ -246,7 +246,8 @@ def _speed(g: MetricField, traj: Trajectory, t):
     return g.norm(*traj.position_velocity(t))
 
 
-def bracketed_roots(fn, lo, hi, f_lo, f_hi) -> np.ndarray:
+def bracketed_roots(fn, lo, hi, f_lo, f_hi,
+                    xtol: float = ROOT_XTOL) -> np.ndarray:
     """One root of ``fn(., j)`` in each bracket j, [lo[j], hi[j]], all at
     once.
 
@@ -258,7 +259,8 @@ def bracketed_roots(fn, lo, hi, f_lo, f_hi) -> np.ndarray:
     t of the unfinished brackets' points and the ascending array j of
     their indices, so a bracket may have a function of its own.  A
     bracket is done when fn vanishes there or the bracket is narrower
-    than ROOT_XTOL + 4 eps |t|.
+    than xtol + 4 eps |t|.  The default absolute term ROOT_XTOL is the
+    coincidence search's; ``xtol=0`` stops at 4 eps relative alone.
 
     Where fn is roundoff, a gap of 1e-21 across a bracket 4e-12 wide,
     say, Illinois crawls.  The brackets still open after 100 rounds are
@@ -276,7 +278,7 @@ def bracketed_roots(fn, lo, hi, f_lo, f_hi) -> np.ndarray:
     todo = np.arange(a.size)
     for n in range(_ROOT_MAXITER + _BISECT_MAXITER):
         width = np.abs(b[todo] - a[todo])
-        todo = todo[width >= ROOT_XTOL + _ROOT_RTOL * np.abs(b[todo])]
+        todo = todo[width >= xtol + _ROOT_RTOL * np.abs(b[todo])]
         if todo.size == 0:
             return b
         ai, bi, fai, fbi = a[todo], b[todo], fa[todo], fb[todo]

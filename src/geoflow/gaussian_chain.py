@@ -27,7 +27,7 @@ from .comparison import (
     STOP_RTOL,
     AsymmetryReport,
     EquidistantPair,
-    brentq,
+    bracketed_roots,
     compare,
     compare_batch,
 )
@@ -273,8 +273,8 @@ def scalar_curvature_mode(spect: ModeSpectrum, k: int,
 EQUIDISTANT_RTOL = 1e-14
 
 #: the hot ratios past this bound are refused by equidistant_temperatures:
-#: its Brent bracket's upper end 2 T_plus ln(2 T_plus) overflows a float
-#: from T_plus ~ 1.27817e305
+#: at its bracket's upper end s = 2 ln(2 T_plus), the product T_plus s
+#: overflows a float from T_plus ~ 1.27817e305
 T_PLUS_MAX = 1.278e305
 
 
@@ -282,28 +282,33 @@ def equidistant_temperatures(t_plus: float) -> float:
     """The cold ratio T_minus < 1 that is F-equidistant with T_plus > 1.
 
     Solves u - ln u = 1/T_plus + ln T_plus for u = 1/T_minus > 1.
-    Substituting u = (1 + v)/T_plus turns it into v / ln(1 + v) = T_plus,
-    which brentq solves to a few ulp of v on the bracket
-    [2 (T_plus - 1), 2 T_plus ln(2 T_plus)].  Unlike u - ln u, whose
-    two sides agree to O((T_plus - 1)^2) near T_plus = 1, this form keeps
-    T_minus accurate there.  Equidistance is mode-uniform because F
-    depends on the start only through the common ratio a*/a = 1/T_tilde.
+    Substituting u = 1/T_plus + s turns it into s / ln(1 + T_plus s) = 1,
+    which :func:`~geoflow.comparison.bracketed_roots` solves to 4 eps
+    relative in s on the bracket [2 (1 - 1/T_plus), 2 ln(2 T_plus)].
+    Every intermediate value stays finite up to T_PLUS_MAX.  Unlike
+    u - ln u, whose two sides agree to O((T_plus - 1)^2) near T_plus = 1,
+    this form keeps T_minus accurate there.  Equidistance is mode-uniform
+    because F depends on the start only through the common ratio
+    a*/a = 1/T_tilde.
 
     Raises
     ------
     ValueError
         Unless 1 < t_plus <= T_PLUS_MAX.
     NonConvergenceError
-        If u misses u - ln u = target by more than EQUIDISTANT_RTOL
-        relative to the target.
+        If the solve does not converge, or u misses u - ln u = target by
+        more than EQUIDISTANT_RTOL relative to the target.
     """
     if not 1.0 < t_plus <= T_PLUS_MAX:
         raise ValueError(f"t_plus must exceed 1 and be at most T_PLUS_MAX = "
                          f"{T_PLUS_MAX:g}, got {t_plus}")
-    v = brentq(lambda v: v / np.log1p(v) - t_plus, 2.0 * (t_plus - 1.0),
-               2.0 * t_plus * np.log(2.0 * t_plus), xtol=1e-300,
-               disp=False)
-    u = (1.0 + v) / t_plus
+
+    def gap(s, _=None):
+        return s / np.log1p(t_plus * s) - 1.0
+
+    lo, hi = 2.0 * (1.0 - 1.0 / t_plus), 2.0 * np.log(2.0 * t_plus)
+    s = bracketed_roots(gap, [lo], [hi], [gap(lo)], [gap(hi)], xtol=0.0)[0]
+    u = 1.0 / t_plus + s
     target = 1.0 / t_plus + np.log(t_plus)
     residual = abs(u - np.log(u) - target)
     if not residual <= EQUIDISTANT_RTOL * target:

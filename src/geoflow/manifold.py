@@ -341,22 +341,30 @@ def _inverse(g: MetricField, x: np.ndarray) -> np.ndarray:
     return 1.0 / d
 
 
-def _stage_inverse(g: MetricField) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> g^{-1} at x in :func:`_inverse`'s form, straight from the
-    metric's closure: no shape or condition check, for the stages of a
-    solve that checks both elsewhere.  A metric that LAPACK cannot
-    factor (a nan component) gives nan, which rejects the step."""
+def _stage_inverse(g: MetricField) -> Callable[[np.ndarray], tuple]:
+    """x -> (values, g^{-1}) at x, straight from the metric's closure: the
+    values whose spread is the condition number (g_ii, or the singular
+    values of the one SVD) and the inverse in :func:`_inverse`'s form.
+    No shape or condition check, for the stages of a solve that checks
+    both elsewhere.  A metric that LAPACK cannot factor (a nan component)
+    gives nan for both, which rejects the step."""
     if g.is_diagonal:
         diagonal = g._diagonal
-        return lambda x: 1.0 / diagonal(x)
+
+        def diagonal_inverse(x):
+            d = diagonal(x)
+            return d, 1.0 / d
+
+        return diagonal_inverse
     matrix = g._matrix
 
     def inverse(x):
         m = matrix(x)
         try:
-            return _svd_inverse(*np.linalg.svd(m))
+            u, s, vh = np.linalg.svd(m)
         except np.linalg.LinAlgError:
-            return np.full(m.shape, np.nan)
+            return np.full(m.shape[:-1], np.nan), np.full(m.shape, np.nan)
+        return s, _svd_inverse(u, s, vh)
 
     return inverse
 
@@ -824,7 +832,9 @@ def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,
     condition, and the chart's domain check must give one flag per seed.
     Every stage then evaluates -g^{ij} d_j f straight from the closures,
     with :func:`gradient`'s arithmetic and no further check, and the
-    metric's condition is checked at every accepted state.  A stage at
+    metric's condition is checked at every accepted state, on the values
+    (g_ii, or the singular values of the stage's SVD) and the covector
+    that RK45's first-same-as-last stage computed there.  A stage at
     which the field is not finite (a metric that vanishes there, say) is
     a rejected step, not a warning.
 
@@ -877,24 +887,26 @@ def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,
             return check(y.reshape(n, dim))
 
     inverse, covector = _stage_inverse(g), _stage_covector(f)
-    # the values whose spread is the condition number: g_ii, or the
-    # metric's singular values
-    if g.is_diagonal:
-        spectrum = g._diagonal
-    else:
-        def spectrum(x):
-            return np.linalg.svd(g._matrix(x), compute_uv=False)
+    # rhs's last state, with the metric's condition values and df there
+    last = [None, None, None]
 
     def rhs(_t, y):
         x = y.reshape(shape)
-        return -_raise_index(g, inverse(x), covector(x)).reshape(-1)
+        values, ginv = inverse(x)
+        df = covector(x)
+        last[:] = y, values, df
+        return -_raise_index(g, ginv, df).reshape(-1)
 
     def monitor(y, ydot):
         # the metric's condition at an accepted state, and the speed there:
-        # |grad f|^2 = df(grad f) = -df(xdot), with xdot = field(x) at hand
+        # |grad f|^2 = df(grad f) = -df(xdot), with xdot = field(x) at hand.
+        # RK45's first-same-as-last stage has just evaluated rhs at the
+        # accepted state itself; any other state (the seed) is evaluated
+        if y is not last[0]:
+            rhs(0.0, y)
         x, xdot = y.reshape(shape), ydot.reshape(shape)
-        _check_condition(spectrum(x), x)
-        rate = np.einsum("...i,...i->...", covector(x), xdot)
+        _check_condition(last[1], x)
+        rate = np.einsum("...i,...i->...", last[2], xdot)
         return np.sqrt(np.maximum(-rate, 0.0)).reshape(n)
 
     stop = (None if stop_grad_norm is None

@@ -471,11 +471,29 @@ def test_verify_seed_config_and_flag_precedence(tmp_path, capsys):
     assert read_meta(tmp_path / "flagged")["seed"] == 3
 
 
+def test_verify_accepts_every_suite_name(tmp_path, capsys, monkeypatch):
+    from geoflow import verify
+
+    chosen = []
+    monkeypatch.setattr(verify, "run_suites",
+                        lambda seed, suites, **kw: chosen.append(suites) or [])
+    for name in verify.SUITE_NAMES:
+        code, _, _ = run(["verify", "--suite", name,
+                          "--out", str(tmp_path / name)], capsys)
+        assert code == 0
+    assert chosen == [[name] for name in verify.SUITE_NAMES]
+
+
 def test_verify_rejects_unknown_suite(tmp_path, capsys):
-    code, _, err = run(["verify", "--suite", "bogus",
-                        "--out", str(tmp_path / "x")], capsys)
-    assert code == 1
-    assert "config error" in err
+    # by flag or by config, before any suite runs and with no bundle
+    ini = tmp_path / "suite.ini"
+    ini.write_text("[verify]\nsuite = bogus\n")
+    for argv in (["verify", "--suite", "bogus"],
+                 ["verify", "--config", str(ini)]):
+        code, stdout, err = run(argv + ["--out", str(tmp_path / "x")], capsys)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("config error: suite 'bogus': expected one of")
+    assert not (tmp_path / "x").exists()
 
 
 def test_verify_rejects_a_negative_seed(tmp_path, capsys):
@@ -627,18 +645,22 @@ for (g, f), x in ((chain_manifold(spect), 0.7 * spect.a_star),
                   nonmetricity_tensor(conn, g, x), scalar_curvature(conn, x)):
         assert np.all(np.isfinite(value))
 assert cli.main(["curvature", "--out", sys.argv[1]]) == 0
+assert cli.main(["chain", "--n-beads", "3",
+                 "--out", sys.argv[1] + "-chain"]) == 0
 assert cli.main(["chain", "--help"]) == 0
 assert cli.main(["compare", "--tol", "1e-300", "--out", sys.argv[1]]) == 1
-loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"
+          or m in ("geoflow.verify", "configparser")]
 assert not loaded, loaded
 """
 
 
 def test_pointwise_paths_never_load_scipy(tmp_path):
-    # scipy is imported where a flow or a Brent solve first runs, so the
-    # import, the pointwise geometry, the curvature command, --help and
-    # config errors are numpy-only; a compare in a fresh process still
-    # loads it on demand
+    # scipy is imported where a flow or a Brent solve first runs, the
+    # battery by verify alone and configparser by --config alone, so the
+    # import, the pointwise geometry, the curvature and chain commands,
+    # --help and config errors load none of them; a compare in a fresh
+    # process still loads scipy on demand
     proc = subprocess.run(
         [sys.executable, "-c", _POINTWISE_RUN, str(tmp_path / "curv")],
         capture_output=True, text=True)

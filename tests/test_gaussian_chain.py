@@ -390,11 +390,30 @@ def test_equidistant_rejects_non_hot():
             gc.equidistant_temperatures(bad)
 
 
-@pytest.mark.parametrize("t_plus", [1.0 + 1e-6, 1.1, 8.0, 1e3])
-def test_equidistant_residual_within_bound(t_plus):
-    u = 1.0 / gc.equidistant_temperatures(t_plus)
+def _assert_equidistant_matches_brentq(t_plus):
+    # the reference: scipy's brentq on v / ln(1 + v) = T_plus, with
+    # u = (1 + v) / T_plus, to a few ulp of v
+    from scipy.optimize import brentq
+
+    v = brentq(lambda v: v / np.log1p(v) - t_plus, 2.0 * (t_plus - 1.0),
+               2.0 * t_plus * np.log(2.0 * t_plus), xtol=1e-300)
+    t_minus = gc.equidistant_temperatures(t_plus)
+    assert abs(t_minus - t_plus / (1.0 + v)) <= 8 * np.spacing(t_minus)
+    u = 1.0 / t_minus
     target = 1.0 / t_plus + np.log(t_plus)
     assert abs(u - np.log(u) - target) <= gc.EQUIDISTANT_RTOL * target
+
+
+@pytest.mark.parametrize("t_plus", [1.0 + 1e-13, 1.0 + 1e-6, 1.1, 2.0, 8.0,
+                                    1e3, 1e100, gc.T_PLUS_MAX])
+def test_equidistant_residual_within_bound(t_plus):
+    _assert_equidistant_matches_brentq(t_plus)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(log_t_plus=hst.floats(1e-15, float(np.log(gc.T_PLUS_MAX))))
+def test_equidistant_matches_brentq_over_log_t_plus(log_t_plus):
+    _assert_equidistant_matches_brentq(min(np.exp(log_t_plus), gc.T_PLUS_MAX))
 
 
 def test_equidistant_accurate_just_above_one():
@@ -409,9 +428,10 @@ def test_equidistant_accurate_just_above_one():
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_equidistant_refuses_a_hot_ratio_past_its_bracket():
-    # from T_plus ~ 1.278e305 the bracket's end 2 T_plus ln(2 T_plus)
-    # overflows; such a T_plus is refused before any arithmetic, so with
-    # no overflow warning and with an error that names the limit
+    # from T_plus ~ 1.278e305 the product T_plus s at the bracket's end
+    # s = 2 ln(2 T_plus) overflows; such a T_plus is refused before any
+    # arithmetic, so with no overflow warning and with an error that
+    # names the limit
     assert 0.0 < gc.equidistant_temperatures(gc.T_PLUS_MAX) < 1e-2
     for bad in [1.3e305, 1e306, np.finfo(float).max, np.inf, np.nan]:
         with pytest.raises(ValueError, match="at most T_PLUS_MAX = 1.278e"):
@@ -419,7 +439,8 @@ def test_equidistant_refuses_a_hot_ratio_past_its_bracket():
 
 
 def test_equidistant_raises_when_the_residual_misses(monkeypatch):
-    monkeypatch.setattr(gc, "brentq", lambda fn, lo, hi, **kw: hi)
+    monkeypatch.setattr(gc, "bracketed_roots",
+                        lambda fn, lo, hi, f_lo, f_hi, **kw: np.asarray(hi))
     with pytest.raises(NonConvergenceError):
         gc.equidistant_temperatures(2.0)
 
