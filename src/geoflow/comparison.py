@@ -33,6 +33,8 @@ __all__ = [
     "CURVE2_FASTER",
     "INCONCLUSIVE",
     "STOP_RTOL",
+    "TIE_NOTE",
+    "TIE_RTOL",
     "EquidistantPair",
     "AsymmetryReport",
     "equidistant_seed",
@@ -53,6 +55,16 @@ DELTA_TOL = 1e-9
 #: a cubic gap counts as zero when |C2 - C1| <= GAP_RTOL * max(|C1|, |C2|):
 #: relative, so a mode's verdict does not depend on its rate's scale
 GAP_RTOL = 1e-3
+
+#: a grid sample is a tie when |s1 - s2| <= TIE_RTOL * max(s1, s2): the
+#: flat bowl's relative speed gap is roundoff, at most 1.8e-15 over 8
+#: random direction pairs, while the smallest one seen elsewhere, in
+#: gaussian-mode races at levels 1e-10 to 1e-14, is 3e-13
+TIE_RTOL = 1e-13
+
+#: the one note of a race whose speeds tie over every live interval
+TIE_NOTE = ("zero-gap: speeds tie to TIE_RTOL over the whole race "
+            "(symmetric relaxation)")
 
 #: speeds below this fraction of the run maximum are treated as converged
 #: noise and excluded from coincidence detection
@@ -328,10 +340,15 @@ def compare_batch(g: MetricField, f: ScalarPotential, pairs: EquidistantPair,
       whose sampled positions must lie in the chart
       (:class:`~geoflow.errors.DomainExitError` otherwise, before f
       is called there);
+    - one tie mask over every row's samples: an interval whose two ends
+      both tie to TIE_RTOL is a band, not a crossing, and is never
+      searched;
     - one :func:`bracketed_roots` call over every row's brackets, whose
-      rounds query both curves on a ``(B, m)`` stack of times;
+      rounds query both curves on a ``(B, m)`` stack of times, and none
+      when no row has a bracket;
     - one lam = 0 :func:`nonmetricity_cubic` call per side over every
-      root (see :func:`compare` for why the race takes no lam);
+      root (see :func:`compare` for why the race takes no lam), and none
+      when no row has a root;
     - the verdict ladder of :func:`compare`, row by row.
 
     Illinois steps, speeds and cubics are elementwise and every reduction
@@ -363,11 +380,17 @@ def compare_batch(g: MetricField, f: ScalarPotential, pairs: EquidistantPair,
 
     s1, s2 = g.norm(x1, v1), g.norm(x2, v2)
     diff = s1 - s2
-    floor = SPEED_FLOOR * np.maximum(s1.max(axis=1), s2.max(axis=1))
-    live = np.maximum(s1, s2) > floor[:, None]
+    top = np.maximum(s1, s2)
+    floor = SPEED_FLOOR * top.max(axis=1)
+    live = top > floor[:, None]
     both_live = live[:, :-1] & live[:, 1:] & race[:, None]
-    on_grid = both_live & (diff[:, :-1] == 0.0) & (ts[:, :-1] > 0.0)
-    row, i = np.nonzero(both_live & (diff[:, :-1] * diff[:, 1:] < 0.0))
+    tied = np.abs(diff) <= TIE_RTOL * top
+    band = both_live & tied[:, :-1] & tied[:, 1:]
+    crossing = both_live & ~band
+    flat = np.abs(delta).max(axis=1) <= DELTA_TOL
+    tie = race & ~crossing.any(axis=1) & flat
+    on_grid = crossing & (diff[:, :-1] == 0.0) & (ts[:, :-1] > 0.0)
+    row, i = np.nonzero(crossing & (diff[:, :-1] * diff[:, 1:] < 0.0))
 
     def speed_gap(t, j):
         at, col = _by_row(n, row[j], t)
@@ -375,9 +398,10 @@ def compare_batch(g: MetricField, f: ScalarPotential, pairs: EquidistantPair,
 
     refined = (bracketed_roots(speed_gap, ts[row, i], ts[row, i + 1],
                                diff[row, i], diff[row, i + 1])
-               if race.any() else np.zeros(0))
+               if row.size else np.zeros(0))
     on_row, on_i = np.nonzero(on_grid)
-    at_start = np.flatnonzero(race & (np.abs(diff[:, 0]) <= floor))
+    at_start = np.flatnonzero(race & ~band[:, 0]
+                              & (np.abs(diff[:, 0]) <= floor))
     rows = np.concatenate([at_start, on_row, row])
     roots = np.concatenate([np.zeros(at_start.size), ts[on_row, on_i],
                             refined])
@@ -399,8 +423,7 @@ def compare_batch(g: MetricField, f: ScalarPotential, pairs: EquidistantPair,
     gaps = c2 - c1
     pad = np.arange(at.shape[1]) >= counts[:, None]
     zero_gap = (np.abs(gaps) <= GAP_RTOL * np.maximum(np.abs(c1), np.abs(c2)))
-    symmetric = np.where(counts > 0, (zero_gap | pad).all(axis=1),
-                         np.abs(delta).max(axis=1) <= DELTA_TOL)
+    symmetric = np.where(counts > 0, (zero_gap | pad).all(axis=1), flat)
     up = ((gaps > 0.0) | pad).all(axis=1) & (delta.min(axis=1) >= -DELTA_TOL)
     down = ((gaps < 0.0) | pad).all(axis=1) & (delta.max(axis=1) <= DELTA_TOL)
 
@@ -410,6 +433,9 @@ def compare_batch(g: MetricField, f: ScalarPotential, pairs: EquidistantPair,
         if not race[b]:
             notes.append("no-race: a curve starts at rest (its span is "
                          "[0, 0]) and never moves; nothing to race")
+            verdict = INCONCLUSIVE
+        elif tie[b]:
+            notes.append(TIE_NOTE)
             verdict = INCONCLUSIVE
         else:
             if not counts[b]:
@@ -482,7 +508,10 @@ def compare(g: MetricField, f: ScalarPotential, pair: EquidistantPair,
     already move at equal speed), each located to 1e-12 in t and merged
     when closer than 1e-9.  Sign changes where both speeds have decayed
     below 1e-8 of the run maximum are roundoff chatter near equilibrium,
-    not coincidences, and are skipped.
+    not coincidences, and are skipped.  So are ties: a sample where
+    |s1 - s2| <= TIE_RTOL * max(s1, s2) is tied, and an interval whose
+    two ends are both tied adds no bracket, no on-grid zero and no t=0
+    coincidence, since its sign changes are roundoff, not crossings.
 
     One verdict ladder serves with and without coincidences (an empty gap
     list counts as all positive and all negative):
@@ -491,13 +520,17 @@ def compare(g: MetricField, f: ScalarPotential, pair: EquidistantPair,
        a seed at rest, with |grad f| = 0 (a pair on the minimum's own
        level, say), never moves, so there is nothing to race; no root
        search runs and no cubic is taken;
-    2. INCONCLUSIVE with a zero-gap note when the relaxation is symmetric:
+    2. INCONCLUSIVE with the single note TIE_NOTE when every live
+       interval is tied and |delta_f| stays within 1e-9: the curves
+       relax identically, as on the isotropic flat bowl; no root search
+       runs and no cubic is taken;
+    3. INCONCLUSIVE with a zero-gap note when the relaxation is symmetric:
        every cubic gap C2 - C1 is within GAP_RTOL of max(|C1|, |C2|), or,
        with no coincidence, |delta_f| stays within 1e-9;
-    3. CURVE1_FASTER when every cubic gap is positive and the sampled
+    4. CURVE1_FASTER when every cubic gap is positive and the sampled
        delta_f never dips below -1e-9;
-    4. CURVE2_FASTER symmetrically;
-    5. INCONCLUSIVE otherwise.
+    5. CURVE2_FASTER symmetrically;
+    6. INCONCLUSIVE otherwise.
     """
     if flow is None:
         def flow(x1_0, x2_0):

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from geoflow import comparison
 from geoflow.verify import SUITE_NAMES, run_suites
 
 # Wall-time bound on the whole battery at seed 0, in seconds.  It once
@@ -97,6 +98,15 @@ def test_warming_beats_cooling_across_the_grid(timed_battery):
 
 def test_distance_squared_relaxation_is_symmetric(battery):
     _assert_checks(battery, "gradient-flow/distance-squared-symmetry")
+
+
+def test_symmetry_fails_on_a_bowl_race_that_does_not_tie(monkeypatch):
+    # with no tie band the bowl's roundoff speed gaps come back as
+    # coincidences; delta_f alone would still pass
+    monkeypatch.setattr(comparison, "TIE_RTOL", 0.0)
+    rows = run_suites(0, ["gradient-flow"])
+    sym = next(r for r in rows if r.name == "distance-squared-symmetry")
+    assert not sym.passed and sym.measured < sym.tolerance
 
 
 def test_divergence_gradient_is_affinely_self_parallel(battery):

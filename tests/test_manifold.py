@@ -1139,9 +1139,10 @@ def test_compare_makes_no_per_step_dense_output_calls(monkeypatch):
         return per_step(self, t)
 
     monkeypatch.setattr(RkDenseOutput, "_call_impl", counted)
-    g, f = fixtures.euclidean_quadratic()
-    d1, d2 = np.random.default_rng([1, 0]).standard_normal((2, 2))
-    pair = cp.equidistant_seed(g, f, 0.5, d1, d2)
+    model = fixtures.COMPARE_MODELS["gaussian-mode"]
+    g, f = model.build()
+    pair = cp.equidistant_seed(g, f, model.level, model.direction1,
+                               model.direction2)
     rep = cp.compare(g, f, pair, 12.0)
     assert len(rep.traj1.ts) > 10 and len(rep.coincidence_times) > 0
     assert calls == []
