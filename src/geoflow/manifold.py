@@ -186,6 +186,11 @@ class MetricField:
         _check_shape(d, x.shape + tail, f"{self.name or 'metric'} partials")
         return d
 
+    def _form(self, x: np.ndarray) -> np.ndarray:
+        """g at x in the metric's own form: g_ii ``(..., dim)`` for a
+        diagonal metric, else the matrix ``(..., dim, dim)``."""
+        return self.diagonal(x) if self.is_diagonal else self(x)
+
     def cubic_form(self, x: np.ndarray, v: np.ndarray) -> float | np.ndarray:
         """d_k g_ij v^k v^i v^j: a float at a point, ``(n,)`` on a stack.
 
@@ -193,6 +198,7 @@ class MetricField:
         point, and never builds the dense partials.
         """
         d = self._own_partials(x)
+        v = np.asarray(v, dtype=float)
         out = (np.einsum("...l,...li,...i->...", v, d, v * v)
                if self.is_diagonal
                else np.einsum("...kij,...k,...i,...j->...", d, v, v, v))
@@ -200,17 +206,12 @@ class MetricField:
 
     def lower(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The covector g_ij v^j of a vector, or of a stack of vectors at x."""
-        if self._diagonal is not None:
-            return self.diagonal(x) * v
-        return np.einsum("...ij,...j->...i", self(x), v)
+        return _lower(self, self._form(x), v)
 
     def inner(self, x: np.ndarray, u: np.ndarray,
               v: np.ndarray) -> float | np.ndarray:
         """g(u, v) = u^i g_ij v^j: a float at a point, ``(n,)`` on a stack."""
-        if self._diagonal is not None:
-            out = np.einsum("...i,...i,...i->...", u, self.diagonal(x), v)
-        else:
-            out = np.einsum("...i,...ij,...j->...", u, self(x), v)
+        out = _inner(self, self._form(x), u, v)
         return float(out) if out.ndim == 0 else out
 
     def norm(self, x: np.ndarray, v: np.ndarray) -> float | np.ndarray:
@@ -331,20 +332,22 @@ def _check_condition(sv: np.ndarray, x: np.ndarray) -> None:
             f"metric at {np.asarray(x)[i]} has condition number {cond:.3e}")
 
 
-def _inverse(g: MetricField, x: np.ndarray) -> np.ndarray:
-    """g^{-1} at x in g's own form: the ``(..., dim)`` reciprocals 1/g_ii
-    of a diagonal metric, else :func:`metric_inverse`'s matrix."""
+def _inverse(g: MetricField, x: np.ndarray) -> tuple:
+    """(g, g^{-1}) at x in g's own form.  A diagonal metric gives g_ii and
+    the reciprocals 1/g_ii from one call of its diagonal.  Any other gives
+    None and :func:`metric_inverse`'s matrix, whose evaluation of g stays
+    inside it: a caller that reads the matrix g evaluates it."""
     if not g.is_diagonal:
-        return metric_inverse(g, x)
+        return None, metric_inverse(g, x)
     d = g.diagonal(x)
     _check_condition(d, x)
-    return 1.0 / d
+    return d, 1.0 / d
 
 
 def _stage_inverse(g: MetricField) -> Callable[[np.ndarray], tuple]:
     """x -> (values, g^{-1}) at x, straight from the metric's closure: the
     values whose spread is the condition number (g_ii, or the singular
-    values of the one SVD) and the inverse in :func:`_inverse`'s form.
+    values of the one SVD) and the inverse in g's own form.
     No shape or condition check, for the stages of a solve that checks
     both elsewhere.  A metric that LAPACK cannot factor (a nan component)
     gives nan for both, which rejects the step."""
@@ -376,10 +379,29 @@ def _svd_inverse(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
 
 def _raise_index(g: MetricField, ginv: np.ndarray,
                  w: np.ndarray) -> np.ndarray:
-    """The vector g^{ij} w_j, from ``ginv`` in :func:`_inverse`'s form."""
+    """The vector g^{ij} w_j, from ``ginv`` in g's own form."""
     if g.is_diagonal:
         return ginv * w
     return (ginv @ w[..., None])[..., 0]
+
+
+def _lower(g: MetricField, form: np.ndarray, v) -> np.ndarray:
+    """The covector g_ij v^j, from g in its own form."""
+    if g.is_diagonal:
+        return form * v
+    return np.einsum("...ij,...j->...i", form, v)
+
+
+def _inner(g: MetricField, form: np.ndarray, u, v) -> np.ndarray:
+    """g(u, v) as an array, from g in its own form."""
+    if g.is_diagonal:
+        return np.einsum("...i,...i,...i->...", u, form, v)
+    return np.einsum("...i,...ij,...j->...", u, form, v)
+
+
+def _matrix(g: MetricField, form: np.ndarray) -> np.ndarray:
+    """The matrices g_ij, from g in its own form."""
+    return _diag_matrix(form) if g.is_diagonal else form
 
 
 def _diag_matrix(d: np.ndarray) -> np.ndarray:
@@ -410,7 +432,7 @@ def metric_inverse(g: MetricField, x: np.ndarray) -> np.ndarray:
         is not finite.
     """
     if g.is_diagonal:
-        return _diag_matrix(_inverse(g, x))
+        return _diag_matrix(_inverse(g, x)[1])
     m = g(x)
     try:
         u, s, vh = np.linalg.svd(m)
@@ -434,7 +456,7 @@ def gradient(g: MetricField, f: ScalarPotential, x: np.ndarray) -> np.ndarray:
     closures' outputs, with the same arithmetic, at every stage.
     """
     df = f.gradient_covector(x)
-    return _raise_index(g, _inverse(g, x), df)
+    return _raise_index(g, _inverse(g, x)[1], df)
 
 
 def grad_norm_sq(g: MetricField, f: ScalarPotential,
@@ -458,17 +480,21 @@ def christoffel_levi_civita(g: MetricField, x: np.ndarray) -> np.ndarray:
     contraction costs O(dim^3), not O(dim^4), per point.
     """
     x = np.asarray(x, dtype=float)
-    return _levi_civita(g, _inverse(g, x), g.partials(x))
+    return _levi_civita(g, _inverse(g, x)[1], g.partials(x))
 
 
 def _levi_civita(g: MetricField, ginv: np.ndarray,
                  dg: np.ndarray) -> np.ndarray:
-    """Gamma^k_ij from g^{-1} in :func:`_inverse`'s form and the partials
+    """Gamma^k_ij from g^{-1} in g's own form and the partials
     ``D[..., l, i, j]``."""
-    term = (dg + np.einsum("...jil->...ijl", dg)
-            - np.einsum("...lij->...ijl", dg))
+    *lead, a, b, c = range(dg.ndim)
+    # term[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
+    term = (dg + dg.transpose(*lead, b, a, c)
+            - dg.transpose(*lead, b, c, a))
     if g.is_diagonal:
-        return 0.5 * (ginv[..., :, None, None] * np.moveaxis(term, -1, -3))
+        # row l of term, scaled by 1/g_ll, is Gamma^l_ij
+        return 0.5 * (ginv[..., :, None, None]
+                      * term.transpose(*lead, c, a, b))
     return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, term)
 
 

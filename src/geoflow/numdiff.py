@@ -35,6 +35,7 @@ time along a curve, with one call on every stencil time.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -60,6 +61,18 @@ _W4 = np.array([-1.0, 8.0, -8.0, 1.0]) / 12.0
 _O4 = np.array([2.0, 1.0, -1.0, -2.0])
 
 
+@lru_cache(maxsize=64)
+def _offsets(dim: int, ndim: int) -> np.ndarray:
+    """The read-only table of stencil offsets for points of ``dim``
+    coordinates held in an ``ndim``-axis array: entry ``[a, j]`` moves
+    coordinate j by ``_O4[a]`` steps, shaped to broadcast against the
+    points and their steps."""
+    table = (_O4[:, None, None] * np.eye(dim)).reshape(
+        (4, dim) + (1,) * (ndim - 1) + (dim,))
+    table.flags.writeable = False
+    return table
+
+
 def jacobian_fd(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                 scale: float = STEP) -> np.ndarray:
     """Array of partials of a scalar- or array-valued function.
@@ -76,15 +89,22 @@ def jacobian_fd(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     h = scale * np.maximum(1.0, np.abs(x))
     dim = x.shape[-1]
     # shifted[a, j] is x with coordinate j moved by _O4[a] steps
-    offsets = _O4[:, None, None] * np.eye(dim)
-    shifted = x + offsets.reshape((4, dim) + (1,) * (x.ndim - 1) + (dim,)) * h
+    shifted = x + _offsets(dim, x.ndim) * h
     vals = np.asarray(fn(shifted), dtype=float)
     lead = (4, dim) + x.shape[:-1]
     if vals.shape[:len(lead)] != lead:
         raise ClosureShapeError(
             f"closure returned shape {vals.shape} on points {shifted.shape}; "
             "closures must broadcast over leading axes")
-    jac = np.moveaxis(sum(w * v for w, v in zip(_W4, vals)), 0, -1)
+    # the weighted rows, summed left to right from 0 as sum() would: a
+    # sum of -0.0 rows reads +0.0
+    rows = vals * _W4.reshape((4,) + (1,) * (vals.ndim - 1))
+    acc = 0.0 + rows[0]
+    acc += rows[1]
+    acc += rows[2]
+    acc += rows[3]
+    # the derivative axis, first in acc, moves last as a view
+    jac = acc.transpose(tuple(range(1, acc.ndim)) + (0,))
     # h holds one step per point and coordinate; broadcast it over the
     # value axes that sit between the two
     return jac / h.reshape(h.shape[:-1] + (1,) * (jac.ndim - h.ndim)
@@ -99,7 +119,7 @@ def curve_derivative(fn: Callable[[np.ndarray], np.ndarray], t,
     ``STEP_CURVE * max(1, |t|)``, and differentiates it at ``t``.  The
     stencil is kept inside ``span`` by sliding its center, so the
     result stays 4th-order accurate even at the span's ends.  ``order`` is 1
-    or 2.
+    or 2; any other order raises ValueError.
 
     ``t`` is a scalar or an array of times; ``fn`` is called once, on the
     1-D array of all stencil times, and returns one value (a scalar or a
@@ -108,6 +128,8 @@ def curve_derivative(fn: Callable[[np.ndarray], np.ndarray], t,
     ``t.shape + value shape``.  The span's end may be an array that
     broadcasts against t, one end per row of times.
     """
+    if order not in (1, 2):
+        raise ValueError(f"derivative order must be 1 or 2, got {order!r}")
     t0, t1 = span
     width = t1 - t0
     if np.any(width <= 0.0):

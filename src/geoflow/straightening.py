@@ -42,8 +42,11 @@ from .manifold import (
     MetricField,
     ScalarPotential,
     Trajectory,
+    _inner,
     _inverse,
     _levi_civita,
+    _lower,
+    _matrix,
     _raise_index,
     gradient,
     metric_inverse,
@@ -68,33 +71,36 @@ EPS_GRAD = 1e-10
 
 
 def _grad_and_norm(g: MetricField, f: ScalarPotential, x: np.ndarray):
-    """grad f, |grad f|^2 and g^{-1} (in the form of
-    :func:`~geoflow.manifold._inverse`) at a point or a stack.
+    """grad f, |grad f|^2, g and g^{-1} at a point or a stack, in the
+    metric's own form (see :func:`~geoflow.manifold._inverse`): one
+    evaluation of a diagonal metric, two of a dense one.
 
     Raises :class:`~geoflow.errors.CriticalPointError` naming the first
     point of the stack that lies on the critical set.
     """
-    ginv = _inverse(g, x)
+    form, ginv = _inverse(g, x)
     v = _raise_index(g, ginv, f.gradient_covector(x))
-    nsq = np.asarray(g.inner(x, v, v))
+    if form is None:
+        form = g(x)
+    nsq = _inner(g, form, v, v)
     critical = nsq <= EPS_GRAD ** 2
     if critical.any():
         i = np.unravel_index(np.argmax(critical), critical.shape)
         raise CriticalPointError(
             f"|grad f| = {np.sqrt(max(nsq[i], 0.0)):.3e} at {x[i]}: "
             "straightening undefined on the critical set")
-    return v, nsq, ginv
+    return v, nsq, form, ginv
 
 
 def _straightening_parts(g: MetricField, f: ScalarPotential, lam: float,
                          x: np.ndarray):
-    """v = grad f, |v|^2, g^{-1}, the Jacobian of grad f and Z at x.
+    """v = grad f, |v|^2, g, g^{-1}, the Jacobian of grad f and Z at x.
 
     x is a point or a stack.  One stencil of y -> (grad f, |grad f|^2),
     the dominant cost, gives the Jacobian and d|v|^2, hence
     |v|^2 Z = 1/2 g^{-1} d|v|^2 - lam v.
     """
-    v, nsq, ginv = _grad_and_norm(g, f, x)
+    v, nsq, form, ginv = _grad_and_norm(g, f, x)
 
     def field_and_norm(y):
         w = gradient(g, f, y)
@@ -103,14 +109,14 @@ def _straightening_parts(g: MetricField, f: ScalarPotential, lam: float,
     jac = numdiff.jacobian_fd(field_and_norm, x)
     z = (0.5 * _raise_index(g, ginv, jac[..., -1, :])
          - lam * v) / nsq[..., None]
-    return v, nsq, ginv, jac[..., :-1, :], z
+    return v, nsq, form, ginv, jac[..., :-1, :], z
 
 
-def _coeffs(g: MetricField, x: np.ndarray, ginv: np.ndarray,
-            z: np.ndarray) -> np.ndarray:
-    """Gamma~ = Gamma^g - g Z at x, from the parts' g^{-1} and Z."""
+def _coeffs(g: MetricField, x: np.ndarray, form: np.ndarray,
+            ginv: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Gamma~ = Gamma^g - g Z at x, from the parts' g, g^{-1} and Z."""
     lc = _levi_civita(g, ginv, g.partials(x))
-    return lc - np.einsum("...ij,...k->...kij", g(x), z)
+    return lc - np.einsum("...ij,...k->...kij", _matrix(g, form), z)
 
 
 def z_field(g: MetricField, f: ScalarPotential, lam: float,
@@ -134,8 +140,8 @@ def straightening_coeffs(g: MetricField, f: ScalarPotential, lam: float,
     A point gives ``(dim, dim, dim)``, a stack ``(n, dim, dim, dim)``.
     """
     x = np.asarray(x, dtype=float)
-    _, _, ginv, _, z = _straightening_parts(g, f, lam, x)
-    return _coeffs(g, x, ginv, z)
+    _, _, form, ginv, _, z = _straightening_parts(g, f, lam, x)
+    return _coeffs(g, x, form, ginv, z)
 
 
 def straightening_connection(g: MetricField, f: ScalarPotential,
@@ -161,12 +167,12 @@ def pregeodesic_residual(g: MetricField, f: ScalarPotential, lam: float,
     A float at a point, ``(n,)`` on a stack of n points.
     """
     x = np.asarray(x, dtype=float)
-    v, nsq, ginv, jac, z = _straightening_parts(g, f, lam, x)
+    v, nsq, form, ginv, jac, z = _straightening_parts(g, f, lam, x)
     acc = ((jac @ v[..., None])[..., 0]
-           + np.einsum("...kij,...i,...j->...k", _coeffs(g, x, ginv, z),
-                       v, v))
+           + np.einsum("...kij,...i,...j->...k",
+                       _coeffs(g, x, form, ginv, z), v, v))
     defect = acc - lam * v
-    r = np.sqrt(np.maximum(g.inner(x, defect, defect), 0.0) / nsq)
+    r = np.sqrt(np.maximum(_inner(g, form, defect, defect), 0.0) / nsq)
     return float(r) if np.ndim(r) == 0 else r
 
 
@@ -182,8 +188,9 @@ def nonmetricity_closed_tensor(g: MetricField, f: ScalarPotential, lam: float,
                                x: np.ndarray) -> np.ndarray:
     """Closed form C[..., k, i, j] = g_ki zeta_j + g_kj zeta_i, zeta = g Z."""
     x = np.asarray(x, dtype=float)
-    zeta = g.lower(x, z_field(g, f, lam, x))
-    c = np.einsum("...ki,...j->...kij", g(x), zeta)
+    z = z_field(g, f, lam, x)
+    form = g._form(x)
+    c = np.einsum("...ki,...j->...kij", _matrix(g, form), _lower(g, form, z))
     return c + np.swapaxes(c, -1, -2)
 
 
@@ -274,7 +281,7 @@ def projection_orthogonality(g: MetricField, f: ScalarPotential,
     u = np.asarray(p_hat, dtype=float)
     x = np.asarray(submanifold.embed(u), dtype=float)
     basis = submanifold.tangent_basis(u)
-    v, nsq, _ = _grad_and_norm(g, f, x)
+    v, nsq, form, _ = _grad_and_norm(g, f, x)
     cols = basis.T
-    return float(np.max(np.abs(cols @ g.lower(x, v))
-                        / np.sqrt(nsq * g.inner(x, cols, cols))))
+    return float(np.max(np.abs(cols @ _lower(g, form, v))
+                        / np.sqrt(nsq * _inner(g, form, cols, cols))))

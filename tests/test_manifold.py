@@ -204,6 +204,24 @@ def test_diagonal_route_matches_the_dense_route(g, f, pts):
     assert isinstance(g.inner(pts[0], u[0], v[0]), float)
 
 
+def test_cubic_form_takes_lists():
+    # v as a list, as inner and lower take it: a point and a stack, on a
+    # diagonal metric and on the same metric through its dense matrix
+    g, _ = fixtures.two_mode_chain()
+    dense = mf.MetricField(g.chart, g, partials=g.partials)
+    pts = np.array([[1.0, 2.0], [0.5, 3.0]])
+    vs = np.array([[0.3, -1.2], [2.0, 0.7]])
+    for metric in (g, dense):
+        for x, v in ((pts[0], vs[0]), (pts, vs)):
+            want = metric.cubic_form(x, v)
+            got = metric.cubic_form(x.tolist(), v.tolist())
+            assert np.shape(got) == np.shape(want)
+            assert_array_equal(got, want)
+            assert_array_equal(metric.inner(x.tolist(), v.tolist(),
+                                            v.tolist()),
+                               metric.inner(x, v, v))
+
+
 def _constant_diagonal(d):
     """A metric with the constant diagonals ``d`` on a stack of len(d)."""
     d = np.asarray(d, dtype=float)
@@ -492,6 +510,20 @@ def test_flow_energy_identity():
         assert abs(fdot + mf.grad_norm_sq(g, f, traj.position(t))) < 1e-6
     with pytest.raises(ValueError, match="degenerate span"):
         numdiff.curve_derivative(lambda s: s, 0.5, (0.5, 0.5))
+
+
+@pytest.mark.parametrize("order", [0, 3, -1, 1.5])
+def test_curve_derivative_refuses_other_orders(order):
+    # order 1 and 2 only: another order used to read as the second
+    def square(s):
+        return s * s
+
+    assert_allclose(numdiff.curve_derivative(square, 0.5, (0.0, 1.0), 1),
+                    1.0, rtol=1e-9)
+    assert_allclose(numdiff.curve_derivative(square, 0.5, (0.0, 1.0), 2),
+                    2.0, rtol=1e-6)
+    with pytest.raises(ValueError, match="order must be 1 or 2"):
+        numdiff.curve_derivative(square, 0.5, (0.0, 1.0), order)
 
 
 def test_flow_stop_grad_norm():
@@ -953,6 +985,68 @@ def test_jacobian_fd_makes_one_call(shape, which):
     assert calls == [(4, 2) + shape]
     h = numdiff.STEP * np.maximum(1.0, np.abs(x))
     assert_array_equal(got, _stencil_reference(fn, x, h))
+
+
+def _jacobian_reference(fn, x, scale=numdiff.STEP):
+    """jacobian_fd as first written: the offsets built on every call, the
+    stencil rows summed by sum() and the derivative axis moved by
+    np.moveaxis."""
+    h = scale * np.maximum(1.0, np.abs(x))
+    dim = x.shape[-1]
+    offsets = numdiff._O4[:, None, None] * np.eye(dim)
+    shifted = x + offsets.reshape((4, dim) + (1,) * (x.ndim - 1) + (dim,)) * h
+    vals = np.asarray(fn(shifted), dtype=float)
+    jac = np.moveaxis(sum(w * v for w, v in zip(numdiff._W4, vals)), 0, -1)
+    return jac / h.reshape(h.shape[:-1] + (1,) * (jac.ndim - h.ndim)
+                           + h.shape[-1:])
+
+
+_FD_FUNCTIONS = {
+    "scalar": lambda y: np.sin(y).sum(axis=-1),
+    "vector": lambda y: np.cos(y) * y.sum(axis=-1, keepdims=True),
+    "matrix": lambda y: np.einsum("...i,...j->...ij", y, np.exp(-y)),
+}
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("kind", list(_FD_FUNCTIONS))
+def test_jacobian_fd_bits_match_the_reference(lead, kind):
+    # the cached offsets, the unrolled sum and the transposed view change
+    # no bit, at either step scale and on steps above and below 1
+    fn = _FD_FUNCTIONS[kind]
+    rng = np.random.default_rng(len(lead))
+    for dim in range(1, 12):
+        x = rng.standard_normal(lead + (dim,)) * rng.choice([1e-3, 1.0, 40.0])
+        for scale in (numdiff.STEP, numdiff.STEP_COEFFS):
+            got = numdiff.jacobian_fd(fn, x, scale=scale)
+            want = _jacobian_reference(fn, x, scale)
+            assert got.shape == want.shape == fn(x).shape + (dim,)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_jacobian_fd_negative_zero_sum_reads_as_sum_does():
+    # rows of +0.0 and -0.0 whose weighted terms are all -0.0: sum()
+    # starts from 0 and gives +0.0, a sum of the rows alone would give -0.0
+    def rows(y):
+        out = np.zeros(y.shape[:-1])
+        out[[1, 3]] = -0.0
+        return out
+
+    for x in (np.array([0.5, 2.0]), np.ones((3, 2))):
+        got = numdiff.jacobian_fd(rows, x)
+        assert got.tobytes() == _jacobian_reference(rows, x).tobytes()
+        assert not np.signbit(got).any()
+
+
+def test_jacobian_fd_offset_table_is_cached_read_only():
+    table = numdiff._offsets(3, 2)
+    assert numdiff._offsets(3, 2) is table
+    assert table.shape == (4, 3, 1, 3) and not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0, 0, 0] = 1.0
+    numdiff.jacobian_fd(np.sin, np.ones((5, 3)))
+    assert_array_equal(table[:, :, 0, :],
+                       numdiff._O4[:, None, None] * np.eye(3))
 
 
 # --------------------------------------------------------- array-t queries

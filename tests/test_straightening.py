@@ -14,9 +14,16 @@ from geoflow import manifold as mf
 from geoflow import numdiff
 from geoflow import straightening as st
 from geoflow import verify
+from geoflow.dually_flat import (
+    canonical_divergence,
+    gaussian_natural_model,
+    metric_field,
+)
 from geoflow.errors import (
+    ClosureShapeError,
     CriticalPointError,
     DegenerateTangentError,
+    SingularMatrixError,
     StepUnderflowError,
 )
 from geoflow.fixtures import (
@@ -126,6 +133,69 @@ def test_z_raises_at_critical_point():
         st.z_field(g, f, 0.0, [1.0])
     with pytest.raises(CriticalPointError):
         st.z_field(*euclidean_quadratic(2), 0.0, [0.0, 0.0])
+
+
+def _natural_model():
+    """The dense 2-D Hessian metric of the Gaussian in natural parameters,
+    with the canonical divergence from a reference point as potential."""
+    model = gaussian_natural_model()
+    q = np.array([0.2, -0.5])
+    f = mf.ScalarPotential(
+        lambda x: canonical_divergence(model, x, q),
+        gradient=lambda x: (model.gradient_covector(x)
+                            - model.gradient_covector(q)),
+        minimum_q=q, name="natural-divergence")
+    return metric_field(model), f, np.array([0.5, -1.2])
+
+
+def _broken_models():
+    """(name, g, f, x, error) with one closure gone wrong at a
+    non-critical point x, on a diagonal and on a dense 2-D metric."""
+    g_diag, f_diag = two_mode_chain()
+    x_diag = np.array([3.0, 1.0])
+    g_dense, f_dense, x_dense = _natural_model()
+    out = []
+    for kind, g, f, x in (("diagonal", g_diag, f_diag, x_diag),
+                          ("dense", g_dense, f_dense, x_dense)):
+        # the second coordinate's scale squeezed to 1e-7: a condition
+        # number above 1e12, the metric still positive definite
+        squeeze = np.array([1.0, 1e-7])
+        if g.is_diagonal:
+            short = mf.MetricField(
+                g.chart, diagonal=lambda y, g=g: g.diagonal(y)[..., :1])
+            ill = mf.MetricField(
+                g.chart, diagonal=lambda y, g=g: g.diagonal(y) * squeeze ** 2)
+        else:
+            short = mf.MetricField(g.chart, lambda y, g=g: g(y)[..., :1, :])
+            ill = mf.MetricField(g.chart, lambda y, g=g:
+                                 g(y) * np.outer(squeeze, squeeze))
+        bad_grad = mf.ScalarPotential(
+            f, gradient=lambda y, f=f: f.gradient_covector(y)[..., :1])
+        out += [
+            pytest.param(g, f, x, None, id=f"{kind}-sound"),
+            pytest.param(short, f, x, ClosureShapeError, id=f"{kind}-metric"),
+            pytest.param(g, bad_grad, x, ClosureShapeError,
+                         id=f"{kind}-gradient"),
+            pytest.param(ill, f, x, SingularMatrixError,
+                         id=f"{kind}-ill-conditioned"),
+        ]
+    return out
+
+
+@pytest.mark.parametrize("g,f,x,error", _broken_models())
+def test_straightening_entry_points_raise_typed_errors(g, f, x, error):
+    # each entry point checks the closures' shapes and the metric's
+    # condition at a point and on a stack; the sound model passes
+    entries = [st.z_field, st.straightening_coeffs, st.pregeodesic_residual,
+               st.nonmetricity_closed_tensor]
+    for pts in (x, np.stack([x, 1.1 * x])):
+        for lam in (0.0, 1.0):
+            for entry in entries:
+                if error is None:
+                    assert np.isfinite(entry(g, f, lam, pts)).all()
+                else:
+                    with pytest.raises(error):
+                        entry(g, f, lam, pts)
 
 
 # ---------------------------------------------------------------- coefficients
