@@ -372,9 +372,23 @@ def _stage_inverse(g: MetricField) -> Callable[[np.ndarray], tuple]:
     return inverse
 
 
+#: below this (a subnormal) a singular value's reciprocal overflows
+_TINY_SV = 1.0 / np.finfo(float).max
+
+
 def _svd_inverse(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
-    """V diag(1/s) U^T, the inverse of U diag(s) V^T."""
-    return vh.swapaxes(-1, -2) / s[..., None, :] @ u.swapaxes(-1, -2)
+    """V diag(1/s) U^T, the inverse of U diag(s) V^T.
+
+    Where the smallest singular value is positive but its reciprocal
+    overflows, the product takes s / s_min per point and divides by s_min
+    after, so that an overflowing component reads +-inf, not the nan of
+    inf * 0 that an off-diagonal zero of U would give.
+    """
+    v, ut = vh.swapaxes(-1, -2), u.swapaxes(-1, -2)
+    if not 0.0 < s.min(initial=np.inf) < _TINY_SV:
+        return v / s[..., None, :] @ ut
+    low = s.min(axis=-1, keepdims=True)
+    return (v / (s / low)[..., None, :] @ ut) / low[..., None]
 
 
 def _raise_index(g: MetricField, ginv: np.ndarray,
