@@ -1,24 +1,20 @@
 """
-Metrics, gradients, geodesics, and gradient flow on a curved chart
-==================================================================
+Metrics, gradients, and gradient flow on a curved chart
+=======================================================
 
 Everything downstream builds on four objects: a chart, a metric field on
-it, a scalar potential, and an ODE integrator that understands both
-geodesics and steepest descent.  This walkthrough exercises them on the
-unit sphere in polar coordinates (theta, phi) with the height potential
-f = 1 + cos(theta).
+it, a scalar potential, and an ODE integrator for steepest descent.  This
+walkthrough exercises them on the unit sphere in polar coordinates
+(theta, phi) with the height potential f = 1 + cos(theta).
 """
 
 import numpy as np
 
 from geoflow.fixtures import sphere_height
 from geoflow.manifold import (
-    covariant_acceleration,
     grad_norm_sq,
     gradient,
     integrate_flow,
-    integrate_geodesic,
-    levi_civita_connection,
 )
 
 g, f = sphere_height()
@@ -34,19 +30,6 @@ print(g(x))
 print("\ndf          =", f.gradient_covector(x))
 print("grad f      =", gradient(g, f, x))
 print("|grad f|^2  =", grad_norm_sq(g, f, x))
-
-# geodesics of the Levi-Civita connection conserve speed; fire one at a
-# slant and watch |v|_g stay put to integrator tolerance
-conn = levi_civita_connection(g)
-geo = integrate_geodesic(conn, x, [0.2, 0.5], 3.0, tol=1e-10)
-speeds = [g.norm(geo.position(t), geo.velocity(t))
-          for t in np.linspace(0.0, 3.0, 7)]
-print("\ngeodesic speed along the curve:")
-print(np.array(speeds))
-
-# its covariant acceleration vanishes pointwise
-acc = covariant_acceleration(conn, geo, 1.5)
-print("covariant acceleration at t=1.5:", acc, "(should be ~0)")
 
 # gradient flow x' = -grad f walks downhill; f decreases monotonically
 # and the loss rate equals |grad f|^2 (the energy identity)

@@ -2,7 +2,7 @@
 
 The package is organized around five capabilities:
 
-* :mod:`geoflow.manifold` -- charts, metrics, potentials, geodesics, flows
+* :mod:`geoflow.manifold` -- charts, metrics, potentials, connections, flows
 * :mod:`geoflow.straightening` -- the connection that turns gradient curves
   into pregeodesics, its non-metricity, curvature, and projections
 * :mod:`geoflow.comparison` -- equidistant seeding and the relaxation race

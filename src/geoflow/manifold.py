@@ -46,7 +46,6 @@ __all__ = [
     "christoffel_levi_civita",
     "levi_civita_connection",
     "covariant_acceleration",
-    "integrate_geodesic",
     "integrate_flow",
 ]
 
@@ -292,13 +291,11 @@ class AffineConnection:
     ``coeffs(x)`` returns the (dim, dim, dim) array ``G[k, i, j]`` for a
     point and ``(n, dim, dim, dim)`` for a stack of n points: it
     broadcasts over leading axes, so that finite differences of the field
-    take one call per stencil.  ``chart`` bounds the geodesics of the
-    connection, and ``metric`` supplies the g used for curvature
-    contraction.
+    take one call per stencil.  ``metric`` supplies the g used for
+    curvature contraction.
     """
 
     coeffs: Callable[[np.ndarray], np.ndarray]
-    chart: Chart
     metric: MetricField
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -515,7 +512,7 @@ def _levi_civita(g: MetricField, ginv: np.ndarray,
 def levi_civita_connection(g: MetricField) -> AffineConnection:
     """The metric connection of g as an AffineConnection."""
     return AffineConnection(lambda x: christoffel_levi_civita(g, x),
-                            chart=g.chart, metric=g)
+                            metric=g)
 
 
 def span_times(t,
@@ -546,23 +543,22 @@ def span_times(t,
 
 
 class Trajectory:
-    """Integrated curve, or batch of curves, with dense output.
+    """Integrated flow curve, or batch of flow curves, with dense output.
 
-    Samples are the accepted integrator steps; between them, position (and
-    velocity, for second-order states) comes from RK45's own quartic
-    interpolant on each step, so dense queries carry the integration
-    tolerance.  The steps' interpolant data are stacked once, and a query
-    at any number of times is one vectorized evaluation: a time on a step
-    boundary takes the earlier step, as in
-    :class:`scipy.integrate.OdeSolution`.
+    Samples are the accepted integrator steps; between them, position
+    comes from RK45's own quartic interpolant on each step, so dense
+    queries carry the integration tolerance.  The steps' interpolant data
+    are stacked once, and a query at any number of times is one
+    vectorized evaluation: a time on a step boundary takes the earlier
+    step, as in :class:`scipy.integrate.OdeSolution`.
 
     ``position``, ``velocity`` and ``acceleration`` take a scalar t, giving
     shape ``(dim,)``, or an array of times, giving ``t.shape + (dim,)``;
     ``position_velocity`` gives both from one query.  A time outside
-    ``span`` raises :class:`~geoflow.errors.OutOfSpanError`.  A flow's
-    velocity applies its field to the whole position stack in one call,
-    and the acceleration differentiates the velocity at every t with one
-    velocity call over all stencil times.
+    ``span`` raises :class:`~geoflow.errors.OutOfSpanError`.  The velocity
+    applies ``velocity_field``, the flow's field, to the whole position
+    stack in one call, and the acceleration differentiates the velocity
+    at every t with one velocity call over all stencil times.
 
     A batch of B curves, from one joint solve of
     :func:`integrate_flow` on a seed stack, shares that solve's step times
@@ -589,18 +585,17 @@ class Trajectory:
         curves of a joint solve share them.
     """
 
-    def __init__(self, ts, xs, vs, dense: tuple | None, dim: int,
-                 velocity_field: Callable[[np.ndarray], np.ndarray] | None = None,
+    def __init__(self, ts, xs, vs, dense: tuple | None,
+                 velocity_field: Callable[[np.ndarray], np.ndarray],
                  exited_domain=False, converged=False, *, last=None,
                  steps: int = 0, nfev: int = 0):
         self.ts = np.asarray(ts, dtype=float)
         self.xs = np.asarray(xs, dtype=float)
         self.vs = np.asarray(vs, dtype=float)
-        # (t_old, h, y_old, Q) of the steps from :func:`_integrate`, or None
-        # when no step of positive length was taken; a batch's y_old and Q
-        # carry the curves on their second axis
+        # (t_old, h, x_old, Q) of the accepted steps, or None when no step
+        # of positive length was taken; a batch's x_old and Q carry the
+        # curves on their second axis
         self._dense = dense
-        self._dim = dim
         self._velocity_field = velocity_field
         # the index of each curve's last sample: a scalar for one curve
         self._last = np.asarray(self.ts.size - 1 if last is None else last)
@@ -618,11 +613,10 @@ class Trajectory:
         k = int(self._last[b])
         dense = None
         if self._dense is not None and k > 0:
-            t_old, h, y_old, q = self._dense
-            dense = (t_old[:k], h[:k], y_old[:k, b], q[:k, b])
+            t_old, h, x_old, q = self._dense
+            dense = (t_old[:k], h[:k], x_old[:k, b], q[:k, b])
         return Trajectory(self.ts[:k + 1], self.xs[b, :k + 1],
-                          self.vs[b, :k + 1], dense, self._dim,
-                          self._velocity_field,
+                          self.vs[b, :k + 1], dense, self._velocity_field,
                           bool(self.exited_domain[b]),
                           bool(self.converged[b]), steps=self.steps,
                           nfev=self.nfev)
@@ -635,35 +629,28 @@ class Trajectory:
         return (np.arange(self._last.size).reshape((-1,)
                                                    + (1,) * (t.ndim - 1)),)
 
-    def _state(self, t) -> np.ndarray:
+    def position(self, t) -> np.ndarray:
         t = span_times(t, self.span)
         rows = self._rows(t)
         if self._dense is None:
-            y0 = np.concatenate([self.xs[..., 0, :], self.vs[..., 0, :]],
-                                axis=-1)[rows]
-            return np.broadcast_to(y0, t.shape + y0.shape[-1:]).copy()
-        t_old, h, y_old, q = self._dense
+            x0 = self.xs[..., 0, :][rows]
+            return np.broadcast_to(x0, t.shape + x0.shape[-1:]).copy()
+        t_old, h, x_old, q = self._dense
         last_step = np.maximum(self._last - 1, 0)[rows]
         i = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0,
                     last_step)
-        x = ((t - t_old[i]) / h[i])[..., None]
-        # the powers x, x^2, x^3, x^4 of the step fraction
-        p = np.cumprod(np.repeat(x, q.shape[-1], axis=-1), axis=-1)
-        y = np.einsum("...ij,...j->...i", q[(i,) + rows], p)
-        return h[i][..., None] * y + y_old[(i,) + rows]
-
-    def position(self, t) -> np.ndarray:
-        return self._state(t)[..., : self._dim]
+        s = ((t - t_old[i]) / h[i])[..., None]
+        # the powers s, s^2, s^3, s^4 of the step fraction
+        p = np.cumprod(np.repeat(s, q.shape[-1], axis=-1), axis=-1)
+        x = np.einsum("...ij,...j->...i", q[(i,) + rows], p)
+        return h[i][..., None] * x + x_old[(i,) + rows]
 
     def velocity(self, t) -> np.ndarray:
         return self.position_velocity(t)[1]
 
     def position_velocity(self, t) -> tuple[np.ndarray, np.ndarray]:
         """Position and velocity at t from one evaluation of the dense
-        output; a flow applies its field to that position stack."""
-        if self._velocity_field is None:
-            y = self._state(t)
-            return y[..., : self._dim], y[..., self._dim:]
+        output, the field applied to that position stack."""
         x = self.position(t)
         return x, np.asarray(self._velocity_field(x), dtype=float)
 
@@ -675,67 +662,116 @@ class Trajectory:
         t = span_times(t, self.span)
         t0, t1 = self.span
         lead = t.shape[:np.ndim(t1)]    # a batch's curves
+        dim = self.xs.shape[-1]
 
         def velocity(s):
             # the stencil times come flat; a batch regroups them by curve
-            return self.velocity(s.reshape(lead + (-1,))).reshape(
-                -1, self._dim)
+            return self.velocity(s.reshape(lead + (-1,))).reshape(-1, dim)
 
         end = np.reshape(t1, lead + (1,) * (t.ndim - len(lead)))
         acc = numdiff.curve_derivative(velocity, t, (t0, end), order=1)
-        return np.reshape(acc, np.shape(t) + (self._dim,))
+        return np.reshape(acc, np.shape(t) + (dim,))
 
 
-def _integrate(rhs, y0, t_end, tol, *, in_domain=None, n_curves=1,
-               grad_monitor=None, stop_below=None):
-    """Drive scipy's RK45 step by step; collect dense output and flags.
+def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,
+                   tol: float = 1e-10,
+                   stop_grad_norm: float | np.ndarray | None = None
+                   ) -> Trajectory:
+    """Integrate the gradient descent xd = -grad f from a seed or a seed stack.
 
-    The state ``y0`` stacks ``n_curves`` curves of equal size, and RK45
-    integrates them as one system: one right-hand-side call per stage, one
-    step sequence.  A step is accepted only if each curve's own RMS error
-    estimate, scipy's norm over that curve's states, passes on its own, so
-    every curve is held to ``tol`` as in a solve of its own; one curve is
-    plain RK45, bit for bit.  The solve runs under one ``np.errstate``
-    that ignores division by zero, invalid values and overflow: a stage
-    at which ``rhs`` is not finite gives a non-finite error estimate, and
-    RK45 rejects the step and shrinks it.
+    A seed ``(dim,)`` gives one curve.  A stack of B seeds ``(B, dim)``
+    gives the batch of B curves, integrated as one RK45 system of B·dim
+    states: each right-hand-side call evaluates the field on the
+    ``(B, dim)`` stack in one call of each closure.  A step is accepted
+    only if every curve's own RMS error estimate, scipy's norm over that
+    curve's states, meets ``tol``, so each curve is as accurate as in a
+    solve of its own, and one seed is plain RK45 bit for bit (the seed is
+    the batch of one).  The batch's :class:`Trajectory` shares the solve's
+    step times, ``steps`` and ``nfev``; curve b ends at its own stop, and
+    ``traj[b]`` is curve b alone.
 
-    The states come back curve by curve, ``(samples, n_curves, m)``.
     Each accepted step keeps RK45's stages ``K``, and one product after
     the solve forms every step's interpolant coefficients ``Q = K^T P``,
-    bit for bit those of scipy's per-step ``dense_output()``.  The dense
-    output stacks them for a batched :class:`Trajectory`, ``(t_old, h,
-    y_old, Q)`` with shapes ``(steps,)``, ``(steps,)``,
-    ``(steps, n_curves, m)`` and ``(steps, n_curves, m, 4)``.
+    bit for bit those of scipy's per-step ``dense_output()``; the
+    trajectory stacks them as ``(t_old, h, x_old, Q)``.  When no step of
+    positive length was accepted (RK45's only zero-length step, at
+    ``t_end == 0``, or a first step out of the chart), the trajectory
+    keeps the initial state alone.
 
-    ``in_domain(y)``, when given, gives one flag per curve.  Once any
-    curve leaves the domain, the solve ends at the last state where all
-    were inside, and each still-running curve outside is flagged as
-    exited.
+    The flow is checked once per solve, on the seeds: one
+    :func:`gradient` call checks the closures' shapes and the metric's
+    condition, and the chart's domain check must give one flag per seed.
+    Every stage then evaluates -g^{ij} d_j f straight from the closures,
+    with :func:`gradient`'s arithmetic and no further check, and the
+    metric's condition is checked at every accepted state, on the values
+    (g_ii, or the singular values of the stage's SVD) and the covector
+    that RK45's first-same-as-last stage computed there.  The solve runs
+    under one ``np.errstate``: a stage at which the field is not finite
+    (a metric that vanishes there, say) gives a non-finite error
+    estimate, a rejected step rather than a warning.  RK45 is looked up
+    here, so pointwise geometry never loads scipy.
 
-    ``grad_monitor(y, dy)`` gets each accepted state with the RHS there
-    (RK45's first-same-as-last stage, so it costs no evaluation) and
-    returns each curve's gradient norm; it may raise to end the solve.  A
-    curve stops, flagged converged, at the first accepted state where its
-    norm falls below its entry of ``stop_below``, and the solve ends once
-    every curve has stopped.  A seed at or below it takes no step (RK45
-    holds the RHS at y0 from its setup), so a seed at rest does not move
-    even when ``stop_below`` is 0.  The dense output is ``None`` when no
-    step of positive length was accepted: RK45's only zero-length step,
-    at ``t_end == 0``, keeps the initial state.  Returns the sample
-    times, the states, the dense output and the :class:`Trajectory`
-    keywords of the batch: per-curve ``exited_domain`` and ``converged``
-    flags, each curve's ``last`` sample index, and the solve's accepted
-    ``steps`` and RHS evaluations ``nfev``.
+    Parameters
+    ----------
+    stop_grad_norm : float or (B,) array, optional
+        Each curve stops (flagged ``converged``) at the first accepted
+        step where its Riemannian gradient norm falls below its threshold.
+        A seed at or below it takes no step: the curve holds x0 alone,
+        with span (0, 0), even when the threshold is 0.  The solve ends
+        once every curve has stopped.
 
-    RK45 is looked up here, so pointwise geometry never loads scipy.
+    The curves of a batch share one domain check, one call on the
+    ``(B, dim)`` stack per accepted step: once any curve leaves the
+    chart, every curve ends at the last state where all were inside, and
+    the ones outside are flagged ``exited_domain``.
 
-    Raises ``ValueError`` unless 0 <= t_end < inf, ``None`` included:
-    RK45 would integrate backwards below 0 and never end at nan.
+    Raises
+    ------
+    ValueError
+        Unless 0 <= t_end < inf, ``None`` included (RK45 would integrate
+        backwards below 0 and never end at nan); before the first step.
+    ClosureShapeError
+        If a closure, the domain check included, gives the wrong shape on
+        the seeds; before the first step.
+    SingularMatrixError
+        If the metric's condition number exceeds 1e12 at a seed or at an
+        accepted state (see :func:`metric_inverse`).
+    NonConvergenceError
+        If a running curve's gradient norm fails to decrease over a full
+        output window, the numerical stand-in for a flow that is not
+        relaxing.  The message names the first such curve, the smallest
+        norm of its window, its ``stop_grad_norm`` and ``tol``.
+    StepUnderflowError
+        If RK45's step size underflows.
     """
+    x0 = np.asarray(x0, dtype=float)
+    # the closures see the seed's own shape, a point or a stack
+    shape, dim = x0.shape, x0.shape[-1]
+    n = x0.size // dim
+
+    def field(x):
+        return -gradient(g, f, x)
+
+    # every check that the stages skip, made once on the seeds
+    field(x0)
+    check = g.chart.domain_check
+    if check is not None:
+        _check_shape(np.asarray(check(x0.reshape(n, dim))), (n,),
+                     f"{g.chart.name or 'chart'} domain check")
     if t_end is None or not 0.0 <= t_end < np.inf:
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     from scipy.integrate import RK45
+
+    inverse, covector = _stage_inverse(g), _stage_covector(f)
+    # rhs's last state, with the metric's condition values and df there
+    at = [None, None, None]
+
+    def rhs(_t, y):
+        x = y.reshape(shape)
+        values, ginv = inverse(x)
+        df = covector(x)
+        at[:] = y, values, df
+        return -_raise_index(g, ginv, df).reshape(-1)
 
     class PerCurveRK45(RK45):
         def __init__(self, *args, **kwargs):
@@ -750,7 +786,7 @@ def _integrate(rhs, y0, t_end, tol, *, in_domain=None, n_curves=1,
             self.fun = fun
 
         def _estimate_error_norm(self, K, h, scale):
-            err = (self._estimate_error(K, h) / scale).reshape(n_curves, 1, -1)
+            err = (self._estimate_error(K, h) / scale).reshape(n, 1, -1)
             # scipy's RMS norm, curve by curve: each row's dot with itself
             # is the one np.linalg.norm takes, and the max of the rows'
             # sums gives the max of their norms; a nan in any curve's
@@ -758,29 +794,43 @@ def _integrate(rhs, y0, t_end, tol, *, in_domain=None, n_curves=1,
             sq = np.max(err @ err.swapaxes(1, 2))
             return np.sqrt(sq) / err.shape[-1] ** 0.5
 
-    y0 = np.asarray(y0, dtype=float).reshape(-1)
+    def grad_norm():
+        # the metric's condition at the solver's state, and the speed
+        # there: |grad f|^2 = df(grad f) = -df(xdot), with xdot = solver.f.
+        # RK45's first-same-as-last stage has just evaluated rhs at an
+        # accepted state; any other state (the seed) is evaluated
+        if at[0] is not solver.y:
+            rhs(0.0, solver.y)
+        _check_condition(at[1], solver.y.reshape(shape))
+        rate = np.einsum("...i,...i->...", at[2], solver.f.reshape(shape))
+        return np.sqrt(np.maximum(-rate, 0.0)).reshape(n)
+
+    stop_below = (None if stop_grad_norm is None
+                  else np.broadcast_to(stop_grad_norm, (n,)))
+    y0 = x0.reshape(-1)
     ts = [0.0]
     ys = [y0.copy()]
     stages = []
     accepted = 0
-    last = np.zeros(n_curves, dtype=int)
-    exited = np.zeros(n_curves, dtype=bool)
+    last = np.zeros(n, dtype=int)
+    exited = np.zeros(n, dtype=bool)
     window = []
     prev_window_min = np.inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         solver = PerCurveRK45(rhs, 0.0, y0, t_bound=float(t_end), rtol=tol,
                               atol=tol)
-        converged = np.zeros(n_curves, dtype=bool)
-        if grad_monitor is not None and stop_below is not None:
-            converged = grad_monitor(y0, solver.f) <= stop_below
+        converged = np.zeros(n, dtype=bool)
+        if stop_below is not None:
+            converged = grad_norm() <= stop_below
         running = ~converged
         while solver.status == "running" and running.any():
             msg = solver.step()
             if solver.status == "failed":
                 raise StepUnderflowError(msg or "adaptive step size underflow")
             accepted += 1
-            if in_domain is not None:
-                inside = np.asarray(in_domain(solver.y), dtype=bool)
+            if check is not None:
+                inside = np.asarray(check(solver.y.reshape(n, dim)),
+                                    dtype=bool)
                 if not inside.all():
                     exited = running & ~inside
                     break
@@ -789,9 +839,7 @@ def _integrate(rhs, y0, t_end, tol, *, in_domain=None, n_curves=1,
             ts.append(solver.t)
             ys.append(solver.y.copy())
             last[running] = len(ts) - 1
-            if grad_monitor is None:
-                continue
-            norm = grad_monitor(solver.y, solver.f)
+            norm = grad_norm()
             if stop_below is not None:
                 stop = running & (norm < stop_below)
                 converged = converged | stop
@@ -799,7 +847,7 @@ def _integrate(rhs, y0, t_end, tol, *, in_domain=None, n_curves=1,
             window.append(norm)
             if len(window) == _MONITOR_WINDOW:
                 wmin = np.min(window, axis=0)
-                size = np.linalg.norm(solver.y.reshape(n_curves, -1), axis=1)
+                size = np.linalg.norm(solver.y.reshape(n, -1), axis=1)
                 stalled = (running & (wmin >= prev_window_min)
                            & (wmin > 1e-13 * (1.0 + size)))
                 if stalled.any():
@@ -812,152 +860,20 @@ def _integrate(rhs, y0, t_end, tol, *, in_domain=None, n_curves=1,
                 prev_window_min = wmin
                 window = []
     ts = np.array(ts)
-    ys = np.array(ys).reshape(len(ts), n_curves, -1)
+    xs = np.array(ys).reshape(len(ts), n, dim)
     dense = None
     if stages:
         # every kept step has positive length: steps k = 0.. run from
         # sample k to sample k + 1, and h = t - t_old as in scipy
         k = len(stages)
         q = np.stack(stages).swapaxes(1, 2) @ solver.P
-        dense = (ts[:k], ts[1:k + 1] - ts[:k], ys[:k],
-                 q.reshape(k, n_curves, -1, q.shape[-1]))
-    return ts, ys, dense, dict(exited_domain=exited, converged=converged,
-                               last=last, steps=accepted, nfev=solver.nfev)
-
-
-def integrate_geodesic(conn: AffineConnection, x0, v0, t_end: float,
-                       tol: float = 1e-10) -> Trajectory:
-    """Solve the geodesic equation xdd^k = -Gamma^k_ij xd^i xd^j.
-
-    Integration stops early, flagged via ``Trajectory.exited_domain``, if the
-    curve leaves the chart domain.  With identical (x0, v0, t_end, tol) the
-    result is reproducible bit for bit.  ``t_end`` must satisfy
-    0 <= t_end < inf (``ValueError`` otherwise).
-    """
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    n = x0.size
-
-    def rhs(_t, y):
-        x, v = y[:n], y[n:]
-        acc = -np.einsum("kij,i,j->k", conn(x), v, v)
-        return np.concatenate([v, acc])
-
-    ts, ys, dense, info = _integrate(
-        rhs, np.concatenate([x0, v0]), t_end, tol,
-        in_domain=lambda y: [conn.chart.contains(y[:n])])
-    ys = ys.swapaxes(0, 1)
-    return Trajectory(ts, ys[..., :n], ys[..., n:], dense, n, **info)[0]
-
-
-def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,
-                   tol: float = 1e-10,
-                   stop_grad_norm: float | np.ndarray | None = None
-                   ) -> Trajectory:
-    """Integrate the gradient descent xd = -grad f from a seed or a seed stack.
-
-    A seed ``(dim,)`` gives one curve.  A stack of B seeds ``(B, dim)``
-    gives the batch of B curves, integrated as one RK45 system of B·dim
-    states: each right-hand-side call evaluates the field on the
-    ``(B, dim)`` stack in one call of each closure.  A step is accepted
-    only if every curve's own error estimate meets ``tol``, so each curve
-    is as accurate as in a solve of its own, and one seed is plain RK45
-    bit for bit (the seed is the batch of one).  The batch's
-    :class:`Trajectory` shares the solve's step times, ``steps`` and
-    ``nfev``; curve b ends at its own stop, and ``traj[b]`` is curve b
-    alone.
-
-    The flow is checked once per solve, on the seeds: one
-    :func:`gradient` call checks the closures' shapes and the metric's
-    condition, and the chart's domain check must give one flag per seed.
-    Every stage then evaluates -g^{ij} d_j f straight from the closures,
-    with :func:`gradient`'s arithmetic and no further check, and the
-    metric's condition is checked at every accepted state, on the values
-    (g_ii, or the singular values of the stage's SVD) and the covector
-    that RK45's first-same-as-last stage computed there.  A stage at
-    which the field is not finite (a metric that vanishes there, say) is
-    a rejected step, not a warning.
-
-    Parameters
-    ----------
-    stop_grad_norm : float or (B,) array, optional
-        Each curve stops (flagged ``converged``) at the first accepted
-        step where its Riemannian gradient norm falls below its threshold.
-        A seed at or below it takes no step: the curve holds x0 alone,
-        with span (0, 0).  The solve ends once every curve has stopped.
-
-    The curves of a batch share one domain check, one call on the
-    ``(B, dim)`` stack per accepted step: once any curve leaves the
-    chart, every curve ends at the last state where all were inside, and
-    the ones outside are flagged ``exited_domain``.
-
-    Raises
-    ------
-    ValueError
-        Unless 0 <= t_end < inf; before the first step.
-    ClosureShapeError
-        If a closure, the domain check included, gives the wrong shape on
-        the seeds; before the first step.
-    SingularMatrixError
-        If the metric's condition number exceeds 1e12 at a seed or at an
-        accepted state (see :func:`metric_inverse`).
-    NonConvergenceError
-        If a running curve's gradient norm fails to decrease over a full
-        output window, the numerical stand-in for a flow that is not
-        relaxing.  The message names the first such curve, the smallest
-        norm of its window, its ``stop_grad_norm`` and ``tol``.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    # the closures see the seed's own shape, a point or a stack
-    shape, dim = x0.shape, x0.shape[-1]
-    n = x0.size // dim
-
-    def field(x):
-        return -gradient(g, f, x)
-
-    # every check that the stages skip, made once on the seeds
-    field(x0)
-    check = g.chart.domain_check
-    in_domain = None
-    if check is not None:
-        _check_shape(np.asarray(check(x0.reshape(n, dim))), (n,),
-                     f"{g.chart.name or 'chart'} domain check")
-
-        def in_domain(y):
-            return check(y.reshape(n, dim))
-
-    inverse, covector = _stage_inverse(g), _stage_covector(f)
-    # rhs's last state, with the metric's condition values and df there
-    last = [None, None, None]
-
-    def rhs(_t, y):
-        x = y.reshape(shape)
-        values, ginv = inverse(x)
-        df = covector(x)
-        last[:] = y, values, df
-        return -_raise_index(g, ginv, df).reshape(-1)
-
-    def monitor(y, ydot):
-        # the metric's condition at an accepted state, and the speed there:
-        # |grad f|^2 = df(grad f) = -df(xdot), with xdot = field(x) at hand.
-        # RK45's first-same-as-last stage has just evaluated rhs at the
-        # accepted state itself; any other state (the seed) is evaluated
-        if y is not last[0]:
-            rhs(0.0, y)
-        x, xdot = y.reshape(shape), ydot.reshape(shape)
-        _check_condition(last[1], x)
-        rate = np.einsum("...i,...i->...", last[2], xdot)
-        return np.sqrt(np.maximum(-rate, 0.0)).reshape(n)
-
-    stop = (None if stop_grad_norm is None
-            else np.broadcast_to(stop_grad_norm, (n,)))
-    ts, ys, dense, info = _integrate(
-        rhs, x0, t_end, tol, n_curves=n, in_domain=in_domain,
-        grad_monitor=monitor, stop_below=stop)
-    vs = field(ys.reshape((-1,) + shape)).reshape(ys.shape)
+        dense = (ts[:k], ts[1:k + 1] - ts[:k], xs[:k],
+                 q.reshape(k, n, dim, q.shape[-1]))
+    vs = field(xs.reshape((-1,) + shape)).reshape(xs.shape)
     # the batch layout: curves first
-    traj = Trajectory(ts, ys.swapaxes(0, 1), vs.swapaxes(0, 1), dense, dim,
-                      velocity_field=field, **info)
+    traj = Trajectory(ts, xs.swapaxes(0, 1), vs.swapaxes(0, 1), dense, field,
+                      exited, converged, last=last, steps=accepted,
+                      nfev=solver.nfev)
     return traj if x0.ndim > 1 else traj[0]
 
 

@@ -152,7 +152,7 @@ def straightening_connection(g: MetricField, f: ScalarPotential,
     it is a pregeodesic with tangential acceleration lam grad f.
     """
     return AffineConnection(lambda x: straightening_coeffs(g, f, lam, x),
-                            chart=g.chart, metric=g)
+                            metric=g)
 
 
 def pregeodesic_residual(g: MetricField, f: ScalarPotential, lam: float,

@@ -279,6 +279,20 @@ def test_compare_default_model_warming_wins(tmp_path, capsys):
         "direction1", "direction2", "level", "model", "t_end", "tol"]
 
 
+@pytest.mark.parametrize("model", list(fixtures.COMPARE_MODELS))
+def test_compare_deterministic(tmp_path, capsys, model):
+    # the integrated route: two runs of one model write the same bytes
+    codes = []
+    for name in ("one", "two"):
+        code, _, _ = run(["compare", "--model", model,
+                          "--out", str(tmp_path / name)], capsys)
+        codes.append(code)
+    assert codes[0] == codes[1] in (0, 3)
+    for table in ("report", "coincidences"):
+        assert filecmp.cmp(tmp_path / "one" / f"{table}.csv",
+                           tmp_path / "two" / f"{table}.csv", shallow=False)
+
+
 def test_compare_symmetric_bowl_inconclusive(tmp_path, capsys):
     code, stdout, _ = run(["compare", "--model", "euclidean-quadratic",
                            "--out", str(tmp_path / "sym")], capsys)

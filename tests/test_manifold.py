@@ -1,4 +1,4 @@
-"""Core geometry: metrics, Christoffels, geodesics, gradient flows."""
+"""Core geometry: metrics, Christoffels, gradient flows, trajectories."""
 
 import math
 import re
@@ -419,54 +419,10 @@ def test_christoffel_fd_order():
     assert err[0] / err[1] > 3.5
 
 
-# ---------------------------------------------------------------- geodesics
+# ------------------------------------------------------------- trajectories
 
 
-def test_geodesic_euclidean_is_straight():
-    conn = mf.levi_civita_connection(euclidean(2))
-    traj = mf.integrate_geodesic(conn, [0.0, 0.0], [1.0, 2.0], 1.5)
-    assert_allclose(traj.position(1.5), [1.5, 3.0], atol=1e-9)
-    assert_allclose(traj.velocity(0.7), [1.0, 2.0], atol=1e-9)
-
-
-def test_geodesic_sphere_equator():
-    # the equator is a great circle: theta stays at pi/2, phi moves at unit rate
-    conn = mf.levi_civita_connection(sphere_metric())
-    traj = mf.integrate_geodesic(conn, [np.pi / 2, 0.0], [0.0, 1.0], np.pi / 2)
-    assert_allclose(traj.position(np.pi / 2), [np.pi / 2, np.pi / 2], atol=1e-8)
-    for t in (0.3, 0.9, 1.4):
-        acc = mf.covariant_acceleration(conn, traj, t)
-        assert np.abs(acc).max() < 1e-6
-
-
-def test_geodesic_speed_is_constant():
-    g = sphere_metric()
-    conn = mf.levi_civita_connection(g)
-    traj = mf.integrate_geodesic(conn, [1.1, 0.2], [0.3, 0.8], 1.0)
-    speeds = [g.norm(traj.position(t), traj.velocity(t))
-              for t in np.linspace(0.0, 1.0, 7)]
-    assert_allclose(speeds, speeds[0], rtol=1e-8)
-
-
-def test_geodesic_domain_exit():
-    chart = mf.Chart(1, domain_check=lambda x: x[0] < 1.0)
-    g = mf.MetricField(chart, lambda x: np.ones(x.shape[:-1] + (1, 1)),
-                       partials=lambda x: np.zeros(x.shape[:-1] + (1, 1, 1)))
-    conn = mf.levi_civita_connection(g)
-    traj = mf.integrate_geodesic(conn, [0.0], [1.0], 5.0)
-    assert traj.exited_domain
-    assert traj.xs[-1, 0] < 1.0
-
-
-def test_geodesic_deterministic():
-    conn = mf.levi_civita_connection(sphere_metric())
-    a = mf.integrate_geodesic(conn, [1.1, 0.2], [0.3, 0.8], 1.0)
-    b = mf.integrate_geodesic(conn, [1.1, 0.2], [0.3, 0.8], 1.0)
-    assert np.array_equal(a.ts, b.ts)
-    assert np.array_equal(a.xs, b.xs)
-
-
-@pytest.mark.parametrize("kind", ["geodesic", "chain"])
+@pytest.mark.parametrize("kind", ["flow", "chain"])
 def test_scalar_times_give_one_point_queries(kind):
     # a Python float and a 0-d array both query one point, and both are
     # held to the span
@@ -482,8 +438,7 @@ def test_scalar_times_give_one_point_queries(kind):
 
 
 def test_trajectory_rejects_out_of_span():
-    conn = mf.levi_civita_connection(euclidean(1))
-    traj = mf.integrate_geodesic(conn, [0.0], [1.0], 1.0)
+    traj = mf.integrate_flow(*fixtures.euclidean_quadratic(1), [1.0], 1.0)
     with pytest.raises(OutOfSpanError):
         traj.position(1.5)
     with pytest.raises(OutOfSpanError):
@@ -606,8 +561,6 @@ def _compare_to(t_end):
 _HORIZON_ENTRIES = {
     "integrate_flow": lambda t_end: mf.integrate_flow(
         *fixtures.gaussian_mode(), [2.0], t_end),
-    "integrate_geodesic": lambda t_end: mf.integrate_geodesic(
-        mf.levi_civita_connection(fisher_1d()), [2.0], [1.0], t_end),
     "compare": _compare_to,
 }
 
@@ -1054,21 +1007,33 @@ def test_jacobian_fd_offset_table_is_cached_read_only():
 # --------------------------------------------------------- array-t queries
 
 
+def _uphill_line():
+    """A unit line metric on the chart x <= 1 and f = -x, whose flow
+    xd = 1 leaves the chart at its first step from x = 1."""
+    chart = mf.Chart(1, domain_check=lambda x: x[..., 0] <= 1.0)
+    g = mf.MetricField(chart, diagonal=lambda x: np.ones(x.shape),
+                       partials=lambda x: np.zeros(x.shape + (1,)))
+    f = mf.ScalarPotential(lambda x: -x[..., 0],
+                           gradient=lambda x: -np.ones(x.shape))
+    return g, f
+
+
 def _trajectories():
     """kind -> (trajectory, g, f) with the model the trajectory lives on."""
     g_sphere, f_sphere = fixtures.sphere_height()
-    sphere = mf.levi_civita_connection(g_sphere)
+    g_line, f_line = _uphill_line()
     sp = gc.spectrum(gc.ChainSpec(4))
     return {
-        "geodesic": (mf.integrate_geodesic(sphere, [1.1, 0.2], [0.3, 0.8], 1.0),
-                     g_sphere, f_sphere),
         "flow": (mf.integrate_flow(g_sphere, f_sphere, [2.0, 0.5], 1.0),
                  g_sphere, f_sphere),
+        # curve 1 of a joint solve, whose own stop comes before curve 0's
+        "batch-curve-flow": (mf.integrate_flow(
+            g_sphere, f_sphere, [[2.0, 0.5], [2.6, 0.2]], 1.0,
+            stop_grad_norm=[1e-8, 0.3])[1], g_sphere, f_sphere),
         "zero-step-flow": (mf.integrate_flow(g_sphere, f_sphere, [2.0, 0.5],
                                              0.0), g_sphere, f_sphere),
-        "zero-step-geodesic": (mf.integrate_geodesic(sphere, [1.1, 0.2],
-                                                     [0.3, 0.8], 0.0),
-                               g_sphere, f_sphere),
+        "exit-at-first-step-flow": (mf.integrate_flow(g_line, f_line, [1.0],
+                                                      1.0), g_line, f_line),
         "chain": (gc.ChainTrajectory(sp, np.array([0.3, 2.0, 5.0])
                                      * sp.a_star), *gc.chain_manifold(sp)),
     }
@@ -1147,29 +1112,34 @@ def _recording_rk45(monkeypatch):
     return steps
 
 
-@pytest.mark.parametrize("kind", ["flow", "geodesic"])
-def test_stacked_dense_output_matches_scipy_ode_solution(kind, monkeypatch):
+@pytest.mark.parametrize("seeds", [[2.0, 0.5], [[2.0, 0.5], [1.1, 0.2]]],
+                         ids=["flow", "batch"])
+def test_stacked_dense_output_matches_scipy_ode_solution(seeds, monkeypatch):
     # scipy's own OdeSolution over the integrator's own interpolants is the
     # oracle, queried between steps, at every step time and at both ends;
-    # at 1e-14 both boundary rules pass, so the next test pins that rule
+    # at 1e-14 both boundary rules pass, so the next test pins that rule.
+    # A batch's oracle interpolates the joint state, curve after curve
     steps = _recording_rk45(monkeypatch)
-    g, f = fixtures.sphere_height()
-    if kind == "flow":
-        traj = mf.integrate_flow(g, f, [2.0, 0.5], 1.0)
-    else:
-        traj = mf.integrate_geodesic(mf.levi_civita_connection(g),
-                                     [1.1, 0.2], [0.3, 0.8], 1.0)
+    traj = mf.integrate_flow(*fixtures.sphere_height(), seeds, 1.0)
     oracle = OdeSolution(traj.ts, steps)
     assert len(steps) == len(traj.ts) - 1 > 5
-    t0, t1 = traj.span
+    t0, t1 = traj.ts[[0, -1]]
+    lead = np.shape(traj.span[1])
+
+    def want(t):
+        y = oracle(t).T.reshape(np.shape(t) + lead + traj.xs.shape[-1:])
+        return np.moveaxis(y, -2, 0) if lead else y
+
+    def got(t):
+        return traj.position(np.broadcast_to(t, lead + np.shape(t)))
+
     ts = np.concatenate([np.random.default_rng(5).uniform(t0, t1, 1000),
                          traj.ts, [t0, t1]])
-    want = oracle(ts).T
-    got = traj._state(ts)
-    assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
+    assert np.abs(got(ts) - want(ts)).max() \
+        <= 1e-14 * max(1.0, np.abs(want(ts)).max())
     for t in ts[::50]:
-        assert np.abs(traj._state(t) - oracle(t)).max() \
-            <= 1e-14 * max(1.0, np.abs(oracle(t)).max())
+        assert np.abs(got(t) - want(t)).max() \
+            <= 1e-14 * max(1.0, np.abs(want(t)).max())
 
 
 def test_deferred_interpolants_of_a_joint_solve_are_scipys(monkeypatch):
@@ -1194,7 +1164,7 @@ def test_stacked_dense_output_takes_the_earlier_step_at_a_boundary():
     y_old = np.array([[0.0, 1.0], [10.0, 11.0], [20.0, 21.0]])
     q = np.arange(24.0).reshape(3, 2, 4) - 12.0
     traj = mf.Trajectory(ts, y_old[[0, 1, 2, 2]], np.zeros((4, 2)),
-                         (ts[:-1], h, y_old, q), 2)
+                         (ts[:-1], h, y_old, q), np.negative)
     oracle = OdeSolution(ts, [RkDenseOutput(t0, t0 + dt, y, qq)
                               for t0, dt, y, qq in zip(ts, h, y_old, q)])
     at = np.concatenate([ts, [0.5, 2.0, 3.5]])
@@ -1204,20 +1174,12 @@ def test_stacked_dense_output_takes_the_earlier_step_at_a_boundary():
 
 
 def test_zero_length_and_zero_step_trajectories_keep_the_initial_state():
-    g, f = fixtures.sphere_height()
-    sphere = mf.levi_civita_connection(g)
     # t_end = 0: RK45 takes one zero-length step
-    flow = mf.integrate_flow(g, f, [2.0, 0.5], 0.0)
-    geo = mf.integrate_geodesic(sphere, [1.1, 0.2], [0.3, 0.8], 0.0)
+    flow = mf.integrate_flow(*fixtures.sphere_height(), [2.0, 0.5], 0.0)
     # the first step leaves the chart: no step is accepted
-    chart = mf.Chart(1, domain_check=lambda x: x[0] <= 1.0)
-    line = mf.MetricField(
-        chart, lambda x: np.ones(x.shape[:-1] + (1, 1)),
-        partials=lambda x: np.zeros(x.shape[:-1] + (1, 1, 1)))
-    exited = mf.integrate_geodesic(mf.levi_civita_connection(line), [1.0],
-                                   [1.0], 1.0)
+    exited = mf.integrate_flow(*_uphill_line(), [1.0], 1.0)
     assert exited.exited_domain and exited.ts.tolist() == [0.0]
-    for traj in (flow, geo, exited):
+    for traj in (flow, exited):
         assert traj.span == (0.0, 0.0)
         for t in (0.0, np.zeros(3)):
             x = traj.position(t)
