@@ -184,16 +184,12 @@ def _exit_code(verdict: str) -> int:
 
 
 def cmd_chain(args) -> _Outcome:
-    if args.n_beads < 2:
-        raise ConfigError("n-beads must be at least 2")
-    if not args.t_plus >= 1.0:
-        raise ConfigError("t-plus must be at least 1 (a hot start)")
-
     try:
         res = universal_asymmetry_experiment(ChainSpec(args.n_beads),
                                              args.t_plus)
     except ValueError as exc:
-        # a hot start past the float range of the metric's partials
+        # fewer than 2 beads, t_plus below 1, or a hot start past the
+        # float range of the metric's partials
         raise ConfigError(str(exc)) from exc
     spect = res.spect
     bundle = ResultBundle(
@@ -282,6 +278,8 @@ def cmd_verify(args) -> _Outcome:
                           + ", ".join(verify.SUITE_NAMES))
     if args.seed < 0:
         raise ConfigError("seed must be non-negative")
+    if args.negative_control and args.suite not in (None, "straightening"):
+        raise ConfigError("--negative-control needs the straightening suite")
     results = verify.run_suites(
         seed=args.seed, suites=[args.suite] if args.suite else None,
         flip_nonmetricity_sign=args.negative_control)

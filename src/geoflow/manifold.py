@@ -330,15 +330,36 @@ def _check_condition(sv: np.ndarray, x: np.ndarray) -> None:
 
 
 def _inverse(g: MetricField, x: np.ndarray) -> tuple:
-    """(g, g^{-1}) at x in g's own form.  A diagonal metric gives g_ii and
-    the reciprocals 1/g_ii from one call of its diagonal.  Any other gives
-    None and :func:`metric_inverse`'s matrix, whose evaluation of g stays
-    inside it: a caller that reads the matrix g evaluates it."""
-    if not g.is_diagonal:
-        return None, metric_inverse(g, x)
-    d = g.diagonal(x)
-    _check_condition(d, x)
-    return d, 1.0 / d
+    """(g, g^{-1}) at x in g's own form, from one evaluation of g.
+
+    The one checked place that inverts a metric.  A diagonal metric gives
+    g_ii and the reciprocals 1/g_ii, its condition number max|g_ii| /
+    min|g_ii|.  Any other gives the matrix it evaluated and the inverse
+    V diag(1/s) U^T from one singular value decomposition
+    g = U diag(s) V^T per point, whose s gives the condition number
+    s_max / s_min, the definition ``np.linalg.cond`` uses.
+
+    Raises
+    ------
+    SingularMatrixError
+        If the condition number at any point exceeds 1e12, or a component
+        is not finite.
+    """
+    if g.is_diagonal:
+        d = g.diagonal(x)
+        _check_condition(d, x)
+        return d, 1.0 / d
+    m = g(x)
+    try:
+        u, s, vh = np.linalg.svd(m)
+    except np.linalg.LinAlgError as exc:
+        # LAPACK's SVD fails on nan and inf components
+        finite = np.isfinite(m).all(axis=(-2, -1))
+        i = np.unravel_index(np.argmin(finite), finite.shape)
+        raise SingularMatrixError(
+            f"metric at {np.asarray(x)[i]} has no inverse: {exc}") from exc
+    _check_condition(s, x)
+    return m, _svd_inverse(u, s, vh)
 
 
 def _stage_inverse(g: MetricField) -> Callable[[np.ndarray], tuple]:
@@ -427,14 +448,11 @@ def _diag_matrix(d: np.ndarray) -> np.ndarray:
 def metric_inverse(g: MetricField, x: np.ndarray) -> np.ndarray:
     """Inverse metric components g^{ij} at a point or a stack of points.
 
-    A diagonal metric inverts elementwise, g^{ii} = 1/g_ii, and its
-    condition number is max|g_ii| / min|g_ii|.  Any other metric takes
-    one singular value decomposition g = U diag(s) V^T per point: s
-    gives the condition number s_max / s_min, the definition
-    ``np.linalg.cond`` uses, and the factors give the inverse
-    V diag(1/s) U^T.  On diagonal matrices of up to 24 dimensions the two
-    routes agree to the bit; from 26 on, LAPACK's divide-and-conquer SVD
-    differs from 1/g_ii in the last bits.
+    The matrices of :func:`_inverse`'s checked inverse: a diagonal metric
+    inverts elementwise, g^{ii} = 1/g_ii, any other through one singular
+    value decomposition per point.  On diagonal matrices of up to 24
+    dimensions the two routes agree to the bit; from 26 on, LAPACK's
+    divide-and-conquer SVD differs from 1/g_ii in the last bits.
 
     Raises
     ------
@@ -442,19 +460,7 @@ def metric_inverse(g: MetricField, x: np.ndarray) -> np.ndarray:
         If the condition number at any point exceeds 1e12, or a component
         is not finite.
     """
-    if g.is_diagonal:
-        return _diag_matrix(_inverse(g, x)[1])
-    m = g(x)
-    try:
-        u, s, vh = np.linalg.svd(m)
-    except np.linalg.LinAlgError as exc:
-        # LAPACK's SVD fails on nan and inf components
-        finite = np.isfinite(m).all(axis=(-2, -1))
-        i = np.unravel_index(np.argmin(finite), finite.shape)
-        raise SingularMatrixError(
-            f"metric at {np.asarray(x)[i]} has no inverse: {exc}") from exc
-    _check_condition(s, x)
-    return _svd_inverse(u, s, vh)
+    return _matrix(g, _inverse(g, x)[1])
 
 
 def gradient(g: MetricField, f: ScalarPotential, x: np.ndarray) -> np.ndarray:
@@ -476,8 +482,17 @@ def grad_norm_sq(g: MetricField, f: ScalarPotential,
 
     A float at a point, ``(n,)`` on a stack of n points.
     """
-    v = gradient(g, f, x)
-    return g.inner(x, v, v)
+    nsq = _gradient_parts(g, f, x)[1]
+    return float(nsq) if nsq.ndim == 0 else nsq
+
+
+def _gradient_parts(g: MetricField, f: ScalarPotential, x: np.ndarray):
+    """grad f, |grad f|^2_g, g and g^{-1} at a point or a stack, the last
+    two in g's own form, from the one checked evaluation of g in
+    :func:`_inverse`."""
+    form, ginv = _inverse(g, x)
+    v = _raise_index(g, ginv, f.gradient_covector(x))
+    return v, _inner(g, form, v, v), form, ginv
 
 
 def christoffel_levi_civita(g: MetricField, x: np.ndarray) -> np.ndarray:

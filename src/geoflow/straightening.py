@@ -42,13 +42,12 @@ from .manifold import (
     MetricField,
     ScalarPotential,
     Trajectory,
+    _gradient_parts,
     _inner,
-    _inverse,
     _levi_civita,
     _lower,
     _matrix,
     _raise_index,
-    gradient,
     metric_inverse,
 )
 
@@ -71,18 +70,14 @@ EPS_GRAD = 1e-10
 
 
 def _grad_and_norm(g: MetricField, f: ScalarPotential, x: np.ndarray):
-    """grad f, |grad f|^2, g and g^{-1} at a point or a stack, in the
-    metric's own form (see :func:`~geoflow.manifold._inverse`): one
-    evaluation of a diagonal metric, two of a dense one.
+    """grad f, |grad f|^2, g and g^{-1} at a point or a stack, the last
+    two in the metric's own form, from one evaluation of the metric (see
+    :func:`~geoflow.manifold._gradient_parts`).
 
     Raises :class:`~geoflow.errors.CriticalPointError` naming the first
     point of the stack that lies on the critical set.
     """
-    form, ginv = _inverse(g, x)
-    v = _raise_index(g, ginv, f.gradient_covector(x))
-    if form is None:
-        form = g(x)
-    nsq = _inner(g, form, v, v)
+    v, nsq, form, ginv = _gradient_parts(g, f, x)
     critical = nsq <= EPS_GRAD ** 2
     if critical.any():
         i = np.unravel_index(np.argmax(critical), critical.shape)
@@ -98,13 +93,14 @@ def _straightening_parts(g: MetricField, f: ScalarPotential, lam: float,
 
     x is a point or a stack.  One stencil of y -> (grad f, |grad f|^2),
     the dominant cost, gives the Jacobian and d|v|^2, hence
-    |v|^2 Z = 1/2 g^{-1} d|v|^2 - lam v.
+    |v|^2 Z = 1/2 g^{-1} d|v|^2 - lam v.  The points and the stencil
+    each evaluate the metric once.
     """
     v, nsq, form, ginv = _grad_and_norm(g, f, x)
 
     def field_and_norm(y):
-        w = gradient(g, f, y)
-        return np.concatenate([w, g.inner(y, w, w)[..., None]], axis=-1)
+        w, wsq = _gradient_parts(g, f, y)[:2]
+        return np.concatenate([w, wsq[..., None]], axis=-1)
 
     jac = numdiff.jacobian_fd(field_and_norm, x)
     z = (0.5 * _raise_index(g, ginv, jac[..., -1, :])
@@ -188,8 +184,7 @@ def nonmetricity_closed_tensor(g: MetricField, f: ScalarPotential, lam: float,
                                x: np.ndarray) -> np.ndarray:
     """Closed form C[..., k, i, j] = g_ki zeta_j + g_kj zeta_i, zeta = g Z."""
     x = np.asarray(x, dtype=float)
-    z = z_field(g, f, lam, x)
-    form = g._form(x)
+    _, _, form, _, _, z = _straightening_parts(g, f, lam, x)
     c = np.einsum("...ki,...j->...kij", _matrix(g, form), _lower(g, form, z))
     return c + np.swapaxes(c, -1, -2)
 
@@ -204,14 +199,16 @@ def nonmetricity_cubic(g: MetricField, lam: float, traj: Trajectory,
     speed identity C = 2 lam |xd|^2_g + d_k g_ij xd^k xd^i xd^j
     + 2 g(xd, xdd), from the metric, its partials and the curve alone: no
     inverse metric, condition check, Christoffel symbols or Z, so it stays
-    finite through the equilibrium.  A scalar t gives a float, an array
-    of t one value per time.
+    finite through the equilibrium.  One evaluation of the metric serves
+    both inner products.  A scalar t gives a float, an array of t one
+    value per time.
     """
     x, v = traj.position_velocity(t)
     acc = traj.acceleration(t)
-    c = (2.0 * lam * g.inner(x, v, v)
+    form = g._form(x)
+    c = (2.0 * lam * _inner(g, form, v, v)
          + g.cubic_form(x, v)
-         + 2.0 * g.inner(x, v, acc))
+         + 2.0 * _inner(g, form, v, acc))
     return float(c) if np.ndim(c) == 0 else c
 
 

@@ -688,13 +688,17 @@ def run_suites(seed: int = 0, suites=None,
     """Run the named suites (all by default) and return their check results.
 
     Suite ``SUITE_NAMES[i]`` draws from ``default_rng([seed, i])``, so its
-    results do not depend on which other suites run.
+    results do not depend on which other suites run.  The flipped check
+    is a straightening one, so ``flip_nonmetricity_sign`` without that
+    suite raises ``ValueError``: no other suite could fail by it.
     """
     chosen = tuple(suites) if suites else SUITE_NAMES
     unknown = [s for s in chosen if s not in SUITE_NAMES]
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}; "
                          f"expected a subset of {', '.join(SUITE_NAMES)}")
+    if flip_nonmetricity_sign and "straightening" not in chosen:
+        raise ValueError("the negative control needs the straightening suite")
     results: list[CheckResult] = []
     for index, (name, suite) in enumerate(_SUITES.items()):
         if name in chosen:

@@ -469,6 +469,24 @@ def test_verify_negative_control_fails(tmp_path, capsys):
     assert failed == ["closed-form-nonmetricity"]
 
 
+@pytest.mark.parametrize("suite", ["manifold-core", "gradient-flow",
+                                   "fujiwara-amari", "gaussian-chain"])
+def test_negative_control_needs_the_straightening_suite(tmp_path, capsys,
+                                                        suite):
+    # the flipped check is a straightening one: any other suite would
+    # pass the control, which could then never fail
+    code, stdout, err = run(["verify", "--suite", suite,
+                             "--negative-control",
+                             "--out", str(tmp_path / "neg")], capsys)
+    assert (code, stdout) == (1, "")
+    assert err.startswith("config error: --negative-control needs the "
+                          "straightening suite")
+    assert not (tmp_path / "neg").exists()
+    from geoflow import verify
+    with pytest.raises(ValueError, match="straightening suite"):
+        verify.run_suites(suites=[suite], flip_nonmetricity_sign=True)
+
+
 def test_verify_seed_config_and_flag_precedence(tmp_path, capsys):
     ini = tmp_path / "verify.ini"
     ini.write_text("[run]\n"

@@ -576,13 +576,13 @@ def test_bracketed_roots_raise_when_unfinished(monkeypatch):
 def test_compare_metric_inverse_calls_are_bounded(monkeypatch):
     # deterministic work counters on the flat bowl through the dense
     # route (the package bowl is diagonal and inverts nothing): two
-    # checked inverse-metric calls per solve, one on the seed and one for
+    # checked inversions of the metric per solve, one on the seed and one for
     # the sample velocities, since the stages invert the metric unchecked;
     # and a compare on finished curves that makes a fixed number of
     # calls, 30 at 224 roots
     calls = []
     solvers = []
-    inverse = mf.metric_inverse
+    inverse = mf._inverse
 
     def counted(*args):
         calls.append(1)
@@ -593,7 +593,7 @@ def test_compare_metric_inverse_calls_are_bounded(monkeypatch):
             super().__init__(*args, **kwargs)
             solvers.append(self)
 
-    monkeypatch.setattr(mf, "metric_inverse", counted)
+    monkeypatch.setattr(mf, "_inverse", counted)
     monkeypatch.setattr(scipy.integrate, "RK45", Recorded)
     g, f, pair = _flat_bowl()
     g = mf.MetricField(g.chart, g, partials=g.partials)
@@ -642,7 +642,7 @@ def test_diagonal_models_make_no_svd_calls(monkeypatch):
     for name in ("_inverse", "metric_inverse", "christoffel_levi_civita",
                  "covariant_acceleration"):
         count(mf, name)
-    count(st, "_inverse")
+    count(st, "_gradient_parts")
     count(mf.MetricField, "partials")
     res = gc.universal_asymmetry_experiment(gc.ChainSpec(12), 2.0)
     assert res.full.verdict == cp.CURVE1_FASTER and len(res.modes) == 11

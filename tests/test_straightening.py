@@ -419,7 +419,9 @@ def test_curvature_stencil_on_the_critical_set_is_a_step_underflow():
 def test_certificates_evaluate_each_stencil_in_one_call(monkeypatch):
     # deterministic counters: a stencil of the gradient field is one
     # gradient call, and the curvature's stencil of the coefficient field
-    # one coefficient call, whatever the dimension
+    # one coefficient call, whatever the dimension.  Each evaluation of
+    # the coefficient field takes the gradient once at its points and
+    # once on its stencil
     calls = {}
 
     def count(module, name, key):
@@ -431,19 +433,70 @@ def test_certificates_evaluate_each_stencil_in_one_call(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(st, "gradient", "gradient")
-    count(st, "_inverse", "inverse")
+    count(st, "_gradient_parts", "gradient")
+    count(st, "_grad_and_norm", "at points")
     count(mf, "_inverse", "inverse")
     sp = gc.spectrum(gc.ChainSpec(2))
     g, f = gc.mode_plane_manifold(sp, 0)
     st.scalar_curvature(st.straightening_connection(g, f, 0.0),
                         np.array([0.0, 0.4 * sp.a_star[0]]))
-    assert calls["gradient"] <= 2 and calls["inverse"] <= 5
+    assert calls["gradient"] - calls["at points"] <= 2
+    assert calls["inverse"] <= 5
     sp = gc.spectrum(gc.ChainSpec(12))
     g, f = gc.chain_manifold(sp)
     calls.clear()
     st.pregeodesic_residual(g, f, 1.0, 2.0 * sp.a_star)
-    assert calls["gradient"] == 1
+    assert calls["gradient"] - calls["at points"] == 1
+
+
+def test_certificates_evaluate_the_metric_once_per_point_set():
+    # deterministic counters of the metric's one closure, its diagonal or
+    # its matrix, per certificate.  The certificates read g once at their
+    # points and once on the gradient's stencil, and nonmetricity_tensor
+    # once more for its own g; the dense Hessian model's partials are
+    # finite differences of g, one more call per stencil, while the
+    # chains' are analytic.  |grad f|^2 is one call, and so is the cubic
+    # along a closed-form curve, whose velocity needs no metric
+    chain5, chain11 = (gc.spectrum(gc.ChainSpec(n)) for n in (6, 12))
+    models = {"hessian-exp": (*hessian_exp(), np.array([0.7])),
+              "chain-11": (*gc.chain_manifold(chain11), 2.0 * chain11.a_star),
+              "two-mode": (*two_mode_chain(), np.array([3.0, 1.5])),
+              "chain-5": (*gc.chain_manifold(chain5), 2.0 * chain5.a_star)}
+    got = {}
+    for model, (g, f, x) in models.items():
+        attr = "_diagonal" if g.is_diagonal else "_matrix"
+        closure, calls = getattr(g, attr), []
+
+        def counted(y, closure=closure, calls=calls):
+            calls.append(1)
+            return closure(y)
+
+        setattr(g, attr, counted)
+        conn = st.straightening_connection(g, f, 1.0)
+        certs = {"z_field": lambda: st.z_field(g, f, 1.0, x),
+                 "pregeodesic_residual":
+                     lambda: st.pregeodesic_residual(g, f, 1.0, x),
+                 "nonmetricity_closed_tensor":
+                     lambda: st.nonmetricity_closed_tensor(g, f, 1.0, x),
+                 "nonmetricity_tensor":
+                     lambda: st.nonmetricity_tensor(conn, g, x)}
+        if model == "chain-5":
+            traj = gc.ChainTrajectory(chain5, x)
+            certs = {"grad_norm_sq": lambda: mf.grad_norm_sq(g, f, x),
+                     "nonmetricity_cubic": lambda: st.nonmetricity_cubic(
+                         g, 1.0, traj, np.linspace(0.0, 0.1, 5))}
+        for name, cert in certs.items():
+            calls.clear()
+            cert()
+            got[model, name] = len(calls)
+    pointwise = ("z_field", "pregeodesic_residual",
+                 "nonmetricity_closed_tensor", "nonmetricity_tensor")
+    want = {**{("hessian-exp", c): n for c, n in zip(pointwise, (2, 3, 2, 5))},
+            **{(m, c): n for m in ("chain-11", "two-mode")
+               for c, n in zip(pointwise, (2, 2, 2, 3))},
+            ("chain-5", "grad_norm_sq"): 1,
+            ("chain-5", "nonmetricity_cubic"): 1}
+    assert got == want
 
 
 # ---------------------------------------------------------------- projection
