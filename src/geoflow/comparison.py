@@ -62,13 +62,9 @@ GAP_RTOL = 1e-3
 #: gaussian-mode races at levels 1e-10 to 1e-14, is 3e-13
 TIE_RTOL = 1e-13
 
-#: the one note of a race whose speeds tie over every live interval
+#: the one note of a race whose speeds tie over every interval
 TIE_NOTE = ("zero-gap: speeds tie to TIE_RTOL over the whole race "
             "(symmetric relaxation)")
-
-#: speeds below this fraction of the run maximum are treated as converged
-#: noise and excluded from coincidence detection
-SPEED_FLOOR = 1e-8
 
 #: fraction of its own start speed |grad f(x0)| at which a relaxation
 #: counts as converged; each curve of a comparison ends there, so the
@@ -380,13 +376,9 @@ def compare_batch(g: MetricField, f: ScalarPotential, pairs: EquidistantPair,
 
     s1, s2 = g.norm(x1, v1), g.norm(x2, v2)
     diff = s1 - s2
-    top = np.maximum(s1, s2)
-    floor = SPEED_FLOOR * top.max(axis=1)
-    live = top > floor[:, None]
-    both_live = live[:, :-1] & live[:, 1:] & race[:, None]
-    tied = np.abs(diff) <= TIE_RTOL * top
-    band = both_live & tied[:, :-1] & tied[:, 1:]
-    crossing = both_live & ~band
+    tied = np.abs(diff) <= TIE_RTOL * np.maximum(s1, s2)
+    band = race[:, None] & tied[:, :-1] & tied[:, 1:]
+    crossing = race[:, None] & ~band
     flat = np.abs(delta).max(axis=1) <= DELTA_TOL
     tie = race & ~crossing.any(axis=1) & flat
     on_grid = crossing & (diff[:, :-1] == 0.0) & (ts[:, :-1] > 0.0)
@@ -400,8 +392,7 @@ def compare_batch(g: MetricField, f: ScalarPotential, pairs: EquidistantPair,
                                diff[row, i], diff[row, i + 1])
                if row.size else np.zeros(0))
     on_row, on_i = np.nonzero(on_grid)
-    at_start = np.flatnonzero(race & ~band[:, 0]
-                              & (np.abs(diff[:, 0]) <= floor))
+    at_start = np.flatnonzero(race & tied[:, 0] & ~band[:, 0])
     rows = np.concatenate([at_start, on_row, row])
     roots = np.concatenate([np.zeros(at_start.size), ts[on_row, on_i],
                             refined])
@@ -504,14 +495,13 @@ def compare(g: MetricField, f: ScalarPotential, pair: EquidistantPair,
     with them the relative zero-gap cut below.
 
     Speed-coincidence times are the bracketed sign changes of
-    |curve1'| - |curve2'| on the dense output (plus t=0 when the seeds
-    already move at equal speed), each located to 1e-12 in t and merged
-    when closer than 1e-9.  Sign changes where both speeds have decayed
-    below 1e-8 of the run maximum are roundoff chatter near equilibrium,
-    not coincidences, and are skipped.  So are ties: a sample where
-    |s1 - s2| <= TIE_RTOL * max(s1, s2) is tied, and an interval whose
-    two ends are both tied adds no bracket, no on-grid zero and no t=0
-    coincidence, since its sign changes are roundoff, not crossings.
+    |curve1'| - |curve2'| on the dense output (plus t=0 when the seeds'
+    speeds tie there), each located to 1e-12 in t and merged when closer
+    than 1e-9.  A sample where |s1 - s2| <= TIE_RTOL * max(s1, s2) is
+    tied, and an interval whose two ends are both tied is a band: it adds
+    no bracket, no on-grid zero and no t=0 coincidence, since its sign
+    changes are roundoff, not crossings.  Every other interval is
+    searched, however far both speeds have decayed.
 
     One verdict ladder serves with and without coincidences (an empty gap
     list counts as all positive and all negative):
@@ -520,10 +510,10 @@ def compare(g: MetricField, f: ScalarPotential, pair: EquidistantPair,
        a seed at rest, with |grad f| = 0 (a pair on the minimum's own
        level, say), never moves, so there is nothing to race; no root
        search runs and no cubic is taken;
-    2. INCONCLUSIVE with the single note TIE_NOTE when every live
-       interval is tied and |delta_f| stays within 1e-9: the curves
-       relax identically, as on the isotropic flat bowl; no root search
-       runs and no cubic is taken;
+    2. INCONCLUSIVE with the single note TIE_NOTE when every interval
+       is tied and |delta_f| stays within 1e-9: the curves relax
+       identically, as on the isotropic flat bowl; no root search runs
+       and no cubic is taken;
     3. INCONCLUSIVE with a zero-gap note when the relaxation is symmetric:
        every cubic gap C2 - C1 is within GAP_RTOL of max(|C1|, |C2|), or,
        with no coincidence, |delta_f| stays within 1e-9;

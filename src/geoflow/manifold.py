@@ -579,10 +579,9 @@ class Trajectory:
     :func:`integrate_flow` on a seed stack, shares that solve's step times
     ``ts``; the keyword ``last`` gives the index of each curve's own last
     sample, so curve b's span ends at ``ts[last[b]]`` and ``span`` has
-    ends of shape ``(B,)``.  Query times then have the curves on their
-    leading axis, ``(B,)`` or ``(B, n)``, giving ``(B, dim)`` or
-    ``(B, n, dim)``, and ``traj[b]`` is curve b alone, a one-curve
-    trajectory.
+    ends of shape ``(B,)``.  A batch is read curve by curve: ``traj[b]``
+    is curve b alone, a one-curve trajectory, and a query on the batch
+    itself raises ``TypeError``.
 
     Attributes
     ----------
@@ -636,29 +635,25 @@ class Trajectory:
                           bool(self.converged[b]), steps=self.steps,
                           nfev=self.nfev)
 
-    def _rows(self, t: np.ndarray) -> tuple:
-        """The curve index for each time of t: none for one curve; for a
-        batch, curve b down t's leading axis."""
-        if self._last.ndim == 0:
-            return ()
-        return (np.arange(self._last.size).reshape((-1,)
-                                                   + (1,) * (t.ndim - 1)),)
+    def _times(self, t) -> np.ndarray:
+        if self._last.ndim:
+            raise TypeError("a batch of curves is read curve by curve: query "
+                            "traj[b], curve b alone")
+        return span_times(t, self.span)
 
     def position(self, t) -> np.ndarray:
-        t = span_times(t, self.span)
-        rows = self._rows(t)
+        t = self._times(t)
         if self._dense is None:
-            x0 = self.xs[..., 0, :][rows]
-            return np.broadcast_to(x0, t.shape + x0.shape[-1:]).copy()
+            return np.broadcast_to(self.xs[0],
+                                   t.shape + self.xs.shape[-1:]).copy()
         t_old, h, x_old, q = self._dense
-        last_step = np.maximum(self._last - 1, 0)[rows]
         i = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0,
-                    last_step)
+                    h.size - 1)
         s = ((t - t_old[i]) / h[i])[..., None]
         # the powers s, s^2, s^3, s^4 of the step fraction
         p = np.cumprod(np.repeat(s, q.shape[-1], axis=-1), axis=-1)
-        x = np.einsum("...ij,...j->...i", q[(i,) + rows], p)
-        return h[i][..., None] * x + x_old[(i,) + rows]
+        x = np.einsum("...ij,...j->...i", q[i], p)
+        return h[i][..., None] * x + x_old[i]
 
     def velocity(self, t) -> np.ndarray:
         return self.position_velocity(t)[1]
@@ -670,22 +665,12 @@ class Trajectory:
         return x, np.asarray(self._velocity_field(x), dtype=float)
 
     def acceleration(self, t) -> np.ndarray:
-        """d(velocity)/dt from the dense output (5-point stencil).
-
-        Needs a span of positive width; on a batch, every curve's.
-        """
-        t = span_times(t, self.span)
-        t0, t1 = self.span
-        lead = t.shape[:np.ndim(t1)]    # a batch's curves
-        dim = self.xs.shape[-1]
-
-        def velocity(s):
-            # the stencil times come flat; a batch regroups them by curve
-            return self.velocity(s.reshape(lead + (-1,))).reshape(-1, dim)
-
-        end = np.reshape(t1, lead + (1,) * (t.ndim - len(lead)))
-        acc = numdiff.curve_derivative(velocity, t, (t0, end), order=1)
-        return np.reshape(acc, np.shape(t) + (dim,))
+        """d(velocity)/dt from the dense output (5-point stencil), one
+        velocity call over all stencil times.  Needs a span of positive
+        width."""
+        t = self._times(t)
+        acc = numdiff.curve_derivative(self.velocity, t, self.span, order=1)
+        return np.reshape(acc, t.shape + self.xs.shape[-1:])
 
 
 def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,

@@ -285,19 +285,21 @@ def test_compare_identical_seeds():
 
 
 class _Spiral:
-    """x(t) = e^{-t} R(w t) x0 in the plane: |x| decays as on the flat
-    bowl's gradient curve (w = 0), at sqrt(1 + w^2) times its speed."""
+    """x(t) = e^{-t} R(w t + a t^2 / 2) x0 in the plane: |x| decays as on
+    the flat bowl's gradient curve (w = a = 0), at sqrt(1 + (w + a t)^2)
+    times its speed."""
 
-    def __init__(self, x0, w):
-        self.x0, self.w, self.span = np.asarray(x0), w, (0.0, 8.0)
+    def __init__(self, x0, w, a=0.0):
+        self.x0, self.w, self.a, self.span = np.asarray(x0), w, a, (0.0, 8.0)
 
     def position_velocity(self, t):
         t = np.asarray(t)[..., None]
-        c, s = np.cos(self.w * t), np.sin(self.w * t)
+        turned = (self.w + 0.5 * self.a * t) * t
+        c, s = np.cos(turned), np.sin(turned)
         x, y = self.x0
         p = np.exp(-t) * np.concatenate([c * x - s * y, s * x + c * y], -1)
         turn = np.concatenate([-p[..., 1:], p[..., :1]], -1)
-        return p, -p + self.w * turn
+        return p, -p + (self.w + self.a * t) * turn
 
 
 def test_no_coincidence_and_no_delta_f_reads_zero_gap():
@@ -314,6 +316,51 @@ def test_no_coincidence_and_no_delta_f_reads_zero_gap():
     assert [n.split(":")[0] for n in report.notes] == ["no-coincidence",
                                                         "zero-gap"]
     assert "delta_f vanishes" in report.notes[1]
+
+
+@pytest.mark.parametrize("apart, coincide", [(0.0, [0.0]), (1e-14, [0.0]),
+                                              (1e-10, [])])
+def test_a_start_coincidence_needs_speeds_tied_to_tie_rtol(apart, coincide,
+                                                           monkeypatch):
+    # curve 2 starts apart * |x0| faster and speeds up its turn, so the
+    # first interval is no band and the speeds never meet after t = 0:
+    # t = 0 is a coincidence only while the start speeds tie to TIE_RTOL
+    monkeypatch.setattr(cp, "nonmetricity_cubic",
+                        lambda g, lam, traj, at: 0.0 * at)
+    g, f = fixtures.euclidean_quadratic(2)
+    pair = cp.EquidistantPair(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.5)
+    w = np.sqrt(apart * (2.0 + apart))     # sqrt(1 + w^2) = 1 + apart
+    report = cp.compare(g, f, pair,
+                        flow=lambda x1, x2: (_Spiral(x1, 0.0),
+                                             _Spiral(x2, w, 1.0)))
+    s1, s2 = (g.norm(*traj.position_velocity(0.0))
+              for traj in (report.traj1, report.traj2))
+    assert_allclose(s2 - s1, apart, rtol=0.05, atol=1e-16)
+    assert report.coincidence_times == coincide
+
+
+@pytest.mark.parametrize("t_plus", [1.1, 2.0, 8.0])
+def test_a_crossing_far_below_the_start_speed_is_found(t_plus):
+    # a mode 1e8 times slower than the other: the race runs to the slow
+    # mode's stop, both speeds are ~1e-8 of their start by the first grid
+    # sample, and the crossing found is the slow mode's own, at the closed
+    # form ln(-2 c1 c2 / (c1 + c2)) / (2 lam_min) with c = T - 1.  (The
+    # fast mode's two crossings, near t = 0.2 and 9.5, lie inside the
+    # first grid interval, so the uniform grid sees neither.)
+    sp = gc.ModeSpectrum(np.array([1e-8, 1.0]))
+    g, f = gc.chain_manifold(sp)
+    t_minus = gc.equidistant_temperatures(t_plus)
+    x1, x2 = t_minus * sp.a_star, t_plus * sp.a_star
+    pair = cp.EquidistantPair(x1, x2, 0.5 * (f(x1) + f(x2)))
+    report = cp.compare(g, f, pair, flow=gc.chain_flow(sp))
+    assert report.verdict == cp.CURVE1_FASTER
+    assert report.notes == []
+    c1, c2 = t_minus - 1.0, t_plus - 1.0
+    crossing = np.log(-2.0 * c1 * c2 / (c1 + c2)) / (2.0 * sp.lambdas[0])
+    assert len(report.coincidence_times) == 1
+    assert_allclose(report.coincidence_times, [crossing], rtol=1e-12,
+                    atol=0.0)
+    assert len(report.cubic_gaps) == 1 and report.cubic_gaps[0] > 0.0
 
 
 def test_cubic_gaps_of_both_signs_are_inconclusive(monkeypatch):

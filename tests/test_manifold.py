@@ -750,26 +750,29 @@ def test_a_seed_stack_is_one_solve_with_a_stop_per_curve():
         speed = np.sqrt(mf.grad_norm_sq(g, f, one.xs))
         assert speed[-1] < stops[b] or one.ts.size == 1
         assert np.all(speed[:-1] >= stops[b])
-    # batch queries: the curves down the leading axis, bit for bit the
-    # single-curve queries, for one time per curve and for a grid
-    grid = np.linspace(0.0, 1.0, 7) * t1[:, None]
-    for t in (t1, grid):
-        x, v = traj.position_velocity(t)
-        assert x.shape == v.shape == t.shape + (2,)
-        for b in range(3):
-            xb, vb = traj[b].position_velocity(t[b])
-            assert x[b].tobytes() == xb.tobytes()
-            assert v[b].tobytes() == vb.tobytes()
-    with pytest.raises(OutOfSpanError):
-        traj.position(t1 + 1e-3)
-    # the moving curves' accelerations from one stencil call
-    pair = mf.integrate_flow(g, f, seeds[:2], 20.0, stop_grad_norm=stops[:2])
-    grid = np.linspace(0.0, 1.0, 7) * pair.span[1][:, None]
-    acc = pair.acceleration(grid)
-    assert acc.shape == grid.shape + (2,)
-    for b in range(2):
-        assert_allclose(acc[b], pair[b].acceleration(grid[b]), rtol=1e-13,
-                        atol=0.0)
+    # a batch is read curve by curve
+    for query in (traj.position, traj.position_velocity, traj.acceleration):
+        with pytest.raises(TypeError, match=r"traj\[b\]"):
+            query(t1)
+    sp = gc.spectrum(gc.ChainSpec(3))
+    for b in range(3):
+        one = traj[b]
+        # each curve's dense output runs through its own samples
+        x, v = one.position_velocity(one.ts)
+        assert x.shape == v.shape == one.xs.shape
+        assert_allclose(x, one.xs, rtol=1e-13, atol=0.0)
+        assert_allclose(v, one.vs, rtol=1e-12, atol=1e-15)
+        with pytest.raises(OutOfSpanError):
+            one.position(t1[b] + 1e-3)
+        if one.ts.size == 1:    # the seed at rest has no acceleration
+            continue
+        # the modes relax as a* + (x0 - a*) e^(-2 lam t), so acc = -2 lam v
+        # up to the dense output's error, here 1.4e-9 of the largest |acc|
+        grid = np.linspace(0.0, t1[b], 7)
+        acc = one.acceleration(grid)
+        assert acc.shape == grid.shape + (2,)
+        assert_allclose(acc, -2.0 * sp.lambdas * one.velocity(grid),
+                        rtol=0.0, atol=1e-8 * np.abs(acc).max())
 
 
 def test_a_seed_stack_flags_domain_exits_per_curve():
@@ -1118,7 +1121,8 @@ def test_stacked_dense_output_matches_scipy_ode_solution(seeds, monkeypatch):
     # scipy's own OdeSolution over the integrator's own interpolants is the
     # oracle, queried between steps, at every step time and at both ends;
     # at 1e-14 both boundary rules pass, so the next test pins that rule.
-    # A batch's oracle interpolates the joint state, curve after curve
+    # A batch's oracle interpolates the joint state, and each curve traj[b]
+    # must read its own part of it
     steps = _recording_rk45(monkeypatch)
     traj = mf.integrate_flow(*fixtures.sphere_height(), seeds, 1.0)
     oracle = OdeSolution(traj.ts, steps)
@@ -1131,7 +1135,9 @@ def test_stacked_dense_output_matches_scipy_ode_solution(seeds, monkeypatch):
         return np.moveaxis(y, -2, 0) if lead else y
 
     def got(t):
-        return traj.position(np.broadcast_to(t, lead + np.shape(t)))
+        if not lead:
+            return traj.position(t)
+        return np.stack([traj[b].position(t) for b in range(lead[0])])
 
     ts = np.concatenate([np.random.default_rng(5).uniform(t0, t1, 1000),
                          traj.ts, [t0, t1]])
