@@ -120,9 +120,14 @@ class MetricField:
         skip their O(dim^4) contraction.
 
     Exactly one of ``matrix`` and ``diagonal`` is given (``ValueError``
-    otherwise).  Positive-definiteness is never checked: the inverse and
-    the flow check only the condition number, so a model's own tests
-    must show that its g is positive definite.
+    otherwise).  The field never checks positive-definiteness: the
+    inverse and the flow check only the condition number.  Where the
+    check runs, it runs in the closure: the Hessian metric of
+    :func:`geoflow.dually_flat.metric_field` is
+    :meth:`~geoflow.dually_flat.HessianModel.hessian`, which takes the
+    eigenvalues at every evaluation, a solve's stages included, and raises
+    :class:`~geoflow.errors.NonConvexError` where one is not positive.
+    Any other model's own tests must show that its g is positive definite.
     Calling the field, :meth:`diagonal` or :meth:`partials` passes a point
     or a stack to its closure in one call and raises
     :class:`~geoflow.errors.ClosureShapeError` when the result does not
@@ -267,16 +272,6 @@ class ScalarPotential:
         return df
 
 
-def _stage_covector(f: ScalarPotential) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> d_i f straight from the potential's closures, with no shape
-    check: its gradient closure, else finite differences of its value
-    closure, for the stages of a solve that checked them on its seeds."""
-    if f._gradient is not None:
-        return f._gradient
-    value = f._value
-    return lambda x: numdiff.jacobian_fd(value, x)
-
-
 def _check_shape(out: np.ndarray, want: tuple, name: str) -> None:
     if out.shape != want:
         raise ClosureShapeError(
@@ -362,32 +357,39 @@ def _inverse(g: MetricField, x: np.ndarray) -> tuple:
     return m, _svd_inverse(u, s, vh)
 
 
-def _stage_inverse(g: MetricField) -> Callable[[np.ndarray], tuple]:
-    """x -> (values, g^{-1}) at x, straight from the metric's closure: the
-    values whose spread is the condition number (g_ii, or the singular
-    values of the one SVD) and the inverse in g's own form.
-    No shape or condition check, for the stages of a solve that checks
-    both elsewhere.  A metric that LAPACK cannot factor (a nan component)
-    gives nan for both, which rejects the step."""
+def _stage_field(g: MetricField, f: ScalarPotential
+                 ) -> Callable[[np.ndarray], tuple]:
+    """x -> (values, df, -g^{ij} d_j f) at x, straight from the closures:
+    the values whose spread is the metric's condition number (g_ii, or the
+    singular values of the one SVD), the covector d_i f (the gradient
+    closure, else finite differences of the value closure) and the flow's
+    field, with :func:`gradient`'s arithmetic.  No shape or condition
+    check, for the stages of a solve that checks both elsewhere.  A metric
+    that LAPACK cannot factor (a nan component) gives nan values and a nan
+    field, which rejects the step."""
+    value, covector = f._value, f._gradient
+    if covector is None:
+        def covector(x):
+            return numdiff.jacobian_fd(value, x)
     if g.is_diagonal:
         diagonal = g._diagonal
 
-        def diagonal_inverse(x):
-            d = diagonal(x)
-            return d, 1.0 / d
+        def diagonal_field(x):
+            d, df = diagonal(x), covector(x)
+            return d, df, -(1.0 / d * df)
 
-        return diagonal_inverse
+        return diagonal_field
     matrix = g._matrix
 
-    def inverse(x):
-        m = matrix(x)
+    def field(x):
+        m, df = matrix(x), covector(x)
         try:
             u, s, vh = np.linalg.svd(m)
         except np.linalg.LinAlgError:
-            return np.full(m.shape[:-1], np.nan), np.full(m.shape, np.nan)
-        return s, _svd_inverse(u, s, vh)
+            return np.full(m.shape[:-1], np.nan), df, np.full(df.shape, np.nan)
+        return s, df, -(_svd_inverse(u, s, vh) @ df[..., None])[..., 0]
 
-    return inverse
+    return field
 
 
 #: below this (a subnormal) a singular value's reciprocal overflows
@@ -562,10 +564,14 @@ class Trajectory:
 
     Samples are the accepted integrator steps; between them, position
     comes from RK45's own quartic interpolant on each step, so dense
-    queries carry the integration tolerance.  The steps' interpolant data
-    are stacked once, and a query at any number of times is one
-    vectorized evaluation: a time on a step boundary takes the earlier
-    step, as in :class:`scipy.integrate.OdeSolution`.
+    queries carry the integration tolerance.  The trajectory keeps only
+    the steps' interpolant coefficients ``Q``, stacked ``(steps, dim, 4)``:
+    step k runs from sample k to sample k + 1, so its start time, length
+    and start state are ``ts[k]``, ``ts[k + 1] - ts[k]`` and ``xs[k]``.  A
+    query at any number of times is one vectorized evaluation: a time on a
+    step boundary takes the earlier step, as in
+    :class:`scipy.integrate.OdeSolution`.  With no step of positive length,
+    ``q`` is ``None`` and the trajectory holds its initial state alone.
 
     ``position``, ``velocity`` and ``acceleration`` take a scalar t, giving
     shape ``(dim,)``, or an array of times, giving ``t.shape + (dim,)``;
@@ -599,17 +605,16 @@ class Trajectory:
         curves of a joint solve share them.
     """
 
-    def __init__(self, ts, xs, vs, dense: tuple | None,
+    def __init__(self, ts, xs, vs, q: np.ndarray | None,
                  velocity_field: Callable[[np.ndarray], np.ndarray],
                  exited_domain=False, converged=False, *, last=None,
                  steps: int = 0, nfev: int = 0):
         self.ts = np.asarray(ts, dtype=float)
         self.xs = np.asarray(xs, dtype=float)
         self.vs = np.asarray(vs, dtype=float)
-        # (t_old, h, x_old, Q) of the accepted steps, or None when no step
-        # of positive length was taken; a batch's x_old and Q carry the
-        # curves on their second axis
-        self._dense = dense
+        # Q of the accepted steps, or None when no step of positive length
+        # was taken; a batch's Q carries the curves on its second axis
+        self._q = q
         self._velocity_field = velocity_field
         # the index of each curve's last sample: a scalar for one curve
         self._last = np.asarray(self.ts.size - 1 if last is None else last)
@@ -625,12 +630,9 @@ class Trajectory:
 
     def __getitem__(self, b: int) -> "Trajectory":
         k = int(self._last[b])
-        dense = None
-        if self._dense is not None and k > 0:
-            t_old, h, x_old, q = self._dense
-            dense = (t_old[:k], h[:k], x_old[:k, b], q[:k, b])
+        q = None if self._q is None or k == 0 else self._q[:k, b]
         return Trajectory(self.ts[:k + 1], self.xs[b, :k + 1],
-                          self.vs[b, :k + 1], dense, self._velocity_field,
+                          self.vs[b, :k + 1], q, self._velocity_field,
                           bool(self.exited_domain[b]),
                           bool(self.converged[b]), steps=self.steps,
                           nfev=self.nfev)
@@ -643,17 +645,18 @@ class Trajectory:
 
     def position(self, t) -> np.ndarray:
         t = self._times(t)
-        if self._dense is None:
+        q = self._q
+        if q is None:
             return np.broadcast_to(self.xs[0],
                                    t.shape + self.xs.shape[-1:]).copy()
-        t_old, h, x_old, q = self._dense
         i = np.clip(np.searchsorted(self.ts, t, side="left") - 1, 0,
-                    h.size - 1)
-        s = ((t - t_old[i]) / h[i])[..., None]
+                    len(q) - 1)
+        h = self.ts[i + 1] - self.ts[i]
+        s = ((t - self.ts[i]) / h)[..., None]
         # the powers s, s^2, s^3, s^4 of the step fraction
         p = np.cumprod(np.repeat(s, q.shape[-1], axis=-1), axis=-1)
         x = np.einsum("...ij,...j->...i", q[i], p)
-        return h[i][..., None] * x + x_old[i]
+        return h[..., None] * x + self.xs[i]
 
     def velocity(self, t) -> np.ndarray:
         return self.position_velocity(t)[1]
@@ -693,7 +696,8 @@ def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,
     Each accepted step keeps RK45's stages ``K``, and one product after
     the solve forms every step's interpolant coefficients ``Q = K^T P``,
     bit for bit those of scipy's per-step ``dense_output()``; the
-    trajectory stacks them as ``(t_old, h, x_old, Q)``.  When no step of
+    trajectory keeps ``Q`` alone, since each step's ``t_old``, ``h`` and
+    ``y_old`` are read off its samples ``ts`` and ``xs``.  When no step of
     positive length was accepted (RK45's only zero-length step, at
     ``t_end == 0``, or a first step out of the chart), the trajectory
     keeps the initial state alone.
@@ -718,7 +722,11 @@ def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,
         step where its Riemannian gradient norm falls below its threshold.
         A seed at or below it takes no step: the curve holds x0 alone,
         with span (0, 0), even when the threshold is 0.  The solve ends
-        once every curve has stopped.
+        once every curve has stopped.  A stop below what ``tol`` resolves,
+        about ``10 tol`` of the curve's start speed (the rule
+        :func:`~geoflow.comparison.compare` applies), reads as a stall:
+        the speed stops decreasing before it is reached, and the solve
+        raises ``NonConvergenceError``.
 
     The curves of a batch share one domain check, one call on the
     ``(B, dim)`` stack per accepted step: once any curve leaves the
@@ -738,9 +746,12 @@ def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,
         accepted state (see :func:`metric_inverse`).
     NonConvergenceError
         If a running curve's gradient norm fails to decrease over a full
-        output window, the numerical stand-in for a flow that is not
-        relaxing.  The message names the first such curve, the smallest
-        norm of its window, its ``stop_grad_norm`` and ``tol``.
+        output window in which its state moved, the numerical stand-in
+        for a flow that is not relaxing.  A curve that a window's steps
+        leave where it was, steps that a far faster curve of the batch
+        keeps too short to move it, is not stalled.  The message names the
+        first stalled curve, the smallest norm of its window, its
+        ``stop_grad_norm`` and ``tol``.
     StepUnderflowError
         If RK45's step size underflows.
     """
@@ -762,16 +773,14 @@ def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     from scipy.integrate import RK45
 
-    inverse, covector = _stage_inverse(g), _stage_covector(f)
-    # rhs's last state, with the metric's condition values and df there
-    at = [None, None, None]
+    stage = _stage_field(g, f)
+    # rhs's last state, with the metric's condition values, df and the
+    # field there
+    at = [None, None, None, None]
 
     def rhs(_t, y):
-        x = y.reshape(shape)
-        values, ginv = inverse(x)
-        df = covector(x)
-        at[:] = y, values, df
-        return -_raise_index(g, ginv, df).reshape(-1)
+        at[:] = y, *stage(y.reshape(shape))
+        return at[3].reshape(-1)
 
     class PerCurveRK45(RK45):
         def __init__(self, *args, **kwargs):
@@ -848,7 +857,10 @@ def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,
             if len(window) == _MONITOR_WINDOW:
                 wmin = np.min(window, axis=0)
                 size = np.linalg.norm(solver.y.reshape(n, -1), axis=1)
-                stalled = (running & (wmin >= prev_window_min)
+                # a curve that the window's steps left where it was is not
+                # stalled: a far faster curve set steps too short to move it
+                moved = (ys[-_MONITOR_WINDOW] != ys[-1]).reshape(n, -1).any(1)
+                stalled = (running & moved & (wmin >= prev_window_min)
                            & (wmin > 1e-13 * (1.0 + size)))
                 if stalled.any():
                     b = np.argmax(stalled)
@@ -861,17 +873,13 @@ def integrate_flow(g: MetricField, f: ScalarPotential, x0, t_end: float,
                 window = []
     ts = np.array(ts)
     xs = np.array(ys).reshape(len(ts), n, dim)
-    dense = None
-    if stages:
-        # every kept step has positive length: steps k = 0.. run from
-        # sample k to sample k + 1, and h = t - t_old as in scipy
-        k = len(stages)
-        q = np.stack(stages).swapaxes(1, 2) @ solver.P
-        dense = (ts[:k], ts[1:k + 1] - ts[:k], xs[:k],
-                 q.reshape(k, n, dim, q.shape[-1]))
+    # every kept step has positive length and runs from sample k to sample
+    # k + 1, so ts and xs give its t_old, h = t - t_old and y_old as in scipy
+    q = (np.stack(stages).swapaxes(1, 2) @ solver.P).reshape(
+        len(stages), n, dim, -1) if stages else None
     vs = field(xs.reshape((-1,) + shape)).reshape(xs.shape)
     # the batch layout: curves first
-    traj = Trajectory(ts, xs.swapaxes(0, 1), vs.swapaxes(0, 1), dense, field,
+    traj = Trajectory(ts, xs.swapaxes(0, 1), vs.swapaxes(0, 1), q, field,
                       exited, converged, last=last, steps=accepted,
                       nfev=solver.nfev)
     return traj if x0.ndim > 1 else traj[0]

@@ -447,6 +447,21 @@ def test_hessian_exp_race_matches_analytic_partials():
     assert_allclose(fd.cubic_gaps, ref.cubic_gaps, rtol=1e-12, atol=0.0)
 
 
+def test_a_curve_on_a_slow_clock_is_not_stalled():
+    # at level 50 curve 0 starts at theta = -51 with speed 1.2e11 against
+    # curve 1's 7.28: RK45's first hundred steps are under 1e-19 long, so
+    # curve 1's state and its window minimum repeat; alone, each seed
+    # relaxes, and the joint race must run as at level 40: curve 0 to its
+    # stop, curve 1 to the horizon
+    entry = fixtures.COMPARE_MODELS["hessian-exp"]
+    g, f = entry.build()
+    pair = cp.equidistant_seed(g, f, 50.0, entry.direction1,
+                               entry.direction2)
+    report = cp.compare(g, f, pair, 10.0)
+    assert report.verdict == cp.CURVE1_FASTER
+    assert report.traj1.converged and report.traj2.span[1] == 10.0
+
+
 def test_compare_orientation_flips():
     g, f, pair = mode_pair()
     report = cp.compare(g, f, pair, 8.0)

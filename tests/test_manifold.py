@@ -710,9 +710,11 @@ def test_one_seed_is_plain_rk45_bit_for_bit(model, x0):
     ts, ys, steps, nfev = _plain_rk45(g, f, x0, 1.0)
     assert traj.ts.tobytes() == ts.tobytes()
     assert traj.xs.tobytes() == ys.tobytes()
-    t_old, h, y_old, q = traj._dense
-    for got, attr in ((t_old, "t_old"), (h, "h"), (y_old, "y_old"),
-                      (q, "Q")):
+    # each step's t_old, h and y_old are read off the samples, and the
+    # trajectory keeps its Q
+    for got, attr in ((traj.ts[:-1], "t_old"),
+                      (traj.ts[1:] - traj.ts[:-1], "h"),
+                      (traj.xs[:-1], "y_old"), (traj._q, "Q")):
         assert got.tobytes() == np.stack([getattr(s, attr)
                                           for s in steps]).tobytes()
     assert (traj.steps, traj.nfev) == (len(ts) - 1, nfev)
@@ -1154,10 +1156,10 @@ def test_deferred_interpolants_of_a_joint_solve_are_scipys(monkeypatch):
     steps = _recording_rk45(monkeypatch)
     g, f = fixtures.two_mode_chain()
     traj = mf.integrate_flow(g, f, [[0.5, 2.0], [3.0, 0.4]], 1.0)
-    t_old, h, y_old, q = traj._dense
-    assert len(steps) == len(traj.ts) - 1 == t_old.size > 5
-    for got, attr in ((t_old, "t_old"), (h, "h"), (y_old, "y_old"),
-                      (q, "Q")):
+    ts, xs = traj.ts, traj.xs.swapaxes(0, 1)
+    assert len(steps) == len(ts) - 1 == len(traj._q) > 5
+    for got, attr in ((ts[:-1], "t_old"), (ts[1:] - ts[:-1], "h"),
+                      (xs[:-1], "y_old"), (traj._q, "Q")):
         want = np.stack([getattr(s, attr) for s in steps])
         assert got.reshape(want.shape).tobytes() == want.tobytes(), attr
 
@@ -1169,8 +1171,8 @@ def test_stacked_dense_output_takes_the_earlier_step_at_a_boundary():
     h = np.diff(ts)
     y_old = np.array([[0.0, 1.0], [10.0, 11.0], [20.0, 21.0]])
     q = np.arange(24.0).reshape(3, 2, 4) - 12.0
-    traj = mf.Trajectory(ts, y_old[[0, 1, 2, 2]], np.zeros((4, 2)),
-                         (ts[:-1], h, y_old, q), np.negative)
+    traj = mf.Trajectory(ts, y_old[[0, 1, 2, 2]], np.zeros((4, 2)), q,
+                         np.negative)
     oracle = OdeSolution(ts, [RkDenseOutput(t0, t0 + dt, y, qq)
                               for t0, dt, y, qq in zip(ts, h, y_old, q)])
     at = np.concatenate([ts, [0.5, 2.0, 3.5]])
